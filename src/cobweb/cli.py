@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import fnomial, fseq, incidence, poset, prefab, series
 
@@ -48,7 +47,7 @@ def _cmd_fnomial(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
         parser.error("--spec, --n and --k are required")
     F = fseq.parse_sequence(args.spec)
     value = fnomial.f_nomial(F, args.n, args.k)
-    return 0, _json({"value": str(value), "integral": value.is_integral})
+    return 0, _json({"value": str(value), "integral": value.denominator == 1})
 
 
 def _cmd_fnomial_triangle(args: argparse.Namespace) -> tuple[int, str]:
@@ -149,7 +148,7 @@ def _cmd_prefab_compose(args: argparse.Namespace) -> tuple[int, str]:
     if not result.is_empty:
         coefficient = fnomial.f_nomial(ctx.sequence, result.n, result.k)
         payload["coefficient"] = str(coefficient)
-        payload["integral"] = coefficient.is_integral
+        payload["integral"] = coefficient.denominator == 1
         if args.op == "odot":
             payload["f_size"] = str(prefab.f_size(ctx, result, "odot"))
     return 0, _json(payload)
@@ -180,10 +179,8 @@ def _cmd_series_bell(args: argparse.Namespace) -> tuple[int, str]:
         oracle = fnomial.f_factorial(F, args.n) * series.enumerator_coeff_by_partitions(
             F, args.n
         )
-        payload["oracle"] = str(
-            oracle.numerator if oracle.denominator == 1 else oracle
-        )
-        payload["match"] = Fraction(value) == oracle
+        payload["oracle"] = str(oracle)
+        payload["match"] = value == oracle
         code = 0 if payload["match"] else 1
     return code, _json(payload)
 
@@ -307,11 +304,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact results may have more decimal digits than the interpreter's
+    # int/str conversion limit (Python >= 3.10.7); lift it for this command
+    # only, so library callers keep their own setting.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code, payload = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     print(payload)
     return code
 

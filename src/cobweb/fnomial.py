@@ -1,50 +1,21 @@
 """Exact sequence factorials, falling products and coefficient triangles.
 
 All arithmetic is arbitrary-precision integer or rational; there is no
-floating-point mode.  Non-integer coefficients are returned with their
-integrality flag cleared rather than raised, so admissibility scans can
-observe them.  Every function here is pure and safe for concurrent use.
+floating-point mode.  Coefficients are exact ``Fraction`` values: a
+non-integral one comes back with a denominator other than 1 rather than
+raised, so admissibility scans can observe it.  Every function here is pure
+and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
+from typing import Iterator
 
 from .fseq import FSequence
-
-
-@dataclass(frozen=True)
-class FNomialValue:
-    """A coefficient in lowest terms with a positive denominator."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise ValueError("denominator must be positive")
-        if math.gcd(self.numerator, self.denominator) != 1:
-            raise ValueError("coefficient must be in lowest terms")
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "FNomialValue":
-        return cls(value.numerator, value.denominator)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.denominator == 1
-
-    def __str__(self) -> str:
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
 
 
 def f_factorial(F: FSequence, n: int) -> int:
@@ -61,7 +32,7 @@ def falling_f(F: FSequence, n: int, k: int) -> int:
     return math.prod(F.term(j) for j in range(n - k + 1, n + 1))
 
 
-def f_nomial(F: FSequence, n: int, k: int) -> FNomialValue:
+def f_nomial(F: FSequence, n: int, k: int) -> Fraction:
     """The coefficient (n over k)_F as an exact reduced rational.
 
     Computed as the falling product of length k divided by the k-factorial,
@@ -70,30 +41,45 @@ def f_nomial(F: FSequence, n: int, k: int) -> FNomialValue:
     """
     if not 0 <= k <= n:
         raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
-    return FNomialValue.from_fraction(Fraction(falling_f(F, n, k), f_factorial(F, k)))
+    return Fraction(falling_f(F, n, k), f_factorial(F, k))
 
 
-def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> FNomialValue:
+def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> Fraction:
     """Same coefficient via F_n! / (F_k! F_(n-k)!), kept as a cross-check route."""
     if not 0 <= k <= n:
         raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
-    return FNomialValue.from_fraction(
-        Fraction(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
-    )
+    return Fraction(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
 
 
-def f_nomial_triangle(F: FSequence, rows: int) -> list[list[FNomialValue]]:
+def f_nomial_rows(F: FSequence) -> Iterator[list[Fraction]]:
+    """Rows n = 0, 1, 2, ... of the coefficient triangle, without end.
+
+    Each entry follows from its left neighbour by the row recurrence
+    (n over k) = (n over k-1) * F_(n-k+1) / F_k, and row n reads the terms
+    only up to F_n, so a scan can stop at any row of a finite sequence.
+    """
+    terms = [0]  # F_0 is never read
+    for n in count():
+        if n:
+            terms.append(F.term(n))
+        row = [Fraction(1)]
+        for k in range(1, n + 1):
+            row.append(row[-1] * terms[n - k + 1] / terms[k])
+        yield row
+
+
+def f_nomial_triangle(F: FSequence, rows: int) -> list[list[Fraction]]:
     """All coefficients for 0 <= k <= n < rows, as a ragged table."""
     if rows < 0:
         raise ValueError(f"row count must be nonnegative, got {rows}")
-    return [[f_nomial(F, n, k) for k in range(n + 1)] for n in range(rows)]
+    return list(islice(f_nomial_rows(F), rows))
 
 
-def triangle_to_csv(triangle: list[list[FNomialValue]]) -> str:
+def triangle_to_csv(triangle: list[list[Fraction]]) -> str:
     """Ragged CSV, one row per n, entries as exact decimal (or p/q) strings."""
     return "\n".join(",".join(str(v) for v in row) for row in triangle) + "\n"
 
 
-def triangle_to_json(triangle: list[list[FNomialValue]]) -> str:
+def triangle_to_json(triangle: list[list[Fraction]]) -> str:
     """JSON array of arrays of strings, preserving arbitrary precision."""
     return json.dumps([[str(v) for v in row] for row in triangle])

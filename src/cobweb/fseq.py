@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -72,18 +73,19 @@ def _finite_term(values: list[int], spec: str) -> Callable[[int], int]:
 
 
 def _parse_int(text: str, spec: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SequenceError(f"malformed sequence spec {spec!r}") from None
+    """Decimal integers only: no sign other than "-", no spaces, no "_"."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise SequenceError(f"malformed sequence spec {spec!r}")
+    return int(text)
 
 
 def parse_sequence(spec: str) -> FSequence:
     """Build a sequence from its spec string.
 
     Grammar: ``natural | even | mult:<uint> | fibonacci | gauss:<uint>=2> |
-    bg:<uint>=2> | const:<nonzero int> | custom:<int>(,<int>)* | file:<path>``.
-    ``file`` content is a JSON array of integers interpreted as F_1, F_2, ...
+    bg:<uint>=2> | const:<nonzero int> | custom:<int>(,<int>)* | file:<path>``,
+    where an integer is written ``-?[0-9]+``.  ``file`` content is a JSON
+    array of integers (booleans are not integers) interpreted as F_1, F_2, ...
     """
     head, _, tail = spec.partition(":")
 
@@ -133,7 +135,7 @@ def parse_sequence(spec: str) -> FSequence:
                 data = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise SequenceError(f"cannot read sequence file {tail!r}: {exc}") from None
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+        if not isinstance(data, list) or not all(type(v) is int for v in data):
             raise SequenceError(f"{tail!r} must hold a JSON array of integers")
         for i, v in enumerate(data, start=1):
             if v == 0:
@@ -199,15 +201,15 @@ def is_cobweb_admissible_prefix(F: FSequence, bound: int) -> AdmissibilityReport
 
     The verdict is "admissible" iff every coefficient is a nonnegative
     integer, decided in exact rational arithmetic.  The first offending
-    (n, k) pair and its value are recorded otherwise.
+    (n, k) pair and its value are recorded otherwise.  Rows are streamed, so
+    a violation is found before any later term of the sequence is read.
     """
-    from .fnomial import f_nomial
+    from .fnomial import f_nomial_rows
 
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    for n in range(bound + 1):
-        for k in range(n + 1):
-            value = f_nomial(F, n, k).value
+    for n, row in zip(range(bound + 1), f_nomial_rows(F)):
+        for k, value in enumerate(row):
             if value.denominator != 1 or value < 0:
                 return AdmissibilityReport(F.spec, bound, "violation", (n, k), value)
     return AdmissibilityReport(F.spec, bound, "admissible")

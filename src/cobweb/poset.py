@@ -301,17 +301,20 @@ def max_disjoint_packing(
 ) -> PackingReport:
     """Exact maximum family of pairwise chain-disjoint copies, with its quotient.
 
-    Instances whose copy count exceeds ``cap`` are refused outright.
+    Instances whose copy count exceeds ``cap`` are refused outright; the
+    count prod_j C(F_(k+j), F_j) is multiplied up level by level and the
+    refusal comes as soon as it passes the cap, before it grows further.
+    A level too small for a copy is left to ``enumerate_copies`` to report.
     """
     k = root.s
     n = k + m
-    copies_total = math.prod(
-        math.comb(P.F.term(k + j), P.F.term(j)) for j in range(1, m + 1)
-    )
-    if copies_total > cap:
-        raise PackingCapError(
-            f"instance has {copies_total} copies, above the cap of {cap}"
-        )
+    sizes = [(P.F.term(k + j), P.F.term(j)) for j in range(1, m + 1)]
+    if all(need <= avail for avail, need in sizes):
+        copies_total = 1
+        for avail, need in sizes:
+            copies_total *= math.comb(avail, need)
+            if copies_total > cap:
+                raise PackingCapError(f"instance has more copies than the cap of {cap}")
     copies = enumerate_copies(P, root, m)
     chain_cost = f_factorial(P.F, m)
     chains_total = falling_f(P.F, n, m)

@@ -144,7 +144,7 @@ def copies_count(ctx: PrefabContext, a: Prefabiant) -> int:
     if a.is_empty:
         return 1
     coefficient = f_nomial(ctx.sequence, a.n, a.k)
-    if not coefficient.is_integral:
+    if coefficient.denominator != 1:
         raise ValueError(
             f"({a.n} over {a.k}) is {coefficient} for {ctx.sequence.spec!r}: "
             "not an integer, sequence is not admissible here"
@@ -190,7 +190,7 @@ def verify_c2(ctx: PrefabContext, a: Prefabiant, b: Prefabiant) -> C2Record:
         f_size(ctx, composed, "odot"),
         f_size(ctx, a, "odot") * f_size(ctx, b, "odot"),
     )
-    coefficient = f_nomial(ctx.sequence, composed.n, composed.k).value
+    coefficient = f_nomial(ctx.sequence, composed.n, composed.k)
     copies = coefficient.numerator if coefficient.denominator == 1 else None
     return C2Record(
         k=a.width,

@@ -5,11 +5,13 @@ x^n), the scheme enumerator exp(exp_F(x) - 1) whose coefficients weigh whole
 assemblies of primes, and the Bell-style numbers obtained by scaling a
 coefficient back by the factorial.
 
-The vector-space specialization replaces the factorial table by the orders of
-the general linear groups over a prime field; the resulting numbers count the
-unordered direct-sum decompositions of a finite vector space and are verified
-against a literal subspace-enumeration oracle that shares no code with the
-series route.
+One exponential formula serves every count: given a prefix-factorial table
+it scales the x^n coefficient of exp(E - 1), or of (E - 1)^k / k!, back by
+the last factorial.  The vector-space counts are that formula over the bg:q
+factorials, which are the orders of the general linear groups over a prime
+field; they count the unordered direct-sum decompositions of a finite vector
+space and are verified against a literal subspace-enumeration oracle that
+shares no code with the series route.
 
 Series order defaults to 16 where a command needs one; all coefficients stay
 exact rationals.
@@ -17,16 +19,16 @@ exact rationals.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator
 
 from .fnomial import f_factorial
-from .fseq import FSequence
+from .fseq import FSequence, parse_sequence
 
 DEFAULT_ORDER = 16
 
@@ -73,7 +75,10 @@ class FormalSeries:
         return series_mul(self, other)
 
     def to_json(self) -> str:
-        return json.dumps([str(c) for c in self.coeffs])
+        # The text json.dumps gives for the coefficient strings (which need no
+        # escaping), built without its per-string copies: a payload of
+        # thousand-digit coefficients is held twice at most, not three times.
+        return "[" + ", ".join([f'"{c}"' for c in self.coeffs]) + "]"
 
 
 def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
@@ -110,13 +115,34 @@ def series_exp(s: FormalSeries) -> FormalSeries:
     return FormalSeries(tuple(out))
 
 
+def _factorials(F: FSequence, n: int) -> list[int]:
+    """The prefix-factorial table F_0!, F_1!, ..., F_n! as one running product."""
+    return list(accumulate(F.terms(n), operator.mul, initial=1))
+
+
+def _reciprocals(factorials: list[int]) -> FormalSeries:
+    """E = sum_j x^j / fac_j over a prefix-factorial table."""
+    return FormalSeries(tuple(Fraction(1, fac) for fac in factorials))
+
+
+def _exponential_formula(factorials: list[int], k: int | None = None) -> Fraction:
+    """fac_n [x^n] exp(E - 1), or fac_n [x^n] (E - 1)^k / k! for a given k,
+    where E is the sequence exponential of the table fac_0, ..., fac_n."""
+    n = len(factorials) - 1
+    primes = _reciprocals(factorials) - 1
+    if k is None:
+        return factorials[n] * series_exp(primes).coefficient(n)
+    power = FormalSeries.from_coefficients([1] + [0] * n)
+    for _ in range(k):
+        power = power * primes
+    return factorials[n] * power.coefficient(n) / math.factorial(k)
+
+
 def exp_f_series(F: FSequence, order: int) -> FormalSeries:
     """The sequence exponential: coefficient of x^n is 1/F_n!."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return FormalSeries(
-        tuple(Fraction(1, f_factorial(F, n)) for n in range(order + 1))
-    )
+    return _reciprocals(_factorials(F, order))
 
 
 def prefab_enumerator(F: FSequence, order: int) -> FormalSeries:
@@ -128,7 +154,7 @@ def bell_f(F: FSequence, n: int) -> int | Fraction:
     """F_n! times the x^n enumerator coefficient; ordinary Bell for F_n = n."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    value = f_factorial(F, n) * prefab_enumerator(F, n).coefficient(n)
+    value = _exponential_formula(_factorials(F, n))
     return value.numerator if value.denominator == 1 else value
 
 
@@ -172,58 +198,33 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"field size must be prime, got {q}")
 
 
-@dataclass(frozen=True)
-class QBellContext:
-    """Field size and dimension, with the table of linear-group factorials."""
-
-    q: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _require_prime(self.q)
-        if self.n < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.n}")
-
-    @property
-    def gamma_factorials(self) -> tuple[int, ...]:
-        return tuple(gl_order(self.q, j) for j in range(self.n + 1))
+def _gl_factorials(q: int, n: int) -> list[int]:
+    """|GL_0(q)|, ..., |GL_n(q)|: the bg:q factorials, for a prime field size q."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_prime(q)
+    return _factorials(parse_sequence(f"bg:{q}"), n)
 
 
-def _gamma_exponential(ctx: QBellContext) -> FormalSeries:
-    return FormalSeries(
-        tuple(Fraction(1, fac) for fac in ctx.gamma_factorials)
-    )
+def _integral(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise ArithmeticError(f"{what} came out non-integral: {value}")
+    return value.numerator
 
 
 def q_bell(q: int, n: int) -> int:
     """Number of unordered direct-sum decompositions of the n-dim space over
     the q-element field, via the exponential formula on linear-group orders."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    ctx = QBellContext(q, n)
-    coefficient = series_exp(_gamma_exponential(ctx) - 1).coefficient(n)
-    value = ctx.gamma_factorials[n] * coefficient
-    if value.denominator != 1:
-        raise ArithmeticError(f"decomposition count came out non-integral: {value}")
-    return value.numerator
+    return _integral(_exponential_formula(_gl_factorials(q, n)), "decomposition count")
 
 
 def q_stirling(q: int, n: int, k: int) -> int:
     """Decompositions with exactly k summands: the k-th power term of the
     exponential formula."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    factorials = _gl_factorials(q, n)
     if not 1 <= k <= n:
         raise ValueError(f"summand count needs 1 <= k <= n, got {k}")
-    ctx = QBellContext(q, n)
-    primes_only = _gamma_exponential(ctx) - 1
-    power = FormalSeries.from_coefficients([1] + [0] * n)
-    for _ in range(k):
-        power = power * primes_only
-    value = ctx.gamma_factorials[n] * power.coefficient(n) / math.factorial(k)
-    if value.denominator != 1:
-        raise ArithmeticError(f"summand count came out non-integral: {value}")
-    return value.numerator
+    return _integral(_exponential_formula(factorials, k), "summand count")
 
 
 def _rref(rows: Iterable[Iterable[int]], q: int) -> tuple[tuple[int, ...], ...]:

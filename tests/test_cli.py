@@ -1,4 +1,5 @@
 import json
+import sys
 
 from cobweb import fnomial, fseq, incidence, poset, series
 from cobweb.cli import main
@@ -23,7 +24,7 @@ def test_fnomial_payload(capsys):
 def test_fnomial_matches_library(capsys):
     _, out, _ = run(capsys, "fnomial", "--spec", "gauss:2", "--n", "4", "--k", "2")
     value = fnomial.f_nomial(fseq.parse_sequence("gauss:2"), 4, 2)
-    assert json.loads(out) == {"value": str(value), "integral": value.is_integral}
+    assert json.loads(out) == {"value": str(value), "integral": value.denominator == 1}
 
 
 def test_fnomial_missing_args_usage_error(capsys):
@@ -110,6 +111,23 @@ def test_poset_chains_from_root(capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == "24"
+
+
+def test_poset_chains_prints_counts_of_any_size(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(
+        capsys, "poset", "chains", "--spec", "gauss:2", "--levels", "200",
+        "--from-level", "0", "--to-level", "200", "--mode", "product",
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted for the command only
+    count = json.loads(out)["count"]
+    assert len(count) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(count) == fnomial.f_factorial(fseq.parse_sequence("gauss:2"), 200)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_poset_chains_bad_range(capsys):

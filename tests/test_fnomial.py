@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobweb.fnomial import (
-    FNomialValue,
     f_factorial,
     f_nomial,
     f_nomial_from_factorials,
@@ -15,11 +14,17 @@ from cobweb.fnomial import (
     triangle_to_csv,
     triangle_to_json,
 )
-from cobweb.fseq import parse_sequence
+from cobweb.fseq import is_cobweb_admissible_prefix, parse_sequence
 
 FIB = parse_sequence("fibonacci")
 NAT = parse_sequence("natural")
-SPECS = ["natural", "even", "mult:3", "fibonacci", "gauss:2", "const:4"]
+SPECS = [
+    "natural", "even", "mult:3", "fibonacci", "gauss:2", "const:4",
+    # not admissible: a late fraction, an early fraction, negative values
+    "custom:1,2,3,5,8,13,21,34,55,89,144,233,377,610,987,1597,2584,4181,6765,10946",
+    "custom:2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61,67,71",
+    "custom:1,-1,2,-3,5,-8,13,-21,34,-55,89,-144,233,-377,610,-987,1597,-2584,4181,-6765",
+]
 
 
 def test_factorials():
@@ -39,11 +44,11 @@ def test_falling_products():
 
 
 def test_coefficient_values():
-    assert f_nomial(FIB, 5, 2).value == 15
-    assert f_nomial(FIB, 5, 2).is_integral
-    assert f_nomial(NAT, 4, 2).value == 6
-    assert f_nomial(parse_sequence("gauss:2"), 4, 2).value == 35
-    assert f_nomial(NAT, 0, 0).value == 1
+    assert f_nomial(FIB, 5, 2) == 15
+    assert f_nomial(FIB, 5, 2).denominator == 1
+    assert f_nomial(NAT, 4, 2) == 6
+    assert f_nomial(parse_sequence("gauss:2"), 4, 2) == 35
+    assert f_nomial(NAT, 0, 0) == 1
 
 
 def test_coefficient_range_errors():
@@ -55,14 +60,15 @@ def test_coefficient_range_errors():
 
 def test_non_integral_coefficient_is_returned_not_raised():
     value = f_nomial(parse_sequence("custom:2,3"), 2, 1)
-    assert not value.is_integral
-    assert value.value == Fraction(3, 2)
+    assert isinstance(value, Fraction)
+    assert value.denominator != 1
+    assert value == Fraction(3, 2)
     assert str(value) == "3/2"
 
 
 def test_triangle_rows():
     rows = f_nomial_triangle(FIB, 5)
-    assert [[v.value for v in row] for row in rows] == [
+    assert rows == [
         [1],
         [1, 1],
         [1, 1, 1],
@@ -70,14 +76,14 @@ def test_triangle_rows():
         [1, 3, 6, 3, 1],
     ]
     pascal = f_nomial_triangle(NAT, 4)
-    assert [[v.value for v in row] for row in pascal] == [
+    assert pascal == [
         [1],
         [1, 1],
         [1, 2, 1],
         [1, 3, 3, 1],
     ]
     flat = f_nomial_triangle(parse_sequence("const:3"), 4)
-    assert all(v.value == 1 for row in flat for v in row)
+    assert all(v == 1 for row in flat for v in row)
     assert f_nomial_triangle(NAT, 0) == []
 
 
@@ -92,14 +98,6 @@ def test_triangle_exports():
     ]
 
 
-def test_value_validation():
-    with pytest.raises(ValueError):
-        FNomialValue(4, 2)
-    with pytest.raises(ValueError):
-        FNomialValue(1, -1)
-    assert FNomialValue.from_fraction(Fraction(6, 4)).denominator == 2
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(SPECS),
@@ -109,25 +107,38 @@ def test_value_validation():
 def test_symmetry_and_quotient_identity(spec, n, data):
     F = parse_sequence(spec)
     k = data.draw(st.integers(min_value=0, max_value=n))
-    left = f_nomial(F, n, k).value
-    assert left == f_nomial(F, n, n - k).value
+    left = f_nomial(F, n, k)
+    assert left == f_nomial(F, n, n - k)
     assert left * f_factorial(F, k) == falling_f(F, n, k)
-    assert left == f_nomial_from_factorials(F, n, k).value
+    assert left == f_nomial_from_factorials(F, n, k)
+    # the row generator against both point routes, entry by entry
+    for m, row in enumerate(f_nomial_triangle(F, n + 1)):
+        assert row == [f_nomial(F, m, j) for j in range(m + 1)]
+        assert row == [f_nomial_from_factorials(F, m, j) for j in range(m + 1)]
+    # the streaming scan against a point-query scan
+    first = next(
+        ((m, j) for m in range(n + 1) for j in range(m + 1)
+         if f_nomial(F, m, j).denominator != 1 or f_nomial(F, m, j) < 0),
+        None,
+    )
+    report = is_cobweb_admissible_prefix(F, n)
+    assert report.violation == first
+    assert report.value == (None if first is None else f_nomial(F, *first))
 
 
 def test_symmetry_and_quotient_exhaustive_to_30():
     for F in (FIB, parse_sequence("gauss:2")):
         for n in range(31):
             for k in range(n + 1):
-                value = f_nomial(F, n, k).value
-                assert value == f_nomial(F, n, n - k).value
+                value = f_nomial(F, n, k)
+                assert value == f_nomial(F, n, n - k)
                 assert value * f_factorial(F, k) == falling_f(F, n, k)
 
 
 def test_binomial_reduction():
     for n in range(21):
         for k in range(n + 1):
-            assert f_nomial(NAT, n, k).value == math.comb(n, k)
+            assert f_nomial(NAT, n, k) == math.comb(n, k)
 
 
 def test_multiple_cancellation():
@@ -135,4 +146,4 @@ def test_multiple_cancellation():
         F = parse_sequence(f"mult:{c}")
         for n in range(21):
             for k in range(n + 1):
-                assert f_nomial(F, n, k).value == f_nomial(NAT, n, k).value
+                assert f_nomial(F, n, k) == f_nomial(NAT, n, k)

@@ -45,7 +45,8 @@ def test_spec_roundtrip():
 @pytest.mark.parametrize(
     "spec",
     ["", "nope", "mult:", "mult:x", "mult:-2", "gauss:1", "bg:1", "const:",
-     "const:0", "custom:", "custom:1,,2", "gauss:"],
+     "const:0", "custom:", "custom:1,,2", "gauss:", "mult:1_0", "mult: 10",
+     "mult:+3", "const:4 ", "gauss:2\n", "custom:1, 2", "bg:\u0663"],
 )
 def test_malformed_specs_rejected(spec):
     with pytest.raises(SequenceError):
@@ -91,6 +92,10 @@ def test_file_sequence_errors(tmp_path):
     zero.write_text("[1, 0]")
     with pytest.raises(SequenceError):
         parse_sequence(f"file:{zero}")
+    booleans = tmp_path / "booleans.json"
+    booleans.write_text("[true, 2, 3]")
+    with pytest.raises(SequenceError):
+        parse_sequence(f"file:{booleans}")
 
 
 @pytest.mark.parametrize(
@@ -120,6 +125,14 @@ def test_admissibility_negative_integer_is_violation():
     assert report.verdict == "violation"
     assert report.violation == (2, 1)
     assert report.value == Fraction(-2)
+
+
+def test_admissibility_violation_before_finite_sequence_ends():
+    # the scan stops at the violation, never reaching the missing fifth term
+    report = is_cobweb_admissible_prefix(parse_sequence("custom:1,2,3,5"), 10)
+    assert report.verdict == "violation"
+    assert report.violation == (4, 2)
+    assert report.value == Fraction(15, 2)
 
 
 def test_gcd_morphism_builtins():

@@ -161,7 +161,7 @@ def test_packing_reports_match_brute_force():
             enumerate_copies(P, Vertex(1, k), m)
         )
         assert report.max_packing * f_factorial(F, m) <= report.chains_total
-        assert report.quotient_bound == f_nomial(F, k + m, k).value
+        assert report.quotient_bound == f_nomial(F, k + m, k)
 
 
 def test_packing_random_instances_match_brute_force():
@@ -205,6 +205,17 @@ def test_packing_cap_refused():
     P = build_poset(EVEN, 3)
     with pytest.raises(PackingCapError):
         max_disjoint_packing(P, Vertex(1, 1), 2, cap=10)
+
+
+def test_packing_cap_refused_before_the_count_is_built():
+    # the full copy count has about 1.4 million bits; the refusal must not need it
+    P = build_poset(parse_sequence("gauss:2"), 35)
+    with pytest.raises(PackingCapError, match="cap"):
+        max_disjoint_packing(P, Vertex(1, 20), 15)
+    # a level too small for a copy is still reported as such, cap or not
+    P = build_poset(parse_sequence("custom:1,3,5,1"), 4)
+    with pytest.raises(ValueError, match="copy needs"):
+        max_disjoint_packing(P, Vertex(1, 1), 3, cap=1)
 
 
 @pytest.mark.parametrize("F", BUILTINS, ids=lambda F: F.spec)

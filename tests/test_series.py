@@ -9,7 +9,6 @@ from cobweb.fnomial import f_factorial, f_nomial
 from cobweb.fseq import parse_sequence
 from cobweb.series import (
     FormalSeries,
-    QBellContext,
     bell_f,
     count_invertible_matrices,
     decomposition_oracle,
@@ -162,18 +161,16 @@ def test_bg_factorials_agree_with_gl_orders():
             assert f_factorial(bg, n) == gl_order(q, n)
 
 
-def test_qbell_context_table():
-    ctx = QBellContext(2, 3)
-    assert ctx.gamma_factorials == (1, 1, 6, 168)
-    with pytest.raises(ValueError):
-        QBellContext(4, 2)
-
-
 def test_q_bell_values_and_oracle():
     expected = {(2, 1): 1, (2, 2): 4, (2, 3): 57, (3, 1): 1, (3, 2): 7}
     for (q, n), value in expected.items():
         assert q_bell(q, n) == value
         assert decomposition_oracle(q, n) == value
+    # the bg:q factorials are the linear-group orders
+    for q in (2, 3, 5):
+        bg = parse_sequence(f"bg:{q}")
+        for n in range(1, 12):
+            assert q_bell(q, n) == bell_f(bg, n)
 
 
 def test_q_bell_dimension_four_cross_check():
@@ -217,7 +214,7 @@ def test_subspace_counts_match_gaussian_binomials():
             for s in spaces:
                 by_dim[len(s)] = by_dim.get(len(s), 0) + 1
             for d in range(n + 1):
-                assert by_dim.get(d, 0) == f_nomial(gauss, n, d).value
+                assert by_dim.get(d, 0) == f_nomial(gauss, n, d)
             assert len(spaces) == len(set(spaces))
 
 
@@ -228,3 +225,6 @@ def test_matrix_enumeration_guard():
 
 def test_series_json():
     assert json.loads(exp_f_series(FIB, 3).to_json()) == ["1", "1", "1", "1/2"]
+    # byte-identical to json.dumps of the coefficient strings
+    for s in (prefab_enumerator(FIB, 12), F(0, -3, Fraction(-5, 7)), F(1)):
+        assert s.to_json() == json.dumps([str(c) for c in s.coeffs])
