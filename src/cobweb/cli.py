@@ -76,9 +76,7 @@ def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
     if not 0 <= k < n <= P.L:
         raise ValueError(f"need 0 <= from-level < to-level <= {P.L}")
     if args.mode == "matrix":
-        start = poset.Vertex(1, k)
-        power = incidence.maximal_chain_matrix(P, n - k)
-        count = sum(power.entry(start, y) for y in P.level(n))
+        count = P.level_size(n) * incidence.maximal_chain_matrix(P, n - k).table[k][n]
     elif k == 0:
         count = poset.count_max_chains_from_root(P, n, args.mode)
     else:
@@ -105,15 +103,10 @@ def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if report.tight else 1), _json(report.to_json_dict())
 
 
-def _cmd_poset_zeta(args: argparse.Namespace) -> tuple[int, str]:
-    Z = incidence.zeta_matrix(_build(args))
-    if args.format == "csv":
-        return 0, Z.to_csv().rstrip("\n")
-    return 0, Z.to_json()
-
-
-def _cmd_poset_mobius(args: argparse.Namespace) -> tuple[int, str]:
-    M = incidence.mobius_matrix(incidence.zeta_matrix(_build(args)))
+def _cmd_poset_matrix(args: argparse.Namespace) -> tuple[int, str]:
+    M = incidence.zeta_matrix(_build(args))
+    if args.subcommand == "mobius":
+        M = incidence.mobius_matrix(M)
     if args.format == "csv":
         return 0, M.to_csv().rstrip("\n")
     return 0, M.to_json()
@@ -254,11 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     zeta = po_sub.add_parser("zeta", help="incidence matrix")
     mobius = po_sub.add_parser("mobius", help="inverse incidence matrix")
-    for sub, handler in ((zeta, _cmd_poset_zeta), (mobius, _cmd_poset_mobius)):
+    for sub in (zeta, mobius):
         sub.add_argument("--spec", required=True)
         sub.add_argument("--levels", type=int, required=True)
         sub.add_argument("--format", choices=("csv", "json"), default="json")
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=_cmd_poset_matrix)
 
     dim2 = po_sub.add_parser("dim2", help="two-linear-order realizer")
     dim2.add_argument("--spec", required=True)

@@ -216,16 +216,20 @@ def is_cobweb_admissible_prefix(F: FSequence, bound: int) -> AdmissibilityReport
 
 
 def is_gcd_morphic_prefix(F: FSequence, bound: int) -> GcdMorphismReport:
-    """Check gcd(F_n, F_m) = F_gcd(n, m) for all 1 <= m <= n <= bound."""
+    """Check gcd(F_n, F_m) = F_gcd(n, m) for all 1 <= m <= n <= bound.
+
+    F_n is read when row n is reached, so a violation is found before any
+    later term of the sequence is read.
+    """
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
-    terms = F.terms(bound)
-    for i, v in enumerate(terms, start=1):
-        if v <= 0:
-            raise SequenceError(f"{F.spec!r} has a nonpositive term at index {i}")
+    terms = [0]  # F_0 is never read
     for n in range(1, bound + 1):
+        terms.append(F.term(n))
+        if terms[n] <= 0:
+            raise SequenceError(f"{F.spec!r} has a nonpositive term at index {n}")
         for m in range(1, n + 1):
-            if math.gcd(terms[n - 1], terms[m - 1]) != terms[math.gcd(n, m) - 1]:
+            if math.gcd(terms[n], terms[m]) != terms[math.gcd(n, m)]:
                 return GcdMorphismReport(F.spec, bound, False, (n, m))
     return GcdMorphismReport(F.spec, bound, True)
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's main code paths: chain
 counts walk explicit adjacency, the packing oracle is plain backtracking with
-no bounds, the inverse-matrix oracle is the textbook interval recursion, and
-Bell numbers come from literally enumerating set partitions.
+no bounds, the inverse-matrix oracle is the textbook interval recursion, the
+dense product multiplies full vertex matrices row by column, and Bell numbers
+come from literally enumerating set partitions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from cobweb.poset import CobwebPoset, PrimeCopy, Vertex
 
 def dfs_paths_to_vertex(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
     """Saturated chains from x that end exactly at y, walked one by one."""
+    if x.s > y.s:
+        return 0
+    levels = [P.level(s) for s in range(y.s + 1)]
     count = 0
 
     def walk(v: Vertex) -> None:
@@ -21,11 +25,9 @@ def dfs_paths_to_vertex(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
             if v == y:
                 count += 1
             return
-        for w in P.level(v.s + 1):
+        for w in levels[v.s + 1]:
             walk(w)
 
-    if x.s > y.s:
-        return 0
     walk(x)
     return count
 
@@ -55,6 +57,12 @@ def recursive_mobius(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
             if P.leq(x, z):
                 total += recursive_mobius(P, x, z)
     return -total
+
+
+def dense_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """Textbook row-by-column product of two dense integer matrices."""
+    columns = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in A]
 
 
 def brute_max_packing(copies: list[PrimeCopy]) -> int:

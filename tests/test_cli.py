@@ -76,6 +76,19 @@ def test_seq_check_defaults_to_both(capsys):
     assert set(body) == {"spec", "upto", "admissible", "gcd_morphic"}
 
 
+def test_seq_check_keeps_violations_found_before_a_finite_spec_ends(capsys):
+    code, out, _ = run(capsys, "seq", "check", "--spec", "custom:1,2,3,5", "--upto", "10")
+    assert code == 1
+    body = json.loads(out)
+    assert body["admissible"]["first_violation"] == {"n": 4, "k": 2, "value": "15/2"}
+    assert body["gcd_morphic"]["first_violation"] == {"n": 4, "m": 2}
+    # a spec that runs out before any violation is still an input error
+    code, out, err = run(capsys, "seq", "check", "--spec", "custom:1,2,3", "--upto", "10")
+    assert code == 2
+    assert out == ""
+    assert "defines only 3 terms" in err
+
+
 def test_poset_build_payload(capsys):
     code, out, _ = run(capsys, "poset", "build", "--spec", "fibonacci", "--levels", "5")
     assert code == 0
@@ -115,19 +128,21 @@ def test_poset_chains_from_root(capsys):
 
 def test_poset_chains_prints_counts_of_any_size(capsys):
     limit = sys.get_int_max_str_digits()
-    code, out, _ = run(
-        capsys, "poset", "chains", "--spec", "gauss:2", "--levels", "200",
-        "--from-level", "0", "--to-level", "200", "--mode", "product",
-    )
-    assert code == 0
-    assert sys.get_int_max_str_digits() == limit  # lifted for the command only
-    count = json.loads(out)["count"]
-    assert len(count) > 4300
-    sys.set_int_max_str_digits(0)
-    try:
-        assert int(count) == fnomial.f_factorial(fseq.parse_sequence("gauss:2"), 200)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    expected = fnomial.f_factorial(fseq.parse_sequence("gauss:2"), 200)
+    for mode in ("product", "matrix"):
+        code, out, _ = run(
+            capsys, "poset", "chains", "--spec", "gauss:2", "--levels", "200",
+            "--from-level", "0", "--to-level", "200", "--mode", mode,
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # lifted for the command only
+        count = json.loads(out)["count"]
+        assert len(count) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(count) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_poset_chains_bad_range(capsys):

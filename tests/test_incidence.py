@@ -1,6 +1,9 @@
 import json
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobweb.fnomial import f_factorial
 from cobweb.fseq import parse_sequence
@@ -10,18 +13,21 @@ from cobweb.incidence import (
     count_chains,
     count_maximal_chains_matrix,
     covering_matrix,
-    mat_mul,
     maximal_chain_matrix,
     mobius_matrix,
     zeta_matrix,
 )
 from cobweb.poset import Vertex, build_poset
-from oracles import dfs_all_chains, dfs_paths_to_vertex, recursive_mobius
+from oracles import dense_mul, dfs_all_chains, dfs_paths_to_vertex, recursive_mobius
 
 NAT = parse_sequence("natural")
 FIB = parse_sequence("fibonacci")
 BUILTINS = [NAT, parse_sequence("even"), FIB, parse_sequence("gauss:2"),
             parse_sequence("const:2")]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_zeta_matches_comparability_predicate():
@@ -48,13 +54,15 @@ def test_zeta_staircase_blocks():
 
 def test_zeta_examples():
     chain = zeta_matrix(build_poset(parse_sequence("const:1"), 2))
-    assert chain.rows == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
-    Z = zeta_matrix(build_poset(NAT, 2))
-    assert Z.rows[Z.index(Vertex(1, 1))] == [0, 1, 1, 1]
-    Zf = zeta_matrix(build_poset(FIB, 3))
-    row = Zf.rows[Zf.index(Vertex(1, 3))]
-    assert row[Zf.index(Vertex(1, 3))] == 1
-    assert row[Zf.index(Vertex(2, 3))] == 0
+    assert chain.to_dense() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    Pn = build_poset(NAT, 2)
+    order = Pn.vertices()
+    assert zeta_matrix(Pn).to_dense()[order.index(Vertex(1, 1))] == [0, 1, 1, 1]
+    Pf = build_poset(FIB, 3)
+    order = Pf.vertices()
+    row = zeta_matrix(Pf).to_dense()[order.index(Vertex(1, 3))]
+    assert row[order.index(Vertex(1, 3))] == 1
+    assert row[order.index(Vertex(2, 3))] == 0
 
 
 def test_zeta_csv_golden_bytes():
@@ -75,7 +83,7 @@ def test_zeta_csv_golden_bytes():
 def test_mobius_of_chain():
     Z = zeta_matrix(build_poset(parse_sequence("const:1"), 2))
     M = mobius_matrix(Z)
-    assert M.rows == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+    assert M.to_dense() == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
 
 
 def test_mobius_examples_and_inverse_property():
@@ -85,6 +93,7 @@ def test_mobius_examples_and_inverse_property():
         M = mobius_matrix(Z)
         assert Z.multiply(M).is_identity()
         assert M.multiply(Z).is_identity()
+        assert dense_mul(Z.to_dense(), M.to_dense()) == identity(P.vertex_count)
     Zf = zeta_matrix(build_poset(FIB, 3))
     Mf = mobius_matrix(Zf)
     assert Mf.entry(Vertex(1, 0), Vertex(1, 2)) == 0
@@ -115,24 +124,33 @@ def test_mobius_is_stable_under_truncation_growth():
 
 def test_mobius_rejects_non_unitriangular():
     P = build_poset(NAT, 2)
-    Z = zeta_matrix(P)
-    lower = IncidenceMatrix(Z.labels, [list(reversed(r)) for r in reversed(Z.rows)])
+    for diagonal in (0, 2, -1):
+        table = zeta_matrix(P).table
+        table[1][1] = diagonal
+        with pytest.raises(ValueError):
+            mobius_matrix(IncidenceMatrix(P, table))
+    # a table with entries below the diagonal is refused when it is built
     with pytest.raises(ValueError):
-        mobius_matrix(lower)
+        IncidenceMatrix(P, [list(reversed(r)) for r in reversed(zeta_matrix(P).table)])
 
 
 def test_strict_matrix_is_nilpotent():
     for F in BUILTINS:
         P = build_poset(F, 4)
         Z = zeta_matrix(P)
-        eta = [
-            [v if i != j else 0 for j, v in enumerate(row)]
-            for i, row in enumerate(Z.rows)
-        ]
-        power = eta
-        for _ in range(P.L):
-            power = mat_mul(power, eta)
-        assert all(not v for row in power for v in row)
+        eta = IncidenceMatrix(
+            P, [[v if s != t else 0 for t, v in enumerate(row)] for s, row in enumerate(Z.table)]
+        )
+        dense_eta = eta.to_dense()
+        power, dense_power = eta, dense_eta
+        for _ in range(P.L - 1):
+            power = power.multiply(eta)
+            dense_power = dense_mul(dense_power, dense_eta)
+        # eta^L still counts the chains root < level 1 < ... < level L
+        assert power.to_dense() == dense_power
+        assert any(map(any, power.table))
+        assert not any(map(any, power.multiply(eta).table))
+        assert not any(map(any, dense_mul(dense_power, dense_eta)))
 
 
 def test_count_chains_against_dfs():
@@ -148,8 +166,6 @@ def test_count_chains_against_dfs():
 def test_count_chains_closed_form():
     # chains to a fixed vertex pick any subset of the intermediate levels and
     # one vertex on each picked level, so the count is prod(1 + size_s)
-    import math
-
     for spec, levels in (("fibonacci", 5), ("natural", 4), ("even", 4)):
         P = build_poset(parse_sequence(spec), levels)
         counts = chain_count_matrix(P)
@@ -160,20 +176,22 @@ def test_count_chains_closed_form():
 
 
 def test_mobius_inverts_any_unitriangular_matrix():
-    import random
-
     rng = random.Random(7)
-    P = build_poset(NAT, 3)
-    labels = tuple(P.vertices())
-    n = len(labels)
-    rows = [
-        [1 if i == j else (rng.randint(-5, 5) if j > i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    Z = IncidenceMatrix(labels, rows)
-    M = mobius_matrix(Z)
-    assert Z.multiply(M).is_identity()
-    assert M.multiply(Z).is_identity()
+    for F, levels in ((NAT, 3), (FIB, 5), (parse_sequence("const:2"), 4)):
+        P = build_poset(F, levels)
+        n = P.L + 1
+        for _ in range(5):
+            table = [
+                [1 if s == t else (rng.randint(-5, 5) if t > s else 0) for t in range(n)]
+                for s in range(n)
+            ]
+            Z = IncidenceMatrix(P, table)
+            M = mobius_matrix(Z)
+            assert Z.multiply(M).is_identity()
+            assert M.multiply(Z).is_identity()
+            Zd, Md = Z.to_dense(), M.to_dense()
+            assert dense_mul(Zd, Md) == dense_mul(Md, Zd) == identity(P.vertex_count)
+            assert Z.multiply(Z).to_dense() == dense_mul(Zd, Zd)
 
 
 def test_count_chains_examples():
@@ -226,7 +244,8 @@ def test_root_row_sums_give_factorials():
 def test_covering_matrix_structure():
     P = build_poset(NAT, 2)
     C = covering_matrix(P)
-    assert C.rows == [
+    assert C.table == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    assert C.to_dense() == [
         [0, 1, 0, 0],
         [0, 0, 1, 1],
         [0, 0, 0, 0],
@@ -244,7 +263,38 @@ def test_exports():
 def test_matrix_shape_validation():
     P = build_poset(NAT, 1)
     with pytest.raises(ValueError):
-        IncidenceMatrix(tuple(P.vertices()), [[1, 0]])
+        IncidenceMatrix(P, [[1, 0]])
+    with pytest.raises(ValueError):
+        IncidenceMatrix(P, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # table shape must be L + 1
     Z = zeta_matrix(P)
+    assert Z.dim == 2
     with pytest.raises(ValueError):
         Z.entry(Vertex(9, 9), Vertex(1, 0))
+    with pytest.raises(ValueError):
+        Z.multiply(zeta_matrix(build_poset(NAT, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40))
+def test_block_tables_match_closed_forms(terms):
+    # an ordinal sum of antichains of sizes n_0 = 1, n_1, ..., n_L
+    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), len(terms))
+    n = P.level_sizes
+    Z = zeta_matrix(P)
+    M = mobius_matrix(Z)
+    assert Z.multiply(M).is_identity()
+    assert M.multiply(Z).is_identity()
+    chains = chain_count_matrix(P)
+    C = covering_matrix(P)
+    power = IncidenceMatrix(P, [[int(s == t) for t in range(P.L + 1)] for s in range(P.L + 1)])
+    for d in range(P.L + 1):
+        if d:
+            power = power.multiply(C)
+        for s in range(P.L + 1):
+            for t in range(s, P.L + 1):
+                inner = n[s + 1 : t]
+                assert power.table[s][t] == (math.prod(inner) if t - s == d else 0)
+                if d == 0:
+                    assert M.table[s][t] == (-1) ** (t - s) * math.prod(m - 1 for m in inner)
+                    assert chains.table[s][t] == math.prod(1 + m for m in inner)
+    assert power == maximal_chain_matrix(P, P.L)
