@@ -108,7 +108,14 @@ class IncidenceMatrix:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        # The text json.dumps(self.to_json_dict()) gives, serialised one dense
+        # row at a time: the row lists are never all held at once, only their
+        # texts and the joined payload.
+        parts = ['{"labels": ', json.dumps([str(v) for v in self.poset.vertices()]), ', "rows": [']
+        for i, row in enumerate(self._dense_rows(str)):
+            parts += [", " if i else "", json.dumps(row)]
+        parts.append("]}")
+        return "".join(parts)
 
 
 def _table(P: CobwebPoset, value: Callable[[int, int], int]) -> IncidenceMatrix:

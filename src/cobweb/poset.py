@@ -8,8 +8,14 @@ only ever materialized inside the enumeration oracles.
 
 Chain counting is exposed through two independent routes (product formula and
 literal depth-first walk) so each can certify the other.  The packing search
-is an exact branch-and-bound, never a heuristic: when an instance exceeds the
-guard cap it is refused, not approximated.
+is an exact branch-and-bound, never a heuristic.  It factors out every level
+with F_j = 1 (copies on different vertices there never conflict), builds the
+remaining conflict graph as a Kronecker product of per-level bitmask rows,
+fixes one copy by the symmetry of permuting vertices within levels, and
+prunes with a greedy colour-class bound and the chain budget.  An instance
+above the copy cap, or a search past ``PACKING_NODE_BUDGET`` nodes, is
+refused with ``PackingCapError``, not approximated; ``enumerate_copies`` and
+``PrimeCopy`` stay as the explicit route the oracles use.
 """
 
 from __future__ import annotations
@@ -23,8 +29,15 @@ from .fnomial import f_factorial, falling_f
 from .fseq import FSequence
 
 
+# Branch-and-bound nodes after which a packing search is refused.  Every
+# test and benchmark instance closes within a few dozen nodes; the hard
+# instances under the default cap tried so far reach this budget in
+# 0.9-2.0 s (one core of a 2-vCPU x86 VM).
+PACKING_NODE_BUDGET = 100_000
+
+
 class PackingCapError(ValueError):
-    """An exact packing instance above the configured copy cap was refused."""
+    """An exact packing instance was refused: above the copy cap or past the node budget."""
 
 
 @dataclass(frozen=True)
@@ -196,27 +209,34 @@ class PrimeCopy:
         return not self.shares_chain_with(other)
 
 
-def enumerate_copies(P: CobwebPoset, root: Vertex, m: int) -> list[PrimeCopy]:
-    """All embedded copies of height m rooted at the given vertex.
-
-    There are prod_j C(F_(k+j), F_j) of them; each is verified to carry
-    F_1 * ... * F_m maximal chains.
-    """
+def _copy_shape(P: CobwebPoset, root: Vertex, m: int) -> list[tuple[int, int]]:
+    """(vertices available, vertices needed) at each level k+1..k+m of a copy."""
     P.check_vertex(root)
     if m < 0:
         raise ValueError(f"height must be nonnegative, got {m}")
     k = root.s
     if k + m > P.L:
         raise ValueError(f"height {m} from level {k} exceeds the built level {P.L}")
-    per_level: list[list[frozenset[Vertex]]] = []
+    shape = []
     for j in range(1, m + 1):
-        need = P.F.term(j)
-        avail = P.level(k + j)
-        if need > len(avail):
-            raise ValueError(
-                f"level {k + j} has {len(avail)} vertices, copy needs {need}"
-            )
-        per_level.append([frozenset(c) for c in combinations(avail, need)])
+        avail, need = P.level_size(k + j), P.F.term(j)
+        if need > avail:
+            raise ValueError(f"level {k + j} has {avail} vertices, copy needs {need}")
+        shape.append((avail, need))
+    return shape
+
+
+def enumerate_copies(P: CobwebPoset, root: Vertex, m: int) -> list[PrimeCopy]:
+    """All embedded copies of height m rooted at the given vertex.
+
+    There are prod_j C(F_(k+j), F_j) of them; each is verified to carry
+    F_1 * ... * F_m maximal chains.
+    """
+    shape = _copy_shape(P, root, m)
+    per_level = [
+        [frozenset(c) for c in combinations(P.level(root.s + j), need)]
+        for j, (_avail, need) in enumerate(shape, 1)
+    ]
     copies = [PrimeCopy(root, m, sets) for sets in product(*per_level)]
     expected_chains = f_factorial(P.F, m)
     for copy in copies:
@@ -258,41 +278,96 @@ class PackingReport:
         }
 
 
-def _max_disjoint_family_size(copies: list[PrimeCopy], chain_cost: int, chains_total: int) -> int:
-    """Exact maximum size of a pairwise chain-disjoint family, by branch and bound.
+def _level_conflicts(avail: int, need: int) -> list[int]:
+    """Row c is the bitmask of the need-subsets of avail vertices that meet subset c.
 
-    Candidates are tracked as a bitset; the bound at each node is the
-    candidate count capped by the remaining chain budget (each admitted copy
-    consumes chain_cost chains out of a disjoint pool of chains_total).
-    Iterative so the exclude chain cannot exhaust the recursion limit.
+    Each row is the union, over the elements of subset c, of the mask of
+    subsets containing that element; no pair of subsets is intersected.
     """
-    count = len(copies)
-    if count == 0:
-        return 0
-    conflict = [0] * count
-    for a in range(count):
-        for b in range(a + 1, count):
-            if copies[a].shares_chain_with(copies[b]):
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
-    budget_total = chains_total // chain_cost
-    best = 0
-    stack = [((1 << count) - 1, 0)]
-    while stack:
-        candidates, size = stack.pop()
-        if size > best:
-            best = size
-            if best >= budget_total:
-                break
-        if not candidates:
-            continue
-        budget = (chains_total - size * chain_cost) // chain_cost
-        if size + min(candidates.bit_count(), budget) <= best:
-            continue
-        low = candidates & -candidates
-        v = low.bit_length() - 1
-        stack.append((candidates & ~low, size))
-        stack.append((candidates & ~low & ~conflict[v], size + 1))
+    subsets = list(combinations(range(avail), need))
+    containing = [0] * avail
+    for c, subset in enumerate(subsets):
+        for x in subset:
+            containing[x] |= 1 << c
+    rows = []
+    for subset in subsets:
+        row = 0
+        for x in subset:
+            row |= containing[x]
+        rows.append(row)
+    return rows
+
+
+def _kronecker(rows_a: list[int], rows_b: list[int]) -> list[int]:
+    """Bitmask rows of the Kronecker product, index a * len(rows_b) + b.
+
+    Spreading bit i of a row to bit i * width and multiplying by a row of
+    rows_b places a copy of that row in each block; the blocks are disjoint,
+    so the product has no carries.
+    """
+    width = len(rows_b)
+    product_rows = []
+    for a in rows_a:
+        spread = 0
+        while a:
+            low = a & -a
+            spread |= 1 << ((low.bit_length() - 1) * width)
+            a ^= low
+        product_rows += [spread * b for b in rows_b]
+    return product_rows
+
+
+def _colour_classes(candidates: int, conflict: list[int]) -> list[tuple[int, int]]:
+    """Greedy cover of the candidates by pairwise conflicting classes.
+
+    Returns (copy, class number) in class order.  A chain-disjoint family
+    takes at most one copy per class, so among the copies up to a position a
+    family gains at most that position's class number.
+    """
+    order = []
+    colour = 0
+    while candidates:
+        colour += 1
+        free = candidates
+        while free:
+            low = free & -free
+            v = low.bit_length() - 1
+            order.append((v, colour))
+            candidates ^= low
+            free &= conflict[v] ^ low
+    return order
+
+
+def _max_family_through_first(conflict: list[int], budget: int) -> int:
+    """Largest pairwise non-conflicting family that contains copy 0.
+
+    Branch and bound in the order of Tomita and Seki's MCQ (2003): expand the
+    candidates from the highest class number down and cut a node once its
+    family size plus the class number cannot pass the best found.  The
+    search stops as soon as a family reaches the chain budget.  The
+    recursion is as deep as the family is large, which the budget bounds.
+    """
+    best = 1
+    nodes = 0
+
+    def expand(size: int, candidates: int) -> None:
+        nonlocal best, nodes
+        for v, colour in reversed(_colour_classes(candidates, conflict)):
+            if size + colour <= best or best >= budget:
+                return
+            nodes += 1
+            if nodes > PACKING_NODE_BUDGET:
+                raise PackingCapError(
+                    f"search passed the node budget of {PACKING_NODE_BUDGET} nodes"
+                )
+            rest = candidates & ~conflict[v]
+            if rest:
+                expand(size + 1, rest)
+            else:
+                best = max(best, size + 1)
+            candidates ^= 1 << v
+
+    expand(1, ((1 << len(conflict)) - 1) & ~conflict[0])
     return best
 
 
@@ -304,28 +379,45 @@ def max_disjoint_packing(
     Instances whose copy count exceeds ``cap`` are refused outright; the
     count prod_j C(F_(k+j), F_j) is multiplied up level by level and the
     refusal comes as soon as it passes the cap, before it grows further.
-    A level too small for a copy is left to ``enumerate_copies`` to report.
+
+    Copies pick an F_j-subset at each level k+j and share a maximal chain
+    iff all their subsets meet.  A level with F_j = 1 picks one vertex, so
+    copies on different vertices there never conflict: the maximum is
+    F_(k+j) times that of the instance without the level.  The rest is one
+    conflict graph, built as the Kronecker product of the per-level
+    "subsets meet" bitmask rows.  Permuting vertices within levels maps any
+    copy to copy 0, so some maximum family contains copy 0, and the search
+    starts from it.  Each node is bounded by a greedy colour-class cover
+    (pairwise conflicting classes) and the whole search by the chain budget
+    (chains_total // chain_cost).  A search that passes
+    ``PACKING_NODE_BUDGET`` nodes is refused with ``PackingCapError``.
     """
-    k = root.s
-    n = k + m
-    sizes = [(P.F.term(k + j), P.F.term(j)) for j in range(1, m + 1)]
-    if all(need <= avail for avail, need in sizes):
-        copies_total = 1
-        for avail, need in sizes:
-            copies_total *= math.comb(avail, need)
-            if copies_total > cap:
-                raise PackingCapError(f"instance has more copies than the cap of {cap}")
-    copies = enumerate_copies(P, root, m)
+    shape = _copy_shape(P, root, m)
+    copies_total = 1
+    for avail, need in shape:
+        copies_total *= math.comb(avail, need)
+        if copies_total > cap:
+            raise PackingCapError(f"instance has more copies than the cap of {cap}")
     chain_cost = f_factorial(P.F, m)
-    chains_total = falling_f(P.F, n, m)
+    chains_total = falling_f(P.F, root.s + m, m)
     quotient = Fraction(chains_total, chain_cost)
-    max_packing = _max_disjoint_family_size(copies, chain_cost, chains_total)
+    factor = 1
+    conflict = [1]
+    reduced_chains = reduced_cost = 1
+    for avail, need in shape:
+        if need == 1:
+            factor *= avail
+        else:
+            conflict = _kronecker(conflict, _level_conflicts(avail, need))
+            reduced_chains *= avail
+            reduced_cost *= need
+    max_packing = factor * _max_family_through_first(conflict, reduced_chains // reduced_cost)
     return PackingReport(
         spec=P.F.spec,
         root=root,
         m=m,
-        n=n,
-        copies_total=len(copies),
+        n=root.s + m,
+        copies_total=copies_total,
         chains_total=chains_total,
         quotient_bound=quotient,
         max_packing=max_packing,

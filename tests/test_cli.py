@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 from cobweb import fnomial, fseq, incidence, poset, series
 from cobweb.cli import main
@@ -167,12 +168,30 @@ def test_poset_pack_exit_codes(capsys):
     assert code == 1
     body = json.loads(out)
     assert body["max_packing"] == "2" and body["quotient_bound"] == "3"
+    code, out, _ = run(
+        capsys, "poset", "pack", "--spec", "natural", "--root-level", "5", "--m", "2",
+    )
+    assert code == 1
+    body = json.loads(out)
+    assert body["max_packing"] == "18" and body["quotient_bound"] == "21"
     code, _, err = run(
         capsys, "poset", "pack", "--spec", "even", "--root-level", "1", "--m", "2",
         "--cap", "10",
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_poset_pack_refused_by_node_budget(capsys):
+    # 1296 copies, under the cap, no F_j = 1 level to factor out
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "poset", "pack", "--spec", "custom:2,2,9,9", "--root-level", "2", "--m", "2",
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert out == ""
+    assert "node budget" in err
 
 
 def test_poset_zeta_and_mobius(capsys):

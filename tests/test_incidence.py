@@ -260,6 +260,13 @@ def test_exports():
     assert body == {"labels": ["1,0", "1,1"], "rows": [["1", "1"], ["0", "1"]]}
 
 
+@pytest.mark.parametrize("spec,levels", [("const:1", 0), ("natural", 0), ("natural", 3), ("fibonacci", 6)])
+def test_json_export_is_the_json_dumps_text(spec, levels):
+    Z = zeta_matrix(build_poset(parse_sequence(spec), levels))
+    for M in (Z, mobius_matrix(Z), chain_count_matrix(Z.poset)):
+        assert M.to_json() == json.dumps(M.to_json_dict())
+
+
 def test_matrix_shape_validation():
     P = build_poset(NAT, 1)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cobweb.fnomial import f_factorial, f_nomial, falling_f
 from cobweb.fseq import parse_sequence
@@ -216,6 +217,52 @@ def test_packing_cap_refused_before_the_count_is_built():
     P = build_poset(parse_sequence("custom:1,3,5,1"), 4)
     with pytest.raises(ValueError, match="copy needs"):
         max_disjoint_packing(P, Vertex(1, 1), 3, cap=1)
+
+
+@st.composite
+def packing_instances(draw):
+    """A custom: spec, root level k and height m <= 3 with every level wide enough."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=0, max_value=3))
+    terms = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=k + m, max_size=k + m))
+    for j in range(1, m + 1):  # ascending, so a raised need is itself met later
+        terms[k + j - 1] = max(terms[k + j - 1], terms[j - 1])
+    return terms, k, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(packing_instances())
+def test_packing_matches_brute_force_on_random_levels(instance):
+    terms, k, m = instance
+    needs, avails = terms[:m], terms[k : k + m]
+    copies_total = math.prod(math.comb(a, n) for a, n in zip(avails, needs))
+    assume(copies_total <= 40)
+    # the oracle visits every chain-disjoint family, at most
+    # sum_{i <= budget} C(copies, i) of them; keep that small
+    budget = math.prod(avails) // math.prod(needs)
+    assume(sum(math.comb(copies_total, i) for i in range(budget + 1)) <= 20000)
+    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), k + m)
+    report = max_disjoint_packing(P, Vertex(1, k), m)
+    assert report.copies_total == copies_total
+    assert report.max_packing == brute_max_packing(enumerate_copies(P, Vertex(1, k), m))
+
+
+def test_packing_exact_values_on_larger_instances():
+    report = max_disjoint_packing(build_poset(NAT, 7), Vertex(1, 5), 2)
+    assert (report.copies_total, report.max_packing) == (126, 18)
+    assert report.quotient_bound == 21 and not report.tight
+    report = max_disjoint_packing(build_poset(NAT, 9), Vertex(1, 7), 2)
+    assert (report.copies_total, report.max_packing) == (288, 32)
+    report = max_disjoint_packing(build_poset(FIB, 7), Vertex(1, 4), 3)
+    assert (report.copies_total, report.max_packing) == (3120, 240)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_packing_with_unit_first_level_closed_form(k):
+    # m = 2 with F_1 = 1: one vertex of level k+1, then disjoint F_2-subsets
+    P = build_poset(NAT, k + 2)
+    report = max_disjoint_packing(P, Vertex(1, k), 2)
+    assert report.max_packing == NAT.term(k + 1) * (NAT.term(k + 2) // NAT.term(2))
 
 
 @pytest.mark.parametrize("F", BUILTINS, ids=lambda F: F.spec)
