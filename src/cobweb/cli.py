@@ -76,7 +76,7 @@ def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
     if not 0 <= k < n <= P.L:
         raise ValueError(f"need 0 <= from-level < to-level <= {P.L}")
     if args.mode == "matrix":
-        count = P.level_size(n) * incidence.maximal_chain_matrix(P, n - k).table[k][n]
+        count = P.level_size(n) * incidence.maximal_chain_row(P, k, n - k)[n]
     elif k == 0:
         count = poset.count_max_chains_from_root(P, n, args.mode)
     else:

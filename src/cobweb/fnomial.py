@@ -1,10 +1,13 @@
 """Exact sequence factorials, falling products and coefficient triangles.
 
 All arithmetic is arbitrary-precision integer or rational; there is no
-floating-point mode.  Coefficients are exact ``Fraction`` values: a
-non-integral one comes back with a denominator other than 1 rather than
-raised, so admissibility scans can observe it.  Every function here is pure
-and safe for concurrent use.
+floating-point mode.  Coefficients are exact: ``int`` where integral,
+``Fraction`` otherwise (the point queries return ``Fraction``, whose
+denominator is 1 exactly when the value is integral).  A non-integral one
+comes back rather than raised, so admissibility scans can observe it.  The
+row generator divides with ``divmod`` on integers and falls back to
+``Fraction`` only where an entry is not integral.  Every function here is
+pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -51,20 +54,36 @@ def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> Fraction:
     return Fraction(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
 
 
-def f_nomial_rows(F: FSequence) -> Iterator[list[Fraction]]:
+def _exact_quotient(a: int | Fraction, b: int) -> int | Fraction:
+    """a / b for a nonzero integer b: an ``int`` when it is integral, else a
+    reduced ``Fraction``.  Integral ints divide by one ``divmod``, no gcd."""
+    if isinstance(a, int):
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
+    value = Fraction(a, b)
+    return value.numerator if value.denominator == 1 else value
+
+
+def f_nomial_rows(F: FSequence) -> Iterator[list[int | Fraction]]:
     """Rows n = 0, 1, 2, ... of the coefficient triangle, without end.
 
     Each entry follows from its left neighbour by the row recurrence
-    (n over k) = (n over k-1) * F_(n-k+1) / F_k, and row n reads the terms
-    only up to F_n, so a scan can stop at any row of a finite sequence.
+    (n over k) = (n over k-1) * F_(n-k+1) / F_k, an exact integer division
+    wherever the entry is integral; the right half mirrors the left, since
+    (n over k) = (n over n-k).  Entries are ``int`` where integral and
+    ``Fraction`` otherwise.  Row n reads the terms only up to F_n, so a scan
+    can stop at any row of a finite sequence, and only the current row is
+    held.
     """
     terms = [0]  # F_0 is never read
     for n in count():
         if n:
             terms.append(F.term(n))
-        row = [Fraction(1)]
-        for k in range(1, n + 1):
-            row.append(row[-1] * terms[n - k + 1] / terms[k])
+        row: list[int | Fraction] = [1]
+        for k in range(1, n // 2 + 1):
+            row.append(_exact_quotient(row[-1] * terms[n - k + 1], terms[k]))
+        row.extend(reversed(row[: (n + 1) // 2]))
         yield row
 
 

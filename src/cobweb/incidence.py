@@ -14,6 +14,7 @@ of a truncation agrees with the untruncated values entry by entry.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .poset import CobwebPoset, Vertex
@@ -48,30 +49,38 @@ class IncidenceMatrix:
         return self.table[x.s][y.s]
 
     def multiply(self, other: "IncidenceMatrix") -> "IncidenceMatrix":
-        """Block convolution: (AB)[s][t] = sum over s <= r <= t of w_r A[s][r] B[r][t].
+        """Block convolution, one row of ``self`` at a time (see ``push_row``)."""
+        if self.poset.level_sizes != other.poset.level_sizes:
+            raise ValueError("matrix orderings disagree")
+        return IncidenceMatrix(
+            self.poset, [other.push_row(s, row) for s, row in enumerate(self.table)]
+        )
+
+    def push_row(self, s: int, row: list[int]) -> list[int]:
+        """Row s of R·self for any R whose row s is ``row``:
+        sum over s <= r <= t of w_r row[r] self[r][t].
 
         The weight w_r is the level size n_r for an intermediate level and 1
         for an endpoint, where only the one vertex x or y itself contributes.
         Zero entries are skipped, so powers of a sparse table stay cheap.
         """
-        if self.poset.level_sizes != other.poset.level_sizes:
-            raise ValueError("matrix orderings disagree")
         sizes = self.poset.level_sizes
-        B = other.table
-        later = [[(t, b) for t, b in enumerate(row[r + 1:], r + 1) if b] for r, row in enumerate(B)]
-        product = []
-        for s, a_row in enumerate(self.table):
-            row = [0] * len(sizes)
-            for r, a in enumerate(a_row[s:], s):
-                if not a:
-                    continue
-                row[r] += a * B[r][r]
-                if r > s:
-                    a *= sizes[r]
-                for t, b in later[r]:
-                    row[t] += a * b
-            product.append(row)
-        return IncidenceMatrix(self.poset, product)
+        B = self.table
+        out = [0] * len(sizes)
+        for r, (a, later) in enumerate(zip(row[s:], self._later[s:]), s):
+            if not a:
+                continue
+            out[r] += a * B[r][r]
+            if r > s:
+                a *= sizes[r]
+            for t, b in later:
+                out[t] += a * b
+        return out
+
+    @cached_property
+    def _later(self) -> list[list[tuple[int, int]]]:
+        """Per level r, the nonzero entries (t, self[r][t]) right of the diagonal."""
+        return [[(t, b) for t, b in enumerate(row[r + 1:], r + 1) if b] for r, row in enumerate(self.table)]
 
     def is_identity(self) -> bool:
         return self == _table(self.poset, lambda s, t: int(s == t))
@@ -196,8 +205,21 @@ def maximal_chain_matrix(P: CobwebPoset, distance: int) -> IncidenceMatrix:
     return power
 
 
+def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
+    """Row s of the covering-matrix power over that distance, walked from the
+    unit row of level s one covering step at a time: O(distance · L) work,
+    never the whole power."""
+    if distance < 0:
+        raise ValueError("matrix power must be nonnegative")
+    C = covering_matrix(P)
+    row = [int(t == s) for t in range(P.L + 1)]
+    for _ in range(distance):
+        row = C.push_row(s, row)
+    return row
+
+
 def count_maximal_chains_matrix(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
     """Saturated chains from x to y, read off a covering-matrix power."""
     if not P.leq(x, y):
         raise ValueError(f"{x} and {y} are incomparable")
-    return maximal_chain_matrix(P, y.s - x.s).entry(x, y)
+    return maximal_chain_row(P, x.s, y.s - x.s)[y.s]

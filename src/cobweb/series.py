@@ -5,16 +5,22 @@ x^n), the scheme enumerator exp(exp_F(x) - 1) whose coefficients weigh whole
 assemblies of primes, and the Bell-style numbers obtained by scaling a
 coefficient back by the factorial.
 
-One exponential formula serves every count: given a prefix-factorial table
-it scales the x^n coefficient of exp(E - 1), or of (E - 1)^k / k!, back by
-the last factorial.  The vector-space counts are that formula over the bg:q
-factorials, which are the orders of the general linear groups over a prime
-field; they count the unordered direct-sum decompositions of a finite vector
-space and are verified against a literal subspace-enumeration oracle that
-shares no code with the series route.
+One exponential formula serves every count, scaled by the factorials so
+that it runs on the coefficients (m over j)_F of one streamed triangle row at
+a time: B_m = F_m! [x^m] exp(E - 1) obeys
+B_m = (1/m) sum_j j (m over j)_F B_(m-j), and the k-summand term
+P_k(m) = F_m! [x^m] (E - 1)^k / k! obeys
+P_k(m) = (1/k) sum_j (m over j)_F P_(k-1)(m-j).  For an admissible F the
+divisions are exact on integers.  The vector-space counts are that formula
+over the bg:q sequence, whose factorials are the orders of the general
+linear groups over a prime field; they count the unordered direct-sum
+decompositions of a finite vector space and are verified against a literal
+subspace-enumeration oracle that shares no code with the series route.
 
-Series order defaults to 16 where a command needs one; all coefficients stay
-exact rationals.
+Values are exact: ``int`` where integral, ``Fraction`` otherwise; series
+coefficients are ``Fraction``.  ``series_exp``, ``series_mul`` and
+``series_add`` are the general series algebra.  Series order defaults to 16
+where a command needs one.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 from typing import Iterable, Iterator
 
-from .fnomial import f_factorial
+from .fnomial import _exact_quotient, f_nomial_rows
 from .fseq import FSequence, parse_sequence
 
 DEFAULT_ORDER = 16
@@ -120,42 +126,56 @@ def _factorials(F: FSequence, n: int) -> list[int]:
     return list(accumulate(F.terms(n), operator.mul, initial=1))
 
 
-def _reciprocals(factorials: list[int]) -> FormalSeries:
-    """E = sum_j x^j / fac_j over a prefix-factorial table."""
-    return FormalSeries(tuple(Fraction(1, fac) for fac in factorials))
+def _scaled_enumerator(F: FSequence, n: int) -> list[int | Fraction]:
+    """B_0, ..., B_n with B_m = F_m! [x^m] exp(E - 1), E = sum_j x^j / F_j!.
+
+    The derivative recurrence of the exponential, scaled by F_m!, reads
+    B_m = (1/m) sum_{j=1..m} j (m over j)_F B_(m-j), over one streamed
+    coefficient row at a time.
+    """
+    B: list[int | Fraction] = [1]
+    for m, row in zip(range(1, n + 1), islice(f_nomial_rows(F), 1, None)):
+        B.append(_exact_quotient(sum(j * row[j] * B[m - j] for j in range(1, m + 1)), m))
+    return B
 
 
-def _exponential_formula(factorials: list[int], k: int | None = None) -> Fraction:
-    """fac_n [x^n] exp(E - 1), or fac_n [x^n] (E - 1)^k / k! for a given k,
-    where E is the sequence exponential of the table fac_0, ..., fac_n."""
-    n = len(factorials) - 1
-    primes = _reciprocals(factorials) - 1
-    if k is None:
-        return factorials[n] * series_exp(primes).coefficient(n)
-    power = FormalSeries.from_coefficients([1] + [0] * n)
-    for _ in range(k):
-        power = power * primes
-    return factorials[n] * power.coefficient(n) / math.factorial(k)
+def _scaled_power(F: FSequence, n: int, k: int) -> int | Fraction:
+    """P_k(n) = F_n! [x^n] (E - 1)^k / k!, by
+    P_i(m) = (1/i) sum_{j>=1} (m over j)_F P_(i-1)(m-j) from P_0(m) = [m = 0],
+    all i <= k carried along one streamed coefficient row at a time."""
+    P = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(k)]
+    for m, row in zip(range(1, n + 1), islice(f_nomial_rows(F), 1, None)):
+        for i in range(1, min(k, m) + 1):
+            below = P[i - 1]
+            P[i][m] = _exact_quotient(
+                sum(row[j] * below[m - j] for j in range(1, m - i + 2)), i
+            )
+    return P[k][n]
 
 
 def exp_f_series(F: FSequence, order: int) -> FormalSeries:
     """The sequence exponential: coefficient of x^n is 1/F_n!."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    return _reciprocals(_factorials(F, order))
+    return FormalSeries(tuple(Fraction(1, fac) for fac in _factorials(F, order)))
 
 
 def prefab_enumerator(F: FSequence, order: int) -> FormalSeries:
-    """exp(exp_F(x) - 1): the enumerator of assemblies of primes."""
-    return series_exp(exp_f_series(F, order) - 1)
+    """exp(exp_F(x) - 1): the enumerator of assemblies of primes, as
+    B_m / F_m! with one reduction per coefficient."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    factorials = _factorials(F, order)
+    return FormalSeries(
+        tuple(Fraction(b, fac) for b, fac in zip(_scaled_enumerator(F, order), factorials))
+    )
 
 
 def bell_f(F: FSequence, n: int) -> int | Fraction:
     """F_n! times the x^n enumerator coefficient; ordinary Bell for F_n = n."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    value = _exponential_formula(_factorials(F, n))
-    return value.numerator if value.denominator == 1 else value
+    return _scaled_enumerator(F, n)[n]
 
 
 def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -172,16 +192,18 @@ def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]
 
 def enumerator_coeff_by_partitions(F: FSequence, n: int) -> Fraction:
     """Independent route to the enumerator coefficient: a sum over integer
-    partitions with multiplicity factorials, instead of series convolution."""
-    total = Fraction(0)
+    partitions with multiplicity factorials, instead of series convolution
+    or coefficient rows.  A partition with parts p adds F_n! / d for
+    d = prod F_p! * prod (multiplicity)!, as an int where d divides F_n!;
+    the sum is divided by F_n! once."""
+    factorials = _factorials(F, n)
+    total: int | Fraction = 0
     for partition in _partitions(n):
-        term = Fraction(1)
-        for part in partition:
-            term /= f_factorial(F, part)
+        d = math.prod(factorials[part] for part in partition)
         for multiplicity in Counter(partition).values():
-            term /= math.factorial(multiplicity)
-        total += term
-    return total
+            d *= math.factorial(multiplicity)
+        total += _exact_quotient(factorials[n], d)
+    return Fraction(total, factorials[n])
 
 
 def gl_order(q: int, n: int) -> int:
@@ -198,15 +220,16 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"field size must be prime, got {q}")
 
 
-def _gl_factorials(q: int, n: int) -> list[int]:
-    """|GL_0(q)|, ..., |GL_n(q)|: the bg:q factorials, for a prime field size q."""
+def _bg(q: int, n: int) -> FSequence:
+    """The bg:q sequence, whose factorials are |GL_j(q)|, for a prime field
+    size q and a dimension n >= 1."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     _require_prime(q)
-    return _factorials(parse_sequence(f"bg:{q}"), n)
+    return parse_sequence(f"bg:{q}")
 
 
-def _integral(value: Fraction, what: str) -> int:
+def _integral(value: int | Fraction, what: str) -> int:
     if value.denominator != 1:
         raise ArithmeticError(f"{what} came out non-integral: {value}")
     return value.numerator
@@ -215,16 +238,16 @@ def _integral(value: Fraction, what: str) -> int:
 def q_bell(q: int, n: int) -> int:
     """Number of unordered direct-sum decompositions of the n-dim space over
     the q-element field, via the exponential formula on linear-group orders."""
-    return _integral(_exponential_formula(_gl_factorials(q, n)), "decomposition count")
+    return _integral(_scaled_enumerator(_bg(q, n), n)[n], "decomposition count")
 
 
 def q_stirling(q: int, n: int, k: int) -> int:
     """Decompositions with exactly k summands: the k-th power term of the
     exponential formula."""
-    factorials = _gl_factorials(q, n)
+    F = _bg(q, n)
     if not 1 <= k <= n:
         raise ValueError(f"summand count needs 1 <= k <= n, got {k}")
-    return _integral(_exponential_formula(factorials, k), "summand count")
+    return _integral(_scaled_power(F, n, k), "summand count")
 
 
 def _rref(rows: Iterable[Iterable[int]], q: int) -> tuple[tuple[int, ...], ...]:

@@ -9,6 +9,7 @@ from cobweb.fnomial import (
     f_factorial,
     f_nomial,
     f_nomial_from_factorials,
+    f_nomial_rows,
     f_nomial_triangle,
     falling_f,
     triangle_to_csv,
@@ -124,6 +125,19 @@ def test_symmetry_and_quotient_identity(spec, n, data):
     report = is_cobweb_admissible_prefix(F, n)
     assert report.violation == first
     assert report.value == (None if first is None else f_nomial(F, *first))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-12, max_value=12).filter(bool), min_size=1, max_size=14))
+def test_rows_are_ints_exactly_where_integral(terms):
+    # random custom: specs, negative and non-admissible terms included
+    F = parse_sequence("custom:" + ",".join(map(str, terms)))
+    for n, row in zip(range(len(terms) + 1), f_nomial_rows(F)):
+        assert len(row) == n + 1
+        for k, value in enumerate(row):
+            exact = f_nomial(F, n, k)
+            assert value == exact == f_nomial_from_factorials(F, n, k)
+            assert type(value) is (int if exact.denominator == 1 else Fraction)
 
 
 def test_symmetry_and_quotient_exhaustive_to_30():

@@ -14,6 +14,7 @@ from cobweb.incidence import (
     count_maximal_chains_matrix,
     covering_matrix,
     maximal_chain_matrix,
+    maximal_chain_row,
     mobius_matrix,
     zeta_matrix,
 )
@@ -297,6 +298,9 @@ def test_block_tables_match_closed_forms(terms):
     for d in range(P.L + 1):
         if d:
             power = power.multiply(C)
+        # the one-row walk of the covering table reads the same row
+        s = 7 * d % (P.L + 1)
+        assert maximal_chain_row(P, s, d) == power.table[s]
         for s in range(P.L + 1):
             for t in range(s, P.L + 1):
                 inner = n[s + 1 : t]

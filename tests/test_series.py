@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,45 @@ def test_q_stirling_values_and_sum():
     assert [q_stirling(2, 3, k) for k in (1, 2, 3)] == [1, 28, 28]
     for q, n in ((2, 2), (2, 3), (3, 2)):
         assert sum(q_stirling(q, n, k) for k in range(1, n + 1)) == q_bell(q, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9).filter(bool), min_size=1, max_size=12))
+def test_enumerator_recurrence_matches_series_exp(terms):
+    # random custom: specs, negative and non-admissible terms included
+    Fs = parse_sequence("custom:" + ",".join(map(str, terms)))
+    n = len(terms)
+    enum = prefab_enumerator(Fs, n)
+    assert enum == series_exp(exp_f_series(Fs, n) - 1)
+    for m in range(n + 1):
+        value = bell_f(Fs, m)
+        exact = f_factorial(Fs, m) * enum.coefficient(m)
+        assert value == exact
+        assert type(value) is (int if exact.denominator == 1 else Fraction)
+        assert enumerator_coeff_by_partitions(Fs, m) == enum.coefficient(m)
+
+
+def test_q_stirling_matches_series_powers_and_sums_to_q_bell():
+    for q in (2, 3, 5):
+        bg = parse_sequence(f"bg:{q}")
+        for n in range(1, 11):
+            counts = [q_stirling(q, n, k) for k in range(1, n + 1)]
+            assert sum(counts) == q_bell(q, n)
+            if n > 6:
+                continue
+            # the k-fold series product route: F_n! [x^n] (E - 1)^k / k!
+            primes = exp_f_series(bg, n) - 1
+            power = F(*([1] + [0] * n))
+            for k, count in enumerate(counts, 1):
+                power = series_mul(power, primes)
+                assert count == f_factorial(bg, n) * power.coefficient(n) / math.factorial(k)
+
+
+def test_q_stirling_refuses_bad_summand_count_before_any_table():
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        q_stirling(2, 10**6, 0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_q_bell_rejects_bad_input():
