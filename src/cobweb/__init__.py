@@ -7,134 +7,58 @@ product formula, literal enumeration and incidence-matrix powers, exact
 max-disjoint packings of embedded prime copies, two layer-composition
 algebras with their size quotients, and exponential-formula enumerators
 including the vector-space decomposition counts over prime fields.
+
+Importing the package loads none of its modules.  Each public name below is
+resolved on first access by importing the module that defines it, so a
+caller pays only for the modules it uses.
 """
 
-from .fnomial import (
-    f_factorial,
-    f_nomial,
-    f_nomial_from_factorials,
-    f_nomial_triangle,
-    falling_f,
-)
-from .fseq import (
-    AdmissibilityReport,
-    FSequence,
-    GcdMorphismReport,
-    SequenceError,
-    admissibility_scan,
-    is_cobweb_admissible_prefix,
-    is_gcd_morphic_prefix,
-    parse_sequence,
-)
-from .incidence import (
-    IncidenceMatrix,
-    count_chains,
-    count_maximal_chains_matrix,
-    covering_matrix,
-    mobius_matrix,
-    zeta_matrix,
-)
-from .poset import (
-    CobwebPoset,
-    Dim2Realizer,
-    PackingCapError,
-    PackingReport,
-    PrimeCopy,
-    Vertex,
-    build_poset,
-    count_max_chains_between,
-    count_max_chains_from_root,
-    dim2_realizer,
-    enumerate_copies,
-    export_dot,
-    hasse_is_acyclic,
-    max_disjoint_packing,
-)
-from .prefab import (
-    EMPTY,
-    C2Record,
-    LawReport,
-    PrefabContext,
-    Prefabiant,
-    check_algebra_laws,
-    circ,
-    copies_count,
-    f_size,
-    odot,
-    verify_c2,
-    weight,
-)
-from .series import (
-    FormalSeries,
-    bell_f,
-    decomposition_oracle,
-    enumerator_coeff_by_partitions,
-    exp_f_series,
-    gl_order,
-    prefab_enumerator,
-    q_bell,
-    q_stirling,
-    series_add,
-    series_exp,
-    series_mul,
-)
+from importlib import import_module
 
-__all__ = [
-    "AdmissibilityReport",
-    "C2Record",
-    "CobwebPoset",
-    "Dim2Realizer",
-    "EMPTY",
-    "FSequence",
-    "FormalSeries",
-    "GcdMorphismReport",
-    "IncidenceMatrix",
-    "LawReport",
-    "PackingCapError",
-    "PackingReport",
-    "PrefabContext",
-    "Prefabiant",
-    "PrimeCopy",
-    "SequenceError",
-    "Vertex",
-    "admissibility_scan",
-    "bell_f",
-    "build_poset",
-    "check_algebra_laws",
-    "circ",
-    "copies_count",
-    "count_chains",
-    "count_max_chains_between",
-    "count_max_chains_from_root",
-    "count_maximal_chains_matrix",
-    "covering_matrix",
-    "decomposition_oracle",
-    "dim2_realizer",
-    "enumerate_copies",
-    "enumerator_coeff_by_partitions",
-    "exp_f_series",
-    "export_dot",
-    "f_factorial",
-    "f_nomial",
-    "f_nomial_from_factorials",
-    "f_nomial_triangle",
-    "f_size",
-    "falling_f",
-    "gl_order",
-    "hasse_is_acyclic",
-    "is_cobweb_admissible_prefix",
-    "is_gcd_morphic_prefix",
-    "max_disjoint_packing",
-    "mobius_matrix",
-    "odot",
-    "parse_sequence",
-    "prefab_enumerator",
-    "q_bell",
-    "q_stirling",
-    "series_add",
-    "series_exp",
-    "series_mul",
-    "verify_c2",
-    "weight",
-    "zeta_matrix",
-]
+_EXPORTS = {
+    "fnomial": (
+        "f_factorial", "f_nomial", "f_nomial_from_factorials", "f_nomial_triangle",
+        "falling_f",
+    ),
+    "fseq": (
+        "AdmissibilityReport", "FSequence", "GcdMorphismReport", "SequenceError",
+        "admissibility_scan", "is_cobweb_admissible_prefix", "is_gcd_morphic_prefix",
+        "parse_sequence",
+    ),
+    "incidence": (
+        "IncidenceMatrix", "count_chains", "count_maximal_chains_matrix",
+        "covering_matrix", "mobius_matrix", "zeta_matrix",
+    ),
+    "poset": (
+        "CobwebPoset", "Dim2Realizer", "PackingCapError", "PackingReport", "Vertex",
+        "build_poset", "count_max_chains_between", "count_max_chains_from_root",
+        "dim2_realizer", "export_dot", "max_disjoint_packing",
+    ),
+    "prefab": (
+        "EMPTY", "C2Record", "LawReport", "PrefabContext", "Prefabiant",
+        "check_algebra_laws", "circ", "copies_count", "f_size", "odot", "verify_c2",
+        "weight",
+    ),
+    "series": (
+        "FormalSeries", "bell_f", "decomposition_oracle",
+        "enumerator_coeff_by_partitions", "exp_f_series", "gl_order",
+        "prefab_enumerator", "q_bell", "q_stirling", "series_add", "series_mul",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -4,6 +4,11 @@ Standard output carries valid JSON (or CSV/DOT where a format flag says so)
 and nothing else; diagnostics go to standard error.  Exit codes: 0 success,
 1 a verification or tightness check failed, 2 usage or input error.  Output
 is deterministic for identical arguments, including the seed.
+
+Each handler imports the package modules it runs when it is dispatched, so
+a call loads only what its subcommand needs: a ``fnomial`` call loads
+``fseq`` and ``fnomial``, and ``poset``, ``incidence``, ``prefab`` and
+``series`` load only for the subcommands that use them.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ import argparse
 import json
 import sys
 
-from . import fnomial, fseq, incidence, poset, prefab, series
+# Series order for ``series expf`` and ``series enumerator`` without --order.
+DEFAULT_ORDER = 16
 
 
 def _json(payload: dict | list) -> str:
@@ -20,6 +26,8 @@ def _json(payload: dict | list) -> str:
 
 
 def _cmd_seq_check(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fseq
+
     F = fseq.parse_sequence(args.spec)
     run_admissible = args.admissible or not (args.admissible or args.gcd_morphic)
     run_gcd = args.gcd_morphic or not (args.admissible or args.gcd_morphic)
@@ -43,6 +51,8 @@ def _cmd_seq_check(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_fnomial(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[int, str]:
+    from . import fnomial, fseq
+
     if args.spec is None or args.n is None or args.k is None:
         parser.error("--spec, --n and --k are required")
     F = fseq.parse_sequence(args.spec)
@@ -51,6 +61,8 @@ def _cmd_fnomial(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
 
 
 def _cmd_fnomial_triangle(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fnomial, fseq
+
     F = fseq.parse_sequence(args.spec)
     triangle = fnomial.f_nomial_triangle(F, args.rows)
     if args.format == "csv":
@@ -58,7 +70,9 @@ def _cmd_fnomial_triangle(args: argparse.Namespace) -> tuple[int, str]:
     return 0, fnomial.triangle_to_json(triangle)
 
 
-def _build(args: argparse.Namespace) -> poset.CobwebPoset:
+def _build(args: argparse.Namespace):
+    from . import fseq, poset
+
     return poset.build_poset(fseq.parse_sequence(args.spec), args.levels)
 
 
@@ -67,10 +81,14 @@ def _cmd_poset_build(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_poset_dot(args: argparse.Namespace) -> tuple[int, str]:
+    from . import poset
+
     return 0, poset.export_dot(_build(args)).rstrip("\n")
 
 
 def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
+    from . import incidence, poset
+
     P = _build(args)
     k, n = args.from_level, args.to_level
     if not 0 <= k < n <= P.L:
@@ -94,6 +112,8 @@ def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fseq, poset
+
     P = poset.build_poset(
         fseq.parse_sequence(args.spec), args.root_level + args.m
     )
@@ -104,6 +124,8 @@ def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_poset_matrix(args: argparse.Namespace) -> tuple[int, str]:
+    from . import incidence
+
     M = incidence.zeta_matrix(_build(args))
     if args.subcommand == "mobius":
         M = incidence.mobius_matrix(M)
@@ -113,6 +135,8 @@ def _cmd_poset_matrix(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_poset_dim2(args: argparse.Namespace) -> tuple[int, str]:
+    from . import poset
+
     P = _build(args)
     realizer = poset.dim2_realizer(P)
     payload = {
@@ -126,6 +150,8 @@ def _cmd_poset_dim2(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_prefab_compose(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fnomial, fseq, prefab
+
     ctx = prefab.PrefabContext(fseq.parse_sequence(args.spec))
     a = prefab.Prefabiant.parse(args.a)
     b = prefab.Prefabiant.parse(args.b)
@@ -148,22 +174,30 @@ def _cmd_prefab_compose(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_prefab_laws(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fseq, prefab
+
     ctx = prefab.PrefabContext(fseq.parse_sequence(args.spec))
     report = prefab.check_algebra_laws(ctx, args.samples, args.seed)
     return (0 if report.all_hold else 1), _json(report.to_json_dict())
 
 
 def _cmd_series_expf(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fseq, series
+
     F = fseq.parse_sequence(args.spec)
     return 0, series.exp_f_series(F, args.order).to_json()
 
 
 def _cmd_series_enumerator(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fseq, series
+
     F = fseq.parse_sequence(args.spec)
     return 0, series.prefab_enumerator(F, args.order).to_json()
 
 
 def _cmd_series_bell(args: argparse.Namespace) -> tuple[int, str]:
+    from . import fnomial, fseq, series
+
     F = fseq.parse_sequence(args.spec)
     value = series.bell_f(F, args.n)
     payload: dict = {"spec": args.spec, "n": args.n, "value": str(value)}
@@ -179,6 +213,8 @@ def _cmd_series_bell(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_series_qbell(args: argparse.Namespace) -> tuple[int, str]:
+    from . import series
+
     value = series.q_bell(args.q, args.n)
     payload: dict = {"q": args.q, "n": args.n, "formula": str(value)}
     code = 0
@@ -278,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     enumerator = se_sub.add_parser("enumerator", help="exp(exp_F - 1)")
     for sub, handler in ((expf, _cmd_series_expf), (enumerator, _cmd_series_enumerator)):
         sub.add_argument("--spec", required=True)
-        sub.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
+        sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
         sub.set_defaults(handler=handler)
     bell = se_sub.add_parser("bell", help="factorial-scaled enumerator coefficient")
     bell.add_argument("--spec", required=True)

@@ -14,8 +14,9 @@ remaining conflict graph as a Kronecker product of per-level bitmask rows,
 fixes one copy by the symmetry of permuting vertices within levels, and
 prunes with a greedy colour-class bound and the chain budget.  An instance
 above the copy cap, or a search past ``PACKING_NODE_BUDGET`` nodes, is
-refused with ``PackingCapError``, not approximated; ``enumerate_copies`` and
-``PrimeCopy`` stay as the explicit route the oracles use.
+refused with ``PackingCapError``, not approximated.  The explicit route,
+every copy as vertex sets searched without bounds, is the packing oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .fnomial import f_factorial, falling_f
 from .fseq import FSequence
@@ -183,32 +184,6 @@ def count_max_chains_between(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class PrimeCopy:
-    """An embedded copy of the m-level bottom poset, rooted at a vertex.
-
-    Since every cross-level vertex pair is comparable, an embedded copy rooted
-    at level k is determined by nothing more than its vertex choices: a set
-    S_j of F_j vertices at level k+j for each j = 1..m.  Its maximal chains
-    pick the root and then one vertex from each S_j, so it has exactly
-    F_1 * ... * F_m of them.
-    """
-
-    root: Vertex
-    m: int
-    sets: tuple[frozenset[Vertex], ...]
-
-    def max_chain_count(self) -> int:
-        return math.prod(len(s) for s in self.sets)
-
-    def shares_chain_with(self, other: "PrimeCopy") -> bool:
-        """Two copies share a maximal chain iff all their level sets intersect."""
-        return all(s & t for s, t in zip(self.sets, other.sets))
-
-    def is_max_disjoint(self, other: "PrimeCopy") -> bool:
-        return not self.shares_chain_with(other)
-
-
 def _copy_shape(P: CobwebPoset, root: Vertex, m: int) -> list[tuple[int, int]]:
     """(vertices available, vertices needed) at each level k+1..k+m of a copy."""
     P.check_vertex(root)
@@ -224,25 +199,6 @@ def _copy_shape(P: CobwebPoset, root: Vertex, m: int) -> list[tuple[int, int]]:
             raise ValueError(f"level {k + j} has {avail} vertices, copy needs {need}")
         shape.append((avail, need))
     return shape
-
-
-def enumerate_copies(P: CobwebPoset, root: Vertex, m: int) -> list[PrimeCopy]:
-    """All embedded copies of height m rooted at the given vertex.
-
-    There are prod_j C(F_(k+j), F_j) of them; each is verified to carry
-    F_1 * ... * F_m maximal chains.
-    """
-    shape = _copy_shape(P, root, m)
-    per_level = [
-        [frozenset(c) for c in combinations(P.level(root.s + j), need)]
-        for j, (_avail, need) in enumerate(shape, 1)
-    ]
-    copies = [PrimeCopy(root, m, sets) for sets in product(*per_level)]
-    expected_chains = f_factorial(P.F, m)
-    for copy in copies:
-        if copy.max_chain_count() != expected_chains:
-            raise AssertionError("embedded copy with wrong chain count")
-    return copies
 
 
 @dataclass(frozen=True)
@@ -457,32 +413,6 @@ def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
             if below_in_both != (u.s < v.s):
                 verified = False
     return Dim2Realizer(order_a, order_b, verified)
-
-
-def hasse_topological_order(P: CobwebPoset) -> list[Vertex] | None:
-    """Kahn's algorithm over the explicit Hasse digraph; None if cyclic."""
-    vertices = P.vertices()
-    indegree = {v: 0 for v in vertices}
-    successors: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-    for u, v in P.hasse_edges():
-        successors[u].append(v)
-        indegree[v] += 1
-    queue = [v for v in vertices if indegree[v] == 0]
-    order: list[Vertex] = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for w in successors[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                queue.append(w)
-    if len(order) != len(vertices):
-        return None
-    return order
-
-
-def hasse_is_acyclic(P: CobwebPoset) -> bool:
-    return hasse_topological_order(P) is not None
 
 
 def export_dot(P: CobwebPoset) -> str:

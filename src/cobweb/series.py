@@ -18,9 +18,10 @@ decompositions of a finite vector space and are verified against a literal
 subspace-enumeration oracle that shares no code with the series route.
 
 Values are exact: ``int`` where integral, ``Fraction`` otherwise; series
-coefficients are ``Fraction``.  ``series_exp``, ``series_mul`` and
-``series_add`` are the general series algebra.  Series order defaults to 16
-where a command needs one.
+coefficients are ``Fraction``.  ``series_mul`` and ``series_add`` are the
+series algebra behind the ``FormalSeries`` operators.  Field sizes are
+checked prime by a deterministic Miller-Rabin test, which is exact below
+``PRIMALITY_BOUND``; larger field sizes are refused.
 """
 
 from __future__ import annotations
@@ -36,7 +37,11 @@ from typing import Iterable, Iterator
 from .fnomial import _exact_quotient, f_nomial_rows
 from .fseq import FSequence, parse_sequence
 
-DEFAULT_ORDER = 16
+# Miller-Rabin with the first 13 prime bases decides primality exactly below
+# this bound (psi_13 of Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017).
+PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 @dataclass(frozen=True)
@@ -102,23 +107,6 @@ def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
             for n in range(order + 1)
         )
     )
-
-
-def series_exp(s: FormalSeries) -> FormalSeries:
-    """Exponential of a series with zero constant term, exact to its order.
-
-    Uses the derivative recurrence b_n = (1/n) sum_j j a_j b_(n-j).
-    """
-    if s.coeffs[0] != 0:
-        raise ValueError("series exponential requires a zero constant term")
-    out = [Fraction(1)] + [Fraction(0)] * s.order
-    for n in range(1, s.order + 1):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            if s.coeffs[j]:
-                acc += j * s.coeffs[j] * out[n - j]
-        out[n] = acc / n
-    return FormalSeries(tuple(out))
 
 
 def _factorials(F: FSequence, n: int) -> list[int]:
@@ -215,8 +203,36 @@ def gl_order(q: int, n: int) -> int:
     return math.prod(q**n - q**i for i in range(n))
 
 
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin over ``PRIMALITY_BASES``; exact for
+    q < ``PRIMALITY_BOUND``, which callers must check."""
+    if q < 2:
+        return False
+    for p in PRIMALITY_BASES:
+        if q % p == 0:
+            return q == p
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIMALITY_BASES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _require_prime(q: int) -> None:
-    if q < 2 or any(q % d == 0 for d in range(2, int(math.isqrt(q)) + 1)):
+    if q >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"primality is decided only for field sizes below {PRIMALITY_BOUND}, got {q}"
+        )
+    if not _is_prime(q):
         raise ValueError(f"field size must be prime, got {q}")
 
 

@@ -4,12 +4,71 @@ Everything here deliberately avoids the package's main code paths: chain
 counts walk explicit adjacency, the packing oracle is plain backtracking with
 no bounds, the inverse-matrix oracle is the textbook interval recursion, the
 dense product multiplies full vertex matrices row by column, and Bell numbers
-come from literally enumerating set partitions.
+come from literally enumerating set partitions.  Embedded prime copies are
+listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
+algorithm, the series exponential runs its derivative recurrence on
+``Fraction`` coefficients, and primality is decided by trial division.
 """
 
 from __future__ import annotations
 
-from cobweb.poset import CobwebPoset, PrimeCopy, Vertex
+import math
+from fractions import Fraction
+from itertools import combinations, product
+
+from cobweb.poset import CobwebPoset, Vertex
+from cobweb.series import FormalSeries
+
+
+class PrimeCopy:
+    """An embedded copy of the m-level bottom poset, rooted at a vertex.
+
+    Since every cross-level vertex pair is comparable, an embedded copy rooted
+    at level k is determined by nothing more than its vertex choices: a set
+    S_j of F_j vertices at level k+j for each j = 1..m.  Its maximal chains
+    pick the root and then one vertex from each S_j, so it has exactly
+    F_1 * ... * F_m of them.
+    """
+
+    # A plain class, not a dataclass: the benchmark's checker executes this
+    # file without entering it in sys.modules, and a dataclass with string
+    # annotations looks its module up there.
+    def __init__(self, root: Vertex, m: int, sets: tuple[frozenset[Vertex], ...]):
+        self.root = root
+        self.m = m
+        self.sets = sets
+
+    def max_chain_count(self) -> int:
+        return math.prod(len(s) for s in self.sets)
+
+    def shares_chain_with(self, other: "PrimeCopy") -> bool:
+        """Two copies share a maximal chain iff all their level sets intersect."""
+        return all(s & t for s, t in zip(self.sets, other.sets))
+
+    def is_max_disjoint(self, other: "PrimeCopy") -> bool:
+        return not self.shares_chain_with(other)
+
+
+def enumerate_copies(P: CobwebPoset, root: Vertex, m: int) -> list[PrimeCopy]:
+    """All embedded copies of height m rooted at the given vertex.
+
+    There are prod_j C(F_(k+j), F_j) of them; each is checked to carry
+    F_1 * ... * F_m maximal chains.
+    """
+    P.check_vertex(root)
+    if not 0 <= m <= P.L - root.s:
+        raise ValueError(f"height {m} from level {root.s} does not fit in levels 0..{P.L}")
+    per_level = []
+    for j in range(1, m + 1):
+        level, need = P.level(root.s + j), P.F.term(j)
+        if need > len(level):
+            raise ValueError(f"level {root.s + j} has {len(level)} vertices, copy needs {need}")
+        per_level.append([frozenset(c) for c in combinations(level, need)])
+    copies = [PrimeCopy(root, m, sets) for sets in product(*per_level)]
+    expected_chains = math.prod(P.F.term(j) for j in range(1, m + 1))
+    if any(copy.max_chain_count() != expected_chains for copy in copies):
+        raise AssertionError("embedded copy with wrong chain count")
+    return copies
 
 
 def dfs_paths_to_vertex(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
@@ -100,3 +159,51 @@ def count_set_partitions(n: int) -> int:
 
     place(0, [])
     return count
+
+
+def hasse_topological_order(P: CobwebPoset) -> list[Vertex] | None:
+    """Kahn's algorithm over the explicit Hasse digraph; None if cyclic."""
+    vertices = P.vertices()
+    indegree = {v: 0 for v in vertices}
+    successors: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
+    for u, v in P.hasse_edges():
+        successors[u].append(v)
+        indegree[v] += 1
+    queue = [v for v in vertices if indegree[v] == 0]
+    order: list[Vertex] = []
+    while queue:
+        v = queue.pop()
+        order.append(v)
+        for w in successors[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                queue.append(w)
+    if len(order) != len(vertices):
+        return None
+    return order
+
+
+def hasse_is_acyclic(P: CobwebPoset) -> bool:
+    return hasse_topological_order(P) is not None
+
+
+def series_exp(s: FormalSeries) -> FormalSeries:
+    """Exponential of a series with zero constant term, exact to its order.
+
+    Uses the derivative recurrence b_n = (1/n) sum_j j a_j b_(n-j).
+    """
+    if s.coeffs[0] != 0:
+        raise ValueError("series exponential requires a zero constant term")
+    out = [Fraction(1)] + [Fraction(0)] * s.order
+    for n in range(1, s.order + 1):
+        acc = Fraction(0)
+        for j in range(1, n + 1):
+            if s.coeffs[j]:
+                acc += j * s.coeffs[j] * out[n - j]
+        out[n] = acc / n
+    return FormalSeries(tuple(out))
+
+
+def is_prime_by_trial_division(q: int) -> bool:
+    """Primality by dividing by every d with 2 <= d <= sqrt(q)."""
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))

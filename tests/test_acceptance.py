@@ -22,7 +22,6 @@ from cobweb.poset import (
     count_max_chains_between,
     count_max_chains_from_root,
     dim2_realizer,
-    hasse_is_acyclic,
     max_disjoint_packing,
 )
 from cobweb.prefab import PrefabContext, Prefabiant, check_algebra_laws, verify_c2
@@ -34,10 +33,15 @@ from cobweb.series import (
     gl_order,
     q_bell,
     q_stirling,
-    series_exp,
     FormalSeries,
 )
-from oracles import count_set_partitions, dense_mul, dfs_paths_to_vertex
+from oracles import (
+    count_set_partitions,
+    dense_mul,
+    dfs_paths_to_vertex,
+    hasse_is_acyclic,
+    series_exp,
+)
 
 BUILTIN_SPECS = ["natural", "even", "fibonacci", "gauss:2", "const:2"]
 

@@ -2,8 +2,8 @@ import json
 import sys
 import time
 
-from cobweb import fnomial, fseq, incidence, poset, series
-from cobweb.cli import main
+from cobweb import fnomial, fseq, incidence, poset
+from cobweb.cli import DEFAULT_ORDER, main
 
 
 def run(capsys, *argv):
@@ -266,7 +266,7 @@ def test_series_expf_payload(capsys):
 def test_series_default_order(capsys):
     code, out, _ = run(capsys, "series", "enumerator", "--spec", "natural")
     assert code == 0
-    assert len(json.loads(out)) == series.DEFAULT_ORDER + 1
+    assert len(json.loads(out)) == DEFAULT_ORDER + 1
 
 
 def test_series_bell_oracle(capsys):
@@ -290,6 +290,17 @@ def test_series_qbell(capsys):
     code, _, err = run(capsys, "series", "qbell", "--q", "4", "--n", "2")
     assert code == 2
     assert "prime" in err
+
+
+def test_series_qbell_large_field_sizes(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "series", "qbell", "--q", "1000000000000000003", "--n", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out) == {"q": 1000000000000000003, "n": 1, "formula": "1"}
+    code, out, err = run(capsys, "series", "qbell", "--q", str(2**89 - 1), "--n", "1")
+    assert (code, out) == (2, "")
+    assert "below 3317044064679887385961981" in err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -14,13 +14,15 @@ from cobweb.poset import (
     count_max_chains_between,
     count_max_chains_from_root,
     dim2_realizer,
-    enumerate_copies,
     export_dot,
-    hasse_is_acyclic,
-    hasse_topological_order,
     max_disjoint_packing,
 )
-from oracles import brute_max_packing
+from oracles import (
+    brute_max_packing,
+    enumerate_copies,
+    hasse_is_acyclic,
+    hasse_topological_order,
+)
 
 NAT = parse_sequence("natural")
 FIB = parse_sequence("fibonacci")

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from cobweb.fnomial import f_factorial, f_nomial
 from cobweb.fseq import parse_sequence
 from cobweb.series import (
+    PRIMALITY_BOUND,
     FormalSeries,
+    _is_prime,
     bell_f,
     count_invertible_matrices,
     decomposition_oracle,
@@ -21,10 +23,9 @@ from cobweb.series import (
     q_bell,
     q_stirling,
     series_add,
-    series_exp,
     series_mul,
 )
-from oracles import count_set_partitions
+from oracles import count_set_partitions, is_prime_by_trial_division, series_exp
 
 NAT = parse_sequence("natural")
 FIB = parse_sequence("fibonacci")
@@ -172,6 +173,26 @@ def test_q_bell_values_and_oracle():
         bg = parse_sequence(f"bg:{q}")
         for n in range(1, 12):
             assert q_bell(q, n) == bell_f(bg, n)
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    assert all(_is_prime(q) == is_prime_by_trial_division(q) for q in range(-2, 10**5))
+
+
+def test_field_size_primality_is_decided_fast_or_refused():
+    # 10**18 + 3 is prime; 10**18 + 1 = 101 * 9901 * 999999000001
+    start = time.perf_counter()
+    assert q_bell(10**18 + 3, 1) == 1
+    with pytest.raises(ValueError, match="must be prime"):
+        q_bell(10**18 + 1, 1)
+    assert time.perf_counter() - start < 1.0
+    # the least strong pseudoprime to the bases 2..37; base 41 exposes it
+    assert not _is_prime(318665857834031151167461)
+    # the bound is the least strong pseudoprime to all 13 bases
+    assert _is_prime(PRIMALITY_BOUND)
+    for q in (PRIMALITY_BOUND, 2**89 - 1):  # the latter a Mersenne prime
+        with pytest.raises(ValueError, match=str(PRIMALITY_BOUND)):
+            q_bell(q, 1)
 
 
 def test_q_bell_dimension_four_cross_check():
