@@ -31,13 +31,12 @@ _EXPORTS = {
     ),
     "poset": (
         "CobwebPoset", "Dim2Realizer", "PackingCapError", "PackingReport", "Vertex",
-        "build_poset", "count_max_chains_between", "count_max_chains_from_root",
-        "dim2_realizer", "export_dot", "max_disjoint_packing",
+        "build_poset", "count_max_chains_between", "dim2_realizer", "export_dot",
+        "max_disjoint_packing",
     ),
     "prefab": (
-        "EMPTY", "C2Record", "LawReport", "PrefabContext", "Prefabiant",
-        "check_algebra_laws", "circ", "copies_count", "f_size", "odot", "verify_c2",
-        "weight",
+        "EMPTY", "C2Record", "LawReport", "Prefabiant", "check_algebra_laws", "circ",
+        "copies_count", "f_size", "odot", "verify_c2", "weight",
     ),
     "series": (
         "FormalSeries", "bell_f", "decomposition_oracle",

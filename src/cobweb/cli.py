@@ -25,28 +25,30 @@ def _json(payload: dict | list) -> str:
     return json.dumps(payload)
 
 
+def integer(text: str) -> int:
+    """Argument type of every integer option: the spec grammar ``-?[0-9]+``."""
+    from .fseq import parse_int
+
+    return parse_int(text)
+
+
 def _cmd_seq_check(args: argparse.Namespace) -> tuple[int, str]:
     from . import fseq
 
     F = fseq.parse_sequence(args.spec)
-    run_admissible = args.admissible or not (args.admissible or args.gcd_morphic)
-    run_gcd = args.gcd_morphic or not (args.admissible or args.gcd_morphic)
     payload: dict = {"spec": args.spec, "upto": args.upto}
     failed = False
-    if run_admissible:
-        report = fseq.is_cobweb_admissible_prefix(F, args.upto)
-        body = report.to_json_dict()
-        body.pop("spec")
-        body.pop("upto")
-        payload["admissible"] = body
-        failed |= not report.admissible
-    if run_gcd:
-        report = fseq.is_gcd_morphic_prefix(F, args.upto)
-        body = report.to_json_dict()
-        body.pop("spec")
-        body.pop("upto")
-        payload["gcd_morphic"] = body
-        failed |= not report.gcd_morphic
+    for key, scan in (
+        ("admissible", fseq.is_cobweb_admissible_prefix),
+        ("gcd_morphic", fseq.is_gcd_morphic_prefix),
+    ):
+        if getattr(args, key) or not (args.admissible or args.gcd_morphic):
+            report = scan(F, args.upto)
+            body = report.to_json_dict()
+            body.pop("spec")
+            body.pop("upto")
+            payload[key] = body
+            failed |= not getattr(report, key)  # the verdict, named like the key
     return (1 if failed else 0), _json(payload)
 
 
@@ -87,18 +89,13 @@ def _cmd_poset_dot(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
-    from . import incidence, poset
+    from . import poset
 
     P = _build(args)
     k, n = args.from_level, args.to_level
     if not 0 <= k < n <= P.L:
         raise ValueError(f"need 0 <= from-level < to-level <= {P.L}")
-    if args.mode == "matrix":
-        count = P.level_size(n) * incidence.maximal_chain_row(P, k, n - k)[n]
-    elif k == 0:
-        count = poset.count_max_chains_from_root(P, n, args.mode)
-    else:
-        count = poset.count_max_chains_between(P, poset.Vertex(1, k), n, args.mode)
+    count = poset.count_max_chains_between(P, poset.Vertex(1, k), n, args.mode)
     return 0, _json(
         {
             "spec": args.spec,
@@ -152,7 +149,7 @@ def _cmd_poset_dim2(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_prefab_compose(args: argparse.Namespace) -> tuple[int, str]:
     from . import fnomial, fseq, prefab
 
-    ctx = prefab.PrefabContext(fseq.parse_sequence(args.spec))
+    F = fseq.parse_sequence(args.spec)
     a = prefab.Prefabiant.parse(args.a)
     b = prefab.Prefabiant.parse(args.b)
     compose = prefab.odot if args.op == "odot" else prefab.circ
@@ -165,34 +162,28 @@ def _cmd_prefab_compose(args: argparse.Namespace) -> tuple[int, str]:
         "width": result.width,
     }
     if not result.is_empty:
-        coefficient = fnomial.f_nomial(ctx.sequence, result.n, result.k)
+        coefficient = fnomial.f_nomial(F, result.n, result.k)
         payload["coefficient"] = str(coefficient)
         payload["integral"] = coefficient.denominator == 1
         if args.op == "odot":
-            payload["f_size"] = str(prefab.f_size(ctx, result, "odot"))
+            payload["f_size"] = str(prefab.f_size(F, result, "odot"))
     return 0, _json(payload)
 
 
 def _cmd_prefab_laws(args: argparse.Namespace) -> tuple[int, str]:
     from . import fseq, prefab
 
-    ctx = prefab.PrefabContext(fseq.parse_sequence(args.spec))
-    report = prefab.check_algebra_laws(ctx, args.samples, args.seed)
+    fseq.parse_sequence(args.spec)  # a malformed spec is still refused
+    report = prefab.check_algebra_laws(args.samples, args.seed)
     return (0 if report.all_hold else 1), _json(report.to_json_dict())
 
 
-def _cmd_series_expf(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
     from . import fseq, series
 
     F = fseq.parse_sequence(args.spec)
-    return 0, series.exp_f_series(F, args.order).to_json()
-
-
-def _cmd_series_enumerator(args: argparse.Namespace) -> tuple[int, str]:
-    from . import fseq, series
-
-    F = fseq.parse_sequence(args.spec)
-    return 0, series.prefab_enumerator(F, args.order).to_json()
+    build = series.exp_f_series if args.subcommand == "expf" else series.prefab_enumerator
+    return 0, build(F, args.order).to_json()
 
 
 def _cmd_series_bell(args: argparse.Namespace) -> tuple[int, str]:
@@ -237,20 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
     seq_sub = seq.add_subparsers(dest="subcommand", required=True)
     check = seq_sub.add_parser("check", help="admissibility / gcd-morphism scan")
     check.add_argument("--spec", required=True)
-    check.add_argument("--upto", type=int, required=True)
+    check.add_argument("--upto", type=integer, required=True)
     check.add_argument("--admissible", action="store_true")
     check.add_argument("--gcd-morphic", action="store_true")
     check.set_defaults(handler=_cmd_seq_check)
 
     fn = top.add_parser("fnomial", help="coefficients and triangles")
     fn.add_argument("--spec")
-    fn.add_argument("--n", type=int)
-    fn.add_argument("--k", type=int)
+    fn.add_argument("--n", type=integer)
+    fn.add_argument("--k", type=integer)
     fn.set_defaults(handler=lambda args: _cmd_fnomial(args, fn))
     fn_sub = fn.add_subparsers(dest="subcommand")
     triangle = fn_sub.add_parser("triangle", help="tabulate rows 0..rows-1")
     triangle.add_argument("--spec", required=True)
-    triangle.add_argument("--rows", type=int, required=True)
+    triangle.add_argument("--rows", type=integer, required=True)
     triangle.add_argument("--format", choices=("csv", "json"), default="json")
     triangle.set_defaults(handler=_cmd_fnomial_triangle)
 
@@ -261,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     dot = po_sub.add_parser("dot", help="DOT export of the Hasse digraph")
     for sub, handler in ((build, _cmd_poset_build), (dot, _cmd_poset_dot)):
         sub.add_argument("--spec", required=True)
-        sub.add_argument("--levels", type=int, required=True)
+        sub.add_argument("--levels", type=integer, required=True)
         sub.set_defaults(handler=handler)
 
     chains = po_sub.add_parser("chains", help="saturated-chain counts")
     chains.add_argument("--spec", required=True)
-    chains.add_argument("--levels", type=int, required=True)
-    chains.add_argument("--from-level", type=int, required=True)
-    chains.add_argument("--to-level", type=int, required=True)
+    chains.add_argument("--levels", type=integer, required=True)
+    chains.add_argument("--from-level", type=integer, required=True)
+    chains.add_argument("--to-level", type=integer, required=True)
     chains.add_argument(
         "--mode", choices=("enumerate", "product", "matrix"), required=True
     )
@@ -276,22 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pack = po_sub.add_parser("pack", help="exact max-disjoint packing")
     pack.add_argument("--spec", required=True)
-    pack.add_argument("--root-level", type=int, required=True)
-    pack.add_argument("--m", type=int, required=True)
-    pack.add_argument("--cap", type=int, default=5000)
+    pack.add_argument("--root-level", type=integer, required=True)
+    pack.add_argument("--m", type=integer, required=True)
+    pack.add_argument("--cap", type=integer, default=5000)
     pack.set_defaults(handler=_cmd_poset_pack)
 
     zeta = po_sub.add_parser("zeta", help="incidence matrix")
     mobius = po_sub.add_parser("mobius", help="inverse incidence matrix")
     for sub in (zeta, mobius):
         sub.add_argument("--spec", required=True)
-        sub.add_argument("--levels", type=int, required=True)
+        sub.add_argument("--levels", type=integer, required=True)
         sub.add_argument("--format", choices=("csv", "json"), default="json")
         sub.set_defaults(handler=_cmd_poset_matrix)
 
     dim2 = po_sub.add_parser("dim2", help="two-linear-order realizer")
     dim2.add_argument("--spec", required=True)
-    dim2.add_argument("--levels", type=int, required=True)
+    dim2.add_argument("--levels", type=integer, required=True)
     dim2.set_defaults(handler=_cmd_poset_dim2)
 
     pf = top.add_parser("prefab", help="layer composition algebras")
@@ -304,26 +295,26 @@ def build_parser() -> argparse.ArgumentParser:
     compose.set_defaults(handler=_cmd_prefab_compose)
     laws = pf_sub.add_parser("laws", help="sampled law check with witnesses")
     laws.add_argument("--spec", required=True)
-    laws.add_argument("--samples", type=int, required=True)
-    laws.add_argument("--seed", type=int, required=True)
+    laws.add_argument("--samples", type=integer, required=True)
+    laws.add_argument("--seed", type=integer, required=True)
     laws.set_defaults(handler=_cmd_prefab_laws)
 
     se = top.add_parser("series", help="exact generating series")
     se_sub = se.add_subparsers(dest="subcommand", required=True)
     expf = se_sub.add_parser("expf", help="sequence exponential")
     enumerator = se_sub.add_parser("enumerator", help="exp(exp_F - 1)")
-    for sub, handler in ((expf, _cmd_series_expf), (enumerator, _cmd_series_enumerator)):
+    for sub in (expf, enumerator):
         sub.add_argument("--spec", required=True)
-        sub.add_argument("--order", type=int, default=DEFAULT_ORDER)
-        sub.set_defaults(handler=handler)
+        sub.add_argument("--order", type=integer, default=DEFAULT_ORDER)
+        sub.set_defaults(handler=_cmd_series)
     bell = se_sub.add_parser("bell", help="factorial-scaled enumerator coefficient")
     bell.add_argument("--spec", required=True)
-    bell.add_argument("--n", type=int, required=True)
+    bell.add_argument("--n", type=integer, required=True)
     bell.add_argument("--oracle", action="store_true")
     bell.set_defaults(handler=_cmd_series_bell)
     qbell = se_sub.add_parser("qbell", help="vector-space decomposition counts")
-    qbell.add_argument("--q", type=int, required=True)
-    qbell.add_argument("--n", type=int, required=True)
+    qbell.add_argument("--q", type=integer, required=True)
+    qbell.add_argument("--n", type=integer, required=True)
     qbell.add_argument("--oracle", action="store_true")
     qbell.set_defaults(handler=_cmd_series_qbell)
 

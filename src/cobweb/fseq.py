@@ -21,14 +21,13 @@ from typing import Callable, Iterable, Iterator
 
 
 class SequenceError(ValueError):
-    """Malformed sequence spec, zero term, or exhausted finite sequence."""
+    """Malformed sequence spec or integer, zero term, or exhausted finite sequence."""
 
 
 @dataclass(frozen=True, repr=False)
 class FSequence:
-    """A named integer sequence n -> F_n with nonzero terms for n >= 1."""
+    """An integer sequence n -> F_n, known by its spec, with nonzero terms for n >= 1."""
 
-    name: str
     spec: str
     _term: Callable[[int], int]
 
@@ -72,10 +71,11 @@ def _finite_term(values: list[int], spec: str) -> Callable[[int], int]:
     return term
 
 
-def _parse_int(text: str, spec: str) -> int:
-    """Decimal integers only: no sign other than "-", no spaces, no "_"."""
+def parse_int(text: str) -> int:
+    """The one integer grammar of specs, layer bounds and CLI options:
+    ``-?[0-9]+``, so no "+", space, "_" or non-ASCII digit."""
     if not re.fullmatch(r"-?[0-9]+", text):
-        raise SequenceError(f"malformed sequence spec {spec!r}")
+        raise SequenceError(f"malformed integer {text!r}")
     return int(text)
 
 
@@ -90,43 +90,43 @@ def parse_sequence(spec: str) -> FSequence:
     head, _, tail = spec.partition(":")
 
     if spec == "natural":
-        return FSequence("natural numbers", spec, lambda n: n)
+        return FSequence(spec, lambda n: n)
     if spec == "even":
-        return FSequence("even numbers", spec, lambda n: 2 * n)
+        return FSequence(spec, lambda n: 2 * n)
     if spec == "fibonacci":
-        return FSequence("Fibonacci numbers", spec, _fibonacci_term())
+        return FSequence(spec, _fibonacci_term())
     if head == "mult":
-        c = _parse_int(tail, spec)
+        c = parse_int(tail)
         if c < 0:
             raise SequenceError(f"malformed sequence spec {spec!r}")
         if c == 0:
             raise SequenceError(f"{spec!r} has a zero term at index 1")
-        return FSequence(f"multiples of {c}", spec, lambda n: c * n)
+        return FSequence(spec, lambda n: c * n)
     if head == "gauss":
-        q = _parse_int(tail, spec)
+        q = parse_int(tail)
         if q < 2:
             raise SequenceError(f"gauss base must be an integer >= 2, got {spec!r}")
-        return FSequence(f"gauss q={q}", spec, lambda n: (q**n - 1) // (q - 1))
+        return FSequence(spec, lambda n: (q**n - 1) // (q - 1))
     if head == "bg":
-        q = _parse_int(tail, spec)
+        q = parse_int(tail)
         if q < 2:
             raise SequenceError(f"bg base must be an integer >= 2, got {spec!r}")
         return FSequence(
-            f"bg q={q}", spec, lambda n: 0 if n == 0 else (q**n - 1) * q ** (n - 1)
+            spec, lambda n: 0 if n == 0 else (q**n - 1) * q ** (n - 1)
         )
     if head == "const":
-        c = _parse_int(tail, spec)
+        c = parse_int(tail)
         if c == 0:
             raise SequenceError("const sequence requires a nonzero value")
-        return FSequence(f"constant {c}", spec, lambda n: c)
+        return FSequence(spec, lambda n: c)
     if head == "custom":
         if not tail:
             raise SequenceError(f"malformed sequence spec {spec!r}")
-        values = [_parse_int(piece, spec) for piece in tail.split(",")]
+        values = [parse_int(piece) for piece in tail.split(",")]
         for i, v in enumerate(values, start=1):
             if v == 0:
                 raise SequenceError(f"{spec!r} has a zero term at index {i}")
-        return FSequence(f"custom {values}", spec, _finite_term(values, spec))
+        return FSequence(spec, _finite_term(values, spec))
     if head == "file":
         if not tail:
             raise SequenceError(f"malformed sequence spec {spec!r}")
@@ -140,7 +140,7 @@ def parse_sequence(spec: str) -> FSequence:
         for i, v in enumerate(data, start=1):
             if v == 0:
                 raise SequenceError(f"{spec!r} has a zero term at index {i}")
-        return FSequence(f"file {tail}", spec, _finite_term(list(data), spec))
+        return FSequence(spec, _finite_term(list(data), spec))
 
     raise SequenceError(f"unknown sequence spec {spec!r}")
 

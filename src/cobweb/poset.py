@@ -6,17 +6,17 @@ levels, so two distinct vertices are comparable exactly when their levels
 differ.  Posets are stored implicitly as level sizes; explicit adjacency is
 only ever materialized inside the enumeration oracles.
 
-Chain counting is exposed through two independent routes (product formula and
-literal depth-first walk) so each can certify the other.  The packing search
-is an exact branch-and-bound, never a heuristic.  It factors out every level
-with F_j = 1 (copies on different vertices there never conflict), builds the
-remaining conflict graph as a Kronecker product of per-level bitmask rows,
-fixes one copy by the symmetry of permuting vertices within levels, and
-prunes with a greedy colour-class bound and the chain budget.  An instance
-above the copy cap, or a search past ``PACKING_NODE_BUDGET`` nodes, is
-refused with ``PackingCapError``, not approximated.  The explicit route,
-every copy as vertex sets searched without bounds, is the packing oracle in
-``tests/oracles.py``.
+Chain counting has one entry point with three routes (product formula,
+literal depth-first walk, covering-matrix power) so each can certify the
+others.  The packing search is an exact branch-and-bound, never a heuristic.
+It factors out every level with F_j = 1 (copies on different vertices there
+never conflict), builds the remaining conflict graph as a Kronecker product
+of per-level bitmask rows, fixes one copy by the symmetry of permuting
+vertices within levels, and prunes with a greedy colour-class bound and the
+chain budget.  An instance above the copy cap, or a search past
+``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``, not
+approximated.  The explicit route, every copy as vertex sets searched
+without bounds, is the packing oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ class CobwebPoset:
         self.check_vertex(v)
         return u == v or u.s < v.s
 
-    def covers(self, u: Vertex, v: Vertex) -> bool:
-        """v covers u iff v sits one level above u (complete bipartite steps)."""
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return v.s == u.s + 1
-
     def hasse_edges(self) -> list[tuple[Vertex, Vertex]]:
         """Every covering pair, source-major in the contract ordering."""
         edges = []
@@ -151,36 +145,30 @@ def _dfs_chain_count(P: CobwebPoset, start: Vertex, target_level: int) -> int:
     return count
 
 
-def count_max_chains_from_root(P: CobwebPoset, n: int, mode: str = "product") -> int:
-    """Saturated chains from the root to level n: F_1 * ... * F_n.
-
-    ``mode="product"`` evaluates the factorial; ``mode="enumerate"`` walks the
-    Hasse digraph and counts chains explicitly.  Both must agree.
-    """
-    if not 0 <= n <= P.L:
-        raise ValueError(f"target level {n} outside 0..{P.L}")
-    if mode == "product":
-        return f_factorial(P.F, n)
-    if mode == "enumerate":
-        return _dfs_chain_count(P, Vertex(1, 0), n)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def count_max_chains_between(
     P: CobwebPoset, v: Vertex, n: int, mode: str = "product"
 ) -> int:
-    """Saturated chains from vertex v up to level n: F_(k+1) * ... * F_n.
+    """Saturated chains from vertex v up to level n: F_(k+1) * ... * F_n for
+    v on level k, so 1 for n = k and F_1 * ... * F_n from the root.
 
-    The count only depends on v's level, never on which vertex of the level
-    was picked (testable).
+    ``mode="product"`` evaluates the falling product; ``"enumerate"`` walks
+    the Hasse digraph chain by chain; ``"matrix"`` reads row k of the
+    covering-matrix power.  All three must agree.  The count only depends on
+    v's level, never on which vertex of the level was picked (testable).
     """
     P.check_vertex(v)
-    if not v.s < n <= P.L:
-        raise ValueError(f"target level {n} outside {v.s + 1}..{P.L}")
+    if not v.s <= n <= P.L:
+        raise ValueError(f"target level {n} outside {v.s}..{P.L}")
     if mode == "product":
         return falling_f(P.F, n, n - v.s)
     if mode == "enumerate":
         return _dfs_chain_count(P, v, n)
+    if mode == "matrix":
+        from .incidence import maximal_chain_row
+
+        # Chains to one vertex of level n; on v's own level that vertex is v.
+        to_one = maximal_chain_row(P, v.s, n - v.s)[n]
+        return to_one if n == v.s else P.level_size(n) * to_one
     raise ValueError(f"unknown mode {mode!r}")
 
 

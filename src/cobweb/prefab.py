@@ -14,10 +14,11 @@ unique choice that makes the quotient law produce the layer's coefficient for
 prime pairs and gives left-nested prime powers the factorial of their total
 width.  Left nesting is the fixed convention for powers since ``odot`` does
 not associate.  For ``circ`` the size is constant 1, or alpha^width for a
-configured nonzero alpha.
+given nonzero alpha.  Sizes and copy counts take the sequence F directly.
 
-Everything here is pure on immutable values; the law checker is deterministic
-given its seed.
+The algebra laws are sequence-independent: both compositions act on layer
+bounds alone, so the law checker takes no sequence and is deterministic given
+its sample count and seed.  Everything here is pure on immutable values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fnomial import f_factorial, f_nomial
-from .fseq import FSequence
+from .fseq import FSequence, parse_int
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,6 @@ class Prefabiant:
             raise ValueError(f"layer needs 0 <= k < n, got ({self.k}, {self.n})")
 
     @classmethod
-    def layer(cls, k: int, n: int) -> "Prefabiant":
-        return cls(k, n)
-
-    @classmethod
     def prime(cls, m: int) -> "Prefabiant":
         if m < 1:
             raise ValueError(f"prime index must be >= 1, got {m}")
@@ -60,7 +57,7 @@ class Prefabiant:
             return EMPTY
         try:
             k_text, n_text = text.split(",")
-            return cls(int(k_text), int(n_text))
+            return cls(parse_int(k_text), parse_int(n_text))
         except ValueError:
             raise ValueError(f"cannot parse prefabiant {text!r}") from None
 
@@ -101,33 +98,25 @@ def circ(a: Prefabiant, b: Prefabiant) -> Prefabiant:
     return Prefabiant(a.k + b.k, a.n + b.n)
 
 
-@dataclass(frozen=True)
-class PrefabContext:
-    """A sequence plus the size-function configuration for the two algebras."""
-
-    sequence: FSequence
-    circ_alpha: int | Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.circ_alpha == 0:
-            raise ValueError("alpha must be nonzero")
-
-
-def f_size(ctx: PrefabContext, a: Prefabiant, algebra: str) -> int | Fraction:
+def f_size(
+    F: FSequence, a: Prefabiant, algebra: str, alpha: int | Fraction | None = None
+) -> int | Fraction:
     """Size of an element: 1 for the empty element in every variant.
 
-    Under ``odot`` a layer weighs the factorial of its upper level; under
-    ``circ`` it weighs 1, or alpha^width when alpha is configured.
+    Under ``odot`` a layer weighs the factorial of its upper level in F; under
+    ``circ`` it weighs 1, or alpha^width for a given nonzero alpha.
     """
     if algebra not in ("odot", "circ"):
         raise ValueError(f"unknown algebra {algebra!r}")
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
     if a.is_empty:
         return 1
     if algebra == "odot":
-        return f_factorial(ctx.sequence, a.n)
-    if ctx.circ_alpha is None:
+        return f_factorial(F, a.n)
+    if alpha is None:
         return 1
-    return ctx.circ_alpha**a.width
+    return alpha**a.width
 
 
 def weight(a: Prefabiant) -> int:
@@ -135,7 +124,7 @@ def weight(a: Prefabiant) -> int:
     return a.width
 
 
-def copies_count(ctx: PrefabContext, a: Prefabiant) -> int:
+def copies_count(F: FSequence, a: Prefabiant) -> int:
     """Number of max-disjoint copies the element stands for.
 
     1 for the empty element; for a layer it is the coefficient (n over k)_F,
@@ -143,10 +132,10 @@ def copies_count(ctx: PrefabContext, a: Prefabiant) -> int:
     """
     if a.is_empty:
         return 1
-    coefficient = f_nomial(ctx.sequence, a.n, a.k)
+    coefficient = f_nomial(F, a.n, a.k)
     if coefficient.denominator != 1:
         raise ValueError(
-            f"({a.n} over {a.k}) is {coefficient} for {ctx.sequence.spec!r}: "
+            f"({a.n} over {a.k}) is {coefficient} for {F.spec!r}: "
             "not an integer, sequence is not admissible here"
         )
     return coefficient.numerator
@@ -174,7 +163,7 @@ class C2Record:
         }
 
 
-def verify_c2(ctx: PrefabContext, a: Prefabiant, b: Prefabiant) -> C2Record:
+def verify_c2(F: FSequence, a: Prefabiant, b: Prefabiant) -> C2Record:
     """Check f(a odot b) / (f(a) f(b)) against the coefficient of the result.
 
     Defined for distinct primes; a pair of equal primes shares a factor and is
@@ -187,10 +176,10 @@ def verify_c2(ctx: PrefabContext, a: Prefabiant, b: Prefabiant) -> C2Record:
         raise ValueError("primes must be distinct")
     composed = odot(a, b)
     ratio = Fraction(
-        f_size(ctx, composed, "odot"),
-        f_size(ctx, a, "odot") * f_size(ctx, b, "odot"),
+        f_size(F, composed, "odot"),
+        f_size(F, a, "odot") * f_size(F, b, "odot"),
     )
-    coefficient = f_nomial(ctx.sequence, composed.n, composed.k)
+    coefficient = f_nomial(F, composed.n, composed.k)
     copies = coefficient.numerator if coefficient.denominator == 1 else None
     return C2Record(
         k=a.width,
@@ -271,8 +260,8 @@ def _sample_prefabiant(rng: random.Random) -> Prefabiant:
     return Prefabiant(k, k + rng.randint(1, 12))
 
 
-def check_algebra_laws(ctx: PrefabContext, sample_count: int, seed: int) -> LawReport:
-    """Deterministic sampled law check over both algebras.
+def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
+    """Deterministic sampled law check over both algebras; no sequence enters.
 
     Confirms identity laws for both compositions, commutativity and
     associativity for ``circ``, the grading laws, and the prime splitting of

@@ -2,6 +2,8 @@ import json
 import sys
 import time
 
+import pytest
+
 from cobweb import fnomial, fseq, incidence, poset
 from cobweb.cli import DEFAULT_ORDER, main
 
@@ -255,6 +257,54 @@ def test_prefab_laws_payload_and_determinism(capsys):
         "--seed", "42",
     )
     assert out1 == out2
+
+
+def test_prefab_laws_refuses_a_malformed_spec_and_ignores_a_valid_one(capsys):
+    code, out, err = run(
+        capsys, "prefab", "laws", "--spec", "mult:1_0", "--samples", "10", "--seed", "3",
+    )
+    assert (code, out) == (2, "")
+    assert "error" in err
+    # the laws concern layer bounds only, so the sequence does not change them
+    payloads = set()
+    for spec in ("fibonacci", "gauss:3"):
+        code, out, _ = run(
+            capsys, "prefab", "laws", "--spec", spec, "--samples", "200", "--seed", "3",
+        )
+        assert code == 0
+        payloads.add(out)
+    assert len(payloads) == 1
+
+
+MALFORMED_INTEGERS = [
+    pytest.param(["fnomial", "--spec", "natural", "--n", "1_0", "--k", "3"], id="underscore"),
+    pytest.param(["fnomial", "--spec", "natural", "--n", "10", "--k", " 3"], id="space"),
+    pytest.param(["poset", "build", "--spec", "natural", "--levels", "+3"], id="plus"),
+    pytest.param(
+        ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "0",
+         "--to-level", "\u0664", "--mode", "product"],
+        id="arabic-indic-digit",
+    ),
+    pytest.param(["series", "qbell", "--q", "2", "--n", "3\n"], id="newline"),
+    pytest.param(
+        ["prefab", "compose", "--op", "odot", "--a", "1_0,2_0", "--b", "0,1",
+         "--spec", "natural"],
+        id="layer-underscore",
+    ),
+    pytest.param(
+        ["prefab", "compose", "--op", "odot", "--a", "\u0661,\u0663", "--b", "0,1",
+         "--spec", "natural"],
+        id="layer-arabic-indic-digits",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INTEGERS)
+def test_integers_have_one_grammar(capsys, argv):
+    # options and layer bounds read integers as spec integers do: -?[0-9]+
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "integer" in err or "prefabiant" in err
 
 
 def test_series_expf_payload(capsys):

@@ -35,6 +35,8 @@ CLI_CALLS = [
     (["fnomial", "--spec", "fibonacci", "--n", "5", "--k", "2"], 0, COEFFICIENTS),
     (["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"], 1,
      COEFFICIENTS | {"cobweb.poset"}),
+    (["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "1",
+      "--to-level", "3", "--mode", "product"], 0, COEFFICIENTS | {"cobweb.poset"}),
     (["poset", "mobius", "--spec", "fibonacci", "--levels", "4"], 0,
      COEFFICIENTS | {"cobweb.poset", "cobweb.incidence"}),
     (["series", "qbell", "--q", "2", "--n", "3"], 0, COEFFICIENTS | {"cobweb.series"}),

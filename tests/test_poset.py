@@ -12,7 +12,6 @@ from cobweb.poset import (
     Vertex,
     build_poset,
     count_max_chains_between,
-    count_max_chains_from_root,
     dim2_realizer,
     export_dot,
     max_disjoint_packing,
@@ -71,15 +70,15 @@ def test_comparability_is_level_based():
 def test_root_chain_counts_match_factorial(F):
     P = build_poset(F, 6)
     for n in range(7):
-        enumerated = count_max_chains_from_root(P, n, "enumerate")
-        assert enumerated == count_max_chains_from_root(P, n, "product")
+        enumerated = count_max_chains_between(P, Vertex(1, 0), n, "enumerate")
+        assert enumerated == count_max_chains_between(P, Vertex(1, 0), n, "product")
         assert enumerated == f_factorial(F, n)
 
 
 def test_root_chain_count_examples():
-    assert count_max_chains_from_root(build_poset(FIB, 4), 4, "enumerate") == 6
-    assert count_max_chains_from_root(build_poset(NAT, 4), 4, "enumerate") == 24
-    assert count_max_chains_from_root(build_poset(NAT, 4), 0, "enumerate") == 1
+    assert count_max_chains_between(build_poset(FIB, 4), Vertex(1, 0), 4, "enumerate") == 6
+    assert count_max_chains_between(build_poset(NAT, 4), Vertex(1, 0), 4, "enumerate") == 24
+    assert count_max_chains_between(build_poset(NAT, 4), Vertex(1, 0), 0, "enumerate") == 1
 
 
 def test_between_chain_counts():
@@ -103,16 +102,31 @@ def test_between_counts_independent_of_vertex_choice(F):
             assert counts == {falling_f(F, n, n - k)}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
+def test_chain_modes_agree_on_random_level_sizes(sizes):
+    P = build_poset(parse_sequence("custom:" + ",".join(map(str, sizes))), len(sizes))
+    for k in range(P.L + 1):
+        v = Vertex(P.level_size(k), k)
+        for n in range(k, P.L + 1):
+            counts = {
+                mode: count_max_chains_between(P, v, n, mode)
+                for mode in ("product", "enumerate", "matrix")
+            }
+            assert set(counts.values()) == {math.prod(sizes[k:n])}  # 1 at n = k
+
+
 def test_between_range_errors():
     P = build_poset(NAT, 3)
+    assert count_max_chains_between(P, Vertex(1, 2), 2) == 1
     with pytest.raises(ValueError):
-        count_max_chains_between(P, Vertex(1, 2), 2)
+        count_max_chains_between(P, Vertex(1, 2), 1)
     with pytest.raises(ValueError):
         count_max_chains_between(P, Vertex(1, 2), 4)
     with pytest.raises(ValueError):
-        count_max_chains_from_root(P, 4)
+        count_max_chains_between(P, Vertex(1, 0), 4)
     with pytest.raises(ValueError):
-        count_max_chains_from_root(P, 2, "nope")
+        count_max_chains_between(P, Vertex(1, 0), 2, "nope")
 
 
 def test_enumerate_copies_counts():

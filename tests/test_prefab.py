@@ -5,7 +5,6 @@ from cobweb.fnomial import f_factorial, f_nomial
 from cobweb.fseq import parse_sequence
 from cobweb.prefab import (
     EMPTY,
-    PrefabContext,
     Prefabiant,
     check_algebra_laws,
     circ,
@@ -123,25 +122,22 @@ def test_layer_prime_splitting():
 
 
 def test_f_size_odot():
-    ctx = PrefabContext(FIB)
-    assert f_size(ctx, Prefabiant.prime(5), "odot") == 30
-    assert f_size(ctx, EMPTY, "odot") == 1
+    assert f_size(FIB, Prefabiant.prime(5), "odot") == 30
+    assert f_size(FIB, EMPTY, "odot") == 1
     p2 = Prefabiant.prime(2)
     nested = odot(odot(p2, p2), p2)
     assert nested == Prefabiant(4, 6)
-    assert f_size(ctx, nested, "odot") == f_factorial(FIB, 6)
+    assert f_size(FIB, nested, "odot") == f_factorial(FIB, 6)
 
 
 def test_f_size_circ_variants():
-    ctx = PrefabContext(FIB)
-    assert f_size(ctx, Prefabiant(3, 7), "circ") == 1
-    assert f_size(ctx, EMPTY, "circ") == 1
-    scaled = PrefabContext(FIB, circ_alpha=3)
-    assert f_size(scaled, Prefabiant(3, 7), "circ") == 81
+    assert f_size(FIB, Prefabiant(3, 7), "circ") == 1
+    assert f_size(FIB, EMPTY, "circ") == 1
+    assert f_size(FIB, Prefabiant(3, 7), "circ", alpha=3) == 81
     with pytest.raises(ValueError):
-        PrefabContext(FIB, circ_alpha=0)
+        f_size(FIB, Prefabiant(3, 7), "circ", alpha=0)
     with pytest.raises(ValueError):
-        f_size(ctx, EMPTY, "nope")
+        f_size(FIB, EMPTY, "nope")
 
 
 def test_weight():
@@ -151,68 +147,64 @@ def test_weight():
 
 
 def test_copies_count():
-    assert copies_count(PrefabContext(FIB), Prefabiant(2, 5)) == 15
-    assert copies_count(PrefabContext(NAT), Prefabiant.prime(4)) == 1
-    assert copies_count(PrefabContext(parse_sequence("gauss:2")), Prefabiant(2, 4)) == 35
-    assert copies_count(PrefabContext(FIB), EMPTY) == 1
+    assert copies_count(FIB, Prefabiant(2, 5)) == 15
+    assert copies_count(NAT, Prefabiant.prime(4)) == 1
+    assert copies_count(parse_sequence("gauss:2"), Prefabiant(2, 4)) == 35
+    assert copies_count(FIB, EMPTY) == 1
     with pytest.raises(ValueError):
-        copies_count(PrefabContext(parse_sequence("custom:2,3")), Prefabiant(1, 2))
+        copies_count(parse_sequence("custom:2,3"), Prefabiant(1, 2))
 
 
 def test_verify_c2_examples():
-    record = verify_c2(PrefabContext(FIB), Prefabiant.prime(2), Prefabiant.prime(3))
+    record = verify_c2(FIB, Prefabiant.prime(2), Prefabiant.prime(3))
     assert record.size_ratio == 15
     assert record.coefficient == 15
     assert record.copies == 15
     assert record.holds
-    record = verify_c2(PrefabContext(NAT), Prefabiant.prime(1), Prefabiant.prime(2))
+    record = verify_c2(NAT, Prefabiant.prime(1), Prefabiant.prime(2))
     assert record.size_ratio == 3 and record.holds
-    record = verify_c2(
-        PrefabContext(parse_sequence("const:5")), Prefabiant.prime(2), Prefabiant.prime(4)
-    )
+    record = verify_c2(parse_sequence("const:5"), Prefabiant.prime(2), Prefabiant.prime(4))
     assert record.size_ratio == 1 and record.coefficient == 1 and record.holds
 
 
 def test_verify_c2_preconditions():
-    ctx = PrefabContext(NAT)
     with pytest.raises(ValueError):
-        verify_c2(ctx, Prefabiant.prime(2), Prefabiant.prime(2))
+        verify_c2(NAT, Prefabiant.prime(2), Prefabiant.prime(2))
     with pytest.raises(ValueError):
-        verify_c2(ctx, Prefabiant(1, 3), Prefabiant.prime(2))
+        verify_c2(NAT, Prefabiant(1, 3), Prefabiant.prime(2))
     with pytest.raises(ValueError):
-        verify_c2(ctx, EMPTY, Prefabiant.prime(2))
+        verify_c2(NAT, EMPTY, Prefabiant.prime(2))
 
 
 @pytest.mark.parametrize(
     "spec", ["natural", "even", "fibonacci", "gauss:2", "const:3", "mult:2"]
 )
 def test_quotient_law_all_prime_pairs(spec):
-    ctx = PrefabContext(parse_sequence(spec))
+    F = parse_sequence(spec)
     for k in range(1, 12):
         for m in range(1, 13 - k):
             if k == m:
                 continue
-            record = verify_c2(ctx, Prefabiant.prime(k), Prefabiant.prime(m))
+            record = verify_c2(F, Prefabiant.prime(k), Prefabiant.prime(m))
             assert record.holds
-            assert record.coefficient == f_nomial(ctx.sequence, k + m, k)
+            assert record.coefficient == f_nomial(F, k + m, k)
 
 
 def test_copies_chain_budget_identity():
     # copies * m_F! = falling product, restated from the quotient definition
     from cobweb.fnomial import falling_f
 
-    ctx = PrefabContext(FIB)
     for k in range(0, 8):
         for n in range(k + 1, 9):
             m = n - k
             layer = Prefabiant(k, n) if k else Prefabiant.prime(n)
-            assert copies_count(ctx, layer) * f_factorial(FIB, m) == falling_f(
+            assert copies_count(FIB, layer) * f_factorial(FIB, m) == falling_f(
                 FIB, n, m
             )
 
 
 def test_law_report_seed42():
-    report = check_algebra_laws(PrefabContext(FIB), 1000, 42)
+    report = check_algebra_laws(1000, 42)
     assert report.all_hold
     assert {law.law for law in report.laws} == {
         "identity_odot",
@@ -229,22 +221,21 @@ def test_law_report_seed42():
 
 
 def test_law_report_is_deterministic():
-    ctx = PrefabContext(FIB)
-    first = check_algebra_laws(ctx, 200, 7)
-    second = check_algebra_laws(ctx, 200, 7)
+    first = check_algebra_laws(200, 7)
+    second = check_algebra_laws(200, 7)
     assert first == second
 
 
 def test_law_report_minimal_pool_still_emits_witnesses():
-    report = check_algebra_laws(PrefabContext(FIB), 1, 0)
+    report = check_algebra_laws(1, 0)
     kinds = {w.law for w in report.witnesses}
     assert {"odot_noncommutativity", "odot_nonassociativity"} <= kinds
     with pytest.raises(ValueError):
-        check_algebra_laws(PrefabContext(FIB), 0, 0)
+        check_algebra_laws(0, 0)
 
 
 def test_nonassociativity_witnesses_have_the_stacking_shape():
-    report = check_algebra_laws(PrefabContext(FIB), 500, 42)
+    report = check_algebra_laws(500, 42)
     for witness in report.witnesses:
         if witness.law != "odot_nonassociativity":
             continue
@@ -258,7 +249,7 @@ def test_nonassociativity_witnesses_have_the_stacking_shape():
 
 
 def test_law_report_json_shape():
-    body = check_algebra_laws(PrefabContext(FIB), 10, 1).to_json_dict()
+    body = check_algebra_laws(10, 1).to_json_dict()
     assert set(body) == {"seed", "samples", "laws", "witnesses"}
     assert all(set(w) == {"law", "operands", "lhs", "rhs"} for w in body["witnesses"])
     assert all(
