@@ -111,6 +111,8 @@ def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
     from . import fseq, poset
 
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
     P = poset.build_poset(
         fseq.parse_sequence(args.spec), args.root_level + args.m
     )

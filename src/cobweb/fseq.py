@@ -14,22 +14,55 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class SequenceError(ValueError):
     """Malformed sequence spec or integer, zero term, or exhausted finite sequence."""
 
 
-@dataclass(frozen=True, repr=False)
-class FSequence:
+class _Frozen:
+    """Base of the value types that are not tuples: the fields are the
+    ``__slots__``, set once in ``__init__``; equality, hash and repr go by the
+    field values, and assigning to a field raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # the field values in one C-level call (a lone field's value alone), not
+        # a Python loop: Prefabiant equality sits in the law checker's inner loop
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FSequence(_Frozen):
     """An integer sequence n -> F_n, known by its spec, with nonzero terms for n >= 1."""
 
-    spec: str
-    _term: Callable[[int], int]
+    __slots__ = ("spec", "_term")
+
+    def __init__(self, spec: str, term: Callable[[int], int]) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "_term", term)
 
     def term(self, n: int) -> int:
         if n < 0:
@@ -145,8 +178,7 @@ def parse_sequence(spec: str) -> FSequence:
     raise SequenceError(f"unknown sequence spec {spec!r}")
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Outcome of an exact coefficient-integrality scan over one prefix.
 
     ``verdict`` is "admissible" or "violation"; a scan that could not finish
@@ -175,8 +207,7 @@ class AdmissibilityReport:
         return out
 
 
-@dataclass(frozen=True)
-class GcdMorphismReport:
+class GcdMorphismReport(NamedTuple):
     """Whether gcd(F_n, F_m) = F_gcd(n, m) held for every pair up to a bound."""
 
     spec: str

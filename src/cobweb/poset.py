@@ -22,9 +22,9 @@ without bounds, is the packing oracle in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .fnomial import f_factorial, falling_f
 from .fseq import FSequence
@@ -41,8 +41,7 @@ class PackingCapError(ValueError):
     """An exact packing instance was refused: above the copy cap or past the node budget."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """Poset vertex: j is the 1-based index within its 0-based level s."""
 
     j: int
@@ -189,8 +188,7 @@ def _copy_shape(P: CobwebPoset, root: Vertex, m: int) -> list[tuple[int, int]]:
     return shape
 
 
-@dataclass(frozen=True)
-class PackingReport:
+class PackingReport(NamedTuple):
     """Exact packing outcome next to the quotient it is measured against.
 
     ``quotient_bound`` is the coefficient (n over k)_F; the exact maximum
@@ -334,8 +332,11 @@ def max_disjoint_packing(
     starts from it.  Each node is bounded by a greedy colour-class cover
     (pairwise conflicting classes) and the whole search by the chain budget
     (chains_total // chain_cost).  A search that passes
-    ``PACKING_NODE_BUDGET`` nodes is refused with ``PackingCapError``.
+    ``PACKING_NODE_BUDGET`` nodes is refused with ``PackingCapError``.  Every
+    instance has at least one copy, so a ``cap`` below 1 raises ``ValueError``.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     shape = _copy_shape(P, root, m)
     copies_total = 1
     for avail, need in shape:
@@ -369,8 +370,7 @@ def max_disjoint_packing(
     )
 
 
-@dataclass(frozen=True)
-class Dim2Realizer:
+class Dim2Realizer(NamedTuple):
     """Two linear orders whose intersection reproduces the strict order."""
 
     order_a: tuple[Vertex, ...]

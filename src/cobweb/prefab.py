@@ -24,25 +24,25 @@ its sample count and seed.  Everything here is pure on immutable values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fnomial import f_factorial, f_nomial
-from .fseq import FSequence, parse_int
+from .fseq import FSequence, _Frozen, parse_int
 
 
-@dataclass(frozen=True)
-class Prefabiant:
+class Prefabiant(_Frozen):
     """Either the empty element (both bounds None) or a layer with 0 <= k < n."""
 
-    k: int | None = None
-    n: int | None = None
+    __slots__ = ("k", "n")
 
-    def __post_init__(self) -> None:
-        if (self.k is None) != (self.n is None):
+    def __init__(self, k: int | None = None, n: int | None = None) -> None:
+        if (k is None) != (n is None):
             raise ValueError("layer needs both bounds, the empty element neither")
-        if self.k is not None and not 0 <= self.k < self.n:
-            raise ValueError(f"layer needs 0 <= k < n, got ({self.k}, {self.n})")
+        if k is not None and not 0 <= k < n:
+            raise ValueError(f"layer needs 0 <= k < n, got ({k}, {n})")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def prime(cls, m: int) -> "Prefabiant":
@@ -141,8 +141,7 @@ def copies_count(F: FSequence, a: Prefabiant) -> int:
     return coefficient.numerator
 
 
-@dataclass(frozen=True)
-class C2Record:
+class C2Record(NamedTuple):
     """The quotient law on a prime pair, with all three values side by side."""
 
     k: int
@@ -191,8 +190,7 @@ def verify_c2(F: FSequence, a: Prefabiant, b: Prefabiant) -> C2Record:
     )
 
 
-@dataclass(frozen=True)
-class LawWitness:
+class LawWitness(NamedTuple):
     law: str
     operands: tuple[str, ...]
     lhs: str
@@ -207,8 +205,7 @@ class LawWitness:
         }
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     law: str
     checked: int
     violations: int
@@ -226,8 +223,7 @@ class LawResult:
         }
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(NamedTuple):
     seed: int
     samples: int
     laws: tuple[LawResult, ...]

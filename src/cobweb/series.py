@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, islice, product
 from typing import Iterable, Iterator
 
 from .fnomial import _exact_quotient, f_nomial_rows
-from .fseq import FSequence, parse_sequence
+from .fseq import FSequence, _Frozen, parse_sequence
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
 # this bound (psi_13 of Sorenson and Webster, "Strong pseudoprimes to twelve
@@ -44,15 +43,15 @@ PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@dataclass(frozen=True)
-class FormalSeries:
+class FormalSeries(_Frozen):
     """Coefficients c_0..c_D; arithmetic truncates to the smaller order."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        if not coeffs:
             raise ValueError("a series carries at least its constant term")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_coefficients(cls, values: Iterable[int | Fraction]) -> "FormalSeries":

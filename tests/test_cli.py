@@ -184,6 +184,17 @@ def test_poset_pack_exit_codes(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_poset_pack_refuses_a_cap_below_one(capsys, cap):
+    # every instance has at least one copy, so such a cap is malformed input
+    code, out, err = run(
+        capsys, "poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2",
+        "--cap", cap,
+    )
+    assert (code, out) == (2, "")
+    assert "--cap" in err
+
+
 def test_poset_pack_refused_by_node_budget(capsys):
     # 1296 copies, under the cap, no F_j = 1 level to factor out
     start = time.perf_counter()

@@ -15,16 +15,28 @@ import cobweb
 
 SRC = str(Path(cobweb.__file__).resolve().parents[1])
 
-# Runs the code given as argv[1], then reports the loaded cobweb modules as
-# the last line of standard error.
+# Runs the code given as argv[1], then reports as the last line of standard
+# error the loaded cobweb modules and the standard-library modules that the
+# code itself loaded (measured against the modules present before it ran, so
+# whatever a site hook imports at start-up does not count).
 PROBE = """
 import json, sys
+before = set(sys.modules)
 try:
     exec(sys.argv[1])
 finally:
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "cobweb")
-    print(json.dumps(loaded), file=sys.stderr)
+    stdlib = sorted(
+        m for m in set(sys.modules) - before
+        if m.split(".")[0] in sys.stdlib_module_names
+    )
+    print(json.dumps([loaded, stdlib]), file=sys.stderr)
 """
+
+# Standard-library modules that cost start-up time and that no call path
+# needs: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
+# ``tokenize``.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
 
 BASE = {"cobweb", "cobweb.cli"}
 CORE = {"cobweb", "cobweb.fseq", "cobweb.fnomial"}
@@ -39,24 +51,30 @@ CLI_CALLS = [
       "--to-level", "3", "--mode", "product"], 0, COEFFICIENTS | {"cobweb.poset"}),
     (["poset", "mobius", "--spec", "fibonacci", "--levels", "4"], 0,
      COEFFICIENTS | {"cobweb.poset", "cobweb.incidence"}),
+    (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0,
+     COEFFICIENTS | {"cobweb.poset"}),
     (["series", "qbell", "--q", "2", "--n", "3"], 0, COEFFICIENTS | {"cobweb.series"}),
+    (["series", "expf", "--spec", "fibonacci", "--order", "5"], 0,
+     COEFFICIENTS | {"cobweb.series"}),
     (["prefab", "laws", "--spec", "fibonacci", "--samples", "50", "--seed", "1"], 0,
      COEFFICIENTS | {"cobweb.prefab"}),
 ]
 
 
-def probe(code: str) -> tuple[int, set[str]]:
+def probe(code: str) -> tuple[int, set[str], set[str]]:
+    """Exit code, loaded cobweb modules, and the ``SLOW_IMPORTS`` the code loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-c", PROBE, code],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    return result.returncode, set(json.loads(result.stderr.splitlines()[-1]))
+    loaded, stdlib = json.loads(result.stderr.splitlines()[-1])
+    return result.returncode, set(loaded), SLOW_IMPORTS & set(stdlib)
 
 
 def test_importing_the_cli_loads_no_computing_module():
-    assert probe("import cobweb.cli") == (0, BASE)
+    assert probe("import cobweb.cli") == (0, BASE, set())
 
 
 @pytest.mark.parametrize(
@@ -66,13 +84,13 @@ def test_importing_the_cli_loads_no_computing_module():
 )
 def test_cli_call_loads_only_its_modules(argv, code, modules):
     call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
-    assert probe(call) == (code, modules)
+    assert probe(call) == (code, modules, set())
 
 
 def test_package_attribute_loads_only_its_owner():
-    assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"})
+    assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"}, set())
     # a module stays an attribute of the package, loaded on first access
-    assert probe("import cobweb; cobweb.poset.Vertex") == (0, CORE | {"cobweb.poset"})
+    assert probe("import cobweb; cobweb.poset.Vertex") == (0, CORE | {"cobweb.poset"}, set())
 
 
 def test_every_public_name_resolves_to_its_definition():

@@ -233,6 +233,10 @@ def test_packing_cap_refused_before_the_count_is_built():
     P = build_poset(parse_sequence("custom:1,3,5,1"), 4)
     with pytest.raises(ValueError, match="copy needs"):
         max_disjoint_packing(P, Vertex(1, 1), 3, cap=1)
+    # a cap below 1 is refused before any work, the level check included
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            max_disjoint_packing(P, Vertex(1, 1), 3, cap=cap)
 
 
 @st.composite
