@@ -5,10 +5,11 @@ and nothing else; diagnostics go to standard error.  Exit codes: 0 success,
 1 a verification or tightness check failed, 2 usage or input error.  Output
 is deterministic for identical arguments, including the seed.
 
-Each handler imports the package modules it runs when it is dispatched, so
-a call loads only what its subcommand needs: a ``fnomial`` call loads
-``fseq`` and ``fnomial``, and ``poset``, ``incidence``, ``prefab`` and
-``series`` load only for the subcommands that use them.
+One table, ``COMMANDS``, declares every command once: its help, handler and
+options.  A call builds the parser only for the command its leading words
+name, and the handler imports the package modules it runs when dispatched:
+a ``fnomial`` call loads ``fseq`` and ``fnomial``, and ``poset``,
+``incidence``, ``prefab`` and ``series`` load only where they are used.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ def integer(text: str) -> int:
     return parse_int(text)
 
 
+def _poset(args: argparse.Namespace, levels: int | None = None):
+    from . import fseq, poset
+
+    F = fseq.parse_sequence(args.spec)
+    return poset.build_poset(F, args.levels if levels is None else levels)
+
+
 def _cmd_seq_check(args: argparse.Namespace) -> tuple[int, str]:
     from . import fseq
 
@@ -52,70 +60,52 @@ def _cmd_seq_check(args: argparse.Namespace) -> tuple[int, str]:
     return (1 if failed else 0), _json(payload)
 
 
-def _cmd_fnomial(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[int, str]:
+def _cmd_fnomial(args: argparse.Namespace) -> tuple[int, str]:
     from . import fnomial, fseq
 
     if args.spec is None or args.n is None or args.k is None:
-        parser.error("--spec, --n and --k are required")
-    F = fseq.parse_sequence(args.spec)
-    value = fnomial.f_nomial(F, args.n, args.k)
+        args.parser.error("--spec, --n and --k are required")
+    value = fnomial.f_nomial(fseq.parse_sequence(args.spec), args.n, args.k)
     return 0, _json({"value": str(value), "integral": value.denominator == 1})
 
 
 def _cmd_fnomial_triangle(args: argparse.Namespace) -> tuple[int, str]:
     from . import fnomial, fseq
 
-    F = fseq.parse_sequence(args.spec)
-    triangle = fnomial.f_nomial_triangle(F, args.rows)
+    triangle = fnomial.f_nomial_triangle(fseq.parse_sequence(args.spec), args.rows)
     if args.format == "csv":
         return 0, fnomial.triangle_to_csv(triangle).rstrip("\n")
     return 0, fnomial.triangle_to_json(triangle)
 
 
-def _build(args: argparse.Namespace):
-    from . import fseq, poset
-
-    return poset.build_poset(fseq.parse_sequence(args.spec), args.levels)
-
-
 def _cmd_poset_build(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, _json(_build(args).to_json_dict())
+    return 0, _json(_poset(args).to_json_dict())
 
 
 def _cmd_poset_dot(args: argparse.Namespace) -> tuple[int, str]:
     from . import poset
 
-    return 0, poset.export_dot(_build(args)).rstrip("\n")
+    return 0, poset.export_dot(_poset(args)).rstrip("\n")
 
 
 def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
     from . import poset
 
-    P = _build(args)
+    P = _poset(args)
     k, n = args.from_level, args.to_level
     if not 0 <= k < n <= P.L:
         raise ValueError(f"need 0 <= from-level < to-level <= {P.L}")
     count = poset.count_max_chains_between(P, poset.Vertex(1, k), n, args.mode)
-    return 0, _json(
-        {
-            "spec": args.spec,
-            "levels": P.L,
-            "from_level": k,
-            "to_level": n,
-            "mode": args.mode,
-            "count": str(count),
-        }
-    )
+    payload = {"spec": args.spec, "levels": P.L, "from_level": k, "to_level": n}
+    return 0, _json({**payload, "mode": args.mode, "count": str(count)})
 
 
 def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
-    from . import fseq, poset
+    from . import poset
 
     if args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
-    P = poset.build_poset(
-        fseq.parse_sequence(args.spec), args.root_level + args.m
-    )
+    P = _poset(args, args.root_level + args.m)
     report = poset.max_disjoint_packing(
         P, poset.Vertex(1, args.root_level), args.m, cap=args.cap
     )
@@ -125,7 +115,7 @@ def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_poset_matrix(args: argparse.Namespace) -> tuple[int, str]:
     from . import incidence
 
-    M = incidence.zeta_matrix(_build(args))
+    M = incidence.zeta_matrix(_poset(args))
     if args.subcommand == "mobius":
         M = incidence.mobius_matrix(M)
     if args.format == "csv":
@@ -136,7 +126,7 @@ def _cmd_poset_matrix(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_poset_dim2(args: argparse.Namespace) -> tuple[int, str]:
     from . import poset
 
-    P = _build(args)
+    P = _poset(args)
     realizer = poset.dim2_realizer(P)
     payload = {
         "spec": args.spec,
@@ -188,144 +178,118 @@ def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
     return 0, build(F, args.order).to_json()
 
 
+def _with_oracle(args: argparse.Namespace, payload: dict, value, oracle) -> tuple[int, str]:
+    """With --oracle, adds the independent route's value and the verdict."""
+    if args.oracle:
+        expected = oracle()
+        payload["oracle"] = str(expected)
+        payload["match"] = value == expected
+    return (0 if payload.get("match", True) else 1), _json(payload)
+
+
 def _cmd_series_bell(args: argparse.Namespace) -> tuple[int, str]:
     from . import fnomial, fseq, series
 
     F = fseq.parse_sequence(args.spec)
     value = series.bell_f(F, args.n)
-    payload: dict = {"spec": args.spec, "n": args.n, "value": str(value)}
-    code = 0
-    if args.oracle:
-        oracle = fnomial.f_factorial(F, args.n) * series.enumerator_coeff_by_partitions(
-            F, args.n
-        )
-        payload["oracle"] = str(oracle)
-        payload["match"] = value == oracle
-        code = 0 if payload["match"] else 1
-    return code, _json(payload)
+    payload = {"spec": args.spec, "n": args.n, "value": str(value)}
+    return _with_oracle(args, payload, value, lambda: (
+        fnomial.f_factorial(F, args.n) * series.enumerator_coeff_by_partitions(F, args.n)))
 
 
 def _cmd_series_qbell(args: argparse.Namespace) -> tuple[int, str]:
     from . import series
 
     value = series.q_bell(args.q, args.n)
-    payload: dict = {"q": args.q, "n": args.n, "formula": str(value)}
-    code = 0
-    if args.oracle:
-        oracle = series.decomposition_oracle(args.q, args.n)
-        payload["oracle"] = str(oracle)
-        payload["match"] = value == oracle
-        code = 0 if payload["match"] else 1
-    return code, _json(payload)
+    payload = {"q": args.q, "n": args.n, "formula": str(value)}
+    return _with_oracle(
+        args, payload, value, lambda: series.decomposition_oracle(args.q, args.n)
+    )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Option declarations: (flag, add_argument keywords).  The shared ones are
+# declared once and reused by every row that takes them.
+FLAG = {"action": "store_true"}
+REQUIRED_INT = {"type": integer, "required": True}
+SPEC = ("--spec", {"required": True})
+LEVELS = ("--levels", REQUIRED_INT)
+FORMAT = ("--format", {"choices": ("csv", "json"), "default": "json"})
+ORACLE = ("--oracle", FLAG)
+ORDER = ("--order", {"type": integer, "default": DEFAULT_ORDER})
+
+# One row per command: (group, subcommand) -> (help, handler, options).  A
+# (group, None) row is the group itself; its handler, if any, answers the
+# group word alone (the ``fnomial`` point query), and without one a
+# subcommand is required.  Parsers are added in table order.
+COMMANDS: dict[tuple[str, str | None], tuple] = {
+    ("seq", None): ("sequence checks", None, ()),
+    ("seq", "check"): ("admissibility / gcd-morphism scan", _cmd_seq_check, (
+        SPEC, ("--upto", REQUIRED_INT), ("--admissible", FLAG), ("--gcd-morphic", FLAG))),
+    ("fnomial", None): ("coefficients and triangles", _cmd_fnomial, (
+        ("--spec", {}), ("--n", {"type": integer}), ("--k", {"type": integer}))),
+    ("fnomial", "triangle"): ("tabulate rows 0..rows-1", _cmd_fnomial_triangle, (
+        SPEC, ("--rows", REQUIRED_INT), FORMAT)),
+    ("poset", None): ("poset construction and verification", None, ()),
+    ("poset", "build"): ("level-size dump", _cmd_poset_build, (SPEC, LEVELS)),
+    ("poset", "dot"): ("DOT export of the Hasse digraph", _cmd_poset_dot, (SPEC, LEVELS)),
+    ("poset", "chains"): ("saturated-chain counts", _cmd_poset_chains, (
+        SPEC, LEVELS, ("--from-level", REQUIRED_INT), ("--to-level", REQUIRED_INT),
+        ("--mode", {"choices": ("enumerate", "product", "matrix"), "required": True}))),
+    ("poset", "pack"): ("exact max-disjoint packing", _cmd_poset_pack, (
+        SPEC, ("--root-level", REQUIRED_INT), ("--m", REQUIRED_INT),
+        ("--cap", {"type": integer, "default": 5000}))),
+    ("poset", "zeta"): ("incidence matrix", _cmd_poset_matrix, (SPEC, LEVELS, FORMAT)),
+    ("poset", "mobius"): ("inverse incidence matrix", _cmd_poset_matrix, (
+        SPEC, LEVELS, FORMAT)),
+    ("poset", "dim2"): ("two-linear-order realizer", _cmd_poset_dim2, (SPEC, LEVELS)),
+    ("prefab", None): ("layer composition algebras", None, ()),
+    ("prefab", "compose"): ("compose two elements", _cmd_prefab_compose, (
+        ("--op", {"choices": ("odot", "circ"), "required": True}),
+        ("--a", {"required": True, "metavar": "i|k,n"}),
+        ("--b", {"required": True, "metavar": "i|k,n"}), SPEC)),
+    ("prefab", "laws"): ("sampled law check with witnesses", _cmd_prefab_laws, (
+        SPEC, ("--samples", REQUIRED_INT), ("--seed", REQUIRED_INT))),
+    ("series", None): ("exact generating series", None, ()),
+    ("series", "expf"): ("sequence exponential", _cmd_series, (SPEC, ORDER)),
+    ("series", "enumerator"): ("exp(exp_F - 1)", _cmd_series, (SPEC, ORDER)),
+    ("series", "bell"): ("factorial-scaled enumerator coefficient", _cmd_series_bell, (
+        SPEC, ("--n", REQUIRED_INT), ORACLE)),
+    ("series", "qbell"): ("vector-space decomposition counts", _cmd_series_qbell, (
+        ("--q", REQUIRED_INT), ("--n", REQUIRED_INT), ORACLE)),
+}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for the rows that argv's leading words name: a subcommand
+    and its group row, or a group row and its subcommands.  Every row when
+    the words name no row (``--help``, an unknown command)."""
+    words = tuple(argv[:2])
+    if words in COMMANDS:
+        named = [(words[0], None), words]
+    else:
+        named = [key for key in COMMANDS if key[:1] == words[:1]] or list(COMMANDS)
     parser = argparse.ArgumentParser(
         prog="cobweb",
         description="Exact cobweb-poset computations with verification oracles.",
     )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    seq = top.add_parser("seq", help="sequence checks")
-    seq_sub = seq.add_subparsers(dest="subcommand", required=True)
-    check = seq_sub.add_parser("check", help="admissibility / gcd-morphism scan")
-    check.add_argument("--spec", required=True)
-    check.add_argument("--upto", type=integer, required=True)
-    check.add_argument("--admissible", action="store_true")
-    check.add_argument("--gcd-morphic", action="store_true")
-    check.set_defaults(handler=_cmd_seq_check)
-
-    fn = top.add_parser("fnomial", help="coefficients and triangles")
-    fn.add_argument("--spec")
-    fn.add_argument("--n", type=integer)
-    fn.add_argument("--k", type=integer)
-    fn.set_defaults(handler=lambda args: _cmd_fnomial(args, fn))
-    fn_sub = fn.add_subparsers(dest="subcommand")
-    triangle = fn_sub.add_parser("triangle", help="tabulate rows 0..rows-1")
-    triangle.add_argument("--spec", required=True)
-    triangle.add_argument("--rows", type=integer, required=True)
-    triangle.add_argument("--format", choices=("csv", "json"), default="json")
-    triangle.set_defaults(handler=_cmd_fnomial_triangle)
-
-    po = top.add_parser("poset", help="poset construction and verification")
-    po_sub = po.add_subparsers(dest="subcommand", required=True)
-
-    build = po_sub.add_parser("build", help="level-size dump")
-    dot = po_sub.add_parser("dot", help="DOT export of the Hasse digraph")
-    for sub, handler in ((build, _cmd_poset_build), (dot, _cmd_poset_dot)):
-        sub.add_argument("--spec", required=True)
-        sub.add_argument("--levels", type=integer, required=True)
-        sub.set_defaults(handler=handler)
-
-    chains = po_sub.add_parser("chains", help="saturated-chain counts")
-    chains.add_argument("--spec", required=True)
-    chains.add_argument("--levels", type=integer, required=True)
-    chains.add_argument("--from-level", type=integer, required=True)
-    chains.add_argument("--to-level", type=integer, required=True)
-    chains.add_argument(
-        "--mode", choices=("enumerate", "product", "matrix"), required=True
-    )
-    chains.set_defaults(handler=_cmd_poset_chains)
-
-    pack = po_sub.add_parser("pack", help="exact max-disjoint packing")
-    pack.add_argument("--spec", required=True)
-    pack.add_argument("--root-level", type=integer, required=True)
-    pack.add_argument("--m", type=integer, required=True)
-    pack.add_argument("--cap", type=integer, default=5000)
-    pack.set_defaults(handler=_cmd_poset_pack)
-
-    zeta = po_sub.add_parser("zeta", help="incidence matrix")
-    mobius = po_sub.add_parser("mobius", help="inverse incidence matrix")
-    for sub in (zeta, mobius):
-        sub.add_argument("--spec", required=True)
-        sub.add_argument("--levels", type=integer, required=True)
-        sub.add_argument("--format", choices=("csv", "json"), default="json")
-        sub.set_defaults(handler=_cmd_poset_matrix)
-
-    dim2 = po_sub.add_parser("dim2", help="two-linear-order realizer")
-    dim2.add_argument("--spec", required=True)
-    dim2.add_argument("--levels", type=integer, required=True)
-    dim2.set_defaults(handler=_cmd_poset_dim2)
-
-    pf = top.add_parser("prefab", help="layer composition algebras")
-    pf_sub = pf.add_subparsers(dest="subcommand", required=True)
-    compose = pf_sub.add_parser("compose", help="compose two elements")
-    compose.add_argument("--op", choices=("odot", "circ"), required=True)
-    compose.add_argument("--a", required=True, metavar="i|k,n")
-    compose.add_argument("--b", required=True, metavar="i|k,n")
-    compose.add_argument("--spec", required=True)
-    compose.set_defaults(handler=_cmd_prefab_compose)
-    laws = pf_sub.add_parser("laws", help="sampled law check with witnesses")
-    laws.add_argument("--spec", required=True)
-    laws.add_argument("--samples", type=integer, required=True)
-    laws.add_argument("--seed", type=integer, required=True)
-    laws.set_defaults(handler=_cmd_prefab_laws)
-
-    se = top.add_parser("series", help="exact generating series")
-    se_sub = se.add_subparsers(dest="subcommand", required=True)
-    expf = se_sub.add_parser("expf", help="sequence exponential")
-    enumerator = se_sub.add_parser("enumerator", help="exp(exp_F - 1)")
-    for sub in (expf, enumerator):
-        sub.add_argument("--spec", required=True)
-        sub.add_argument("--order", type=integer, default=DEFAULT_ORDER)
-        sub.set_defaults(handler=_cmd_series)
-    bell = se_sub.add_parser("bell", help="factorial-scaled enumerator coefficient")
-    bell.add_argument("--spec", required=True)
-    bell.add_argument("--n", type=integer, required=True)
-    bell.add_argument("--oracle", action="store_true")
-    bell.set_defaults(handler=_cmd_series_bell)
-    qbell = se_sub.add_parser("qbell", help="vector-space decomposition counts")
-    qbell.add_argument("--q", type=integer, required=True)
-    qbell.add_argument("--n", type=integer, required=True)
-    qbell.add_argument("--oracle", action="store_true")
-    qbell.set_defaults(handler=_cmd_series_qbell)
-
+    subparsers = {None: parser.add_subparsers(dest="command", required=True)}
+    for group, name in named:
+        help_text, handler, options = COMMANDS[group, name]
+        sub = subparsers[group if name else None].add_parser(name or group, help=help_text)
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
+        if handler is not None:
+            sub.set_defaults(handler=handler, parser=sub)
+        if name is None:
+            subparsers[group] = sub.add_subparsers(dest="subcommand", required=handler is None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extras = build_parser(argv).parse_known_args(argv)
+    if extras:  # reported with the top-level usage, which names every command
+        build_parser([]).parse_args(argv)
     # Exact results may have more decimal digits than the interpreter's
     # int/str conversion limit (Python >= 3.10.7); lift it for this command
     # only, so library callers keep their own setting.

@@ -127,20 +127,21 @@ def _dfs_chain_count(P: CobwebPoset, start: Vertex, target_level: int) -> int:
     """Walk every saturated chain from start up to the target level, one by one.
 
     This is the enumeration oracle: it builds the explicit level lists and
-    literally visits each chain, with no arithmetic shortcuts.
+    literally visits each chain, with no arithmetic shortcuts.  An explicit
+    stack of level iterators keeps deep posets clear of the recursion limit.
     """
     levels = [P.level(s) for s in range(P.L + 1)]
     count = 0
-
-    def walk(v: Vertex) -> None:
-        nonlocal count
-        if v.s == target_level:
-            count += 1
-            return
-        for w in levels[v.s + 1]:
-            walk(w)
-
-    walk(start)
+    stack = [iter([start])]
+    while stack:
+        for w in stack[-1]:
+            if w.s == target_level:
+                count += 1
+            else:
+                stack.append(iter(levels[w.s + 1]))
+                break
+        else:
+            stack.pop()
     return count
 
 

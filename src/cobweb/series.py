@@ -42,6 +42,13 @@ from .fseq import FSequence, _Frozen, parse_sequence
 PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
+# The brute-force oracles refuse, before enumerating, inputs that would take
+# them over about a second: n with more partitions than PARTITION_BOUND (n > 40),
+# GF(q)^n with more nonzero subspaces than SUBSPACE_BOUND (n = 2, 3, 4 for
+# q > 197, 7, 2).
+PARTITION_BOUND = 40_000
+SUBSPACE_BOUND = 200
+
 
 class FormalSeries(_Frozen):
     """Coefficients c_0..c_D; arithmetic truncates to the smaller order."""
@@ -177,12 +184,30 @@ def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]
             yield (first,) + rest
 
 
+def _partition_count_exceeds(n: int, bound: int) -> bool:
+    """Whether n has more than ``bound`` partitions, by Euler's pentagonal
+    recurrence; p is nondecreasing, so it stops at the first count above."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            pair = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += pair if k % 2 else -pair
+            k += 1
+        if total > bound:
+            return True
+        p.append(total)
+    return False
+
+
 def enumerator_coeff_by_partitions(F: FSequence, n: int) -> Fraction:
     """Independent route to the enumerator coefficient: a sum over integer
     partitions with multiplicity factorials, instead of series convolution
     or coefficient rows.  A partition with parts p adds F_n! / d for
     d = prod F_p! * prod (multiplicity)!, as an int where d divides F_n!;
     the sum is divided by F_n! once."""
+    if _partition_count_exceeds(n, PARTITION_BOUND):
+        raise ValueError(f"oracle is bounded to {PARTITION_BOUND} partitions; {n} has more")
     factorials = _factorials(F, n)
     total: int | Fraction = 0
     for partition in _partitions(n):
@@ -327,8 +352,17 @@ def decomposition_oracle(q: int, n: int) -> int:
     basis has full rank.  Entirely independent of the series route.
     """
     _require_prime(q)
-    if not 1 <= n <= 4:
-        raise ValueError(f"oracle is guarded to dimensions 1..4, got {n}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    # Subspace counts G_m of GF(q)^m by Goldman-Rota, G_(m+1) = 2 G_m +
+    # (q^m - 1) G_(m-1), up to m = n or the first count past the bound.
+    m, previous, subspaces = 1, 1, 2
+    while m < n and subspaces - 1 <= SUBSPACE_BOUND:
+        m, previous, subspaces = m + 1, subspaces, 2 * subspaces + (q**m - 1) * previous
+    if subspaces - 1 > SUBSPACE_BOUND:
+        raise ValueError(
+            f"oracle is bounded to {SUBSPACE_BOUND} nonzero subspaces; GF({q})^{n} has more"
+        )
     spaces = sorted(
         (s for s in enumerate_subspaces(q, n) if s),
         key=lambda s: (len(s), s),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -5,7 +6,7 @@ import time
 import pytest
 
 from cobweb import fnomial, fseq, incidence, poset
-from cobweb.cli import DEFAULT_ORDER, main
+from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, main
 
 
 def run(capsys, *argv):
@@ -146,6 +147,19 @@ def test_poset_chains_prints_counts_of_any_size(capsys):
             assert int(count) == expected
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def test_poset_chains_enumerates_deep_posets(capsys):
+    # 3000 levels: a walk that recursed once per level would pass the limit
+    counts = {}
+    for mode in ("enumerate", "product"):
+        code, out, err = run(
+            capsys, "poset", "chains", "--spec", "const:1", "--levels", "3000",
+            "--from-level", "0", "--to-level", "3000", "--mode", mode,
+        )
+        assert (code, err) == (0, "")
+        counts[mode] = json.loads(out)["count"]
+    assert counts == {"enumerate": "1", "product": "1"}
 
 
 def test_poset_chains_bad_range(capsys):
@@ -362,6 +376,108 @@ def test_series_qbell_large_field_sizes(capsys):
     code, out, err = run(capsys, "series", "qbell", "--q", str(2**89 - 1), "--n", "1")
     assert (code, out) == (2, "")
     assert "below 3317044064679887385961981" in err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["series", "qbell", "--q", "5", "--n", "4", "--oracle"], "200 nonzero subspaces"),
+        (["series", "qbell", "--q", "13", "--n", "3", "--oracle"], "200 nonzero subspaces"),
+        (["series", "bell", "--spec", "natural", "--n", "75", "--oracle"], "40000 partitions"),
+    ],
+)
+def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert bound in err
+
+
+def test_oracles_answer_the_largest_benchmark_inputs(capsys):
+    for argv in (
+        ["series", "qbell", "--q", "2", "--n", "4", "--oracle"],
+        ["series", "qbell", "--q", "5", "--n", "3", "--oracle"],
+        ["series", "bell", "--spec", "natural", "--n", "32", "--oracle"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["match"] is True
+
+
+# One argv per command row that has a handler.
+ROW_ARGV = {
+    ("seq", "check"): "seq check --spec fibonacci --upto 10 --gcd-morphic",
+    ("fnomial", None): "fnomial --spec fibonacci --n 5 --k 2",
+    ("fnomial", "triangle"): "fnomial triangle --spec natural --rows 4 --format csv",
+    ("poset", "build"): "poset build --spec natural --levels 3",
+    ("poset", "dot"): "poset dot --spec natural --levels 3",
+    ("poset", "chains"): "poset chains --spec natural --levels 4 --from-level 1 "
+                         "--to-level 3 --mode matrix",
+    ("poset", "pack"): "poset pack --spec natural --root-level 1 --m 2 --cap 9",
+    ("poset", "zeta"): "poset zeta --spec natural --levels 3",
+    ("poset", "mobius"): "poset mobius --spec natural --levels 3 --format csv",
+    ("poset", "dim2"): "poset dim2 --spec even --levels 4",
+    ("prefab", "compose"): "prefab compose --op circ --a i --b 4,7 --spec natural",
+    ("prefab", "laws"): "prefab laws --spec fibonacci --samples 10 --seed 3",
+    ("series", "expf"): "series expf --spec fibonacci",
+    ("series", "enumerator"): "series enumerator --spec natural --order 5",
+    ("series", "bell"): "series bell --spec natural --n 5 --oracle",
+    ("series", "qbell"): "series qbell --q 2 --n 3",
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    """The parsers one level below ``parser``, by name."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def test_every_command_row_has_a_sample_argv():
+    assert set(ROW_ARGV) == {key for key, row in COMMANDS.items() if row[1] is not None}
+
+
+@pytest.mark.parametrize("key", list(ROW_ARGV), ids=lambda key: " ".join(filter(None, key)))
+def test_a_command_parses_alike_under_its_own_parser_and_the_full_one(key):
+    argv = ROW_ARGV[key].split()
+    own = build_parser(argv).parse_args(argv)
+    full = build_parser([]).parse_args(argv)
+    assert own.handler is full.handler is COMMANDS[key][1]
+    assert own.parser.format_help() == full.parser.format_help()
+    del own.parser, full.parser
+    assert own == full
+
+
+def test_a_call_builds_only_the_command_it_names():
+    parser = build_parser(ROW_ARGV["poset", "pack"].split())
+    assert list(_subparsers(parser)) == ["poset"]
+    assert list(_subparsers(_subparsers(parser)["poset"])) == ["pack"]
+    parser = build_parser(ROW_ARGV["fnomial", None].split())
+    assert list(_subparsers(parser)) == ["fnomial"]
+    assert list(_subparsers(_subparsers(parser)["fnomial"])) == ["triangle"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["--x", "poset", "pack"]])
+def test_top_level_help_matches_the_full_parser(argv):
+    assert build_parser(argv).format_help() == build_parser([]).format_help()
+
+
+GROUPS = [group for group, name in COMMANDS if name is None]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@pytest.mark.parametrize("words", [[], ["--help"], ["nope"], ["--x"]])
+def test_group_help_matches_the_full_parser(group, words):
+    argv = [group, *words]
+    own = _subparsers(build_parser(argv))[group]
+    assert own.format_help() == _subparsers(build_parser([]))[group].format_help()
+
+
+def test_unrecognized_arguments_are_reported_with_the_full_usage(capsys):
+    code, out, err = run(capsys, "poset", "build", "--spec", "natural", "--levels", "3", "--x")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cobweb [-h] {seq,fnomial,poset,prefab,series} ...\n")
+    assert err.endswith("error: unrecognized arguments: --x\n")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -9,9 +9,13 @@ from hypothesis import given, settings, strategies as st
 from cobweb.fnomial import f_factorial, f_nomial
 from cobweb.fseq import parse_sequence
 from cobweb.series import (
+    PARTITION_BOUND,
     PRIMALITY_BOUND,
+    SUBSPACE_BOUND,
     FormalSeries,
     _is_prime,
+    _partition_count_exceeds,
+    _partitions,
     bell_f,
     count_invertible_matrices,
     decomposition_oracle,
@@ -264,6 +268,32 @@ def test_decomposition_oracle_guard():
     with pytest.raises(ValueError):
         decomposition_oracle(6, 2)
     assert decomposition_oracle(2, 1) == 1
+
+
+def test_decomposition_oracle_refuses_past_the_subspace_bound():
+    # the bound is on the nonzero subspaces, counted here by enumerating them
+    for q, n in ((3, 4), (11, 3), (13, 3), (5, 4), (199, 2), (2, 5)):
+        assert len(enumerate_subspaces(q, n)) - 1 > SUBSPACE_BOUND
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{SUBSPACE_BOUND} nonzero subspaces"):
+            decomposition_oracle(q, n)
+        assert time.perf_counter() - start < 1.0
+    for q, n in ((5, 3), (197, 2)):
+        assert len(enumerate_subspaces(q, n)) - 1 <= SUBSPACE_BOUND
+        assert decomposition_oracle(q, n) == q_bell(q, n)
+
+
+def test_partition_oracle_refuses_past_the_partition_bound():
+    for n in range(1, 30):
+        count = sum(1 for _ in _partitions(n))
+        assert not _partition_count_exceeds(n, count)
+        assert _partition_count_exceeds(n, count - 1)
+    start = time.perf_counter()
+    for n in (41, 75, 10**6):
+        with pytest.raises(ValueError, match=f"{PARTITION_BOUND} partitions"):
+            enumerator_coeff_by_partitions(NAT, n)
+    assert time.perf_counter() - start < 1.0
+    assert enumerator_coeff_by_partitions(NAT, 40) * math.factorial(40) == bell_f(NAT, 40)
 
 
 def test_subspace_counts_match_gaussian_binomials():
