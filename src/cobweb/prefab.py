@@ -24,6 +24,7 @@ its sample count and seed.  Everything here is pure on immutable values.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -57,9 +58,10 @@ class Prefabiant(_Frozen):
             return EMPTY
         try:
             k_text, n_text = text.split(",")
-            return cls(parse_int(k_text), parse_int(n_text))
+            k, n = parse_int(k_text), parse_int(n_text)
         except ValueError:
             raise ValueError(f"cannot parse prefabiant {text!r}") from None
+        return cls(k, n)  # a bound out of range raises with its own reason
 
     @property
     def is_empty(self) -> bool:
@@ -169,7 +171,7 @@ def verify_c2(F: FSequence, a: Prefabiant, b: Prefabiant) -> C2Record:
     outside the law's hypothesis, so it is rejected.  A non-integral
     coefficient is reported in the record, never raised.
     """
-    if not (a.is_prime and b.is_prime and not a.is_empty and not b.is_empty):
+    if not (a.is_prime and b.is_prime):
         raise ValueError("the quotient law is checked on prime elements")
     if a == b:
         raise ValueError("primes must be distinct")
@@ -242,18 +244,49 @@ class LawReport(NamedTuple):
         }
 
 
-# Nonassociativity shows already on this small triple: stacking the composite
-# of the first two under the third lands two levels higher than stacking the
-# composite of the last two onto the first.
-_CANONICAL_NONASSOC = (Prefabiant(1, 3), Prefabiant(0, 2), Prefabiant(0, 1))
-_CANONICAL_NONCOMM = (Prefabiant.prime(2), Prefabiant.prime(3))
+# The 13 x 12 layers a sample draws, built once: lower level 0..12, width 1..12.
+_POOL = {(k, width): Prefabiant(k, k + width) for k in range(13) for width in range(1, 13)}
 
 
-def _sample_prefabiant(rng: random.Random) -> Prefabiant:
-    if rng.random() < 0.125:
-        return EMPTY
-    k = rng.randint(0, 12)
-    return Prefabiant(k, k + rng.randint(1, 12))
+def _draw(rng: random.Random) -> Prefabiant:
+    return EMPTY if rng.random() < 0.125 else _POOL[rng.randint(0, 12), rng.randint(1, 12)]
+
+
+# Each law maps a sampled triple to whether it holds, or to None where it does
+# not apply; the order is the payload order.
+_LAWS = {
+    "identity_odot": lambda a, b, c: odot(EMPTY, a) == a and odot(a, EMPTY) == a,
+    "identity_circ": lambda a, b, c: circ(EMPTY, a) == a and circ(a, EMPTY) == a,
+    "commutativity_circ": lambda a, b, c: circ(a, b) == circ(b, a),
+    "associativity_circ": lambda a, b, c: circ(circ(a, b), c) == circ(a, circ(b, c)),
+    "grading_odot": lambda a, b, c: None if a.is_empty or b.is_empty else (
+        (stacked := odot(a, b)).k == a.n and stacked.width == b.width),
+    "grading_circ": lambda a, b, c: None if a.is_empty or b.is_empty else (
+        (added := circ(a, b)).k == a.k + b.k and added.n == a.n + b.n),
+    "layer_prime_splitting": lambda a, b, c: None if a.is_empty or a.is_prime else (
+        odot(Prefabiant.prime(a.k), Prefabiant.prime(a.width)) == a),
+}
+
+# The two laws odot breaks, each from its operands to its two sides.
+_FAILING = {
+    "odot_noncommutativity": lambda a, b: (odot(a, b), odot(b, a)),
+    "odot_nonassociativity": lambda a, b, c: (odot(odot(a, b), c), odot(a, odot(b, c))),
+}
+# Canonical operands of the laws in _FAILING, in its order.  Nonassociativity
+# shows already on this small triple: stacking the composite of the first two
+# under the third lands two levels higher than stacking the last two onto the first.
+_CANONICAL = (
+    (Prefabiant.prime(2), Prefabiant.prime(3)),
+    (Prefabiant(1, 3), Prefabiant(0, 2), Prefabiant(0, 1)),
+)
+
+
+def _witness(law: str, operands: tuple[Prefabiant, ...]) -> LawWitness | None:
+    """The witness that law fails on operands, None where its sides agree."""
+    lhs, rhs = _FAILING[law](*operands)
+    if lhs == rhs:
+        return None
+    return LawWitness(law, tuple(map(str, operands)), str(lhs), str(rhs))
 
 
 def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
@@ -268,89 +301,16 @@ def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
     rng = random.Random(seed)
-    counters: dict[str, list[int]] = {
-        law: [0, 0]
-        for law in (
-            "identity_odot",
-            "identity_circ",
-            "commutativity_circ",
-            "associativity_circ",
-            "grading_odot",
-            "grading_circ",
-            "layer_prime_splitting",
-        )
-    }
-
-    def record(law: str, ok: bool) -> None:
-        counters[law][0] += 1
-        if not ok:
-            counters[law][1] += 1
-
-    witnesses: list[LawWitness] = [
-        LawWitness(
-            "odot_noncommutativity",
-            tuple(str(x) for x in _CANONICAL_NONCOMM),
-            str(odot(*_CANONICAL_NONCOMM)),
-            str(odot(*reversed(_CANONICAL_NONCOMM))),
-        ),
-        LawWitness(
-            "odot_nonassociativity",
-            tuple(str(x) for x in _CANONICAL_NONASSOC),
-            str(odot(odot(_CANONICAL_NONASSOC[0], _CANONICAL_NONASSOC[1]), _CANONICAL_NONASSOC[2])),
-            str(odot(_CANONICAL_NONASSOC[0], odot(_CANONICAL_NONASSOC[1], _CANONICAL_NONASSOC[2]))),
-        ),
-    ]
-    sampled_noncomm = sampled_nonassoc = False
-
-    for _ in range(sample_count):
-        a = _sample_prefabiant(rng)
-        b = _sample_prefabiant(rng)
-        c = _sample_prefabiant(rng)
-
-        record("identity_odot", odot(EMPTY, a) == a and odot(a, EMPTY) == a)
-        record("identity_circ", circ(EMPTY, a) == a and circ(a, EMPTY) == a)
-        record("commutativity_circ", circ(a, b) == circ(b, a))
-        record(
-            "associativity_circ", circ(circ(a, b), c) == circ(a, circ(b, c))
-        )
-        if not a.is_empty and not b.is_empty:
-            stacked = odot(a, b)
-            record(
-                "grading_odot", stacked.k == a.n and stacked.width == b.width
-            )
-            added = circ(a, b)
-            record("grading_circ", added.k == a.k + b.k and added.n == a.n + b.n)
-            if not sampled_noncomm and odot(a, b) != odot(b, a):
-                witnesses.append(
-                    LawWitness(
-                        "odot_noncommutativity",
-                        (str(a), str(b)),
-                        str(odot(a, b)),
-                        str(odot(b, a)),
-                    )
-                )
-                sampled_noncomm = True
-        if not a.is_empty and a.k >= 1:
-            record(
-                "layer_prime_splitting",
-                odot(Prefabiant.prime(a.k), Prefabiant.prime(a.width)) == a,
-            )
-        if not sampled_nonassoc:
-            lhs = odot(odot(a, b), c)
-            rhs = odot(a, odot(b, c))
-            if lhs != rhs:
-                witnesses.append(
-                    LawWitness(
-                        "odot_nonassociativity",
-                        (str(a), str(b), str(c)),
-                        str(lhs),
-                        str(rhs),
-                    )
-                )
-                sampled_nonassoc = True
-
-    laws = tuple(
-        LawResult(law, checked, violations)
-        for law, (checked, violations) in counters.items()
-    )
-    return LawReport(seed, sample_count, laws, tuple(witnesses))
+    draws = [_draw(rng) for _ in range(3 * sample_count)]
+    columns = draws[0::3], draws[1::3], draws[2::3]  # the a, b and c of each sample
+    laws = []
+    for law, holds in _LAWS.items():
+        verdicts = Counter(map(holds, *columns))
+        laws.append(LawResult(law, sample_count - verdicts[None], verdicts[False]))
+    sampled = {}
+    for a, b, c in zip(*columns):
+        for law, operands in zip(_FAILING, ((a, b), (a, b, c))):
+            if law not in sampled and (witness := _witness(law, operands)):
+                sampled[law] = witness
+    canonical = map(_witness, _FAILING, _CANONICAL)
+    return LawReport(seed, sample_count, tuple(laws), (*canonical, *sampled.values()))

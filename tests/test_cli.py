@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cobweb import fnomial, fseq, incidence, poset
+from cobweb import fnomial, fseq, incidence, poset, prefab
 from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, main
 
 
@@ -299,6 +299,26 @@ def test_prefab_laws_refuses_a_malformed_spec_and_ignores_a_valid_one(capsys):
         assert code == 0
         payloads.add(out)
     assert len(payloads) == 1
+
+
+def test_prefab_laws_exits_1_on_a_broken_law(capsys, monkeypatch):
+    # a stand-in circ that keeps the bounds of its left operand
+    monkeypatch.setattr(prefab, "circ", lambda a, b: b if a.is_empty else a)
+    code, out, _ = run(
+        capsys, "prefab", "laws", "--spec", "fibonacci", "--samples", "200", "--seed", "5",
+    )
+    assert code == 1
+    laws = {law["law"]: law for law in json.loads(out)["laws"]}
+    assert laws["commutativity_circ"]["violations"] > 0
+
+
+def test_prefab_compose_reports_why_a_layer_is_out_of_range(capsys):
+    code, out, err = run(
+        capsys, "prefab", "compose", "--op", "odot", "--a", "5,3", "--b", "i",
+        "--spec", "fibonacci",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: layer needs 0 <= k < n, got (5, 3)\n"
 
 
 MALFORMED_INTEGERS = [

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobweb import prefab
 from cobweb.fnomial import f_factorial, f_nomial
 from cobweb.fseq import parse_sequence
 from cobweb.prefab import (
@@ -246,6 +247,68 @@ def test_nonassociativity_witnesses_have_the_stacking_shape():
             a.n + b.width, a.n + b.width + c.width
         )
         assert Prefabiant.parse(witness.rhs) == Prefabiant(a.n, a.n + c.width)
+
+
+NONCOMM, NONASSOC = "odot_noncommutativity", "odot_nonassociativity"
+LAW_NAMES = (
+    "identity_odot",
+    "identity_circ",
+    "commutativity_circ",
+    "associativity_circ",
+    "grading_odot",
+    "grading_circ",
+    "layer_prime_splitting",
+)
+
+
+def witness(law, operands, lhs, rhs):
+    return {"law": law, "operands": operands, "lhs": lhs, "rhs": rhs}
+
+
+CANONICAL_WITNESSES = [
+    witness(NONCOMM, ["0,2", "0,3"], "2,5", "3,5"),
+    witness(NONASSOC, ["1,3", "0,2", "0,1"], "5,6", "3,4"),
+]
+
+
+@pytest.mark.parametrize(
+    "samples, seed, checked, sampled_witnesses",
+    [
+        pytest.param(300, 3, (300, 300, 300, 300, 224, 224, 249), [
+            witness(NONCOMM, ["8,11", "9,17"], "11,19", "17,20"),
+            witness(NONASSOC, ["8,11", "9,17", "1,11"], "19,29", "11,21"),
+        ], id="300-3"),
+        # the sampled nonassociativity witness is found first
+        pytest.param(30, 248, (30, 30, 30, 30, 27, 27, 29), [
+            witness(NONASSOC, ["11,19", "11,19", "5,10"], "27,32", "19,24"),
+            witness(NONCOMM, ["11,19", "1,8"], "19,26", "8,16"),
+        ], id="30-248"),
+        # the one sample fails commutativity but associates
+        pytest.param(1, 4, (1, 1, 1, 1, 1, 1, 1), [
+            witness(NONCOMM, ["1,13", "2,4"], "13,15", "4,16"),
+        ], id="1-4"),
+    ],
+)
+def test_law_report_golden_payload(samples, seed, checked, sampled_witnesses):
+    assert check_algebra_laws(samples, seed).to_json_dict() == {
+        "seed": seed,
+        "samples": samples,
+        "laws": [
+            {"law": law, "checked": count, "violations": 0, "holds": True}
+            for law, count in zip(LAW_NAMES, checked)
+        ],
+        "witnesses": CANONICAL_WITNESSES + sampled_witnesses,
+    }
+
+
+def test_law_report_counts_a_broken_law(monkeypatch):
+    # a stand-in circ that keeps the bounds of its left operand
+    monkeypatch.setattr(prefab, "circ", lambda a, b: b if a.is_empty else a)
+    report = check_algebra_laws(200, 5)
+    results = {law.law: law for law in report.laws}
+    assert results["commutativity_circ"].violations > 0
+    assert not results["commutativity_circ"].holds
+    assert not report.all_hold
 
 
 def test_law_report_json_shape():
