@@ -41,7 +41,7 @@ _EXPORTS = {
     "series": (
         "FormalSeries", "bell_f", "decomposition_oracle",
         "enumerator_coeff_by_partitions", "exp_f_series", "gl_order",
-        "prefab_enumerator", "q_bell", "q_stirling", "series_add", "series_mul",
+        "prefab_enumerator", "q_bell", "q_stirling",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -5,6 +5,11 @@ and nothing else; diagnostics go to standard error.  Exit codes: 0 success,
 1 a verification or tightness check failed, 2 usage or input error.  Output
 is deterministic for identical arguments, including the seed.
 
+Every handler returns its exit code and its standard output as an iterable
+of text chunks, which ``main`` writes as they come: a large payload is never
+held whole.  A handler refuses before it returns, so exit code 2 always
+comes with empty standard output.
+
 One table, ``COMMANDS``, declares every command once: its help, handler and
 options.  A call builds the parser only for the command its leading words
 name, and the handler imports the package modules it runs when dispatched:
@@ -17,13 +22,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 # Series order for ``series expf`` and ``series enumerator`` without --order.
 DEFAULT_ORDER = 16
 
+# Characters gathered into one write of standard output.  An unbuffered
+# stream (PYTHONUNBUFFERED) makes every write a system call, so writing
+# chunk by chunk would cost one call per line of a DOT or CSV payload.
+WRITE_BATCH = 1 << 16
 
-def _json(payload: dict | list) -> str:
-    return json.dumps(payload)
+Output = tuple[int, Iterable[str]]
+
+
+def _json(payload: dict | list) -> tuple[str, str]:
+    return json.dumps(payload), "\n"
+
+
+def _line(chunks: Iterable[str]) -> Iterable[str]:
+    """A streamed payload and its closing newline."""
+    return chain(chunks, ("\n",))
 
 
 def integer(text: str) -> int:
@@ -40,7 +59,7 @@ def _poset(args: argparse.Namespace, levels: int | None = None):
     return poset.build_poset(F, args.levels if levels is None else levels)
 
 
-def _cmd_seq_check(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_seq_check(args: argparse.Namespace) -> Output:
     from . import fseq
 
     F = fseq.parse_sequence(args.spec)
@@ -60,7 +79,7 @@ def _cmd_seq_check(args: argparse.Namespace) -> tuple[int, str]:
     return (1 if failed else 0), _json(payload)
 
 
-def _cmd_fnomial(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_fnomial(args: argparse.Namespace) -> Output:
     from . import fnomial, fseq
 
     if args.spec is None or args.n is None or args.k is None:
@@ -69,26 +88,28 @@ def _cmd_fnomial(args: argparse.Namespace) -> tuple[int, str]:
     return 0, _json({"value": str(value), "integral": value.denominator == 1})
 
 
-def _cmd_fnomial_triangle(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_fnomial_triangle(args: argparse.Namespace) -> Output:
+    from decimal import Decimal
+
     from . import fnomial, fseq
 
-    triangle = fnomial.f_nomial_triangle(fseq.parse_sequence(args.spec), args.rows)
+    rows = fnomial.triangle_rows(fseq.parse_sequence(args.spec), args.rows, Decimal)
     if args.format == "csv":
-        return 0, fnomial.triangle_to_csv(triangle).rstrip("\n")
-    return 0, fnomial.triangle_to_json(triangle)
+        return 0, fnomial.triangle_to_csv(rows)
+    return 0, _line(fnomial.triangle_to_json(rows))
 
 
-def _cmd_poset_build(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_poset_build(args: argparse.Namespace) -> Output:
     return 0, _json(_poset(args).to_json_dict())
 
 
-def _cmd_poset_dot(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_poset_dot(args: argparse.Namespace) -> Output:
     from . import poset
 
-    return 0, poset.export_dot(_poset(args)).rstrip("\n")
+    return 0, poset.export_dot(_poset(args))
 
 
-def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_poset_chains(args: argparse.Namespace) -> Output:
     from . import poset
 
     P = _poset(args)
@@ -100,7 +121,7 @@ def _cmd_poset_chains(args: argparse.Namespace) -> tuple[int, str]:
     return 0, _json({**payload, "mode": args.mode, "count": str(count)})
 
 
-def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_poset_pack(args: argparse.Namespace) -> Output:
     from . import poset
 
     if args.cap < 1:
@@ -112,18 +133,18 @@ def _cmd_poset_pack(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if report.tight else 1), _json(report.to_json_dict())
 
 
-def _cmd_poset_matrix(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_poset_matrix(args: argparse.Namespace) -> Output:
     from . import incidence
 
     M = incidence.zeta_matrix(_poset(args))
     if args.subcommand == "mobius":
         M = incidence.mobius_matrix(M)
     if args.format == "csv":
-        return 0, M.to_csv().rstrip("\n")
-    return 0, M.to_json()
+        return 0, M.to_csv()
+    return 0, _line(M.to_json())
 
 
-def _cmd_poset_dim2(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_poset_dim2(args: argparse.Namespace) -> Output:
     from . import poset
 
     P = _poset(args)
@@ -138,7 +159,7 @@ def _cmd_poset_dim2(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if realizer.verified else 1), _json(payload)
 
 
-def _cmd_prefab_compose(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_prefab_compose(args: argparse.Namespace) -> Output:
     from . import fnomial, fseq, prefab
 
     F = fseq.parse_sequence(args.spec)
@@ -162,7 +183,7 @@ def _cmd_prefab_compose(args: argparse.Namespace) -> tuple[int, str]:
     return 0, _json(payload)
 
 
-def _cmd_prefab_laws(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_prefab_laws(args: argparse.Namespace) -> Output:
     from . import fseq, prefab
 
     fseq.parse_sequence(args.spec)  # a malformed spec is still refused
@@ -170,15 +191,15 @@ def _cmd_prefab_laws(args: argparse.Namespace) -> tuple[int, str]:
     return (0 if report.all_hold else 1), _json(report.to_json_dict())
 
 
-def _cmd_series(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_series(args: argparse.Namespace) -> Output:
     from . import fseq, series
 
     F = fseq.parse_sequence(args.spec)
     build = series.exp_f_series if args.subcommand == "expf" else series.prefab_enumerator
-    return 0, build(F, args.order).to_json()
+    return 0, _line(build(F, args.order).to_json())
 
 
-def _with_oracle(args: argparse.Namespace, payload: dict, value, oracle) -> tuple[int, str]:
+def _with_oracle(args: argparse.Namespace, payload: dict, value, oracle) -> Output:
     """With --oracle, adds the independent route's value and the verdict."""
     if args.oracle:
         expected = oracle()
@@ -187,7 +208,7 @@ def _with_oracle(args: argparse.Namespace, payload: dict, value, oracle) -> tupl
     return (0 if payload.get("match", True) else 1), _json(payload)
 
 
-def _cmd_series_bell(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_series_bell(args: argparse.Namespace) -> Output:
     from . import fnomial, fseq, series
 
     F = fseq.parse_sequence(args.spec)
@@ -197,7 +218,7 @@ def _cmd_series_bell(args: argparse.Namespace) -> tuple[int, str]:
         fnomial.f_factorial(F, args.n) * series.enumerator_coeff_by_partitions(F, args.n)))
 
 
-def _cmd_series_qbell(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_series_qbell(args: argparse.Namespace) -> Output:
     from . import series
 
     value = series.q_bell(args.q, args.n)
@@ -297,15 +318,31 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code, payload = args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            code, chunks = args.handler(args)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        _write(chunks)
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
-    print(payload)
     return code
+
+
+def _write(chunks: Iterable[str]) -> None:
+    """Writes the chunks to the standard output of the moment, in batches
+    of about ``WRITE_BATCH`` characters."""
+    out = sys.stdout
+    batch: list[str] = []
+    size = 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= WRITE_BATCH:
+            out.write("".join(batch))
+            batch, size = [], 0
+    out.write("".join(batch))
 
 
 if __name__ == "__main__":

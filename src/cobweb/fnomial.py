@@ -6,19 +6,33 @@ floating-point mode.  Coefficients are exact: ``int`` where integral,
 denominator is 1 exactly when the value is integral).  A non-integral one
 comes back rather than raised, so admissibility scans can observe it.  The
 row generator divides with ``divmod`` on integers and falls back to
-``Fraction`` only where an entry is not integral.  Every function here is
-pure and safe for concurrent use.
+``Fraction`` only where an entry is not integral; for printing it runs in
+``decimal.Decimal`` integers instead, whose decimal text costs time linear
+in the digits.  The exporters yield their text a row at a time.  Every
+function here is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from decimal import (
+    MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
+    Inexact, InvalidOperation, Overflow, Rounded, localcontext,
+)
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .fseq import FSequence
+
+# The Decimal context of the row recurrence, fixed in full so that no setting
+# of the caller's context reaches it: integer products and integer divisions
+# stay exact up to MAX_PREC digits, and a result that is not is trapped.
+EXACT = Context(
+    prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
+    clamp=0, flags=[],
+    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+)
 
 
 def f_factorial(F: FSequence, n: int) -> int:
@@ -54,51 +68,81 @@ def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> Fraction:
     return Fraction(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
 
 
-def _exact_quotient(a: int | Fraction, b: int) -> int | Fraction:
-    """a / b for a nonzero integer b: an ``int`` when it is integral, else a
-    reduced ``Fraction``.  Integral ints divide by one ``divmod``, no gcd."""
-    if isinstance(a, int):
+def _exact_quotient(
+    a: int | Decimal | Fraction, b: int, number: type = int
+) -> int | Decimal | Fraction:
+    """a / b for a nonzero integer b: of the integer type ``number`` (that of
+    an integral a) when it is integral, else a reduced ``Fraction``.
+    Integral values divide by one ``divmod``, no gcd.  A ``Decimal`` needs
+    the exact context ``EXACT``, and is never divided with ``/``, whose
+    inexact quotient would expand to the context's precision."""
+    if not isinstance(a, Fraction):
         quotient, remainder = divmod(a, b)
         if not remainder:
             return quotient
+        a = int(a)
     value = Fraction(a, b)
-    return value.numerator if value.denominator == 1 else value
+    return number(value.numerator) if value.denominator == 1 else value
 
 
-def f_nomial_rows(F: FSequence) -> Iterator[list[int | Fraction]]:
+def f_nomial_rows(F: FSequence, number: type = int) -> Iterator[list[int | Decimal | Fraction]]:
     """Rows n = 0, 1, 2, ... of the coefficient triangle, without end.
 
     Each entry follows from its left neighbour by the row recurrence
     (n over k) = (n over k-1) * F_(n-k+1) / F_k, an exact integer division
     wherever the entry is integral; the right half mirrors the left, since
-    (n over k) = (n over n-k).  Entries are ``int`` where integral and
-    ``Fraction`` otherwise.  Row n reads the terms only up to F_n, so a scan
-    can stop at any row of a finite sequence, and only the current row is
-    held.
+    (n over k) = (n over n-k).  Integral entries are of the integer type
+    ``number``, otherwise ``Fraction``.  ``int`` serves arithmetic;
+    ``decimal.Decimal`` serves printing, since its ``str()`` takes time
+    linear in the digits where an ``int``'s takes quadratic time.  Decimal
+    steps run in ``EXACT``, entered per row, so no context reaches the
+    caller across a ``yield``.  Row n reads the terms only up to F_n, so a
+    scan can stop at any row of a finite sequence, and only the current row
+    is held.
     """
+    one = number(1)
     terms = [0]  # F_0 is never read
     for n in count():
         if n:
             terms.append(F.term(n))
-        row: list[int | Fraction] = [1]
-        for k in range(1, n // 2 + 1):
-            row.append(_exact_quotient(row[-1] * terms[n - k + 1], terms[k]))
+        with localcontext(EXACT):
+            row: list[int | Decimal | Fraction] = [one]
+            for k in range(1, n // 2 + 1):
+                row.append(_exact_quotient(row[-1] * terms[n - k + 1], terms[k], number))
         row.extend(reversed(row[: (n + 1) // 2]))
         yield row
 
 
-def f_nomial_triangle(F: FSequence, rows: int) -> list[list[Fraction]]:
+def f_nomial_triangle(F: FSequence, rows: int) -> list[list[int | Fraction]]:
     """All coefficients for 0 <= k <= n < rows, as a ragged table."""
+    return list(triangle_rows(F, rows))
+
+
+def triangle_rows(
+    F: FSequence, rows: int, number: type = int
+) -> Iterator[list[int | Decimal | Fraction]]:
+    """Rows 0..rows-1 of ``f_nomial_rows``, computed as they are read.  The
+    row count and the terms F_1..F_(rows-1) are checked before this returns,
+    so a refusal comes before the first row."""
     if rows < 0:
         raise ValueError(f"row count must be nonnegative, got {rows}")
-    return list(islice(f_nomial_rows(F), rows))
+    F.terms(rows - 1)
+    return islice(f_nomial_rows(F, number), rows)
 
 
-def triangle_to_csv(triangle: list[list[Fraction]]) -> str:
-    """Ragged CSV, one row per n, entries as exact decimal (or p/q) strings."""
-    return "\n".join(",".join(str(v) for v in row) for row in triangle) + "\n"
+def triangle_to_csv(triangle: Iterable[list]) -> Iterator[str]:
+    """Ragged CSV, one row per n, entries as exact decimal (or p/q) strings,
+    yielded a row at a time; no rows give one empty line."""
+    for n, row in enumerate(triangle):
+        yield ("\n" if n else "") + ",".join(map(str, row))
+    yield "\n"
 
 
-def triangle_to_json(triangle: list[list[Fraction]]) -> str:
-    """JSON array of arrays of strings, preserving arbitrary precision."""
-    return json.dumps([[str(v) for v in row] for row in triangle])
+def triangle_to_json(triangle: Iterable[list]) -> Iterator[str]:
+    """JSON array of arrays of strings, preserving arbitrary precision: the
+    text ``json.dumps`` gives for the whole table, yielded a row at a time.
+    The entries' texts (digits, sign, slash) need no escaping."""
+    yield "["
+    for n, row in enumerate(triangle):
+        yield (", [" if n else "[") + ", ".join([f'"{v!s}"' for v in row]) + "]"
+    yield "]"

@@ -6,7 +6,8 @@ here is constant on level blocks and is stored as an upper-triangular
 vertex of level s, [s][t] (s < t) the value on every pair (level s, level t),
 and distinct vertices of one level always get 0.  Products and inverses cost
 a power of L, never of the vertex count.  The dense matrix is only exported,
-in the contract ordering (level-major, j ascending), byte for byte stable.
+in the contract ordering (level-major, j ascending), byte for byte stable,
+and its text is yielded one dense row at a time.
 An interval [x, y] is fully contained once level(y) is built, so the inverse
 of a truncation agrees with the untruncated values entry by entry.
 """
@@ -107,8 +108,10 @@ class IncidenceMatrix:
         """The N×N integer matrix over the contract vertex ordering."""
         return list(self._dense_rows(lambda v: v))
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._dense_rows(str)) + "\n"
+    def to_csv(self) -> Iterator[str]:
+        """The dense matrix as CSV, yielded one row line at a time."""
+        for row in self._dense_rows(str):
+            yield ",".join(row) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,15 +119,15 @@ class IncidenceMatrix:
             "rows": list(self._dense_rows(str)),
         }
 
-    def to_json(self) -> str:
-        # The text json.dumps(self.to_json_dict()) gives, serialised one dense
-        # row at a time: the row lists are never all held at once, only their
-        # texts and the joined payload.
-        parts = ['{"labels": ', json.dumps([str(v) for v in self.poset.vertices()]), ', "rows": [']
+    def to_json(self) -> Iterator[str]:
+        """The text json.dumps(self.to_json_dict()) gives, yielded one dense
+        row at a time, so only the current row is held."""
+        yield '{"labels": '
+        yield json.dumps([str(v) for v in self.poset.vertices()])
+        yield ', "rows": ['
         for i, row in enumerate(self._dense_rows(str)):
-            parts += [", " if i else "", json.dumps(row)]
-        parts.append("]}")
-        return "".join(parts)
+            yield (", " if i else "") + json.dumps(row)
+        yield "]}"
 
 
 def _table(P: CobwebPoset, value: Callable[[int, int], int]) -> IncidenceMatrix:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .fnomial import f_factorial, falling_f
 from .fseq import FSequence
@@ -94,15 +94,14 @@ class CobwebPoset:
         self.check_vertex(v)
         return u == v or u.s < v.s
 
-    def hasse_edges(self) -> list[tuple[Vertex, Vertex]]:
-        """Every covering pair, source-major in the contract ordering."""
-        edges = []
+    def hasse_edges(self) -> Iterator[tuple[Vertex, Vertex]]:
+        """Every covering pair, source-major in the contract ordering, yielded
+        one at a time."""
         for s in range(self.L):
             upper = self.level(s + 1)
             for u in self.level(s):
                 for v in upper:
-                    edges.append((u, v))
-        return edges
+                    yield u, v
 
     def to_json_dict(self) -> dict:
         return {"spec": self.F.spec, "levels": [str(s) for s in self.level_sizes]}
@@ -384,32 +383,42 @@ def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
 
     The first order sorts level-major with j ascending, the second with j
     descending; vertices on a common level flip between the two, so the
-    intersection keeps exactly the cross-level pairs.  Verification is an
-    exhaustive pairwise check.
+    intersection keeps exactly the cross-level pairs.  Verification is the
+    linear-time certificate ``_realizes``.
     """
     order_a = tuple(P.vertices())
-    order_b = tuple(
-        v for s in range(P.L + 1) for v in sorted(P.level(s), key=lambda v: -v.j)
-    )
-    pos_a = {v: i for i, v in enumerate(order_a)}
-    pos_b = {v: i for i, v in enumerate(order_b)}
-    verified = True
-    for u in order_a:
-        for v in order_a:
-            if u == v:
-                continue
-            below_in_both = pos_a[u] < pos_a[v] and pos_b[u] < pos_b[v]
-            if below_in_both != (u.s < v.s):
-                verified = False
-    return Dim2Realizer(order_a, order_b, verified)
+    order_b = tuple(v for s in range(P.L + 1) for v in reversed(P.level(s)))
+    return Dim2Realizer(order_a, order_b, _realizes(P, order_a, order_b))
 
 
-def export_dot(P: CobwebPoset) -> str:
-    """DOT digraph: one node per vertex labelled "j,s", edges directed upward."""
-    lines = ["digraph cobweb {"]
+def _realizes(P: CobwebPoset, order_a: tuple[Vertex, ...], order_b: tuple[Vertex, ...]) -> bool:
+    """Whether the two orders intersect to the strict order of P, in O(N).
+
+    Both orders must list every vertex once with nondecreasing levels, which
+    makes each a linear extension, and within each level ``order_b`` must be
+    ``order_a`` reversed, which makes them disagree on every pair of one
+    level.  Together these are equivalent to checking all N^2 pairs: the
+    pairwise check is the oracle in ``tests/oracles.py``.
+    """
+    if len(order_a) != P.vertex_count or len(order_b) != P.vertex_count:
+        return False
+    start = 0
+    for s, size in enumerate(P.level_sizes):
+        block = order_a[start:start + size]
+        if order_b[start:start + size] != block[::-1] or len(set(block)) != size:
+            return False
+        if any(v.s != s or not 1 <= v.j <= size for v in block):
+            return False
+        start += size
+    return True
+
+
+def export_dot(P: CobwebPoset) -> Iterator[str]:
+    """DOT digraph: one node per vertex labelled "j,s", edges directed upward,
+    yielded one line at a time."""
+    yield "digraph cobweb {\n"
     for v in P.vertices():
-        lines.append(f'    "{v}" [label="{v}"];')
+        yield f'    "{v}" [label="{v}"];\n'
     for u, v in P.hasse_edges():
-        lines.append(f'    "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'    "{u}" -> "{v}";\n'
+    yield "}\n"

@@ -18,10 +18,9 @@ decompositions of a finite vector space and are verified against a literal
 subspace-enumeration oracle that shares no code with the series route.
 
 Values are exact: ``int`` where integral, ``Fraction`` otherwise; series
-coefficients are ``Fraction``.  ``series_mul`` and ``series_add`` are the
-series algebra behind the ``FormalSeries`` operators.  Field sizes are
-checked prime by a deterministic Miller-Rabin test, which is exact below
-``PRIMALITY_BOUND``; larger field sizes are refused.
+coefficients are ``Fraction``.  Field sizes are checked prime by a
+deterministic Miller-Rabin test, which is exact below ``PRIMALITY_BOUND``;
+larger field sizes are refused.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ SUBSPACE_BOUND = 200
 
 
 class FormalSeries(_Frozen):
-    """Coefficients c_0..c_D; arithmetic truncates to the smaller order."""
+    """Coefficients c_0..c_D of a truncated series, as a record."""
 
     __slots__ = ("coeffs",)
 
@@ -78,41 +77,13 @@ class FormalSeries(_Frozen):
             raise ValueError(f"cannot extend a series of order {self.order} to {order}")
         return FormalSeries(self.coeffs[: order + 1])
 
-    def __add__(self, other: "FormalSeries | int | Fraction") -> "FormalSeries":
-        if isinstance(other, (int, Fraction)):
-            return FormalSeries((self.coeffs[0] + other,) + self.coeffs[1:])
-        return series_add(self, other)
-
-    def __sub__(self, other: "FormalSeries | int | Fraction") -> "FormalSeries":
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        return series_add(self, FormalSeries(tuple(-c for c in other.coeffs)))
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        return series_mul(self, other)
-
-    def to_json(self) -> str:
-        # The text json.dumps gives for the coefficient strings (which need no
-        # escaping), built without its per-string copies: a payload of
-        # thousand-digit coefficients is held twice at most, not three times.
-        return "[" + ", ".join([f'"{c}"' for c in self.coeffs]) + "]"
-
-
-def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    order = min(a.order, b.order)
-    return FormalSeries(
-        tuple(a.coeffs[n] + b.coeffs[n] for n in range(order + 1))
-    )
-
-
-def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    order = min(a.order, b.order)
-    return FormalSeries(
-        tuple(
-            sum((a.coeffs[j] * b.coeffs[n - j] for j in range(n + 1)), Fraction(0))
-            for n in range(order + 1)
-        )
-    )
+    def to_json(self) -> Iterator[str]:
+        """The text json.dumps gives for the coefficient strings (which need
+        no escaping), yielded one coefficient at a time."""
+        yield "["
+        for n, c in enumerate(self.coeffs):
+            yield f'{", " if n else ""}"{c}"'
+        yield "]"
 
 
 def _factorials(F: FSequence, n: int) -> list[int]:

@@ -7,15 +7,21 @@ dense product multiplies full vertex matrices row by column, and Bell numbers
 come from literally enumerating set partitions.  Embedded prime copies are
 listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
 algorithm, the series exponential runs its derivative recurrence on
-``Fraction`` coefficients, and primality is decided by trial division.
+``Fraction`` coefficients, and primality is decided by trial division.  The
+series algebra, the pairwise dim2 check and the triangle text built by one
+join of ``str`` are the routes the package replaced by recurrences, a
+linear-time certificate and a streamed ``Decimal`` route.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
+from cobweb.fnomial import f_nomial
+from cobweb.fseq import FSequence
 from cobweb.poset import CobwebPoset, Vertex
 from cobweb.series import FormalSeries
 
@@ -207,3 +213,58 @@ def series_exp(s: FormalSeries) -> FormalSeries:
 def is_prime_by_trial_division(q: int) -> bool:
     """Primality by dividing by every d with 2 <= d <= sqrt(q)."""
     return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def series_add(a: FormalSeries, b: FormalSeries | int | Fraction) -> FormalSeries:
+    """a + b truncated to the smaller order; a scalar b adds to the constant term."""
+    if isinstance(b, (int, Fraction)):
+        return FormalSeries((a.coeffs[0] + b,) + a.coeffs[1:])
+    order = min(a.order, b.order)
+    return FormalSeries(tuple(a.coeffs[n] + b.coeffs[n] for n in range(order + 1)))
+
+
+def series_sub(a: FormalSeries, b: FormalSeries | int | Fraction) -> FormalSeries:
+    if isinstance(b, (int, Fraction)):
+        return series_add(a, -b)
+    return series_add(a, FormalSeries(tuple(-c for c in b.coeffs)))
+
+
+def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
+    """Cauchy product truncated to the smaller order."""
+    order = min(a.order, b.order)
+    return FormalSeries(
+        tuple(
+            sum((a.coeffs[j] * b.coeffs[n - j] for j in range(n + 1)), Fraction(0))
+            for n in range(order + 1)
+        )
+    )
+
+
+def dim2_pairwise(
+    P: CobwebPoset, order_a: tuple[Vertex, ...], order_b: tuple[Vertex, ...]
+) -> bool:
+    """Whether the two orders of P's vertices intersect to the strict order of
+    P, checked on every ordered pair of distinct vertices: u is below v in
+    both orders exactly when u's level is below v's."""
+    vertices = P.vertices()
+    if sorted(order_a) != sorted(vertices) or sorted(order_b) != sorted(vertices):
+        return False
+    pos_a = {v: i for i, v in enumerate(order_a)}
+    pos_b = {v: i for i, v in enumerate(order_b)}
+    return all(
+        (pos_a[u] < pos_a[v] and pos_b[u] < pos_b[v]) == (u.s < v.s)
+        for u in order_a
+        for v in order_a
+        if u != v
+    )
+
+
+def triangle_text(F: FSequence, rows: int, fmt: str) -> str:
+    """The standard output of ``fnomial triangle``, built the way the command
+    once did: every coefficient from the point query ``f_nomial``, one list
+    of ``str`` joined into one payload string."""
+    triangle = [[f_nomial(F, n, k) for k in range(n + 1)] for n in range(rows)]
+    if fmt == "csv":
+        text = "\n".join(",".join(str(v) for v in row) for row in triangle) + "\n"
+        return text.rstrip("\n") + "\n"
+    return json.dumps([[str(v) for v in row] for row in triangle]) + "\n"

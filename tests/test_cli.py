@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cobweb import fnomial, fseq, incidence, poset, prefab
 from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, main
+from oracles import triangle_text
 
 
 def run(capsys, *argv):
@@ -42,18 +48,90 @@ def test_fnomial_triangle_formats(capsys):
     triangle = fnomial.f_nomial_triangle(F, 5)
     code, out, _ = run(capsys, "fnomial", "triangle", "--spec", "fibonacci", "--rows", "5")
     assert code == 0
-    assert out.strip() == fnomial.triangle_to_json(triangle)
+    assert out.strip() == "".join(fnomial.triangle_to_json(triangle))
     code, out, _ = run(
         capsys, "fnomial", "triangle", "--spec", "fibonacci", "--rows", "5",
         "--format", "csv",
     )
     assert code == 0
-    assert out == fnomial.triangle_to_csv(triangle)
+    assert out == "".join(fnomial.triangle_to_csv(triangle))
     code, _, _ = run(
         capsys, "fnomial", "triangle", "--spec", "fibonacci", "--rows", "5",
         "--format", "dot",
     )
     assert code == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30).filter(bool), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from(["json", "csv"]),
+)
+def test_triangle_stdout_is_the_joined_text_byte_for_byte(terms, rows, fmt):
+    # random custom: specs, negative and non-admissible terms included; a
+    # spec that runs out before row rows-1 is refused with nothing written
+    spec = "custom:" + ",".join(map(str, terms))
+    out = _call(["fnomial", "triangle", "--spec", spec, "--rows", str(rows), "--format", fmt])
+    if rows - 1 > len(terms):
+        assert out == (2, "")
+    else:
+        assert out == (0, triangle_text(fseq.parse_sequence(spec), rows, fmt))
+
+
+def _call(argv):
+    """Exit code and standard output of one in-process call."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, sink.getvalue()
+
+
+@pytest.mark.parametrize("rows", ["10", "-1"])
+def test_triangle_refusals_come_before_any_output(capsys, rows):
+    code, out, err = run(capsys, "fnomial", "triangle", "--spec", "custom:1,2,3", "--rows", rows)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_triangle_prints_a_fraction_above_the_digit_limit(capsys):
+    # (2 over 1) = F_2 / F_1 = (10^5000 + 1) / 3, printed while the command
+    # writes its chunks
+    big = "1" + "0" * 4999 + "1"
+    code, out, _ = run(capsys, "fnomial", "triangle", "--spec", f"custom:3,{big}", "--rows", "3")
+    assert code == 0
+    assert json.loads(out) == [["1"], ["1", "1"], ["1", big + "/3", "1"]]
+
+
+class HashingSink:
+    """A text stream that keeps only the SHA-256 of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_large_triangle_streams_in_bounded_memory(monkeypatch):
+    # 13.9 MB of JSON; the whole payload held at once peaks above 13.8 MB
+    sink = HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["fnomial", "triangle", "--spec", "fibonacci", "--rows", "200"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 2**20
+    assert sink.digest.hexdigest() == (
+        "a0f4d2e9465e5dc765c5689d45e81f3649f79a5ae133af4dda2a91d1165080d0"
+    )
 
 
 def test_seq_check_admissible(capsys):
@@ -102,9 +180,9 @@ def test_poset_build_payload(capsys):
 def test_poset_dot_matches_library(capsys):
     code, out, _ = run(capsys, "poset", "dot", "--spec", "const:1", "--levels", "1")
     assert code == 0
-    expected = poset.export_dot(
+    expected = "".join(poset.export_dot(
         poset.build_poset(fseq.parse_sequence("const:1"), 1)
-    )
+    ))
     assert out == expected
 
 
@@ -227,7 +305,7 @@ def test_poset_zeta_and_mobius(capsys):
     code, out, _ = run(capsys, "poset", "zeta", "--spec", "const:1", "--levels", "2",
                        "--format", "csv")
     assert code == 0
-    assert out == Z.to_csv()
+    assert out == "".join(Z.to_csv())
     code, out, _ = run(capsys, "poset", "mobius", "--spec", "const:1", "--levels", "2")
     assert code == 0
     assert json.loads(out) == incidence.mobius_matrix(Z).to_json_dict()

@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -90,8 +92,8 @@ def test_triangle_rows():
 
 def test_triangle_exports():
     rows = f_nomial_triangle(FIB, 4)
-    assert triangle_to_csv(rows) == "1\n1,1\n1,1,1\n1,2,2,1\n"
-    assert json.loads(triangle_to_json(rows)) == [
+    assert "".join(triangle_to_csv(rows)) == "1\n1,1\n1,1,1\n1,2,2,1\n"
+    assert json.loads("".join(triangle_to_json(rows))) == [
         ["1"],
         ["1", "1"],
         ["1", "1", "1"],
@@ -138,6 +140,24 @@ def test_rows_are_ints_exactly_where_integral(terms):
             exact = f_nomial(F, n, k)
             assert value == exact == f_nomial_from_factorials(F, n, k)
             assert type(value) is (int if exact.denominator == 1 else Fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-12, max_value=12).filter(bool), min_size=1, max_size=14))
+def test_decimal_rows_are_exact_under_any_caller_context(terms):
+    # the caller's context rounds to 3 digits and traps nothing; the rows
+    # must neither use it nor replace it across a yield
+    F = parse_sequence("custom:" + ",".join(map(str, terms)))
+    caller = decimal.Context(prec=3, traps=[])
+    with decimal.localcontext(caller) as active:
+        rows = zip(range(len(terms) + 1), f_nomial_rows(F, Decimal), f_nomial_rows(F))
+        for n, row, int_row in rows:
+            assert decimal.getcontext() is active
+            assert row == int_row
+            for k, (value, exact) in enumerate(zip(row, int_row)):
+                assert type(value) is (Decimal if type(exact) is int else Fraction)
+                assert str(value) == str(exact)
+        assert not any(active.flags.values())
 
 
 def test_symmetry_and_quotient_exhaustive_to_30():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cobweb.fseq import parse_sequence
 from cobweb.poset import (
     PackingCapError,
     Vertex,
+    _realizes,
     build_poset,
     count_max_chains_between,
     dim2_realizer,
@@ -18,6 +20,7 @@ from cobweb.poset import (
 )
 from oracles import (
     brute_max_packing,
+    dim2_pairwise,
     enumerate_copies,
     hasse_is_acyclic,
     hasse_topological_order,
@@ -298,6 +301,57 @@ def test_dim2_chain_case():
     assert realizer.order_a == realizer.order_b
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5), st.data())
+def test_dim2_certificate_agrees_with_the_pairwise_check(terms, data):
+    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), len(terms))
+    realizer = dim2_realizer(P)
+    assert realizer.verified
+    assert dim2_pairwise(P, realizer.order_a, realizer.order_b)
+    # the realizer with two positions of one order swapped, and two random
+    # permutations of the vertices
+    a, b = list(realizer.order_a), list(realizer.order_b)
+    i, j = (data.draw(st.integers(0, len(a) - 1)) for _ in range(2))
+    target = data.draw(st.sampled_from([a, b]))
+    target[i], target[j] = target[j], target[i]
+    pairs = [
+        (tuple(a), tuple(b)),
+        (tuple(data.draw(st.permutations(a))), tuple(data.draw(st.permutations(b)))),
+    ]
+    for order_a, order_b in pairs:
+        assert _realizes(P, order_a, order_b) == dim2_pairwise(P, order_a, order_b)
+
+
+@pytest.mark.parametrize("broken", [
+    "same order twice", "both reversed", "levels swapped", "a vertex twice", "a vertex missing",
+    "a foreign vertex",
+])
+def test_dim2_certificate_rejects_broken_orders(broken):
+    P = build_poset(NAT, 3)
+    a, b = list(dim2_realizer(P).order_a), list(dim2_realizer(P).order_b)
+    if broken == "same order twice":
+        b = list(a)
+    elif broken == "both reversed":
+        a, b = a[::-1], b[::-1]
+    elif broken == "levels swapped":
+        a, b = a[:1] + a[3:6] + a[1:3] + a[6:], b[:1] + b[3:6] + b[1:3] + b[6:]
+    elif broken == "a vertex twice":  # level 3 reads 1,2,2 and 2,2,1
+        a[-1] = b[-3] = Vertex(2, 3)
+    elif broken == "a vertex missing":
+        a, b = a[:-1], b[:-1]
+    else:  # level 3 reads 1,2,4 and 4,2,1
+        a[-1] = b[-3] = Vertex(4, 3)
+    assert not _realizes(P, tuple(a), tuple(b))
+    assert not dim2_pairwise(P, tuple(a), tuple(b))
+
+
+def test_dim2_certificate_answers_a_large_poset_fast():
+    P = build_poset(FIB, 22)  # 46,368 vertices; all pairs would be 2.1e9
+    start = time.perf_counter()
+    assert dim2_realizer(P).verified
+    assert time.perf_counter() - start < 2.0
+
+
 def test_dot_export_counts():
     def counts(text):
         lines = text.splitlines()
@@ -306,14 +360,14 @@ def test_dot_export_counts():
             sum(1 for l in lines if "->" in l),
         )
 
-    assert counts(export_dot(build_poset(parse_sequence("const:1"), 1))) == (2, 1)
-    assert counts(export_dot(build_poset(NAT, 2))) == (4, 3)
-    assert counts(export_dot(build_poset(FIB, 3))) == (5, 4)
+    assert counts("".join(export_dot(build_poset(parse_sequence("const:1"), 1)))) == (2, 1)
+    assert counts("".join(export_dot(build_poset(NAT, 2)))) == (4, 3)
+    assert counts("".join(export_dot(build_poset(FIB, 3)))) == (5, 4)
 
 
 def test_dot_export_is_deterministic_and_ordered():
-    text = export_dot(build_poset(NAT, 2))
-    assert text == export_dot(build_poset(NAT, 2))
+    text = "".join(export_dot(build_poset(NAT, 2)))
+    assert text == "".join(export_dot(build_poset(NAT, 2)))
     assert text.index('"1,0"') < text.index('"1,1"') < text.index('"2,2"')
 
 
