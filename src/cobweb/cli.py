@@ -13,8 +13,8 @@ comes with empty standard output.
 One table, ``COMMANDS``, declares every command once: its help, handler and
 options.  A call builds the parser only for the command its leading words
 name, and the handler imports the package modules it runs when dispatched:
-a ``fnomial`` call loads ``fseq`` and ``fnomial``, and ``poset``,
-``incidence``, ``prefab`` and ``series`` load only where they are used.
+a ``fnomial`` call loads ``fseq`` and ``fnomial``, a ``poset`` call ``fseq``
+and ``poset``; ``incidence``, ``prefab`` and ``series`` load where used.
 """
 
 from __future__ import annotations

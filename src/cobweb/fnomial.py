@@ -130,19 +130,27 @@ def triangle_rows(
     return islice(f_nomial_rows(F, number), rows)
 
 
+def _row_texts(row: list) -> list[str]:
+    """A palindromic row's entries as text: the left half converted, then mirrored."""
+    left = list(map(str, row[: (len(row) + 1) // 2]))
+    return left + left[: len(row) // 2][::-1]
+
+
 def triangle_to_csv(triangle: Iterable[list]) -> Iterator[str]:
     """Ragged CSV, one row per n, entries as exact decimal (or p/q) strings,
-    yielded a row at a time; no rows give one empty line."""
+    yielded a row at a time; no rows give one empty line.  Rows must be
+    palindromic, as triangle rows are: each text is made once and mirrored."""
     for n, row in enumerate(triangle):
-        yield ("\n" if n else "") + ",".join(map(str, row))
+        yield ("\n" if n else "") + ",".join(_row_texts(row))
     yield "\n"
 
 
 def triangle_to_json(triangle: Iterable[list]) -> Iterator[str]:
     """JSON array of arrays of strings, preserving arbitrary precision: the
     text ``json.dumps`` gives for the whole table, yielded a row at a time.
-    The entries' texts (digits, sign, slash) need no escaping."""
+    The entries' texts (digits, sign, slash) need no escaping.  Rows must be
+    nonempty and palindromic, as triangle rows are (see ``triangle_to_csv``)."""
     yield "["
     for n, row in enumerate(triangle):
-        yield (", [" if n else "[") + ", ".join([f'"{v!s}"' for v in row]) + "]"
+        yield (', ["' if n else '["') + '", "'.join(_row_texts(row)) + '"]'
     yield "]"

@@ -5,7 +5,8 @@ here is constant on level blocks and is stored as an upper-triangular
 (L+1)×(L+1) table of exact integers: [s][s] is the value on each diagonal
 vertex of level s, [s][t] (s < t) the value on every pair (level s, level t),
 and distinct vertices of one level always get 0.  Products and inverses cost
-a power of L, never of the vertex count.  The dense matrix is only exported,
+a power of L, never of the vertex count: chain counts are (delta - eta)^-1,
+saturated ones a covering walk per level.  The dense matrix is only exported,
 in the contract ordering (level-major, j ascending), byte for byte stable,
 and its text is yielded one dense row at a time.
 An interval [x, y] is fully contained once level(y) is built, so the inverse
@@ -15,7 +16,6 @@ of a truncation agrees with the untruncated values entry by entry.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import Callable, Iterator
 
 from .poset import CobwebPoset, Vertex
@@ -63,25 +63,23 @@ class IncidenceMatrix:
 
         The weight w_r is the level size n_r for an intermediate level and 1
         for an endpoint, where only the one vertex x or y itself contributes.
-        Zero entries are skipped, so powers of a sparse table stay cheap.
+        Zero entries of ``row`` and of ``self`` are skipped as they are met,
+        so a covering-walk step costs O(L).
         """
         sizes = self.poset.level_sizes
-        B = self.table
         out = [0] * len(sizes)
-        for r, (a, later) in enumerate(zip(row[s:], self._later[s:]), s):
+        for r in range(s, len(sizes)):
+            a = row[r]
             if not a:
                 continue
-            out[r] += a * B[r][r]
+            B = self.table[r]
+            out[r] += a * B[r]
             if r > s:
                 a *= sizes[r]
-            for t, b in later:
-                out[t] += a * b
+            for t in range(r + 1, len(sizes)):
+                if B[t]:
+                    out[t] += a * B[t]
         return out
-
-    @cached_property
-    def _later(self) -> list[list[tuple[int, int]]]:
-        """Per level r, the nonzero entries (t, self[r][t]) right of the diagonal."""
-        return [[(t, b) for t, b in enumerate(row[r + 1:], r + 1) if b] for r, row in enumerate(self.table)]
 
     def is_identity(self) -> bool:
         return self == _table(self.poset, lambda s, t: int(s == t))
@@ -176,18 +174,10 @@ def mobius_matrix(Z: IncidenceMatrix) -> IncidenceMatrix:
 
 
 def chain_count_matrix(P: CobwebPoset) -> IncidenceMatrix:
-    """Counts of all chains x = z_0 < ... < z_t = y, any length t >= 0.
-
-    Computed as the geometric sum of the strict part eta of zeta; a strict
-    chain has at most L steps, so eta^(L+1) = 0 and the sum stops there.
-    """
-    eta = _table(P, lambda s, t: int(s < t))
-    power = _table(P, lambda s, t: int(s == t))
-    total = power.table
-    for _ in range(P.L):
-        power = power.multiply(eta)
-        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, power.table)]
-    return IncidenceMatrix(P, total)
+    """Counts of all chains x = z_0 < ... < z_t = y, any length t >= 0: the
+    geometric sum of the strict part eta of zeta, which as eta is nilpotent is
+    (delta - eta)^-1, inverted by the Moebius back-substitution."""
+    return mobius_matrix(_table(P, lambda s, t: 1 if s == t else -1))
 
 
 def count_chains(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
@@ -197,28 +187,26 @@ def count_chains(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
     return chain_count_matrix(P).entry(x, y)
 
 
-def maximal_chain_matrix(P: CobwebPoset, distance: int) -> IncidenceMatrix:
-    """Power of the covering matrix: saturated-chain counts over that distance."""
+def _covering_walk(C: IncidenceMatrix, s: int, distance: int) -> list[int]:
+    """Row s of C^distance for the covering table C, walked from the unit row
+    of level s one covering step at a time: O(distance · L) work."""
     if distance < 0:
         raise ValueError("matrix power must be nonnegative")
-    C = covering_matrix(P)
-    power = _table(P, lambda s, t: int(s == t))
-    for _ in range(distance):
-        power = power.multiply(C)
-    return power
-
-
-def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
-    """Row s of the covering-matrix power over that distance, walked from the
-    unit row of level s one covering step at a time: O(distance · L) work,
-    never the whole power."""
-    if distance < 0:
-        raise ValueError("matrix power must be nonnegative")
-    C = covering_matrix(P)
-    row = [int(t == s) for t in range(P.L + 1)]
+    row = [int(t == s) for t in range(len(C.table))]
     for _ in range(distance):
         row = C.push_row(s, row)
     return row
+
+
+def maximal_chain_matrix(P: CobwebPoset, distance: int) -> IncidenceMatrix:
+    """Saturated-chain counts over that distance: a covering walk per level."""
+    C = covering_matrix(P)
+    return IncidenceMatrix(P, [_covering_walk(C, s, distance) for s in range(P.L + 1)])
+
+
+def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
+    """Row s of the covering-matrix power by one walk, never the whole power."""
+    return _covering_walk(covering_matrix(P), s, distance)
 
 
 def count_maximal_chains_matrix(P: CobwebPoset, x: Vertex, y: Vertex) -> int:

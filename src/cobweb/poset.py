@@ -3,8 +3,8 @@
 The poset over a sequence F has one vertex at level 0 and F_s vertices at
 level s >= 1; the covering relation is complete bipartite between consecutive
 levels, so two distinct vertices are comparable exactly when their levels
-differ.  Posets are stored implicitly as level sizes; explicit adjacency is
-only ever materialized inside the enumeration oracles.
+differ.  Posets are stored implicitly as level sizes, every count is read
+from them, and explicit adjacency is only built inside the enumeration oracles.
 
 Chain counting has one entry point with three routes (product formula,
 literal depth-first walk, covering-matrix power) so each can certify the
@@ -26,7 +26,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .fnomial import f_factorial, falling_f
 from .fseq import FSequence
 
 
@@ -125,11 +124,11 @@ def build_poset(F: FSequence, levels: int) -> CobwebPoset:
 def _dfs_chain_count(P: CobwebPoset, start: Vertex, target_level: int) -> int:
     """Walk every saturated chain from start up to the target level, one by one.
 
-    This is the enumeration oracle: it builds the explicit level lists and
-    literally visits each chain, with no arithmetic shortcuts.  An explicit
-    stack of level iterators keeps deep posets clear of the recursion limit.
+    This is the enumeration oracle: it lists the levels it visits, start.s+1
+    to target_level, and literally visits each chain, with no arithmetic
+    shortcuts.  A stack of level iterators avoids the recursion limit.
     """
-    levels = [P.level(s) for s in range(P.L + 1)]
+    levels = {s: P.level(s) for s in range(start.s + 1, target_level + 1)}
     count = 0
     stack = [iter([start])]
     while stack:
@@ -150,7 +149,7 @@ def count_max_chains_between(
     """Saturated chains from vertex v up to level n: F_(k+1) * ... * F_n for
     v on level k, so 1 for n = k and F_1 * ... * F_n from the root.
 
-    ``mode="product"`` evaluates the falling product; ``"enumerate"`` walks
+    ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"`` walks
     the Hasse digraph chain by chain; ``"matrix"`` reads row k of the
     covering-matrix power.  All three must agree.  The count only depends on
     v's level, never on which vertex of the level was picked (testable).
@@ -159,7 +158,7 @@ def count_max_chains_between(
     if not v.s <= n <= P.L:
         raise ValueError(f"target level {n} outside {v.s}..{P.L}")
     if mode == "product":
-        return falling_f(P.F, n, n - v.s)
+        return math.prod(P.level_sizes[v.s + 1 : n + 1])
     if mode == "enumerate":
         return _dfs_chain_count(P, v, n)
     if mode == "matrix":
@@ -181,7 +180,7 @@ def _copy_shape(P: CobwebPoset, root: Vertex, m: int) -> list[tuple[int, int]]:
         raise ValueError(f"height {m} from level {k} exceeds the built level {P.L}")
     shape = []
     for j in range(1, m + 1):
-        avail, need = P.level_size(k + j), P.F.term(j)
+        avail, need = P.level_sizes[k + j], P.level_sizes[j]
         if need > avail:
             raise ValueError(f"level {k + j} has {avail} vertices, copy needs {need}")
         shape.append((avail, need))
@@ -343,8 +342,8 @@ def max_disjoint_packing(
         copies_total *= math.comb(avail, need)
         if copies_total > cap:
             raise PackingCapError(f"instance has more copies than the cap of {cap}")
-    chain_cost = f_factorial(P.F, m)
-    chains_total = falling_f(P.F, root.s + m, m)
+    chains_total = math.prod(avail for avail, _ in shape)
+    chain_cost = math.prod(need for _, need in shape)
     quotient = Fraction(chains_total, chain_cost)
     factor = 1
     conflict = [1]

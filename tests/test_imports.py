@@ -41,18 +41,21 @@ SLOW_IMPORTS = {"dataclasses", "inspect"}
 BASE = {"cobweb", "cobweb.cli"}
 CORE = {"cobweb", "cobweb.fseq", "cobweb.fnomial"}
 COEFFICIENTS = BASE | CORE
+# a poset is its level sizes, so no poset call needs the coefficient module
+POSET = BASE | {"cobweb.fseq", "cobweb.poset"}
+CHAINS = ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "1",
+          "--to-level", "3", "--mode"]
 
 CLI_CALLS = [
     (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0, COEFFICIENTS),
     (["fnomial", "--spec", "fibonacci", "--n", "5", "--k", "2"], 0, COEFFICIENTS),
-    (["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"], 1,
-     COEFFICIENTS | {"cobweb.poset"}),
-    (["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "1",
-      "--to-level", "3", "--mode", "product"], 0, COEFFICIENTS | {"cobweb.poset"}),
+    (["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"], 1, POSET),
+    (CHAINS + ["product"], 0, POSET),
+    (CHAINS + ["matrix"], 0, POSET | {"cobweb.incidence"}),
+    (CHAINS + ["enumerate"], 0, POSET),
     (["poset", "mobius", "--spec", "fibonacci", "--levels", "4"], 0,
-     COEFFICIENTS | {"cobweb.poset", "cobweb.incidence"}),
-    (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0,
-     COEFFICIENTS | {"cobweb.poset"}),
+     POSET | {"cobweb.incidence"}),
+    (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0, POSET),
     (["series", "qbell", "--q", "2", "--n", "3"], 0, COEFFICIENTS | {"cobweb.series"}),
     (["series", "expf", "--spec", "fibonacci", "--order", "5"], 0,
      COEFFICIENTS | {"cobweb.series"}),
@@ -80,7 +83,10 @@ def test_importing_the_cli_loads_no_computing_module():
 @pytest.mark.parametrize(
     "argv, code, modules",
     CLI_CALLS,
-    ids=[" ".join(w for w in c[0][:2] if not w.startswith("-")) for c in CLI_CALLS],
+    # the command words, plus the mode of the matrix and enumerate chain rows
+    ids=[" ".join([w for w in c[0][:2] if not w.startswith("-")]
+                  + [m for m in c[0][-1:] if m in ("matrix", "enumerate")])
+         for c in CLI_CALLS],
 )
 def test_cli_call_loads_only_its_modules(argv, code, modules):
     call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
@@ -90,7 +96,8 @@ def test_cli_call_loads_only_its_modules(argv, code, modules):
 def test_package_attribute_loads_only_its_owner():
     assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"}, set())
     # a module stays an attribute of the package, loaded on first access
-    assert probe("import cobweb; cobweb.poset.Vertex") == (0, CORE | {"cobweb.poset"}, set())
+    assert probe("import cobweb; cobweb.poset.Vertex") == (
+        0, {"cobweb", "cobweb.fseq", "cobweb.poset"}, set())
 
 
 def test_every_public_name_resolves_to_its_definition():

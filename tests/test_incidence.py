@@ -293,12 +293,22 @@ def test_block_tables_match_closed_forms(terms):
     assert Z.multiply(M).is_identity()
     assert M.multiply(Z).is_identity()
     chains = chain_count_matrix(P)
+    # the geometric sum of the strict part eta, which vanishes at power L + 1
+    eta = IncidenceMatrix(P, [[int(s < t) for t in range(P.L + 1)] for s in range(P.L + 1)])
+    unit = IncidenceMatrix(P, [[int(s == t) for t in range(P.L + 1)] for s in range(P.L + 1)])
+    total, term = unit.table, unit
+    for _ in range(P.L):
+        term = term.multiply(eta)
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term.table)]
+    assert term.multiply(eta) == IncidenceMatrix(P, [[0] * (P.L + 1)] * (P.L + 1))
+    assert chains == IncidenceMatrix(P, total)
     C = covering_matrix(P)
-    power = IncidenceMatrix(P, [[int(s == t) for t in range(P.L + 1)] for s in range(P.L + 1)])
-    for d in range(P.L + 1):
+    power = unit
+    for d in range(P.L + 2):
         if d:
             power = power.multiply(C)
-        # the one-row walk of the covering table reads the same row
+        # the covering walks read the power built by multiplication
+        assert maximal_chain_matrix(P, d) == power
         s = 7 * d % (P.L + 1)
         assert maximal_chain_row(P, s, d) == power.table[s]
         for s in range(P.L + 1):
@@ -308,4 +318,3 @@ def test_block_tables_match_closed_forms(terms):
                 if d == 0:
                     assert M.table[s][t] == (-1) ** (t - s) * math.prod(m - 1 for m in inner)
                     assert chains.table[s][t] == math.prod(1 + m for m in inner)
-    assert power == maximal_chain_matrix(P, P.L)

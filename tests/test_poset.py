@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cobweb.fnomial import f_factorial, f_nomial, falling_f
 from cobweb.fseq import parse_sequence
 from cobweb.poset import (
+    CobwebPoset,
     PackingCapError,
     Vertex,
     _realizes,
@@ -117,6 +118,23 @@ def test_chain_modes_agree_on_random_level_sizes(sizes):
                 for mode in ("product", "enumerate", "matrix")
             }
             assert set(counts.values()) == {math.prod(sizes[k:n])}  # 1 at n = k
+
+
+def test_enumerate_builds_only_the_levels_it_walks(monkeypatch):
+    asked = []
+    level = CobwebPoset.level
+
+    def recording_level(self, s):
+        asked.append(s)
+        return level(self, s)
+
+    monkeypatch.setattr(CobwebPoset, "level", recording_level)
+    P = build_poset(NAT, 8)
+    assert count_max_chains_between(P, Vertex(2, 2), 5, "enumerate") == 3 * 4 * 5
+    assert asked == [3, 4, 5]
+    asked.clear()
+    assert count_max_chains_between(P, Vertex(1, 4), 4, "enumerate") == 1
+    assert asked == []
 
 
 def test_between_range_errors():
