@@ -16,8 +16,10 @@ import json
 import math
 import operator
 import re
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:  # named only in an annotation: the scan's values come from fnomial
+    from fractions import Fraction
 
 
 class SequenceError(ValueError):

@@ -22,11 +22,13 @@ without bounds, is the packing oracle in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .fseq import FSequence
+
+if TYPE_CHECKING:  # the packing quotient is the only rational value here
+    from fractions import Fraction
 
 
 # Branch-and-bound nodes after which a packing search is refused.  Every
@@ -342,6 +344,8 @@ def max_disjoint_packing(
         copies_total *= math.comb(avail, need)
         if copies_total > cap:
             raise PackingCapError(f"instance has more copies than the cap of {cap}")
+    from fractions import Fraction  # after the cap refusal, which needs no quotient
+
     chains_total = math.prod(avail for avail, _ in shape)
     chain_cost = math.prod(need for _, need in shape)
     quotient = Fraction(chains_total, chain_cost)

@@ -18,18 +18,21 @@ given nonzero alpha.  Sizes and copy counts take the sequence F directly.
 
 The algebra laws are sequence-independent: both compositions act on layer
 bounds alone, so the law checker takes no sequence and is deterministic given
-its sample count and seed.  Everything here is pure on immutable values.
+its sample count and seed.  It needs neither coefficients nor rationals, so
+the sizes, copy counts and quotient law import ``fnomial`` and ``Fraction``
+where they use them.  Everything here is pure on immutable values.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .fnomial import f_factorial, f_nomial
 from .fseq import FSequence, _Frozen, parse_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Prefabiant(_Frozen):
@@ -115,6 +118,8 @@ def f_size(
     if a.is_empty:
         return 1
     if algebra == "odot":
+        from .fnomial import f_factorial
+
         return f_factorial(F, a.n)
     if alpha is None:
         return 1
@@ -134,6 +139,8 @@ def copies_count(F: FSequence, a: Prefabiant) -> int:
     """
     if a.is_empty:
         return 1
+    from .fnomial import f_nomial
+
     coefficient = f_nomial(F, a.n, a.k)
     if coefficient.denominator != 1:
         raise ValueError(
@@ -175,6 +182,10 @@ def verify_c2(F: FSequence, a: Prefabiant, b: Prefabiant) -> C2Record:
         raise ValueError("the quotient law is checked on prime elements")
     if a == b:
         raise ValueError("primes must be distinct")
+    from fractions import Fraction
+
+    from .fnomial import f_nomial
+
     composed = odot(a, b)
     ratio = Fraction(
         f_size(F, composed, "odot"),

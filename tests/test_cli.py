@@ -3,9 +3,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,6 +323,57 @@ def test_poset_dim2(capsys):
     assert len(body["l1"]) == len(body["l2"]) == 8
 
 
+def _dim2_text(spec, levels):
+    """The payload as the command printed it before it streamed: one
+    ``json.dumps`` of the whole dict."""
+    realizer = poset.dim2_realizer(poset.build_poset(fseq.parse_sequence(spec), levels))
+    return json.dumps({
+        "spec": spec,
+        "levels": levels,
+        "verified": realizer.verified,
+        "l1": [str(v) for v in realizer.order_a],
+        "l2": [str(v) for v in realizer.order_b],
+    }) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6),
+    st.data(),
+    st.text(alphabet='"\\\t é☃/\x7f', max_size=6),
+)
+def test_dim2_streams_the_json_dumps_text(tmp_path_factory, terms, data, name):
+    levels = data.draw(st.integers(min_value=0, max_value=len(terms)))
+    spec = "custom:" + ",".join(map(str, terms))
+    if name.strip("/"):  # the same levels read from a file whose path needs escaping
+        path = tmp_path_factory.mktemp("dim2") / name.replace("/", "_")
+        path.write_text(json.dumps(terms), encoding="utf-8")
+        spec = f"file:{path}"
+    assert _call(["poset", "dim2", "--spec", spec, "--levels", str(levels)]) == (
+        0, _dim2_text(spec, levels))
+
+
+def test_dim2_streams_in_the_memory_of_its_realizer(monkeypatch):
+    # N = 46,368 vertices, 1.0 MB of JSON; the lists of vertex strings and
+    # the whole text held at once would add about 9 MB
+    tracemalloc.start()
+    try:
+        P = poset.build_poset(fseq.parse_sequence("fibonacci"), 22)
+        realizer = poset.dim2_realizer(P)
+        _, realizer_peak = tracemalloc.get_traced_memory()
+        del P, realizer
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(sys, "stdout", HashingSink())
+        code = main(["poset", "dim2", "--spec", "fibonacci", "--levels", "22"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < realizer_peak + 2**20
+    assert sys.stdout.digest.hexdigest() == hashlib.sha256(
+        _dim2_text("fibonacci", 22).encode()).hexdigest()
+
+
 def test_prefab_compose(capsys):
     code, out, _ = run(
         capsys, "prefab", "compose", "--op", "odot", "--a", "0,2", "--b", "0,3",
@@ -595,3 +649,43 @@ def test_stdout_is_pure_json(capsys):
     _, out, _ = run(capsys, "seq", "check", "--spec", "even", "--upto", "12")
     json.loads(out)  # a single JSON document and nothing else
     assert out.count("\n") == 1
+
+
+def _child(argv, buffered, **streams):
+    """One ``python -m cobweb.cli`` process, its standard output buffered or
+    not (the unbuffered one fails at a write, the buffered one at the flush)."""
+    env = dict(os.environ)
+    src = str(Path(fnomial.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "cobweb.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **streams)
+
+
+def _assert_one_write_error(child):
+    """Exit code 1 and one ``error:`` line on standard error, no traceback."""
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 1
+    assert err.startswith("error: cannot write standard output: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_closed_pipe_ends_the_call_with_one_error_line(buffered):
+    # as in ``cobweb fnomial triangle ... | head -c 100``
+    argv = ["fnomial", "triangle", "--spec", "fibonacci", "--rows", "300", "--format", "csv"]
+    child = _child(argv, buffered, stdout=subprocess.PIPE)
+    child.stdout.read(100)
+    child.stdout.close()
+    _assert_one_write_error(child)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_full_device_ends_the_call_with_one_error_line(buffered):
+    with open("/dev/full", "w") as full:
+        child = _child(["fnomial", "--spec", "fibonacci", "--n", "5", "--k", "2"],
+                       buffered, stdout=full)
+        _assert_one_write_error(child)

@@ -37,6 +37,9 @@ finally:
 # needs: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
 # ``tokenize``.
 SLOW_IMPORTS = {"dataclasses", "inspect"}
+# Rational arithmetic (``fractions`` imports ``decimal``): loaded only by the
+# calls whose result can be a fraction, or that print through ``Decimal``.
+RATIONAL = {"fractions", "decimal"}
 
 BASE = {"cobweb", "cobweb.cli"}
 CORE = {"cobweb", "cobweb.fseq", "cobweb.fnomial"}
@@ -45,27 +48,52 @@ COEFFICIENTS = BASE | CORE
 POSET = BASE | {"cobweb.fseq", "cobweb.poset"}
 CHAINS = ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "1",
           "--to-level", "3", "--mode"]
+PACK = ["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"]
 
-CLI_CALLS = [
-    (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0, COEFFICIENTS),
-    (["fnomial", "--spec", "fibonacci", "--n", "5", "--k", "2"], 0, COEFFICIENTS),
-    (["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"], 1, POSET),
-    (CHAINS + ["product"], 0, POSET),
-    (CHAINS + ["matrix"], 0, POSET | {"cobweb.incidence"}),
-    (CHAINS + ["enumerate"], 0, POSET),
-    (["poset", "mobius", "--spec", "fibonacci", "--levels", "4"], 0,
-     POSET | {"cobweb.incidence"}),
-    (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0, POSET),
-    (["series", "qbell", "--q", "2", "--n", "3"], 0, COEFFICIENTS | {"cobweb.series"}),
-    (["series", "expf", "--spec", "fibonacci", "--order", "5"], 0,
-     COEFFICIENTS | {"cobweb.series"}),
-    (["prefab", "laws", "--spec", "fibonacci", "--samples", "50", "--seed", "1"], 0,
-     COEFFICIENTS | {"cobweb.prefab"}),
-]
+# id -> (argv, exit code, cobweb modules loaded, whether RATIONAL loads)
+CLI_CALLS = {
+    "seq check": (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0,
+                  COEFFICIENTS, True),
+    "seq check gcd-morphic": (
+        ["seq", "check", "--spec", "fibonacci", "--upto", "10", "--gcd-morphic"], 0,
+        BASE | {"cobweb.fseq"}, False),
+    "fnomial": (["fnomial", "--spec", "fibonacci", "--n", "5", "--k", "2"], 0,
+                COEFFICIENTS, True),
+    "fnomial triangle": (["fnomial", "triangle", "--spec", "fibonacci", "--rows", "5"], 0,
+                         COEFFICIENTS, True),
+    "poset build": (["poset", "build", "--spec", "fibonacci", "--levels", "4"], 0,
+                    POSET, False),
+    "poset dot": (["poset", "dot", "--spec", "natural", "--levels", "3"], 0, POSET, False),
+    "poset pack": (PACK, 1, POSET, True),
+    # refused by the copy cap before any quotient is formed
+    "poset pack cap-refused": (PACK + ["--cap", "1"], 2, POSET, False),
+    "poset chains": (CHAINS + ["product"], 0, POSET, False),
+    "poset chains matrix": (CHAINS + ["matrix"], 0, POSET | {"cobweb.incidence"}, False),
+    "poset chains enumerate": (CHAINS + ["enumerate"], 0, POSET, False),
+    "poset zeta": (["poset", "zeta", "--spec", "fibonacci", "--levels", "4", "--format", "csv"],
+                   0, POSET | {"cobweb.incidence"}, False),
+    "poset mobius": (["poset", "mobius", "--spec", "fibonacci", "--levels", "4"], 0,
+                     POSET | {"cobweb.incidence"}, False),
+    "poset dim2": (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0, POSET, False),
+    "series qbell": (["series", "qbell", "--q", "2", "--n", "3"], 0,
+                     COEFFICIENTS | {"cobweb.series"}, True),
+    "series expf": (["series", "expf", "--spec", "fibonacci", "--order", "5"], 0,
+                    COEFFICIENTS | {"cobweb.series"}, True),
+    "series enumerator": (["series", "enumerator", "--spec", "natural", "--order", "5"], 0,
+                          COEFFICIENTS | {"cobweb.series"}, True),
+    "series bell": (["series", "bell", "--spec", "natural", "--n", "5"], 0,
+                    COEFFICIENTS | {"cobweb.series"}, True),
+    "prefab compose": (["prefab", "compose", "--op", "odot", "--a", "0,2", "--b", "0,3",
+                        "--spec", "fibonacci"], 0, COEFFICIENTS | {"cobweb.prefab"}, True),
+    # the laws act on layer bounds alone: no coefficient, no rational
+    "prefab laws": (["prefab", "laws", "--spec", "fibonacci", "--samples", "50", "--seed", "1"],
+                    0, BASE | {"cobweb.fseq", "cobweb.prefab"}, False),
+}
 
 
 def probe(code: str) -> tuple[int, set[str], set[str]]:
-    """Exit code, loaded cobweb modules, and the ``SLOW_IMPORTS`` the code loaded."""
+    """Exit code, loaded cobweb modules, and the ``SLOW_IMPORTS`` and
+    ``RATIONAL`` modules the code loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
@@ -73,28 +101,21 @@ def probe(code: str) -> tuple[int, set[str], set[str]]:
         env=env, capture_output=True, text=True, timeout=60,
     )
     loaded, stdlib = json.loads(result.stderr.splitlines()[-1])
-    return result.returncode, set(loaded), SLOW_IMPORTS & set(stdlib)
+    return result.returncode, set(loaded), (SLOW_IMPORTS | RATIONAL) & set(stdlib)
 
 
 def test_importing_the_cli_loads_no_computing_module():
     assert probe("import cobweb.cli") == (0, BASE, set())
 
 
-@pytest.mark.parametrize(
-    "argv, code, modules",
-    CLI_CALLS,
-    # the command words, plus the mode of the matrix and enumerate chain rows
-    ids=[" ".join([w for w in c[0][:2] if not w.startswith("-")]
-                  + [m for m in c[0][-1:] if m in ("matrix", "enumerate")])
-         for c in CLI_CALLS],
-)
-def test_cli_call_loads_only_its_modules(argv, code, modules):
+@pytest.mark.parametrize("argv, code, modules, rational", CLI_CALLS.values(), ids=CLI_CALLS)
+def test_cli_call_loads_only_its_modules(argv, code, modules, rational):
     call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
-    assert probe(call) == (code, modules, set())
+    assert probe(call) == (code, modules, RATIONAL if rational else set())
 
 
 def test_package_attribute_loads_only_its_owner():
-    assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"}, set())
+    assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"}, RATIONAL)
     # a module stays an attribute of the package, loaded on first access
     assert probe("import cobweb; cobweb.poset.Vertex") == (
         0, {"cobweb", "cobweb.fseq", "cobweb.poset"}, set())
