@@ -28,8 +28,9 @@ class SequenceError(ValueError):
 
 class _Frozen:
     """Base of the value types that are not tuples: the fields are the
-    ``__slots__``, set once in ``__init__``; equality, hash and repr go by the
-    field values, and assigning to a field raises ``AttributeError``."""
+    ``__slots__``, set once in ``__init__`` through their slot descriptors;
+    equality, hash and repr go by the field values, and assigning to a field
+    raises ``AttributeError``."""
 
     __slots__ = ()
 
@@ -63,8 +64,8 @@ class FSequence(_Frozen):
     __slots__ = ("spec", "_term")
 
     def __init__(self, spec: str, term: Callable[[int], int]) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_term", term)
+        FSequence.spec.__set__(self, spec)
+        FSequence._term.__set__(self, term)
 
     def term(self, n: int) -> int:
         if n < 0:

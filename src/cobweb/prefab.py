@@ -18,15 +18,18 @@ given nonzero alpha.  Sizes and copy counts take the sequence F directly.
 
 The algebra laws are sequence-independent: both compositions act on layer
 bounds alone, so the law checker takes no sequence and is deterministic given
-its sample count and seed.  It needs neither coefficients nor rationals, so
-the sizes, copy counts and quotient law import ``fnomial`` and ``Fraction``
-where they use them.  Everything here is pure on immutable values.
+its sample count and seed.  It checks each law once per distinct operand
+tuple drawn, weighted by how often it was drawn, in one pass whose memory
+does not grow with the sample count.  It needs neither coefficients nor
+rationals, so the sizes, copy counts and quotient law import ``fnomial`` and
+``Fraction`` where they use them.  Everything here is pure on immutable values.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import compress, product
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fseq import FSequence, _Frozen, parse_int
@@ -45,8 +48,8 @@ class Prefabiant(_Frozen):
             raise ValueError("layer needs both bounds, the empty element neither")
         if k is not None and not 0 <= k < n:
             raise ValueError(f"layer needs 0 <= k < n, got ({k}, {n})")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+        _set_k(self, k)
+        _set_n(self, n)
 
     @classmethod
     def prime(cls, m: int) -> "Prefabiant":
@@ -81,6 +84,10 @@ class Prefabiant(_Frozen):
     def __str__(self) -> str:
         return "i" if self.is_empty else f"{self.k},{self.n}"
 
+
+# The slot descriptors' setters, bound once: ``__init__`` is the one way to set
+# the fields, and these setters go round the ``__setattr__`` that refuses.
+_set_k, _set_n = Prefabiant.k.__set__, Prefabiant.n.__set__
 
 EMPTY = Prefabiant()
 
@@ -255,28 +262,31 @@ class LawReport(NamedTuple):
         }
 
 
-# The 13 x 12 layers a sample draws, built once: lower level 0..12, width 1..12.
-_POOL = {(k, width): Prefabiant(k, k + width) for k in range(13) for width in range(1, 13)}
+# The pool a sample draws from, built once: the empty element at index 0, then
+# the 13 x 12 layers of lower level 0..12 and width 1..12, layer (k, k + w) at 12k + w.
+_POOL = (EMPTY, *(Prefabiant(k, k + width) for k in range(13) for width in range(1, 13)))
 
 
-def _draw(rng: random.Random) -> Prefabiant:
-    return EMPTY if rng.random() < 0.125 else _POOL[rng.randint(0, 12), rng.randint(1, 12)]
+def _draw(rng: random.Random) -> int:
+    """The pool index of one drawn operand."""
+    return 0 if rng.random() < 0.125 else 12 * rng.randint(0, 12) + rng.randint(1, 12)
 
 
-# Each law maps a sampled triple to whether it holds, or to None where it does
-# not apply; the order is the payload order.
+# Each law maps its operands, as many as it reads, to whether it holds, or to
+# None where it does not apply; the order is the payload order.
 _LAWS = {
-    "identity_odot": lambda a, b, c: odot(EMPTY, a) == a and odot(a, EMPTY) == a,
-    "identity_circ": lambda a, b, c: circ(EMPTY, a) == a and circ(a, EMPTY) == a,
-    "commutativity_circ": lambda a, b, c: circ(a, b) == circ(b, a),
+    "identity_odot": lambda a: odot(EMPTY, a) == a and odot(a, EMPTY) == a,
+    "identity_circ": lambda a: circ(EMPTY, a) == a and circ(a, EMPTY) == a,
+    "commutativity_circ": lambda a, b: circ(a, b) == circ(b, a),
     "associativity_circ": lambda a, b, c: circ(circ(a, b), c) == circ(a, circ(b, c)),
-    "grading_odot": lambda a, b, c: None if a.is_empty or b.is_empty else (
+    "grading_odot": lambda a, b: None if a.is_empty or b.is_empty else (
         (stacked := odot(a, b)).k == a.n and stacked.width == b.width),
-    "grading_circ": lambda a, b, c: None if a.is_empty or b.is_empty else (
+    "grading_circ": lambda a, b: None if a.is_empty or b.is_empty else (
         (added := circ(a, b)).k == a.k + b.k and added.n == a.n + b.n),
-    "layer_prime_splitting": lambda a, b, c: None if a.is_empty or a.is_prime else (
+    "layer_prime_splitting": lambda a: None if a.is_empty or a.is_prime else (
         odot(Prefabiant.prime(a.k), Prefabiant.prime(a.width)) == a),
 }
+_ARITY = {law: holds.__code__.co_argcount for law, holds in _LAWS.items()}
 
 # The two laws odot breaks, each from its operands to its two sides.
 _FAILING = {
@@ -308,20 +318,41 @@ def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     layers.  For ``odot`` it emits explicit witnesses of noncommutativity and
     nonassociativity: the canonical ones always, plus the first sampled ones
     the pool yields.
+
+    The samples are drawn in one pass that counts how often each pool element
+    comes first and each pair of pool elements comes first and second.  A law
+    of one or two operands is then checked once per distinct operand tuple,
+    its verdict weighted by that count; associativity, of three, is checked
+    on each sample as it is drawn.  So the memory is the same for every
+    sample count, and the verdicts are those of checking every sample.
     """
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
     rng = random.Random(seed)
-    draws = [_draw(rng) for _ in range(3 * sample_count)]
-    columns = draws[0::3], draws[1::3], draws[2::3]  # the a, b and c of each sample
-    laws = []
-    for law, holds in _LAWS.items():
-        verdicts = Counter(map(holds, *columns))
-        laws.append(LawResult(law, sample_count - verdicts[None], verdicts[False]))
+    size = len(_POOL)
+    # Draw counts of a at index i and of (a, b) at size * i + j: the order of
+    # product(_POOL, repeat=arity).
+    tables = {1: [0] * size, 2: [0] * size**2}
+    firsts, pairs = tables[1], tables[2]
+    verdicts = {law: Counter() for law in _LAWS}
+    inline = [(verdicts[law], holds) for law, holds in _LAWS.items() if _ARITY[law] == 3]
     sampled = {}
-    for a, b, c in zip(*columns):
-        for law, operands in zip(_FAILING, ((a, b), (a, b, c))):
-            if law not in sampled and (witness := _witness(law, operands)):
-                sampled[law] = witness
+    for _ in range(sample_count):
+        i, j = _draw(rng), _draw(rng)
+        a, b, c = _POOL[i], _POOL[j], _POOL[_draw(rng)]
+        firsts[i] += 1
+        pairs[size * i + j] += 1
+        for tally, holds in inline:
+            tally[holds(a, b, c)] += 1
+        if len(sampled) < len(_FAILING):
+            for law, operands in zip(_FAILING, ((a, b), (a, b, c))):
+                if law not in sampled and (witness := _witness(law, operands)):
+                    sampled[law] = witness
+    for law, holds in _LAWS.items():
+        if (counts := tables.get(_ARITY[law])) is not None:
+            drawn = compress(product(_POOL, repeat=_ARITY[law]), counts)
+            for count, operands in zip(filter(None, counts), drawn):
+                verdicts[law][holds(*operands)] += count
+    laws = (LawResult(law, sample_count - v[None], v[False]) for law, v in verdicts.items())
     canonical = map(_witness, _FAILING, _CANONICAL)
     return LawReport(seed, sample_count, tuple(laws), (*canonical, *sampled.values()))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, islice, product
 from typing import Iterable, Iterator
@@ -41,10 +40,12 @@ from .fseq import FSequence, _Frozen, parse_sequence
 PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
-# The brute-force oracles refuse, before enumerating, inputs that would take
-# them over about a second: n with more partitions than PARTITION_BOUND (n > 40),
-# GF(q)^n with more nonzero subspaces than SUBSPACE_BOUND (n = 2, 3, 4 for
-# q > 197, 7, 2).
+# The brute-force oracles refuse, before enumerating, n with more partitions
+# than PARTITION_BOUND (n > 40) and GF(q)^n with more nonzero subspaces than
+# SUBSPACE_BOUND (n = 2, 3, 4 for q > 197, 7, 2).  At the bounds, in process on
+# a 2-vCPU VM under Python 3.11: the partition sum at n = 40 takes 0.05 s over
+# natural and 0.31 s over bg:7; the decomposition count takes 0.09 s on
+# GF(7)^3, 0.04 s on GF(197)^2 and 0.02 s on GF(2)^4.
 PARTITION_BOUND = 40_000
 SUBSPACE_BOUND = 200
 
@@ -57,7 +58,7 @@ class FormalSeries(_Frozen):
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
         if not coeffs:
             raise ValueError("a series carries at least its constant term")
-        object.__setattr__(self, "coeffs", coeffs)
+        FormalSeries.coeffs.__set__(self, coeffs)
 
     @classmethod
     def from_coefficients(cls, values: Iterable[int | Fraction]) -> "FormalSeries":
@@ -143,16 +144,34 @@ def bell_f(F: FSequence, n: int) -> int | Fraction:
     return _scaled_enumerator(F, n)[n]
 
 
-def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing integer partitions of n."""
+def _partitions(n: int) -> Iterator[list[int]]:
+    """Integer partitions of n, each as a weakly increasing list of parts.
+
+    The ascending-composition walk ``accel_asc`` of Kelleher and O'Sullivan
+    ("Generating all partitions: a comparison of two encodings", 2009), in
+    constant amortised time per partition.
+    """
     if n == 0:
-        yield ()
+        yield []
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+    a = [0] * (n + 1)
+    k, y = 1, n - 1
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        last = k + 1
+        while x <= y:
+            a[k], a[last] = x, y
+            yield a[: k + 2]
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield a[: k + 1]
 
 
 def _partition_count_exceeds(n: int, bound: int) -> bool:
@@ -182,9 +201,13 @@ def enumerator_coeff_by_partitions(F: FSequence, n: int) -> Fraction:
     factorials = _factorials(F, n)
     total: int | Fraction = 0
     for partition in _partitions(n):
-        d = math.prod(factorials[part] for part in partition)
-        for multiplicity in Counter(partition).values():
-            d *= math.factorial(multiplicity)
+        # the parts ascend, so equal parts are adjacent and each run's
+        # multiplicity factorial builds up one factor per part
+        d, run, previous = 1, 0, 0
+        for part in partition:
+            run = run + 1 if part == previous else 1
+            d *= factorials[part] * run
+            previous = part
         total += _exact_quotient(factorials[n], d)
     return Fraction(total, factorials[n])
 
@@ -261,30 +284,28 @@ def q_stirling(q: int, n: int, k: int) -> int:
     return _integral(_scaled_power(F, n, k), "summand count")
 
 
-def _rref(rows: Iterable[Iterable[int]], q: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row-echelon form over the prime field; returns nonzero rows."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    width = len(mat[0])
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
+def _widen(
+    basis: list[tuple[int, list[int]]], rows: Iterable[Iterable[int]], q: int
+) -> list[tuple[int, list[int]]] | None:
+    """The echelon basis of span(basis) + span(rows) over the prime field, or
+    None if the rows are not independent of the basis and of each other.
+
+    A basis is a list of (pivot column, row) with a 1 at the pivot and a 0 at
+    every earlier row's pivot, so one pass in order reduces a vector
+    against it.  ``basis`` itself is left as it is.
+    """
+    widened = list(basis)
+    for row in rows:
+        v = list(row)
+        for pivot, b in widened:
+            if c := v[pivot]:
+                v = [(x - c * y) % q for x, y in zip(v, b)]
+        pivot = next((col for col, x in enumerate(v) if x), None)
         if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, q)
-        mat[rank] = [(v * inv) % q for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % q:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % q for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return tuple(tuple(row) for row in mat[:rank])
-
-
-def _rank(rows: Iterable[Iterable[int]], q: int) -> int:
-    return len(_rref(rows, q))
+            return None
+        inverse = pow(v[pivot], -1, q)
+        widened.append((pivot, [x * inverse % q for x in v]))
+    return widened
 
 
 def enumerate_subspaces(q: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -340,19 +361,20 @@ def decomposition_oracle(q: int, n: int) -> int:
     )
     count = 0
 
-    def extend(start: int, stacked: list[tuple[int, ...]], dim_sum: int) -> None:
+    def extend(start: int, basis: list[tuple[int, list[int]]], dim_sum: int) -> None:
         nonlocal count
         for idx in range(start, len(spaces)):
             candidate = spaces[idx]
             d = len(candidate)
             if dim_sum + d > n:
-                continue
-            if _rank(stacked + list(candidate), q) != dim_sum + d:
+                break  # sorted by dimension: every later space is as large
+            widened = _widen(basis, candidate, q)
+            if widened is None:
                 continue
             if dim_sum + d == n:
                 count += 1
             else:
-                extend(idx + 1, stacked + list(candidate), dim_sum + d)
+                extend(idx + 1, widened, dim_sum + d)
 
     extend(0, [], 0)
     return count
@@ -366,6 +388,6 @@ def count_invertible_matrices(q: int, n: int) -> int:
     count = 0
     for entries in product(range(q), repeat=n * n):
         rows = [entries[i * n : (i + 1) * n] for i in range(n)]
-        if _rank(rows, q) == n:
+        if _widen([], rows, q) is not None:
             count += 1
     return count

@@ -4,7 +4,11 @@ Everything here deliberately avoids the package's main code paths: chain
 counts walk explicit adjacency, the packing oracle is plain backtracking with
 no bounds, the inverse-matrix oracle is the textbook interval recursion, the
 dense product multiplies full vertex matrices row by column, and Bell numbers
-come from literally enumerating set partitions.  Embedded prime copies are
+come from literally enumerating set partitions, and from a sum over the
+partitions of n that a recursive walk lists.  Vector-space decompositions
+are counted by re-ranking the whole stacked basis of every candidate set.
+The algebra laws are evaluated on every sample, from the three columns of
+one list of all draws.  Embedded prime copies are
 listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
 algorithm, the series exponential runs its derivative recurrence on
 ``Fraction`` coefficients, and primality is decided by trial division.  The
@@ -17,13 +21,18 @@ from __future__ import annotations
 
 import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from typing import Iterator
 
+from cobweb import prefab
 from cobweb.fnomial import f_nomial
 from cobweb.fseq import FSequence
 from cobweb.poset import CobwebPoset, Vertex
-from cobweb.series import FormalSeries
+from cobweb.prefab import EMPTY, LawReport, LawResult, LawWitness, Prefabiant
+from cobweb.series import FormalSeries, enumerate_subspaces
 
 
 class PrimeCopy:
@@ -268,3 +277,137 @@ def triangle_text(F: FSequence, rows: int, fmt: str) -> str:
         text = "\n".join(",".join(str(v) for v in row) for row in triangle) + "\n"
         return text.rstrip("\n") + "\n"
     return json.dumps([[str(v) for v in row] for row in triangle]) + "\n"
+
+
+def partitions_recursive(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing integer partitions of n, by choosing the largest part
+    and recursing on the rest."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions_recursive(n - first, first):
+            yield (first,) + rest
+
+
+def enumerator_coeff_by_recursive_partitions(F: FSequence, n: int) -> Fraction:
+    """[x^n] exp(exp_F(x) - 1) as the sum over partitions of n of
+    1 / (prod F_p! * prod multiplicity!), summed as ``Fraction``s."""
+    factorials = list(accumulate(F.terms(n), lambda a, b: a * b, initial=1))
+    return sum(
+        (
+            Fraction(
+                1,
+                math.prod(factorials[p] for p in partition)
+                * math.prod(math.factorial(m) for m in Counter(partition).values()),
+            )
+            for partition in partitions_recursive(n)
+        ),
+        Fraction(0),
+    )
+
+
+def rref(rows: list[list[int]], q: int) -> list[list[int]]:
+    """Reduced row-echelon form over the prime field; returns the nonzero rows."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % q), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, q)
+        mat[rank] = [(v * inv) % q for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] % q:
+                factor = mat[r][col]
+                mat[r] = [(a - factor * b) % q for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return mat[:rank]
+
+
+def decompositions_by_rank(q: int, n: int) -> int:
+    """Unordered direct-sum decompositions of GF(q)^n: every set of nonzero
+    subspaces, in canonical order, whose dimensions add to n and whose stacked
+    bases, row-reduced from scratch, have full rank."""
+    spaces = sorted((s for s in enumerate_subspaces(q, n) if s), key=lambda s: (len(s), s))
+    count = 0
+
+    def extend(start: int, stacked: list[tuple[int, ...]], dim_sum: int) -> None:
+        nonlocal count
+        for idx in range(start, len(spaces)):
+            candidate = spaces[idx]
+            d = len(candidate)
+            if dim_sum + d > n or len(rref(stacked + list(candidate), q)) != dim_sum + d:
+                continue
+            if dim_sum + d == n:
+                count += 1
+            else:
+                extend(idx + 1, stacked + list(candidate), dim_sum + d)
+
+    extend(0, [], 0)
+    return count
+
+
+# The algebra laws as predicates on one sampled triple (a, b, c), in payload
+# order: whether the law holds, or None where it does not apply.  The
+# compositions are looked up in ``prefab`` at call time.
+SAMPLED_LAWS = {
+    "identity_odot": lambda a, b, c: prefab.odot(EMPTY, a) == a and prefab.odot(a, EMPTY) == a,
+    "identity_circ": lambda a, b, c: prefab.circ(EMPTY, a) == a and prefab.circ(a, EMPTY) == a,
+    "commutativity_circ": lambda a, b, c: prefab.circ(a, b) == prefab.circ(b, a),
+    "associativity_circ": lambda a, b, c: (
+        prefab.circ(prefab.circ(a, b), c) == prefab.circ(a, prefab.circ(b, c))),
+    "grading_odot": lambda a, b, c: None if a.is_empty or b.is_empty else (
+        prefab.odot(a, b).k == a.n and prefab.odot(a, b).width == b.width),
+    "grading_circ": lambda a, b, c: None if a.is_empty or b.is_empty else (
+        prefab.circ(a, b).k == a.k + b.k and prefab.circ(a, b).n == a.n + b.n),
+    "layer_prime_splitting": lambda a, b, c: None if a.is_empty or a.is_prime else (
+        prefab.odot(Prefabiant.prime(a.k), Prefabiant.prime(a.width)) == a),
+}
+
+
+def _odot_witness(operands: tuple[Prefabiant, ...]) -> LawWitness | None:
+    """The witness that odot fails to commute (two operands) or to associate
+    (three) on operands, None where the two sides agree."""
+    odot = prefab.odot
+    if len(operands) == 2:
+        law, (a, b) = "odot_noncommutativity", operands
+        lhs, rhs = odot(a, b), odot(b, a)
+    else:
+        law, (a, b, c) = "odot_nonassociativity", operands
+        lhs, rhs = odot(odot(a, b), c), odot(a, odot(b, c))
+    return None if lhs == rhs else LawWitness(law, tuple(map(str, operands)), str(lhs), str(rhs))
+
+
+def law_report_by_samples(sample_count: int, seed: int) -> LawReport:
+    """The law report with every law evaluated on every sample: all
+    3 * sample_count draws in one list, sample i being draws 3i, 3i + 1 and
+    3i + 2, and every sample scanned for the first odot witnesses."""
+    rng = random.Random(seed)
+
+    def draw() -> Prefabiant:
+        if rng.random() < 0.125:
+            return EMPTY
+        k = rng.randint(0, 12)
+        return Prefabiant(k, k + rng.randint(1, 12))
+
+    draws = [draw() for _ in range(3 * sample_count)]
+    samples = list(zip(draws[0::3], draws[1::3], draws[2::3]))
+    laws = []
+    for law, holds in SAMPLED_LAWS.items():
+        verdicts = [holds(*sample) for sample in samples]
+        laws.append(LawResult(law, sample_count - verdicts.count(None), verdicts.count(False)))
+    sampled: dict[str, LawWitness] = {}
+    for a, b, c in samples:
+        for operands in ((a, b), (a, b, c)):
+            witness = _odot_witness(operands)
+            if witness and witness.law not in sampled:
+                sampled[witness.law] = witness
+    canonical = (
+        _odot_witness((Prefabiant.prime(2), Prefabiant.prime(3))),
+        _odot_witness((Prefabiant(1, 3), Prefabiant(0, 2), Prefabiant(0, 1))),
+    )
+    return LawReport(seed, sample_count, tuple(laws), (*canonical, *sampled.values()))

@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobweb import prefab
+from cobweb.cli import main
 from cobweb.fnomial import f_factorial, f_nomial
 from cobweb.fseq import parse_sequence
 from cobweb.prefab import (
@@ -15,6 +19,7 @@ from cobweb.prefab import (
     verify_c2,
     weight,
 )
+from oracles import law_report_by_samples
 
 FIB = parse_sequence("fibonacci")
 NAT = parse_sequence("natural")
@@ -318,3 +323,91 @@ def test_law_report_json_shape():
     assert all(
         set(l) == {"law", "checked", "violations", "holds"} for l in body["laws"]
     )
+
+
+def circ_keeping_left(a, b):
+    """A broken circ: the bounds of its left operand, unless that is empty."""
+    return b if a.is_empty else a
+
+
+def odot_ignoring_identity(a, b):
+    """A broken odot: stacks as if an empty operand were the one-level prime."""
+    a, b = (Prefabiant.prime(1) if x.is_empty else x for x in (a, b))
+    return Prefabiant(a.n, a.n + b.width)
+
+
+def circ_dropping_right_lower_bound(a, b):
+    """A broken circ that is asymmetric on layers: it adds the upper bounds
+    but keeps the left lower bound, so grading fails exactly where b.k > 0."""
+    if a.is_empty or b.is_empty:
+        return b if a.is_empty else a
+    return Prefabiant(a.k, a.n + b.n)
+
+
+COMPOSITIONS = {
+    "real": {},
+    "circ-keeps-left": {"circ": circ_keeping_left},
+    "odot-ignores-identity": {"odot": odot_ignoring_identity},
+    # tells the (a, b) pair counts from their transpose, as the others cannot
+    "circ-drops-right-lower-bound": {"circ": circ_dropping_right_lower_bound},
+}
+
+
+@pytest.mark.parametrize("variant", COMPOSITIONS)
+@settings(max_examples=25, deadline=None)
+@given(samples=st.integers(min_value=1, max_value=3000), seed=st.integers())
+def test_law_report_equals_the_per_sample_oracle(variant, samples, seed):
+    # counts, violations and witnesses alike, also when a composition is broken
+    with pytest.MonkeyPatch.context() as patch:
+        for name, composition in COMPOSITIONS[variant].items():
+            patch.setattr(prefab, name, composition)
+        assert check_algebra_laws(samples, seed) == law_report_by_samples(samples, seed)
+
+
+@pytest.mark.parametrize("variant, broken", [
+    pytest.param(variant, broken, id=variant) for variant, broken in (
+        ("circ-keeps-left", {"grading_circ"}),
+        ("odot-ignores-identity", {"identity_odot"}),
+        ("circ-drops-right-lower-bound", {"grading_circ"}),
+    )
+])
+def test_a_broken_composition_fails_its_laws(monkeypatch, variant, broken):
+    for name, composition in COMPOSITIONS[variant].items():
+        monkeypatch.setattr(prefab, name, composition)
+    report = check_algebra_laws(500, 11)
+    assert {law.law for law in report.laws if not law.holds} >= broken
+    assert report == law_report_by_samples(500, 11)
+
+
+def test_law_check_memory_does_not_grow_with_the_sample_count():
+    check_algebra_laws(1, 1)  # the pool and the law table exist before tracing
+    tracemalloc.start()
+    try:
+        check_algebra_laws(200_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    pytest.param(
+        "--spec fibonacci --samples 20000 --seed 8",
+        "94ae21ab3ba604e0be86eb4b2ceec926ae35c38ce785233f42b9fc56517afd82",
+        id="fibonacci-20000-8",
+    ),
+    pytest.param(
+        "--spec natural --samples 12500 --seed 0",
+        "e814cd64f92cae55e8d1b7d60070de5ac4ec118b7cc1fb8addffda18a686293d",
+        id="natural-12500-0",
+    ),
+    pytest.param(
+        "--spec natural --samples 5000 --seed 3",
+        "a0f8ee3b226a66476220bad24d7f1893a09ae9b9b1372dfbb7714863fe87bd97",
+        id="natural-5000-3",
+    ),
+])
+def test_law_payload_digest_at_benchmark_scale(capsys, argv, sha256):
+    # catches a drift in the random stream that a few dozen samples would miss
+    assert main(["prefab", "laws", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256

@@ -29,7 +29,10 @@ from cobweb.series import (
 )
 from oracles import (
     count_set_partitions,
+    decompositions_by_rank,
+    enumerator_coeff_by_recursive_partitions,
     is_prime_by_trial_division,
+    partitions_recursive,
     series_add,
     series_exp,
     series_mul,
@@ -299,6 +302,33 @@ def test_partition_oracle_refuses_past_the_partition_bound():
             enumerator_coeff_by_partitions(NAT, n)
     assert time.perf_counter() - start < 1.0
     assert enumerator_coeff_by_partitions(NAT, 40) * math.factorial(40) == bell_f(NAT, 40)
+
+
+def test_partition_walk_lists_the_recursive_partitions():
+    for n in range(31):
+        walked = sorted(tuple(p) for p in _partitions(n))
+        assert all(list(p) == sorted(p) for p in walked)
+        assert walked == sorted(tuple(sorted(p)) for p in partitions_recursive(n))
+
+
+@pytest.mark.parametrize("spec", ["natural", "fibonacci", "gauss:2"])
+def test_partition_sum_matches_the_recursive_route(spec):
+    Fs = parse_sequence(spec)
+    for n in range(26):
+        expected = enumerator_coeff_by_recursive_partitions(Fs, n)
+        assert enumerator_coeff_by_partitions(Fs, n) == expected
+
+
+def test_decomposition_oracle_matches_the_rank_from_scratch_walk():
+    cases = [(197, 2)]
+    for q in (2, 3, 5, 7):
+        n = 1
+        while len(enumerate_subspaces(q, n)) - 1 <= SUBSPACE_BOUND:
+            cases.append((q, n))
+            n += 1
+    assert {(2, 4), (3, 3), (5, 3), (7, 3)} <= set(cases)
+    for q, n in cases:
+        assert decomposition_oracle(q, n) == decompositions_by_rank(q, n), (q, n)
 
 
 def test_subspace_counts_match_gaussian_binomials():
