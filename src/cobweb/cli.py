@@ -42,9 +42,6 @@ DEFAULT_ORDER = 16
 # chunk by chunk would cost one call per line of a DOT or CSV payload.
 WRITE_BATCH = 1 << 16
 
-# Vertices to one chunk of the ``poset dim2`` payload: about 40 KiB of text.
-DIM2_BLOCK = 4096
-
 Output = tuple[int, Iterable[str]]
 
 
@@ -161,24 +158,11 @@ def _cmd_poset_dim2(args: argparse.Namespace) -> Output:
 
     P = _poset(args)
     realizer = poset.dim2_realizer(P)
-    head = {"spec": args.spec, "levels": P.L, "verified": realizer.verified}
-    orders = {"l1": realizer.order_a, "l2": realizer.order_b}
-    return (0 if realizer.verified else 1), _line(_dim2_json(head, orders))
-
-
-def _dim2_json(head: dict, orders: dict) -> Iterable[str]:
-    """The text of ``json.dumps`` of head extended by each order as its list
-    of vertex strings, ``DIM2_BLOCK`` vertices to a chunk.  A vertex's text
-    "j,s" holds digits and a comma only, so it needs no escaping."""
-    yield json.dumps(head)[:-1]
-    for key, order in orders.items():
-        yield f", {json.dumps(key)}: ["
-        for start in range(0, len(order), DIM2_BLOCK):
-            if start:
-                yield ", "
-            yield ", ".join([f'"{v.j},{v.s}"' for v in order[start:start + DIM2_BLOCK]])
-        yield "]"
-    yield "}"
+    head = json.dumps({"spec": args.spec, "levels": P.L, "verified": realizer.verified})
+    return (0 if realizer.verified else 1), _line(chain(
+        (head[:-1], ', "l1": '), poset.labels_json(realizer.order_a),
+        (', "l2": ',), poset.labels_json(realizer.order_b), ("}",),
+    ))
 
 
 def _cmd_prefab_compose(args: argparse.Namespace) -> Output:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterator
 
-from .poset import CobwebPoset, Vertex
+from .poset import CobwebPoset, Vertex, contract_order, labels_json
 
 
 class IncidenceMatrix:
@@ -112,16 +112,14 @@ class IncidenceMatrix:
             yield ",".join(row) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "labels": [str(v) for v in self.poset.vertices()],
-            "rows": list(self._dense_rows(str)),
-        }
+        """The ``to_json`` text read back: labels and dense rows as strings."""
+        return json.loads("".join(self.to_json()))
 
     def to_json(self) -> Iterator[str]:
-        """The text json.dumps(self.to_json_dict()) gives, yielded one dense
-        row at a time, so only the current row is held."""
+        """The labels in the contract ordering and the dense rows as JSON
+        text, yielded one dense row at a time, so only that row is held."""
         yield '{"labels": '
-        yield json.dumps([str(v) for v in self.poset.vertices()])
+        yield from labels_json(contract_order(self.poset))
         yield ', "rows": ['
         for i, row in enumerate(self._dense_rows(str)):
             yield (", " if i else "") + json.dumps(row)

@@ -3,8 +3,8 @@
 The poset over a sequence F has one vertex at level 0 and F_s vertices at
 level s >= 1; the covering relation is complete bipartite between consecutive
 levels, so two distinct vertices are comparable exactly when their levels
-differ.  Posets are stored implicitly as level sizes, every count is read
-from them, and explicit adjacency is only built inside the enumeration oracles.
+differ.  Posets are stored as level sizes; every count and every export is
+read from them, and vertex records are built only for callers that ask.
 
 Chain counting has one entry point with three routes (product formula,
 literal depth-first walk, covering-matrix power) so each can certify the
@@ -36,6 +36,9 @@ if TYPE_CHECKING:  # the packing quotient is the only rational value here
 # instances under the default cap tried so far reach this budget in
 # 0.9-2.0 s (one core of a 2-vCPU x86 VM).
 PACKING_NODE_BUDGET = 100_000
+
+# Labels to one chunk of a streamed label list: about 40 KiB of text.
+LABEL_BLOCK = 4096
 
 
 class PackingCapError(ValueError):
@@ -374,54 +377,68 @@ def max_disjoint_packing(
 
 
 class Dim2Realizer(NamedTuple):
-    """Two linear orders whose intersection reproduces the strict order."""
+    """Two linear orders, one range of j per level, intersecting to the strict order."""
 
-    order_a: tuple[Vertex, ...]
-    order_b: tuple[Vertex, ...]
+    order_a: tuple[range, ...]
+    order_b: tuple[range, ...]
     verified: bool
+
+
+def contract_order(P: CobwebPoset) -> tuple[range, ...]:
+    """The contract vertex ordering, level-major, j ascending: one range of j per level."""
+    return tuple(range(1, size + 1) for size in P.level_sizes)
 
 
 def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
     """Realize the poset as the intersection of two linear orders.
 
-    The first order sorts level-major with j ascending, the second with j
-    descending; vertices on a common level flip between the two, so the
+    The first order is the contract ordering, the second reverses each of
+    its levels; vertices on a common level flip between the two, so the
     intersection keeps exactly the cross-level pairs.  Verification is the
-    linear-time certificate ``_realizes``.
+    O(L) certificate ``_realizes``.
     """
-    order_a = tuple(P.vertices())
-    order_b = tuple(v for s in range(P.L + 1) for v in reversed(P.level(s)))
+    order_a = contract_order(P)
+    order_b = tuple(js[::-1] for js in order_a)
     return Dim2Realizer(order_a, order_b, _realizes(P, order_a, order_b))
 
 
-def _realizes(P: CobwebPoset, order_a: tuple[Vertex, ...], order_b: tuple[Vertex, ...]) -> bool:
-    """Whether the two orders intersect to the strict order of P, in O(N).
+def _realizes(P: CobwebPoset, order_a: tuple[range, ...], order_b: tuple[range, ...]) -> bool:
+    """Whether the two orders intersect to the strict order of P, in O(L).
 
-    Both orders must list every vertex once with nondecreasing levels, which
-    makes each a linear extension, and within each level ``order_b`` must be
-    ``order_a`` reversed, which makes them disagree on every pair of one
-    level.  Together these are equivalent to checking all N^2 pairs: the
-    pairwise check is the oracle in ``tests/oracles.py``.
+    Each order lists the levels in turn, so it is a linear extension once
+    each level's range is a permutation of 1..n_s: n_s long, endpoints 1 and
+    n_s.  ``order_b`` must reverse each level of ``order_a``, so the two
+    disagree on every pair of one level.  The check of all N^2 pairs of the
+    expanded orders is the oracle in ``tests/oracles.py``.
     """
-    if len(order_a) != P.vertex_count or len(order_b) != P.vertex_count:
-        return False
-    start = 0
-    for s, size in enumerate(P.level_sizes):
-        block = order_a[start:start + size]
-        if order_b[start:start + size] != block[::-1] or len(set(block)) != size:
-            return False
-        if any(v.s != s or not 1 <= v.j <= size for v in block):
-            return False
-        start += size
-    return True
+    sizes = P.level_sizes
+    return len(order_a) == len(order_b) == len(sizes) and all(
+        isinstance(js, range) and len(js) == n and {js[0], js[-1]} == {1, n}
+        and order_b[s] == js[::-1]
+        for s, (js, n) in enumerate(zip(order_a, sizes))
+    )
+
+
+def labels_json(order: tuple[range, ...]) -> Iterator[str]:
+    """The ``json.dumps`` text of the labels "j,s" of an order, one range of j
+    per level s, ``LABEL_BLOCK`` labels to a chunk.  Digits and commas need no escaping."""
+    yield "["
+    separator = ""
+    for s, js in enumerate(order):
+        for start in range(0, len(js), LABEL_BLOCK):
+            yield separator + ", ".join([f'"{j},{s}"' for j in js[start:start + LABEL_BLOCK]])
+            separator = ", "
+    yield "]"
 
 
 def export_dot(P: CobwebPoset) -> Iterator[str]:
     """DOT digraph: one node per vertex labelled "j,s", edges directed upward,
     yielded one line at a time."""
     yield "digraph cobweb {\n"
-    for v in P.vertices():
-        yield f'    "{v}" [label="{v}"];\n'
-    for u, v in P.hasse_edges():
-        yield f'    "{u}" -> "{v}";\n'
+    order = contract_order(P)
+    for s, js in enumerate(order):
+        yield from (f'    "{j},{s}" [label="{j},{s}"];\n' for j in js)
+    for s in range(P.L):
+        for a in order[s]:
+            yield from (f'    "{a},{s}" -> "{b},{s + 1}";\n' for b in order[s + 1])
     yield "}\n"

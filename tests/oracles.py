@@ -12,9 +12,11 @@ one list of all draws.  Embedded prime copies are
 listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
 algorithm, the series exponential runs its derivative recurrence on
 ``Fraction`` coefficients, and primality is decided by trial division.  The
-series algebra, the pairwise dim2 check and the triangle text built by one
-join of ``str`` are the routes the package replaced by recurrences, a
-linear-time certificate and a streamed ``Decimal`` route.
+series algebra, the pairwise dim2 check over vertex records, the DOT text
+written from ``vertices()`` and ``hasse_edges()`` and the triangle text
+built by one join of ``str`` are the routes the package replaced by
+recurrences, a certificate on per-level ranges, loops over the level sizes
+and a streamed ``Decimal`` route.
 """
 
 from __future__ import annotations
@@ -266,6 +268,20 @@ def dim2_pairwise(
         for v in order_a
         if u != v
     )
+
+
+def expand_order(order: tuple[range, ...]) -> tuple[Vertex, ...]:
+    """The vertex records of an order given as one range of j per level s."""
+    return tuple(Vertex(j, s) for s, js in enumerate(order) for j in js)
+
+
+def dot_text(P: CobwebPoset) -> str:
+    """The DOT digraph as ``export_dot`` once wrote it: one node line per
+    record of ``P.vertices()``, one edge line per pair of ``P.hasse_edges()``."""
+    lines = ["digraph cobweb {\n"]
+    lines += [f'    "{v}" [label="{v}"];\n' for v in P.vertices()]
+    lines += [f'    "{u}" -> "{v}";\n' for u, v in P.hasse_edges()]
+    return "".join(lines) + "}\n"
 
 
 def triangle_text(F: FSequence, rows: int, fmt: str) -> str:

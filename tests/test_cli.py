@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cobweb import fnomial, fseq, incidence, poset, prefab
 from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, main
-from oracles import triangle_text
+from oracles import expand_order, triangle_text
 
 
 def run(capsys, *argv):
@@ -331,8 +331,8 @@ def _dim2_text(spec, levels):
         "spec": spec,
         "levels": levels,
         "verified": realizer.verified,
-        "l1": [str(v) for v in realizer.order_a],
-        "l2": [str(v) for v in realizer.order_b],
+        "l1": [str(v) for v in expand_order(realizer.order_a)],
+        "l2": [str(v) for v in expand_order(realizer.order_b)],
     }) + "\n"
 
 
@@ -354,24 +354,67 @@ def test_dim2_streams_the_json_dumps_text(tmp_path_factory, terms, data, name):
 
 
 def test_dim2_streams_in_the_memory_of_its_realizer(monkeypatch):
-    # N = 46,368 vertices, 1.0 MB of JSON; the lists of vertex strings and
-    # the whole text held at once would add about 9 MB
+    # N = 200,002 vertices, 2.2 MB of JSON; the realizer is one range per
+    # level, so the call holds one block of labels at a time, where two
+    # tuples of vertex records would hold 400k records
     tracemalloc.start()
     try:
-        P = poset.build_poset(fseq.parse_sequence("fibonacci"), 22)
-        realizer = poset.dim2_realizer(P)
-        _, realizer_peak = tracemalloc.get_traced_memory()
-        del P, realizer
-        tracemalloc.reset_peak()
         monkeypatch.setattr(sys, "stdout", HashingSink())
-        code = main(["poset", "dim2", "--spec", "fibonacci", "--levels", "22"])
+        code = main(["poset", "dim2", "--spec", "custom:1,200000", "--levels", "2"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < realizer_peak + 2**20
+    assert peak < 2**20
     assert sys.stdout.digest.hexdigest() == hashlib.sha256(
-        _dim2_text("fibonacci", 22).encode()).hexdigest()
+        _dim2_text("custom:1,200000", 2).encode()).hexdigest()
+
+
+# Standard output of poset exports, as sha256 of the bytes the package wrote
+# while it still built vertex records for them.
+EXPORT_DIGESTS = {
+    "dot --spec gauss:2 --levels 8":
+        "f6f4f5f193ee8bbc91a5b01ba66f8891d5166c2d1ae9c7262131044506c86a05",
+    "dot --spec fibonacci --levels 12":
+        "432082468117baac63694317b154d7011d4ca85afd0c5d4e17db267cf9df0672",
+    "dot --spec custom:3,1,4,1,5 --levels 5":
+        "0be9fde4f0a12ade28b0e1d2f65d3ef1b256001d3d2eca4a2c077a768f1707c0",
+    "dim2 --spec fibonacci --levels 22":
+        "0f34073e3a87841b8035ff314dd42cc6297f0c45b652858ad79f47eff224dcb1",
+    "dim2 --spec custom:3,1,4,1,5 --levels 5":
+        "f31c57aa3eeeb4b01d0a33a281bdf70991e3c0afb637726dc915d3a127dc8d18",
+    "zeta --spec fibonacci --levels 9 --format json":
+        "dda8b1c22e0c0c6511f25682e037948f4828bcc4b019bad1121a8faea730e91a",
+    "mobius --spec gauss:2 --levels 6 --format json":
+        "5f63af7954989459f817e2e602072e4c547b35da547d403549d420b6bc0642a4",
+    "mobius --spec gauss:2 --levels 6 --format csv":
+        "27541461a662468cc673fc42decb64c4d2341e08ee3178d198b85de3b0955236",
+}
+
+
+def _export_digest(call):
+    sink = HashingSink()
+    with contextlib.redirect_stdout(sink):
+        code = main(["poset", *call.split()])
+    return code, sink.digest.hexdigest()
+
+
+@pytest.mark.parametrize("call", EXPORT_DIGESTS)
+def test_export_bytes_are_pinned(call):
+    assert _export_digest(call) == (0, EXPORT_DIGESTS[call])
+
+
+def test_no_export_builds_vertex_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an export built vertex records")
+
+    for name in ("vertices", "level", "hasse_edges"):
+        monkeypatch.setattr(poset.CobwebPoset, name, refuse)
+    for call in ("dot --spec custom:3,1,4,1,5 --levels 5",
+                 "dim2 --spec custom:3,1,4,1,5 --levels 5",
+                 "zeta --spec fibonacci --levels 9 --format json",
+                 "mobius --spec gauss:2 --levels 6 --format csv"):
+        assert _export_digest(call) == (0, EXPORT_DIGESTS[call])
 
 
 def test_prefab_compose(capsys):

@@ -22,7 +22,9 @@ from cobweb.poset import (
 from oracles import (
     brute_max_packing,
     dim2_pairwise,
+    dot_text,
     enumerate_copies,
+    expand_order,
     hasse_is_acyclic,
     hasse_topological_order,
 )
@@ -319,48 +321,70 @@ def test_dim2_chain_case():
     assert realizer.order_a == realizer.order_b
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5), st.data())
+def test_dim2_orders_are_per_level_ranges():
+    P = build_poset(NAT, 3)
+    realizer = dim2_realizer(P)
+    assert realizer.order_a == (range(1, 2), range(1, 2), range(1, 3), range(1, 4))
+    assert realizer.order_b == (range(1, 0, -1), range(1, 0, -1), range(2, 0, -1),
+                                range(3, 0, -1))
+    assert expand_order(realizer.order_a) == tuple(P.vertices())
+    assert expand_order(realizer.order_b) == tuple(
+        v for s in range(P.L + 1) for v in reversed(P.level(s)))
+
+
+def _level_ranges(size):
+    """The two orders of 1..size, or any range near them."""
+    return st.one_of(
+        st.sampled_from([range(1, size + 1), range(size, 0, -1)]),
+        st.builds(range, st.integers(-1, size + 2), st.integers(-1, size + 2),
+                  st.sampled_from([-2, -1, 1, 2])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5), st.data())
 def test_dim2_certificate_agrees_with_the_pairwise_check(terms, data):
-    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), len(terms))
+    levels = data.draw(st.integers(min_value=0, max_value=len(terms)))
+    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), levels)
     realizer = dim2_realizer(P)
     assert realizer.verified
-    assert dim2_pairwise(P, realizer.order_a, realizer.order_b)
-    # the realizer with two positions of one order swapped, and two random
-    # permutations of the vertices
-    a, b = list(realizer.order_a), list(realizer.order_b)
-    i, j = (data.draw(st.integers(0, len(a) - 1)) for _ in range(2))
-    target = data.draw(st.sampled_from([a, b]))
-    target[i], target[j] = target[j], target[i]
-    pairs = [
-        (tuple(a), tuple(b)),
-        (tuple(data.draw(st.permutations(a))), tuple(data.draw(st.permutations(b)))),
-    ]
-    for order_a, order_b in pairs:
-        assert _realizes(P, order_a, order_b) == dim2_pairwise(P, order_a, order_b)
+    assert dim2_pairwise(P, expand_order(realizer.order_a), expand_order(realizer.order_b))
+    # one drawn range per level in each order; the second order's range is
+    # often the first one's reversed, so both verdicts are drawn
+    order_a = tuple(data.draw(_level_ranges(size)) for size in P.level_sizes)
+    order_b = tuple(
+        data.draw(st.one_of(st.just(js[::-1]), _level_ranges(size)))
+        for js, size in zip(order_a, P.level_sizes)
+    )
+    assert _realizes(P, order_a, order_b) == dim2_pairwise(
+        P, expand_order(order_a), expand_order(order_b))
 
 
 @pytest.mark.parametrize("broken", [
     "same order twice", "both reversed", "levels swapped", "a vertex twice", "a vertex missing",
-    "a foreign vertex",
+    "a foreign vertex", "a step-2 range", "a missing level",
 ])
 def test_dim2_certificate_rejects_broken_orders(broken):
-    P = build_poset(NAT, 3)
+    P = build_poset(NAT, 3)  # level sizes 1, 1, 2, 3
     a, b = list(dim2_realizer(P).order_a), list(dim2_realizer(P).order_b)
-    if broken == "same order twice":
+    if broken == "same order twice":  # the same range twice on every level
         b = list(a)
-    elif broken == "both reversed":
+    elif broken == "both reversed":  # the levels listed top down
         a, b = a[::-1], b[::-1]
     elif broken == "levels swapped":
-        a, b = a[:1] + a[3:6] + a[1:3] + a[6:], b[:1] + b[3:6] + b[1:3] + b[6:]
-    elif broken == "a vertex twice":  # level 3 reads 1,2,2 and 2,2,1
-        a[-1] = b[-3] = Vertex(2, 3)
-    elif broken == "a vertex missing":
+        a[2], a[3], b[2], b[3] = a[3], a[2], b[3], b[2]
+    elif broken == "a vertex twice":  # a list, not a range: 1,1,3 and 3,1,1
+        a[3], b[3] = [1, 1, 3], [3, 1, 1]
+    elif broken == "a vertex missing":  # a short level: 1,2 and 2,1
+        a[3], b[3] = range(1, 3), range(2, 0, -1)
+    elif broken == "a foreign vertex":  # a shifted level: 2,3,4 and 4,3,2
+        a[3], b[3] = range(2, 5), range(4, 1, -1)
+    elif broken == "a step-2 range":  # 1,3,5 and 5,3,1
+        a[3], b[3] = range(1, 6, 2), range(5, 0, -2)
+    else:
         a, b = a[:-1], b[:-1]
-    else:  # level 3 reads 1,2,4 and 4,2,1
-        a[-1] = b[-3] = Vertex(4, 3)
     assert not _realizes(P, tuple(a), tuple(b))
-    assert not dim2_pairwise(P, tuple(a), tuple(b))
+    assert not dim2_pairwise(P, expand_order(tuple(a)), expand_order(tuple(b)))
 
 
 def test_dim2_certificate_answers_a_large_poset_fast():
@@ -387,6 +411,14 @@ def test_dot_export_is_deterministic_and_ordered():
     text = "".join(export_dot(build_poset(NAT, 2)))
     assert text == "".join(export_dot(build_poset(NAT, 2)))
     assert text.index('"1,0"') < text.index('"1,1"') < text.index('"2,2"')
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5), st.data())
+def test_dot_export_equals_the_record_oracle(terms, data):
+    levels = data.draw(st.integers(min_value=0, max_value=len(terms)))
+    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), levels)
+    assert "".join(export_dot(P)) == dot_text(P)
 
 
 @pytest.mark.parametrize("F", BUILTINS, ids=lambda F: F.spec)
