@@ -13,10 +13,11 @@ listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
 algorithm, the series exponential runs its derivative recurrence on
 ``Fraction`` coefficients, and primality is decided by trial division.  The
 series algebra, the pairwise dim2 check over vertex records, the DOT text
-written from ``vertices()`` and ``hasse_edges()`` and the triangle text
-built by one join of ``str`` are the routes the package replaced by
-recurrences, a certificate on per-level ranges, loops over the level sizes
-and a streamed ``Decimal`` route.
+written from ``vertices()`` and ``hasse_edges()``, the triangle text
+built by one join of ``str`` and the gcd-morphism scan over every pair are
+the routes the package replaced by recurrences, a certificate on per-level
+ranges, loops over the level sizes, a streamed ``Decimal`` route and one
+gcd per row against the running lcm.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator
 
 from cobweb import prefab
 from cobweb.fnomial import f_nomial
-from cobweb.fseq import FSequence
+from cobweb.fseq import FSequence, GcdMorphismReport, SequenceError
 from cobweb.poset import CobwebPoset, Vertex
 from cobweb.prefab import EMPTY, LawReport, LawResult, LawWitness, Prefabiant
 from cobweb.series import FormalSeries, enumerate_subspaces
@@ -293,6 +294,22 @@ def triangle_text(F: FSequence, rows: int, fmt: str) -> str:
         text = "\n".join(",".join(str(v) for v in row) for row in triangle) + "\n"
         return text.rstrip("\n") + "\n"
     return json.dumps([[str(v) for v in row] for row in triangle]) + "\n"
+
+
+def gcd_morphic_pairwise(F: FSequence, bound: int) -> GcdMorphismReport:
+    """gcd(F_n, F_m) = F_gcd(n, m) checked for every 1 <= m <= n <= bound,
+    row by row, with F_n read when row n is reached."""
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    terms = [0]  # F_0 is never read
+    for n in range(1, bound + 1):
+        terms.append(F.term(n))
+        if terms[n] <= 0:
+            raise SequenceError(f"{F.spec!r} has a nonpositive term at index {n}")
+        for m in range(1, n + 1):
+            if math.gcd(terms[n], terms[m]) != terms[math.gcd(n, m)]:
+                return GcdMorphismReport(F.spec, bound, False, (n, m))
+    return GcdMorphismReport(F.spec, bound, True)
 
 
 def partitions_recursive(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -174,6 +174,25 @@ def test_seq_check_keeps_violations_found_before_a_finite_spec_ends(capsys):
     assert "defines only 3 terms" in err
 
 
+def test_seq_check_gcd_violation_before_a_finite_spec_ends(capsys):
+    code, out, _ = run(capsys, "seq", "check", "--spec", "custom:1,1,2,3,5,8,4", "--upto", "9",
+                       "--gcd-morphic")
+    assert code == 1
+    assert json.loads(out)["gcd_morphic"] == {
+        "gcd_morphic": False, "first_violation": {"n": 7, "m": 3}}
+
+
+def test_seq_check_bound_zero_is_vacuous_and_negative_refused(capsys):
+    code, out, _ = run(capsys, "seq", "check", "--spec", "gauss:2", "--upto", "0")
+    assert code == 0
+    assert json.loads(out) == {"spec": "gauss:2", "upto": 0, "admissible": {"verdict": "admissible"},
+                               "gcd_morphic": {"gcd_morphic": True}}
+    code, out, err = run(capsys, "seq", "check", "--spec", "gauss:2", "--upto", "-1")
+    assert code == 2
+    assert out == ""
+    assert "bound must be nonnegative, got -1" in err
+
+
 def test_poset_build_payload(capsys):
     code, out, _ = run(capsys, "poset", "build", "--spec", "fibonacci", "--levels", "5")
     assert code == 0

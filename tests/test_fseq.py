@@ -1,16 +1,19 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cobweb.fseq import (
+    FSequence,
     SequenceError,
     admissibility_scan,
     is_cobweb_admissible_prefix,
     is_gcd_morphic_prefix,
     parse_sequence,
 )
+from oracles import gcd_morphic_pairwise
 
 
 def test_builtin_terms():
@@ -152,6 +155,94 @@ def test_gcd_morphism_failure_for_bg2():
 def test_gcd_morphism_rejects_nonpositive_terms():
     with pytest.raises(SequenceError):
         is_gcd_morphic_prefix(parse_sequence("const:-1"), 5)
+
+
+def test_gcd_morphism_bound_zero_is_vacuous_and_negative_refused():
+    report = is_gcd_morphic_prefix(parse_sequence("gauss:2"), 0)
+    assert report == ("gauss:2", 0, True, None)
+    with pytest.raises(ValueError, match="bound must be nonnegative, got -1"):
+        is_gcd_morphic_prefix(parse_sequence("gauss:2"), -1)
+
+
+def test_gcd_morphism_agrees_with_pairwise_on_every_small_prefix():
+    # every prefix with terms in 1..8 and length <= 5: 37,448 of them
+    count = morphic = 0
+    for length in range(1, 6):
+        for values in product(range(1, 9), repeat=length):
+            F = parse_sequence("custom:" + ",".join(map(str, values)))
+            report = is_gcd_morphic_prefix(F, length)
+            assert report == gcd_morphic_pairwise(F, length), values
+            count += 1
+            morphic += report.gcd_morphic
+    assert count == 37448
+    assert 0 < morphic < count
+
+
+@st.composite
+def chain_prefixes(draw):
+    """A custom: spec whose terms follow per-prime divisibility chains
+    r_1 | r_2 | ... (p^t divides F_n iff r_t | n), so gcd-morphic, with 0-2
+    terms then scaled or replaced."""
+    length = draw(st.integers(min_value=1, max_value=24))
+    terms = [1] * length
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7]), unique=True, max_size=3)):
+        r = draw(st.integers(min_value=1, max_value=6))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            for n in range(r, length + 1, r):
+                terms[n - 1] *= p
+            r *= draw(st.sampled_from([1, 2, 3]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=length - 1))
+        if draw(st.booleans()):
+            terms[i] *= draw(st.integers(min_value=2, max_value=7))
+        else:
+            terms[i] = draw(st.integers(min_value=1, max_value=30))
+    return "custom:" + ",".join(map(str, terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_prefixes())
+def test_gcd_morphism_agrees_with_pairwise_on_divisibility_chains(spec):
+    F = parse_sequence(spec)
+    bound = spec.count(",") + 1
+    assert is_gcd_morphic_prefix(F, bound) == gcd_morphic_pairwise(F, bound)
+
+
+def test_gcd_morphism_takes_the_new_part_against_all_of_the_lcm():
+    # c_8 = 315 / F_4 = 15 shares 3 with the recent factor F_4 / F_2 = 3 and 5
+    # with the folded F_3 = 7 * 5^100 only; gcd(F_8, F_3) = 35 is not F_1
+    five_100 = 7888609052210118054117285652827862296732064351090230047702789306640625
+    assert five_100 == 5**100
+    F = parse_sequence(f"custom:7,7,{7 * five_100},21,7,{7 * five_100},7,315")
+    report = is_gcd_morphic_prefix(F, 8)
+    assert report.violation == (8, 3)
+    assert report == gcd_morphic_pairwise(F, 8)
+
+
+def recorded(values):
+    reads = []
+
+    def term(n):
+        reads.append(n)
+        return values[n - 1]
+
+    return FSequence("recorded", term), reads
+
+
+def test_gcd_morphism_reads_no_term_after_the_failing_row():
+    F, reads = recorded([1, 1, 2, 3, 5, 8, 4, 1, 1, 1])
+    assert is_gcd_morphic_prefix(F, 10).violation == (7, 3)
+    assert reads == [1, 2, 3, 4, 5, 6, 7]
+    F, reads = recorded([1, 1, 2, 3, 5, 8, 13, 21, 34, 55])
+    assert is_gcd_morphic_prefix(F, 10).gcd_morphic
+    assert reads == list(range(1, 11))
+
+
+def test_gcd_morphism_refuses_a_nonpositive_term_at_its_index():
+    F, reads = recorded([1, 1, 2, -3, 5])
+    with pytest.raises(SequenceError, match="nonpositive term at index 4"):
+        is_gcd_morphic_prefix(F, 5)
+    assert reads == [1, 2, 3, 4]
 
 
 def test_scan_order_and_verdicts():
