@@ -17,12 +17,14 @@ options.  A call builds the parser only for the command its leading words
 name, and the handler imports the package modules it runs when dispatched:
 a ``fnomial`` call loads ``fseq`` and ``fnomial``, a ``poset`` call ``fseq``
 and ``poset``; ``incidence``, ``prefab`` and ``series`` load where used.
-Rational arithmetic (``fractions``, which imports ``decimal``) loads only
-where a result can be a fraction: coefficients, series, size quotients and
-the packing quotient.  The poset side is integer-only, so ``poset
-build|dot|chains|zeta|mobius|dim2``, ``seq check --gcd-morphic``, ``prefab
-laws`` and a ``poset pack`` refused by its cap load neither, which saves
-each such call about 3 ms and 0.5 MB of start-up.
+Rational arithmetic (``fractions``, which imports ``decimal`` and
+``numbers``) loads only where a value is fractional: an integral coefficient,
+packing quotient or count is an ``int`` from one ``divmod``, so the calls on
+an admissible sequence (``fnomial``, ``seq check``, ``poset pack``, ``prefab
+compose``), ``series qbell``, ``series bell`` with an integral value and
+every other ``poset`` call load none of the three, which saves each such
+call about 2 ms of start-up.  ``fnomial triangle`` loads ``decimal`` alone,
+and ``series expf|enumerator`` print ``Fraction`` coefficients.
 """
 
 from __future__ import annotations

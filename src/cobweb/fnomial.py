@@ -1,38 +1,47 @@
 """Exact sequence factorials, falling products and coefficient triangles.
 
 All arithmetic is arbitrary-precision integer or rational; there is no
-floating-point mode.  Coefficients are exact: ``int`` where integral,
-``Fraction`` otherwise (the point queries return ``Fraction``, whose
-denominator is 1 exactly when the value is integral).  A non-integral one
-comes back rather than raised, so admissibility scans can observe it.  The
-row generator divides with ``divmod`` on integers and falls back to
-``Fraction`` only where an entry is not integral; for printing it runs in
+floating-point mode.  Coefficients are exact: ``int`` where integral, a
+reduced ``Fraction`` otherwise, the point queries included.  An integral
+value costs one ``divmod``; ``fractions`` is imported only when a division
+leaves a remainder, so integral calls never load it (nor ``decimal`` and
+``numbers``, which it imports: about 2 ms of a process's start-up).  A
+non-integral coefficient comes back rather than raised, so admissibility
+scans can observe it.  For printing, the row generator runs in
 ``decimal.Decimal`` integers instead, whose decimal text costs time linear
-in the digits.  The exporters yield their text a row at a time.  Every
-function here is pure and safe for concurrent use.
+in the digits; only then is ``decimal`` loaded.  The exporters yield their
+text a row at a time.  Every function here is pure and safe for concurrent
+use.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import (
-    MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, DivisionByZero,
-    Inexact, InvalidOperation, Overflow, Rounded, localcontext,
-)
-from fractions import Fraction
 from itertools import count, islice
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .fseq import FSequence
 
-# The Decimal context of the row recurrence, fixed in full so that no setting
-# of the caller's context reaches it: integer products and integer divisions
-# stay exact up to MAX_PREC digits, and a result that is not is trapped.
-EXACT = Context(
-    prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
-    clamp=0, flags=[],
-    traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
-)
+if TYPE_CHECKING:
+    from decimal import Context, Decimal
+    from fractions import Fraction
+
+
+def _exact_context() -> Context:
+    """The Decimal context of the row recurrence, fixed in full so that no
+    setting of the caller's context reaches it: integer products and integer
+    divisions stay exact up to MAX_PREC digits, and a result that is not is
+    trapped."""
+    from decimal import (
+        MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, DivisionByZero, Inexact,
+        InvalidOperation, Overflow, Rounded,
+    )
+
+    return Context(
+        prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
+        clamp=0, flags=[],
+        traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
+    )
 
 
 def f_factorial(F: FSequence, n: int) -> int:
@@ -49,8 +58,9 @@ def falling_f(F: FSequence, n: int, k: int) -> int:
     return math.prod(F.term(j) for j in range(n - k + 1, n + 1))
 
 
-def f_nomial(F: FSequence, n: int, k: int) -> Fraction:
-    """The coefficient (n over k)_F as an exact reduced rational.
+def f_nomial(F: FSequence, n: int, k: int) -> int | Fraction:
+    """The coefficient (n over k)_F: an ``int`` where integral, else a
+    reduced ``Fraction``.
 
     Computed as the falling product of length k divided by the k-factorial,
     which keeps intermediate magnitudes down; ``f_nomial_from_factorials``
@@ -58,14 +68,14 @@ def f_nomial(F: FSequence, n: int, k: int) -> Fraction:
     """
     if not 0 <= k <= n:
         raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
-    return Fraction(falling_f(F, n, k), f_factorial(F, k))
+    return _exact_quotient(falling_f(F, n, k), f_factorial(F, k))
 
 
-def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> Fraction:
+def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> int | Fraction:
     """Same coefficient via F_n! / (F_k! F_(n-k)!), kept as a cross-check route."""
     if not 0 <= k <= n:
         raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
-    return Fraction(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
+    return _exact_quotient(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
 
 
 def _exact_quotient(
@@ -73,14 +83,17 @@ def _exact_quotient(
 ) -> int | Decimal | Fraction:
     """a / b for a nonzero integer b: of the integer type ``number`` (that of
     an integral a) when it is integral, else a reduced ``Fraction``.
-    Integral values divide by one ``divmod``, no gcd.  A ``Decimal`` needs
-    the exact context ``EXACT``, and is never divided with ``/``, whose
-    inexact quotient would expand to the context's precision."""
-    if not isinstance(a, Fraction):
+    Integral values divide by one ``divmod``, no gcd, and ``fractions`` is
+    imported only on a remainder or for a ``Fraction`` a.  A ``Decimal``
+    needs the exact context of ``_exact_context``, and is never divided with
+    ``/``, whose inexact quotient would expand to the context's precision."""
+    if isinstance(a, number):
         quotient, remainder = divmod(a, b)
         if not remainder:
             return quotient
         a = int(a)
+    from fractions import Fraction
+
     value = Fraction(a, b)
     return number(value.numerator) if value.denominator == 1 else value
 
@@ -92,25 +105,37 @@ def f_nomial_rows(F: FSequence, number: type = int) -> Iterator[list[int | Decim
     (n over k) = (n over k-1) * F_(n-k+1) / F_k, an exact integer division
     wherever the entry is integral; the right half mirrors the left, since
     (n over k) = (n over n-k).  Integral entries are of the integer type
-    ``number``, otherwise ``Fraction``.  ``int`` serves arithmetic;
-    ``decimal.Decimal`` serves printing, since its ``str()`` takes time
-    linear in the digits where an ``int``'s takes quadratic time.  Decimal
-    steps run in ``EXACT``, entered per row, so no context reaches the
-    caller across a ``yield``.  Row n reads the terms only up to F_n, so a
-    scan can stop at any row of a finite sequence, and only the current row
-    is held.
+    ``number``, otherwise ``Fraction``.  ``int`` serves arithmetic and needs
+    no context; ``decimal.Decimal`` serves printing, since its ``str()``
+    takes time linear in the digits where an ``int``'s takes quadratic time.
+    Decimal steps run in ``_exact_context()``, entered per row, so no context
+    reaches the caller across a ``yield``.  Row n reads the terms only up to
+    F_n, so a scan can stop at any row of a finite sequence, and only the
+    current row is held.
     """
-    one = number(1)
+    if number is not int:
+        from decimal import localcontext
+
+        exact = _exact_context()
     terms = [0]  # F_0 is never read
     for n in count():
         if n:
             terms.append(F.term(n))
-        with localcontext(EXACT):
-            row: list[int | Decimal | Fraction] = [one]
-            for k in range(1, n // 2 + 1):
-                row.append(_exact_quotient(row[-1] * terms[n - k + 1], terms[k], number))
+        if number is int:
+            row = _left_half(terms, n, number)
+        else:
+            with localcontext(exact):
+                row = _left_half(terms, n, number)
         row.extend(reversed(row[: (n + 1) // 2]))
         yield row
+
+
+def _left_half(terms: list[int], n: int, number: type) -> list[int | Decimal | Fraction]:
+    """Entries k = 0..n // 2 of row n, each from its left neighbour."""
+    row = [number(1)]
+    for k in range(1, n // 2 + 1):
+        row.append(_exact_quotient(row[-1] * terms[n - k + 1], terms[k], number))
+    return row
 
 
 def f_nomial_triangle(F: FSequence, rows: int) -> list[list[int | Fraction]]:

@@ -193,7 +193,7 @@ class AdmissibilityReport(NamedTuple):
     bound: int
     verdict: str
     violation: tuple[int, int] | None = None
-    value: Fraction | None = None
+    value: int | Fraction | None = None
     error: str | None = None
 
     @property

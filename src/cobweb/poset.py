@@ -12,8 +12,10 @@ others.  The packing search is an exact branch-and-bound, never a heuristic.
 It factors out every level with F_j = 1 (copies on different vertices there
 never conflict), builds the remaining conflict graph as a Kronecker product
 of per-level bitmask rows, fixes one copy by the symmetry of permuting
-vertices within levels, and prunes with a greedy colour-class bound and the
-chain budget.  An instance above the copy cap, or a search past
+vertices within levels, and prunes with a greedy colour-class bound and a
+level bound: at most floor(n_j * P(rest) / a_j) copies for any level j of
+n_j vertices of which a copy takes a_j, with P(rest) the bound without that
+level.  An instance above the copy cap, or a search past
 ``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``, not
 approximated.  The explicit route, every copy as vertex sets searched
 without bounds, is the packing oracle in ``tests/oracles.py``.
@@ -206,7 +208,7 @@ class PackingReport(NamedTuple):
     n: int
     copies_total: int
     chains_total: int
-    quotient_bound: Fraction
+    quotient_bound: int | Fraction
     max_packing: int
     tight: bool
 
@@ -290,8 +292,9 @@ def _max_family_through_first(conflict: list[int], budget: int) -> int:
     Branch and bound in the order of Tomita and Seki's MCQ (2003): expand the
     candidates from the highest class number down and cut a node once its
     family size plus the class number cannot pass the best found.  The
-    search stops as soon as a family reaches the chain budget.  The
-    recursion is as deep as the family is large, which the budget bounds.
+    search stops as soon as a family reaches the budget, an upper bound on
+    the family size.  The recursion is as deep as the family is large, which
+    the budget bounds.
     """
     best = 1
     nodes = 0
@@ -317,6 +320,24 @@ def _max_family_through_first(conflict: list[int], budget: int) -> int:
     return best
 
 
+def _level_bound(levels: list[tuple[int, int]]) -> int:
+    """Upper bound on a chain-disjoint family over (avail, need) levels:
+    P(S) <= min_j floor(avail_j * P(S - j) / need_j) over the level sets S,
+    from P of no level = 1.  The copies through one vertex of level j miss
+    each other on the other levels, so at most P(S - j) of them pass there,
+    and each copy passes need_j of the avail_j vertices.  On one level it is
+    floor(avail / need), and it is never above the chain budget
+    prod avail // prod need.  It takes 2^L steps for L levels; a level with
+    2 * need <= avail has C(avail, need) >= 6 copies, so the copy cap bounds L."""
+    bound = [1] * (1 << len(levels))
+    for subset in range(1, len(bound)):
+        bound[subset] = min(
+            avail * bound[subset ^ 1 << j] // need
+            for j, (avail, need) in enumerate(levels) if subset >> j & 1
+        )
+    return bound[-1]
+
+
 def max_disjoint_packing(
     P: CobwebPoset, root: Vertex, m: int, cap: int = 5000
 ) -> PackingReport:
@@ -334,10 +355,13 @@ def max_disjoint_packing(
     "subsets meet" bitmask rows.  Permuting vertices within levels maps any
     copy to copy 0, so some maximum family contains copy 0, and the search
     starts from it.  Each node is bounded by a greedy colour-class cover
-    (pairwise conflicting classes) and the whole search by the chain budget
-    (chains_total // chain_cost).  A search that passes
-    ``PACKING_NODE_BUDGET`` nodes is refused with ``PackingCapError``.  Every
-    instance has at least one copy, so a ``cap`` below 1 raises ``ValueError``.
+    (pairwise conflicting classes) and the whole search by ``_level_bound``
+    over the levels with 2 F_j <= F_(k+j); on any other level every two
+    copies meet, so it leaves the maximum as it is.  The quotient is an
+    ``int`` from one ``divmod`` where it is integral, else a ``Fraction``.
+    A search that passes ``PACKING_NODE_BUDGET`` nodes is refused with
+    ``PackingCapError``.  Every instance has at least one copy, so a ``cap``
+    below 1 raises ``ValueError``.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -347,22 +371,26 @@ def max_disjoint_packing(
         copies_total *= math.comb(avail, need)
         if copies_total > cap:
             raise PackingCapError(f"instance has more copies than the cap of {cap}")
-    from fractions import Fraction  # after the cap refusal, which needs no quotient
-
     chains_total = math.prod(avail for avail, _ in shape)
     chain_cost = math.prod(need for _, need in shape)
-    quotient = Fraction(chains_total, chain_cost)
+    whole, rest = divmod(chains_total, chain_cost)
+    if rest:  # the only rational value here
+        from fractions import Fraction
+
+        quotient = Fraction(chains_total, chain_cost)
+    else:
+        quotient = whole
     factor = 1
     conflict = [1]
-    reduced_chains = reduced_cost = 1
+    spread = []  # the levels on which two copies can miss each other
     for avail, need in shape:
         if need == 1:
             factor *= avail
         else:
             conflict = _kronecker(conflict, _level_conflicts(avail, need))
-            reduced_chains *= avail
-            reduced_cost *= need
-    max_packing = factor * _max_family_through_first(conflict, reduced_chains // reduced_cost)
+            if 2 * need <= avail:
+                spread.append((avail, need))
+    max_packing = factor * _max_family_through_first(conflict, _level_bound(spread))
     return PackingReport(
         spec=P.F.spec,
         root=root,
@@ -372,7 +400,7 @@ def max_disjoint_packing(
         chains_total=chains_total,
         quotient_bound=quotient,
         max_packing=max_packing,
-        tight=Fraction(max_packing) == quotient,
+        tight=not rest and max_packing == whole,
     )
 
 

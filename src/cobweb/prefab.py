@@ -163,7 +163,7 @@ class C2Record(NamedTuple):
     k: int
     m: int
     size_ratio: Fraction
-    coefficient: Fraction
+    coefficient: int | Fraction
     copies: int | None
     holds: bool
 

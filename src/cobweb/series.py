@@ -18,7 +18,10 @@ decompositions of a finite vector space and are verified against a literal
 subspace-enumeration oracle that shares no code with the series route.
 
 Values are exact: ``int`` where integral, ``Fraction`` otherwise; series
-coefficients are ``Fraction``.  Field sizes are checked prime by a
+coefficients are ``Fraction``.  The scaled recurrences sum in integers over
+a running common denominator, and ``fractions`` is imported only by the
+functions that build a fraction, so an integral count such as ``q_bell``
+never loads it.  Field sizes are checked prime by a
 deterministic Miller-Rabin test, which is exact below ``PRIMALITY_BOUND``;
 larger field sizes are refused.
 """
@@ -27,12 +30,14 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import accumulate, combinations, islice, product
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .fnomial import _exact_quotient, f_nomial_rows
 from .fseq import FSequence, _Frozen, parse_sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
 # this bound (psi_13 of Sorenson and Webster, "Strong pseudoprimes to twelve
@@ -62,6 +67,8 @@ class FormalSeries(_Frozen):
 
     @classmethod
     def from_coefficients(cls, values: Iterable[int | Fraction]) -> "FormalSeries":
+        from fractions import Fraction
+
         return cls(tuple(Fraction(v) for v in values))
 
     @property
@@ -97,32 +104,50 @@ def _scaled_enumerator(F: FSequence, n: int) -> list[int | Fraction]:
 
     The derivative recurrence of the exponential, scaled by F_m!, reads
     B_m = (1/m) sum_{j=1..m} j (m over j)_F B_(m-j), over one streamed
-    coefficient row at a time.
+    coefficient row at a time.  The sum runs on the integers S_i = B_i * D,
+    for D the running lcm of the denominators of B (rescaled when D grows),
+    so each B_m costs one reduction, not one per term; while D = 1 (an
+    integral B, as over ``natural`` and ``bg:q``) S equals B.
     """
     B: list[int | Fraction] = [1]
+    S = [1]
+    D = 1
     for m, row in zip(range(1, n + 1), islice(f_nomial_rows(F), 1, None)):
-        B.append(_exact_quotient(sum(j * row[j] * B[m - j] for j in range(1, m + 1)), m))
+        value = _exact_quotient(sum(j * row[j] * S[m - j] for j in range(1, m + 1)), m * D)
+        grow = value.denominator // math.gcd(D, value.denominator)
+        if grow > 1:
+            S, D = [s * grow for s in S], D * grow
+        B.append(value)
+        S.append(value.numerator * (D // value.denominator))
     return B
 
 
 def _scaled_power(F: FSequence, n: int, k: int) -> int | Fraction:
     """P_k(n) = F_n! [x^n] (E - 1)^k / k!, by
     P_i(m) = (1/i) sum_{j>=1} (m over j)_F P_(i-1)(m-j) from P_0(m) = [m = 0],
-    all i <= k carried along one streamed coefficient row at a time."""
+    all i <= k carried along one streamed coefficient row at a time, as
+    integers over one running common denominator D (see ``_scaled_enumerator``)."""
     P = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(k)]
+    D = 1
     for m, row in zip(range(1, n + 1), islice(f_nomial_rows(F), 1, None)):
         for i in range(1, min(k, m) + 1):
             below = P[i - 1]
-            P[i][m] = _exact_quotient(
-                sum(row[j] * below[m - j] for j in range(1, m - i + 2)), i
+            value = _exact_quotient(
+                sum(row[j] * below[m - j] for j in range(1, m - i + 2)), i * D
             )
-    return P[k][n]
+            grow = value.denominator // math.gcd(D, value.denominator)
+            if grow > 1:
+                P, D = [[x * grow for x in p] for p in P], D * grow
+            P[i][m] = value.numerator * (D // value.denominator)
+    return _exact_quotient(P[k][n], D)
 
 
 def exp_f_series(F: FSequence, order: int) -> FormalSeries:
     """The sequence exponential: coefficient of x^n is 1/F_n!."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    from fractions import Fraction
+
     return FormalSeries(tuple(Fraction(1, fac) for fac in _factorials(F, order)))
 
 
@@ -131,6 +156,8 @@ def prefab_enumerator(F: FSequence, order: int) -> FormalSeries:
     B_m / F_m! with one reduction per coefficient."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    from fractions import Fraction
+
     factorials = _factorials(F, order)
     return FormalSeries(
         tuple(Fraction(b, fac) for b, fac in zip(_scaled_enumerator(F, order), factorials))
@@ -209,6 +236,8 @@ def enumerator_coeff_by_partitions(F: FSequence, n: int) -> Fraction:
             d *= factorials[part] * run
             previous = part
         total += _exact_quotient(factorials[n], d)
+    from fractions import Fraction
+
     return Fraction(total, factorials[n])
 
 

@@ -12,12 +12,13 @@ one list of all draws.  Embedded prime copies are
 listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
 algorithm, the series exponential runs its derivative recurrence on
 ``Fraction`` coefficients, and primality is decided by trial division.  The
-series algebra, the pairwise dim2 check over vertex records, the DOT text
-written from ``vertices()`` and ``hasse_edges()``, the triangle text
-built by one join of ``str`` and the gcd-morphism scan over every pair are
-the routes the package replaced by recurrences, a certificate on per-level
-ranges, loops over the level sizes, a streamed ``Decimal`` route and one
-gcd per row against the running lcm.
+series algebra, the scaled series recurrences with a ``Fraction`` per term,
+the pairwise dim2 check over vertex records, the DOT text written from
+``vertices()`` and ``hasse_edges()``, the triangle text built by one join of
+``str`` and the gcd-morphism scan over every pair are the routes the package
+replaced by recurrences, integer sums over a common denominator, a
+certificate on per-level ranges, loops over the level sizes, a streamed
+``Decimal`` route and one gcd per row against the running lcm.
 """
 
 from __future__ import annotations
@@ -340,6 +341,34 @@ def enumerator_coeff_by_recursive_partitions(F: FSequence, n: int) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def _int_where_integral(value: Fraction) -> int | Fraction:
+    return value.numerator if value.denominator == 1 else value
+
+
+def scaled_enumerator_by_fractions(F: FSequence, n: int) -> list[int | Fraction]:
+    """B_0..B_n, B_m = F_m! [x^m] exp(E - 1), by the derivative recurrence
+    B_m = (1/m) sum_j j (m over j)_F B_(m-j) with every term a ``Fraction``
+    and the coefficients from point queries; each B_m an int where integral."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(sum(j * f_nomial(F, m, j) * B[m - j] for j in range(1, m + 1)) / m)
+    return [_int_where_integral(b) for b in B]
+
+
+def scaled_power_by_fractions(F: FSequence, n: int, k: int) -> int | Fraction:
+    """P_k(n) = F_n! [x^n] (E - 1)^k / k! by
+    P_i(m) = (1/i) sum_{j>=1} (m over j)_F P_(i-1)(m-j), every term a
+    ``Fraction``; an int where integral."""
+    P = [[Fraction(int(m == 0)) for m in range(n + 1)]]
+    P += [[Fraction(0)] * (n + 1) for _ in range(k)]
+    for i in range(1, k + 1):
+        for m in range(1, n + 1):
+            P[i][m] = sum(
+                (f_nomial(F, m, j) * P[i - 1][m - j] for j in range(1, m + 1)), Fraction(0)
+            ) / i
+    return _int_where_integral(P[k][n])
 
 
 def rref(rows: list[list[int]], q: int) -> list[list[int]]:

@@ -62,6 +62,7 @@ def test_coefficient_range_errors():
 
 
 def test_non_integral_coefficient_is_returned_not_raised():
+    assert type(f_nomial(FIB, 5, 2)) is int
     value = f_nomial(parse_sequence("custom:2,3"), 2, 1)
     assert isinstance(value, Fraction)
     assert value.denominator != 1
@@ -139,6 +140,20 @@ def test_rows_are_ints_exactly_where_integral(terms):
         for k, value in enumerate(row):
             exact = f_nomial(F, n, k)
             assert value == exact == f_nomial_from_factorials(F, n, k)
+            assert type(value) is (int if exact.denominator == 1 else Fraction)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=-12, max_value=12).filter(bool), min_size=1, max_size=14),
+       st.data())
+def test_point_queries_are_ints_exactly_where_integral(terms, data):
+    # zero-free custom: prefixes, negative and non-admissible terms included
+    F = parse_sequence("custom:" + ",".join(map(str, terms)))
+    n = data.draw(st.integers(min_value=0, max_value=len(terms)))
+    for k in range(n + 1):
+        exact = Fraction(falling_f(F, n, k), f_factorial(F, k))
+        for value in (f_nomial(F, n, k), f_nomial_from_factorials(F, n, k)):
+            assert value == exact
             assert type(value) is (int if exact.denominator == 1 else Fraction)
 
 

@@ -37,63 +37,79 @@ finally:
 # needs: ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
 # ``tokenize``.
 SLOW_IMPORTS = {"dataclasses", "inspect"}
-# Rational arithmetic (``fractions`` imports ``decimal``): loaded only by the
-# calls whose result can be a fraction, or that print through ``Decimal``.
-RATIONAL = {"fractions", "decimal"}
+# Rational arithmetic, checked module by module: ``fractions`` loads only
+# where a value is fractional, and ``decimal`` (which imports ``numbers``)
+# only there or where rows are printed through ``Decimal``.  An integral
+# call loads none of them.
+FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions imports decimal
+DECIMAL = {"decimal", "numbers"}
+NONE: set[str] = set()
 
 BASE = {"cobweb", "cobweb.cli"}
 CORE = {"cobweb", "cobweb.fseq", "cobweb.fnomial"}
 COEFFICIENTS = BASE | CORE
+SERIES = COEFFICIENTS | {"cobweb.series"}
 # a poset is its level sizes, so no poset call needs the coefficient module
 POSET = BASE | {"cobweb.fseq", "cobweb.poset"}
 CHAINS = ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "1",
           "--to-level", "3", "--mode"]
 PACK = ["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"]
 
-# id -> (argv, exit code, cobweb modules loaded, whether RATIONAL loads)
+# id -> (argv, exit code, cobweb modules loaded, FRACTIONS modules loaded)
 CLI_CALLS = {
+    # the scans see integral values only, so neither loads a rational module
     "seq check": (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0,
-                  COEFFICIENTS, True),
+                  COEFFICIENTS, NONE),
     "seq check gcd-morphic": (
         ["seq", "check", "--spec", "fibonacci", "--upto", "10", "--gcd-morphic"], 0,
-        BASE | {"cobweb.fseq"}, False),
+        BASE | {"cobweb.fseq"}, NONE),
+    "seq check violation": (["seq", "check", "--spec", "custom:2,3", "--upto", "2"], 1,
+                            COEFFICIENTS, FRACTIONS),
     "fnomial": (["fnomial", "--spec", "fibonacci", "--n", "5", "--k", "2"], 0,
-                COEFFICIENTS, True),
+                COEFFICIENTS, NONE),
+    "fnomial fractional": (["fnomial", "--spec", "custom:2,3", "--n", "2", "--k", "1"], 0,
+                           COEFFICIENTS, FRACTIONS),
     "fnomial triangle": (["fnomial", "triangle", "--spec", "fibonacci", "--rows", "5"], 0,
-                         COEFFICIENTS, True),
+                         COEFFICIENTS, DECIMAL),
     "poset build": (["poset", "build", "--spec", "fibonacci", "--levels", "4"], 0,
-                    POSET, False),
-    "poset dot": (["poset", "dot", "--spec", "natural", "--levels", "3"], 0, POSET, False),
-    "poset pack": (PACK, 1, POSET, True),
+                    POSET, NONE),
+    "poset dot": (["poset", "dot", "--spec", "natural", "--levels", "3"], 0, POSET, NONE),
+    "poset pack": (PACK, 1, POSET, NONE),
+    # the quotient 3/2 is the one fraction a packing builds
+    "poset pack fractional": (
+        ["poset", "pack", "--spec", "custom:2,3", "--root-level", "1", "--m", "1"], 1,
+        POSET, FRACTIONS),
     # refused by the copy cap before any quotient is formed
-    "poset pack cap-refused": (PACK + ["--cap", "1"], 2, POSET, False),
-    "poset chains": (CHAINS + ["product"], 0, POSET, False),
-    "poset chains matrix": (CHAINS + ["matrix"], 0, POSET | {"cobweb.incidence"}, False),
-    "poset chains enumerate": (CHAINS + ["enumerate"], 0, POSET, False),
+    "poset pack cap-refused": (PACK + ["--cap", "1"], 2, POSET, NONE),
+    "poset chains": (CHAINS + ["product"], 0, POSET, NONE),
+    "poset chains matrix": (CHAINS + ["matrix"], 0, POSET | {"cobweb.incidence"}, NONE),
+    "poset chains enumerate": (CHAINS + ["enumerate"], 0, POSET, NONE),
     "poset zeta": (["poset", "zeta", "--spec", "fibonacci", "--levels", "4", "--format", "csv"],
-                   0, POSET | {"cobweb.incidence"}, False),
+                   0, POSET | {"cobweb.incidence"}, NONE),
     "poset mobius": (["poset", "mobius", "--spec", "fibonacci", "--levels", "4"], 0,
-                     POSET | {"cobweb.incidence"}, False),
-    "poset dim2": (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0, POSET, False),
-    "series qbell": (["series", "qbell", "--q", "2", "--n", "3"], 0,
-                     COEFFICIENTS | {"cobweb.series"}, True),
+                     POSET | {"cobweb.incidence"}, NONE),
+    "poset dim2": (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0, POSET, NONE),
+    "series qbell": (["series", "qbell", "--q", "2", "--n", "3"], 0, SERIES, NONE),
+    # series coefficients are fractions
     "series expf": (["series", "expf", "--spec", "fibonacci", "--order", "5"], 0,
-                    COEFFICIENTS | {"cobweb.series"}, True),
+                    SERIES, FRACTIONS),
     "series enumerator": (["series", "enumerator", "--spec", "natural", "--order", "5"], 0,
-                          COEFFICIENTS | {"cobweb.series"}, True),
-    "series bell": (["series", "bell", "--spec", "natural", "--n", "5"], 0,
-                    COEFFICIENTS | {"cobweb.series"}, True),
+                          SERIES, FRACTIONS),
+    "series bell": (["series", "bell", "--spec", "natural", "--n", "5"], 0, SERIES, NONE),
+    # B_3 = 10/3 over fibonacci
+    "series bell fractional": (["series", "bell", "--spec", "fibonacci", "--n", "3"], 0,
+                               SERIES, FRACTIONS),
     "prefab compose": (["prefab", "compose", "--op", "odot", "--a", "0,2", "--b", "0,3",
-                        "--spec", "fibonacci"], 0, COEFFICIENTS | {"cobweb.prefab"}, True),
+                        "--spec", "fibonacci"], 0, COEFFICIENTS | {"cobweb.prefab"}, NONE),
     # the laws act on layer bounds alone: no coefficient, no rational
     "prefab laws": (["prefab", "laws", "--spec", "fibonacci", "--samples", "50", "--seed", "1"],
-                    0, BASE | {"cobweb.fseq", "cobweb.prefab"}, False),
+                    0, BASE | {"cobweb.fseq", "cobweb.prefab"}, NONE),
 }
 
 
 def probe(code: str) -> tuple[int, set[str], set[str]]:
     """Exit code, loaded cobweb modules, and the ``SLOW_IMPORTS`` and
-    ``RATIONAL`` modules the code loaded."""
+    ``FRACTIONS`` modules the code loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
@@ -101,7 +117,7 @@ def probe(code: str) -> tuple[int, set[str], set[str]]:
         env=env, capture_output=True, text=True, timeout=60,
     )
     loaded, stdlib = json.loads(result.stderr.splitlines()[-1])
-    return result.returncode, set(loaded), (SLOW_IMPORTS | RATIONAL) & set(stdlib)
+    return result.returncode, set(loaded), (SLOW_IMPORTS | FRACTIONS) & set(stdlib)
 
 
 def test_importing_the_cli_loads_no_computing_module():
@@ -111,11 +127,12 @@ def test_importing_the_cli_loads_no_computing_module():
 @pytest.mark.parametrize("argv, code, modules, rational", CLI_CALLS.values(), ids=CLI_CALLS)
 def test_cli_call_loads_only_its_modules(argv, code, modules, rational):
     call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
-    assert probe(call) == (code, modules, RATIONAL if rational else set())
+    assert probe(call) == (code, modules, rational)
 
 
 def test_package_attribute_loads_only_its_owner():
-    assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"}, RATIONAL)
+    assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"}, NONE)
+    assert probe("import cobweb; cobweb.q_bell(2, 5)") == (0, CORE | {"cobweb.series"}, NONE)
     # a module stays an attribute of the package, loaded on first access
     assert probe("import cobweb; cobweb.poset.Vertex") == (
         0, {"cobweb", "cobweb.fseq", "cobweb.poset"}, set())

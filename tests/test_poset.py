@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -6,12 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cobweb.cli import main
 from cobweb.fnomial import f_factorial, f_nomial, falling_f
 from cobweb.fseq import parse_sequence
 from cobweb.poset import (
     CobwebPoset,
     PackingCapError,
     Vertex,
+    _level_bound,
     _realizes,
     build_poset,
     count_max_chains_between,
@@ -288,6 +291,79 @@ def test_packing_matches_brute_force_on_random_levels(instance):
     report = max_disjoint_packing(P, Vertex(1, k), m)
     assert report.copies_total == copies_total
     assert report.max_packing == brute_max_packing(enumerate_copies(P, Vertex(1, k), m))
+
+
+@st.composite
+def unitless_layers(draw):
+    """custom:needs,fill,avails with every need F_1..F_m >= 2, the layer at
+    root level k = m (+ one filler level) and the copy height m <= 2."""
+    m = draw(st.integers(min_value=1, max_value=2))
+    needs = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=m, max_size=m))
+    avails = [draw(st.integers(min_value=n, max_value=n + 3)) for n in needs]
+    fill = draw(st.lists(st.just(2), max_size=1))
+    return needs + fill + avails, m + len(fill), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitless_layers())
+def test_level_bound_and_packing_on_layers_without_unit_levels(instance):
+    terms, k, m = instance
+    needs, avails = terms[:m], terms[k:]
+    copies_total = math.prod(math.comb(a, n) for a, n in zip(avails, needs))
+    assume(copies_total <= 40)
+    budget = math.prod(avails) // math.prod(needs)
+    assume(sum(math.comb(copies_total, i) for i in range(budget + 1)) <= 20000)
+    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), k + m)
+    best = brute_max_packing(enumerate_copies(P, Vertex(1, k), m))
+    assert max_disjoint_packing(P, Vertex(1, k), m).max_packing == best
+    # the search budget: the level bound over the levels where copies can miss
+    spread = [(a, n) for a, n in zip(avails, needs) if 2 * n <= a]
+    assert best <= _level_bound(spread) <= max(budget, 1)
+
+
+def test_level_bound_values():
+    assert _level_bound([]) == 1
+    assert _level_bound([(7, 2)]) == 3  # natural 5/2: 6 * 3 = 18 copies
+    assert _level_bound([(7, 2), (7, 2)]) == 10  # floor(7 * 3 / 2), below 49 // 4
+    assert _level_bound([(9, 2), (9, 2)]) == 18
+
+
+def test_packing_closes_a_layer_without_unit_levels(capsys):
+    # 441 copies; the node budget refused it under the chain budget 49 // 4 = 12,
+    # and the level bound 10 is reached by the first families the search meets
+    P = build_poset(parse_sequence("custom:2,2,7,7"), 4)
+    start = time.perf_counter()
+    report = max_disjoint_packing(P, Vertex(1, 2), 2)
+    assert time.perf_counter() - start < 1.0
+    assert (report.copies_total, report.max_packing) == (441, 10)
+    assert report.quotient_bound == Fraction(49, 4) and not report.tight
+    # min(floor(9 * 3 / 2), floor(9 * 4 / 3)) = 12 over levels of 9 for copies of 2, 3
+    P = build_poset(parse_sequence("custom:2,3,9,9"), 4)
+    report = max_disjoint_packing(P, Vertex(1, 2), 2)
+    assert (report.copies_total, report.max_packing) == (3024, 12)
+    argv = ["poset", "pack", "--spec", "custom:2,2,7,7", "--root-level", "2", "--m", "2"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "spec": "custom:2,2,7,7", "root_level": 2, "m": 2, "n": 4, "copies_total": "441",
+        "chains_total": "49", "quotient_bound": "49/4", "max_packing": "10", "tight": False,
+    }
+
+
+def test_packing_levels_where_every_two_copies_meet_cost_no_bound_steps():
+    # const:2 from level 1 up 40 levels: one copy, and no level where two
+    # copies could miss each other, so the level bound has 2^0 steps, not 2^40
+    start = time.perf_counter()
+    report = max_disjoint_packing(build_poset(parse_sequence("const:2"), 41), Vertex(1, 1), 40)
+    assert (report.copies_total, report.max_packing, report.tight) == (1, 1, True)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_packing_quotient_is_an_int_where_integral():
+    report = max_disjoint_packing(build_poset(NAT, 4), Vertex(1, 2), 2)
+    assert type(report.quotient_bound) is int and report.quotient_bound == 6 and report.tight
+    report = max_disjoint_packing(build_poset(parse_sequence("custom:2,3"), 2), Vertex(1, 1), 1)
+    assert type(report.quotient_bound) is Fraction and report.quotient_bound == Fraction(3, 2)
+    assert (report.max_packing, report.tight) == (1, False)
 
 
 def test_packing_exact_values_on_larger_instances():

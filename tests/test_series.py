@@ -16,6 +16,8 @@ from cobweb.series import (
     _is_prime,
     _partition_count_exceeds,
     _partitions,
+    _scaled_enumerator,
+    _scaled_power,
     bell_f,
     count_invertible_matrices,
     decomposition_oracle,
@@ -33,6 +35,8 @@ from oracles import (
     enumerator_coeff_by_recursive_partitions,
     is_prime_by_trial_division,
     partitions_recursive,
+    scaled_enumerator_by_fractions,
+    scaled_power_by_fractions,
     series_add,
     series_exp,
     series_mul,
@@ -232,6 +236,50 @@ def test_enumerator_recurrence_matches_series_exp(terms):
         assert value == exact
         assert type(value) is (int if exact.denominator == 1 else Fraction)
         assert enumerator_coeff_by_partitions(Fs, m) == enum.coefficient(m)
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=-9, max_value=9).filter(bool), min_size=1, max_size=10))
+def test_scaled_recurrences_match_the_per_term_fraction_route(terms):
+    # zero-free custom: prefixes, negative and non-admissible terms included:
+    # same values and same types (int where integral) entry by entry
+    Fs = parse_sequence("custom:" + ",".join(map(str, terms)))
+    n = len(terms)
+    expected = scaled_enumerator_by_fractions(Fs, n)
+    assert typed(_scaled_enumerator(Fs, n)) == typed(expected)
+    assert typed([bell_f(Fs, n)]) == typed(expected[n:])
+    for k in range(n + 2):
+        assert typed([_scaled_power(Fs, n, k)]) == typed([scaled_power_by_fractions(Fs, n, k)])
+
+
+def test_scaled_recurrences_over_fractional_rows():
+    # negative terms with integral values, then rows with Fraction entries and
+    # B values whose common denominator grows (7/4, 33/8, 2369/192, ...)
+    for spec, fractional in (("custom:1,-2,3,-4,5,6,7", False), ("custom:2,3,5,7,11", True),
+                             ("custom:2,-3,4", True)):
+        Fs = parse_sequence(spec)
+        n = len(spec.split(","))
+        expected = scaled_enumerator_by_fractions(Fs, n)
+        assert (Fraction in {type(v) for v in expected}) is fractional
+        assert typed(_scaled_enumerator(Fs, n)) == typed(expected)
+        for k in range(n + 2):
+            assert typed([_scaled_power(Fs, n, k)]) == typed([scaled_power_by_fractions(Fs, n, k)])
+    # fibonacci and gauss:2 B values are fractional from B_3 on
+    for spec in ("fibonacci", "gauss:2"):
+        Fs = parse_sequence(spec)
+        assert typed(_scaled_enumerator(Fs, 24)) == typed(scaled_enumerator_by_fractions(Fs, 24))
+
+
+def test_q_stirling_matches_the_per_term_fraction_route():
+    for q in (2, 3, 5):
+        bg = parse_sequence(f"bg:{q}")
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                assert typed([q_stirling(q, n, k)]) == typed([scaled_power_by_fractions(bg, n, k)])
 
 
 def test_q_stirling_matches_series_powers_and_sums_to_q_bell():
