@@ -2,9 +2,10 @@
 
 All arithmetic is arbitrary-precision integer or rational; there is no
 floating-point mode.  Coefficients are exact: ``int`` where integral, a
-reduced ``Fraction`` otherwise, the point queries included.  An integral
-value costs one ``divmod``; ``fractions`` is imported only when a division
-leaves a remainder, so integral calls never load it (nor ``decimal`` and
+reduced ``Fraction`` otherwise, the point queries included, each division
+going through ``fseq.exact_quotient``.  An integral value costs one
+``divmod``; ``fractions`` is imported only when a division leaves a
+remainder, so integral calls never load it (nor ``decimal`` and
 ``numbers``, which it imports: about 2 ms of a process's start-up).  A
 non-integral coefficient comes back rather than raised, so admissibility
 scans can observe it.  For printing, the row generator runs in
@@ -20,7 +21,7 @@ import math
 from itertools import count, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .fseq import FSequence
+from .fseq import FSequence, exact_quotient
 
 if TYPE_CHECKING:
     from decimal import Context, Decimal
@@ -68,34 +69,14 @@ def f_nomial(F: FSequence, n: int, k: int) -> int | Fraction:
     """
     if not 0 <= k <= n:
         raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
-    return _exact_quotient(falling_f(F, n, k), f_factorial(F, k))
+    return exact_quotient(falling_f(F, n, k), f_factorial(F, k))
 
 
 def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> int | Fraction:
     """Same coefficient via F_n! / (F_k! F_(n-k)!), kept as a cross-check route."""
     if not 0 <= k <= n:
         raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
-    return _exact_quotient(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
-
-
-def _exact_quotient(
-    a: int | Decimal | Fraction, b: int, number: type = int
-) -> int | Decimal | Fraction:
-    """a / b for a nonzero integer b: of the integer type ``number`` (that of
-    an integral a) when it is integral, else a reduced ``Fraction``.
-    Integral values divide by one ``divmod``, no gcd, and ``fractions`` is
-    imported only on a remainder or for a ``Fraction`` a.  A ``Decimal``
-    needs the exact context of ``_exact_context``, and is never divided with
-    ``/``, whose inexact quotient would expand to the context's precision."""
-    if isinstance(a, number):
-        quotient, remainder = divmod(a, b)
-        if not remainder:
-            return quotient
-        a = int(a)
-    from fractions import Fraction
-
-    value = Fraction(a, b)
-    return number(value.numerator) if value.denominator == 1 else value
+    return exact_quotient(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
 
 
 def f_nomial_rows(F: FSequence, number: type = int) -> Iterator[list[int | Decimal | Fraction]]:
@@ -134,7 +115,7 @@ def _left_half(terms: list[int], n: int, number: type) -> list[int | Decimal | F
     """Entries k = 0..n // 2 of row n, each from its left neighbour."""
     row = [number(1)]
     for k in range(1, n // 2 + 1):
-        row.append(_exact_quotient(row[-1] * terms[n - k + 1], terms[k], number))
+        row.append(exact_quotient(row[-1] * terms[n - k + 1], terms[k], number))
     return row
 
 

@@ -8,6 +8,10 @@ whatever ``term(0)`` returns is irrelevant.
 Sequences are immutable after construction and safe to share for concurrent
 reads.  A scan over many candidate sequences emits one report per candidate,
 in input order, and a broken candidate never aborts the rest of the scan.
+
+``exact_quotient`` is the package's one exact-division rule: a quotient of
+the integer type asked for where it is integral, a reduced ``Fraction``
+otherwise, with ``fractions`` imported only on a remainder.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import operator
 import re
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-if TYPE_CHECKING:  # named only in an annotation: the scan's values come from fnomial
+if TYPE_CHECKING:  # named only in annotations: fractions load on a remainder
+    from decimal import Decimal
     from fractions import Fraction
 
 
@@ -94,7 +99,12 @@ def _fibonacci_term() -> Callable[[int], int]:
     return term
 
 
-def _finite_term(values: list[int], spec: str) -> Callable[[int], int]:
+def _finite(values: list[int], spec: str) -> FSequence:
+    """The finite sequence F_1, ..., F_len(values), refused at a zero term."""
+    for i, v in enumerate(values, start=1):
+        if v == 0:
+            raise SequenceError(f"{spec!r} has a zero term at index {i}")
+
     def term(n: int) -> int:
         if n == 0:
             return 0
@@ -104,7 +114,7 @@ def _finite_term(values: list[int], spec: str) -> Callable[[int], int]:
             )
         return values[n - 1]
 
-    return term
+    return FSequence(spec, term)
 
 
 def parse_int(text: str) -> int:
@@ -113,6 +123,27 @@ def parse_int(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise SequenceError(f"malformed integer {text!r}")
     return int(text)
+
+
+def exact_quotient(
+    a: int | Decimal | Fraction, b: int, number: type = int
+) -> int | Decimal | Fraction:
+    """a / b for a nonzero integer b: of the integer type ``number`` (that of
+    an integral a) when it is integral, else a reduced ``Fraction``.
+    Integral values divide by one ``divmod``, no gcd, and ``fractions`` is
+    imported only on a remainder or for a ``Fraction`` a.  A ``Decimal``
+    needs the exact context of ``fnomial._exact_context``, and is never
+    divided with ``/``, whose inexact quotient would expand to the context's
+    precision."""
+    if isinstance(a, number):
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
+        a = int(a)
+    from fractions import Fraction
+
+    value = Fraction(a, b)
+    return number(value.numerator) if value.denominator == 1 else value
 
 
 def parse_sequence(spec: str) -> FSequence:
@@ -158,11 +189,7 @@ def parse_sequence(spec: str) -> FSequence:
     if head == "custom":
         if not tail:
             raise SequenceError(f"malformed sequence spec {spec!r}")
-        values = [parse_int(piece) for piece in tail.split(",")]
-        for i, v in enumerate(values, start=1):
-            if v == 0:
-                raise SequenceError(f"{spec!r} has a zero term at index {i}")
-        return FSequence(spec, _finite_term(values, spec))
+        return _finite([parse_int(piece) for piece in tail.split(",")], spec)
     if head == "file":
         if not tail:
             raise SequenceError(f"malformed sequence spec {spec!r}")
@@ -173,10 +200,7 @@ def parse_sequence(spec: str) -> FSequence:
             raise SequenceError(f"cannot read sequence file {tail!r}: {exc}") from None
         if not isinstance(data, list) or not all(type(v) is int for v in data):
             raise SequenceError(f"{tail!r} must hold a JSON array of integers")
-        for i, v in enumerate(data, start=1):
-            if v == 0:
-                raise SequenceError(f"{spec!r} has a zero term at index {i}")
-        return FSequence(spec, _finite_term(list(data), spec))
+        return _finite(data, spec)
 
     raise SequenceError(f"unknown sequence spec {spec!r}")
 

@@ -18,7 +18,9 @@ n_j vertices of which a copy takes a_j, with P(rest) the bound without that
 level.  An instance above the copy cap, or a search past
 ``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``, not
 approximated.  The explicit route, every copy as vertex sets searched
-without bounds, is the packing oracle in ``tests/oracles.py``.
+without bounds, is the packing oracle in ``tests/oracles.py``.  The
+packing's coefficient quotient, the one value here that can be a fraction,
+is divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .fseq import FSequence
+from .fseq import FSequence, exact_quotient
 
 if TYPE_CHECKING:  # the packing quotient is the only rational value here
     from fractions import Fraction
@@ -357,8 +359,8 @@ def max_disjoint_packing(
     starts from it.  Each node is bounded by a greedy colour-class cover
     (pairwise conflicting classes) and the whole search by ``_level_bound``
     over the levels with 2 F_j <= F_(k+j); on any other level every two
-    copies meet, so it leaves the maximum as it is.  The quotient is an
-    ``int`` from one ``divmod`` where it is integral, else a ``Fraction``.
+    copies meet, so it leaves the maximum as it is.  The quotient comes from
+    ``fseq.exact_quotient``: an ``int`` where it is integral, else a ``Fraction``.
     A search that passes ``PACKING_NODE_BUDGET`` nodes is refused with
     ``PackingCapError``.  Every instance has at least one copy, so a ``cap``
     below 1 raises ``ValueError``.
@@ -373,13 +375,7 @@ def max_disjoint_packing(
             raise PackingCapError(f"instance has more copies than the cap of {cap}")
     chains_total = math.prod(avail for avail, _ in shape)
     chain_cost = math.prod(need for _, need in shape)
-    whole, rest = divmod(chains_total, chain_cost)
-    if rest:  # the only rational value here
-        from fractions import Fraction
-
-        quotient = Fraction(chains_total, chain_cost)
-    else:
-        quotient = whole
+    quotient = exact_quotient(chains_total, chain_cost)
     factor = 1
     conflict = [1]
     spread = []  # the levels on which two copies can miss each other
@@ -400,7 +396,7 @@ def max_disjoint_packing(
         chains_total=chains_total,
         quotient_bound=quotient,
         max_packing=max_packing,
-        tight=not rest and max_packing == whole,
+        tight=max_packing == quotient,
     )
 
 

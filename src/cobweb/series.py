@@ -17,9 +17,11 @@ linear groups over a prime field; they count the unordered direct-sum
 decompositions of a finite vector space and are verified against a literal
 subspace-enumeration oracle that shares no code with the series route.
 
-Values are exact: ``int`` where integral, ``Fraction`` otherwise; series
-coefficients are ``Fraction``.  The scaled recurrences sum in integers over
-a running common denominator, and ``fractions`` is imported only by the
+Values are exact: ``int`` where integral, ``Fraction`` otherwise, by the
+one division rule ``fseq.exact_quotient``; series coefficients are
+``Fraction``.  Only the enumerator recurrence keeps a running common
+denominator, since its B_m is fractional over ``fibonacci`` and ``gauss:2``,
+and sums in integers over it; ``fractions`` is imported only by the
 functions that build a fraction, so an integral count such as ``q_bell``
 never loads it.  Field sizes are checked prime by a
 deterministic Miller-Rabin test, which is exact below ``PRIMALITY_BOUND``;
@@ -33,8 +35,8 @@ import operator
 from itertools import accumulate, combinations, islice, product
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .fnomial import _exact_quotient, f_nomial_rows
-from .fseq import FSequence, _Frozen, parse_sequence
+from .fnomial import f_nomial_rows
+from .fseq import FSequence, _Frozen, exact_quotient, parse_sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -80,11 +82,6 @@ class FormalSeries(_Frozen):
             raise ValueError(f"coefficient index {n} outside 0..{self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "FormalSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend a series of order {self.order} to {order}")
-        return FormalSeries(self.coeffs[: order + 1])
-
     def to_json(self) -> Iterator[str]:
         """The text json.dumps gives for the coefficient strings (which need
         no escaping), yielded one coefficient at a time."""
@@ -113,7 +110,7 @@ def _scaled_enumerator(F: FSequence, n: int) -> list[int | Fraction]:
     S = [1]
     D = 1
     for m, row in zip(range(1, n + 1), islice(f_nomial_rows(F), 1, None)):
-        value = _exact_quotient(sum(j * row[j] * S[m - j] for j in range(1, m + 1)), m * D)
+        value = exact_quotient(sum(j * row[j] * S[m - j] for j in range(1, m + 1)), m * D)
         grow = value.denominator // math.gcd(D, value.denominator)
         if grow > 1:
             S, D = [s * grow for s in S], D * grow
@@ -125,21 +122,15 @@ def _scaled_enumerator(F: FSequence, n: int) -> list[int | Fraction]:
 def _scaled_power(F: FSequence, n: int, k: int) -> int | Fraction:
     """P_k(n) = F_n! [x^n] (E - 1)^k / k!, by
     P_i(m) = (1/i) sum_{j>=1} (m over j)_F P_(i-1)(m-j) from P_0(m) = [m = 0],
-    all i <= k carried along one streamed coefficient row at a time, as
-    integers over one running common denominator D (see ``_scaled_enumerator``)."""
+    all i <= k carried along one streamed coefficient row at a time, each
+    step one ``exact_quotient``.  Over ``bg:q``, its one caller's sequence,
+    every P_i(m) counts decompositions, so no step builds a fraction."""
     P = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(k)]
-    D = 1
     for m, row in zip(range(1, n + 1), islice(f_nomial_rows(F), 1, None)):
         for i in range(1, min(k, m) + 1):
             below = P[i - 1]
-            value = _exact_quotient(
-                sum(row[j] * below[m - j] for j in range(1, m - i + 2)), i * D
-            )
-            grow = value.denominator // math.gcd(D, value.denominator)
-            if grow > 1:
-                P, D = [[x * grow for x in p] for p in P], D * grow
-            P[i][m] = value.numerator * (D // value.denominator)
-    return _exact_quotient(P[k][n], D)
+            P[i][m] = exact_quotient(sum(row[j] * below[m - j] for j in range(1, m - i + 2)), i)
+    return P[k][n]
 
 
 def exp_f_series(F: FSequence, order: int) -> FormalSeries:
@@ -235,7 +226,7 @@ def enumerator_coeff_by_partitions(F: FSequence, n: int) -> Fraction:
             run = run + 1 if part == previous else 1
             d *= factorials[part] * run
             previous = part
-        total += _exact_quotient(factorials[n], d)
+        total += exact_quotient(factorials[n], d)
     from fractions import Fraction
 
     return Fraction(total, factorials[n])

@@ -1,14 +1,17 @@
 import json
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobweb.fnomial import _exact_context
 from cobweb.fseq import (
     FSequence,
     SequenceError,
     admissibility_scan,
+    exact_quotient,
     is_cobweb_admissible_prefix,
     is_gcd_morphic_prefix,
     parse_sequence,
@@ -279,3 +282,21 @@ def test_report_json_shape():
 def test_mult_and_gauss_admissible(c, q):
     assert is_cobweb_admissible_prefix(parse_sequence(f"mult:{c}"), 12).admissible
     assert is_cobweb_admissible_prefix(parse_sequence(f"gauss:{q}"), 12).admissible
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.integers(min_value=-10**6, max_value=10**6).filter(bool),
+    st.integers(min_value=1, max_value=10**6),
+    st.booleans(),
+)
+def test_exact_quotient_is_of_the_integer_type_exactly_when_integral(a, b, d, multiple):
+    if multiple:
+        a *= b
+    for numerator, number in ((a, int), (Fraction(a, d), int), (Decimal(a), Decimal)):
+        value = Fraction(numerator) / b
+        with localcontext(_exact_context()):
+            result = exact_quotient(numerator, b, number)
+        assert Fraction(result) == value
+        assert type(result) is (number if value.denominator == 1 else Fraction)

@@ -130,6 +130,13 @@ def test_cli_call_loads_only_its_modules(argv, code, modules, rational):
     assert probe(call) == (code, modules, rational)
 
 
+@pytest.mark.parametrize("a, b, rational", [(6, 3, NONE), (3, 2, FRACTIONS)],
+                         ids=["integral", "fractional"])
+def test_exact_quotient_loads_rationals_only_on_a_remainder(a, b, rational):
+    call = f"from cobweb.fseq import exact_quotient; exact_quotient({a}, {b})"
+    assert probe(call) == (0, {"cobweb", "cobweb.fseq"}, rational)
+
+
 def test_package_attribute_loads_only_its_owner():
     assert probe("import cobweb; cobweb.q_bell") == (0, CORE | {"cobweb.series"}, NONE)
     assert probe("import cobweb; cobweb.q_bell(2, 5)") == (0, CORE | {"cobweb.series"}, NONE)

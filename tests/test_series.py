@@ -57,9 +57,6 @@ def test_series_basics():
     assert s.coefficient(2) == 2
     with pytest.raises(ValueError):
         s.coefficient(3)
-    assert s.truncate(1).coeffs == (Fraction(0), Fraction(1))
-    with pytest.raises(ValueError):
-        s.truncate(5)
     with pytest.raises(ValueError):
         FormalSeries(())
 
