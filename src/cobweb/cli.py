@@ -13,8 +13,13 @@ comes with empty standard output.  A failed write ends the call with one
 ``error:`` line on standard error, not a traceback.
 
 One table, ``COMMANDS``, declares every command once: its help, handler and
-options.  A call builds the parser only for the command its leading words
-name, and the handler imports the package modules it runs when dispatched:
+options.  A valid call is read straight from the row its leading words name
+(``fast_parse``) and never imports ``argparse``, which with ``gettext`` and
+``locale`` and the parser build would cost it about 6.7 ms of start-up.
+Help, a usage error and any spelling ``fast_parse`` declines (an
+abbreviation, ``--flag=value``, a value starting with ``-``) go to the
+argparse parser of every row (``build_parser``), which writes all help and
+usage text.  The handler imports the package modules it runs when dispatched:
 a ``fnomial`` call loads ``fseq`` and ``fnomial``, a ``poset`` call ``fseq``
 and ``poset``; ``incidence``, ``prefab`` and ``series`` load where used.
 Rational arithmetic (``fractions``, which imports ``decimal`` and
@@ -29,12 +34,12 @@ and ``series expf|enumerator`` print ``Fraction`` coefficients.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections.abc import Iterable
 from itertools import chain
+from types import SimpleNamespace
 
 # Series order for ``series expf`` and ``series enumerator`` without --order.
 DEFAULT_ORDER = 16
@@ -63,14 +68,14 @@ def integer(text: str) -> int:
     return parse_int(text)
 
 
-def _poset(args: argparse.Namespace, levels: int | None = None):
+def _poset(args: SimpleNamespace, levels: int | None = None):
     from . import fseq, poset
 
     F = fseq.parse_sequence(args.spec)
     return poset.build_poset(F, args.levels if levels is None else levels)
 
 
-def _cmd_seq_check(args: argparse.Namespace) -> Output:
+def _cmd_seq_check(args: SimpleNamespace) -> Output:
     from . import fseq
 
     F = fseq.parse_sequence(args.spec)
@@ -90,7 +95,7 @@ def _cmd_seq_check(args: argparse.Namespace) -> Output:
     return (1 if failed else 0), _json(payload)
 
 
-def _cmd_fnomial(args: argparse.Namespace) -> Output:
+def _cmd_fnomial(args: SimpleNamespace) -> Output:
     from . import fnomial, fseq
 
     if args.spec is None or args.n is None or args.k is None:
@@ -99,7 +104,7 @@ def _cmd_fnomial(args: argparse.Namespace) -> Output:
     return 0, _json({"value": str(value), "integral": value.denominator == 1})
 
 
-def _cmd_fnomial_triangle(args: argparse.Namespace) -> Output:
+def _cmd_fnomial_triangle(args: SimpleNamespace) -> Output:
     from decimal import Decimal
 
     from . import fnomial, fseq
@@ -110,17 +115,17 @@ def _cmd_fnomial_triangle(args: argparse.Namespace) -> Output:
     return 0, _line(fnomial.triangle_to_json(rows))
 
 
-def _cmd_poset_build(args: argparse.Namespace) -> Output:
+def _cmd_poset_build(args: SimpleNamespace) -> Output:
     return 0, _json(_poset(args).to_json_dict())
 
 
-def _cmd_poset_dot(args: argparse.Namespace) -> Output:
+def _cmd_poset_dot(args: SimpleNamespace) -> Output:
     from . import poset
 
     return 0, poset.export_dot(_poset(args))
 
 
-def _cmd_poset_chains(args: argparse.Namespace) -> Output:
+def _cmd_poset_chains(args: SimpleNamespace) -> Output:
     from . import poset
 
     P = _poset(args)
@@ -132,7 +137,7 @@ def _cmd_poset_chains(args: argparse.Namespace) -> Output:
     return 0, _json({**payload, "mode": args.mode, "count": str(count)})
 
 
-def _cmd_poset_pack(args: argparse.Namespace) -> Output:
+def _cmd_poset_pack(args: SimpleNamespace) -> Output:
     from . import poset
 
     if args.cap < 1:
@@ -144,7 +149,7 @@ def _cmd_poset_pack(args: argparse.Namespace) -> Output:
     return (0 if report.tight else 1), _json(report.to_json_dict())
 
 
-def _cmd_poset_matrix(args: argparse.Namespace) -> Output:
+def _cmd_poset_matrix(args: SimpleNamespace) -> Output:
     from . import incidence
 
     M = incidence.zeta_matrix(_poset(args))
@@ -155,7 +160,7 @@ def _cmd_poset_matrix(args: argparse.Namespace) -> Output:
     return 0, _line(M.to_json())
 
 
-def _cmd_poset_dim2(args: argparse.Namespace) -> Output:
+def _cmd_poset_dim2(args: SimpleNamespace) -> Output:
     from . import poset
 
     P = _poset(args)
@@ -167,7 +172,7 @@ def _cmd_poset_dim2(args: argparse.Namespace) -> Output:
     ))
 
 
-def _cmd_prefab_compose(args: argparse.Namespace) -> Output:
+def _cmd_prefab_compose(args: SimpleNamespace) -> Output:
     from . import fnomial, fseq, prefab
 
     F = fseq.parse_sequence(args.spec)
@@ -191,7 +196,7 @@ def _cmd_prefab_compose(args: argparse.Namespace) -> Output:
     return 0, _json(payload)
 
 
-def _cmd_prefab_laws(args: argparse.Namespace) -> Output:
+def _cmd_prefab_laws(args: SimpleNamespace) -> Output:
     from . import fseq, prefab
 
     fseq.parse_sequence(args.spec)  # a malformed spec is still refused
@@ -199,7 +204,7 @@ def _cmd_prefab_laws(args: argparse.Namespace) -> Output:
     return (0 if report.all_hold else 1), _json(report.to_json_dict())
 
 
-def _cmd_series(args: argparse.Namespace) -> Output:
+def _cmd_series(args: SimpleNamespace) -> Output:
     from . import fseq, series
 
     F = fseq.parse_sequence(args.spec)
@@ -207,7 +212,7 @@ def _cmd_series(args: argparse.Namespace) -> Output:
     return 0, _line(build(F, args.order).to_json())
 
 
-def _with_oracle(args: argparse.Namespace, payload: dict, value, oracle) -> Output:
+def _with_oracle(args: SimpleNamespace, payload: dict, value, oracle) -> Output:
     """With --oracle, adds the independent route's value and the verdict."""
     if args.oracle:
         expected = oracle()
@@ -216,7 +221,7 @@ def _with_oracle(args: argparse.Namespace, payload: dict, value, oracle) -> Outp
     return (0 if payload.get("match", True) else 1), _json(payload)
 
 
-def _cmd_series_bell(args: argparse.Namespace) -> Output:
+def _cmd_series_bell(args: SimpleNamespace) -> Output:
     from . import fnomial, fseq, series
 
     F = fseq.parse_sequence(args.spec)
@@ -226,7 +231,7 @@ def _cmd_series_bell(args: argparse.Namespace) -> Output:
         fnomial.f_factorial(F, args.n) * series.enumerator_coeff_by_partitions(F, args.n)))
 
 
-def _cmd_series_qbell(args: argparse.Namespace) -> Output:
+def _cmd_series_qbell(args: SimpleNamespace) -> Output:
     from . import series
 
     value = series.q_bell(args.q, args.n)
@@ -288,22 +293,77 @@ COMMANDS: dict[tuple[str, str | None], tuple] = {
 }
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for the rows that argv's leading words name: a subcommand
-    and its group row, or a group row and its subcommands.  Every row when
-    the words name no row (``--help``, an unknown command)."""
-    words = tuple(argv[:2])
-    if words in COMMANDS:
-        named = [(words[0], None), words]
+def fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed call, read straight from
+    the ``COMMANDS`` row with a handler that argv's leading words name; None
+    where argparse must read the call.
+
+    Each option is an exact long flag of the row: a store-true flag alone,
+    any other flag followed by one value not starting with ``-``.  A value
+    is converted by the option's ``type`` and checked against its
+    ``choices``; a repeated flag keeps its last value.  The namespace holds
+    the same fields as argparse's: ``command``, ``subcommand``, the group
+    row's option defaults, the row's options and ``handler``, but no
+    ``parser``.  Help, an abbreviation, ``--flag=value``, a value starting
+    with ``-``, an unknown token and a malformed value decline, and so does
+    an option left without a value: a required one, or one of the three of a
+    ``fnomial`` point query."""
+    if tuple(argv[:2]) in COMMANDS:
+        group, name = argv[:2]
+    elif argv:
+        group, name = argv[0], None
     else:
-        named = [key for key in COMMANDS if key[:1] == words[:1]] or list(COMMANDS)
+        return None
+    _, handler, options = COMMANDS.get((group, name), (None, None, ()))
+    if handler is None:
+        return None
+    declared = dict(options)
+    given = {}
+    tokens = iter(argv[2 if name else 1:])
+    for flag in tokens:
+        keywords = declared.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = {"command": group, "subcommand": name}
+    for flag, keywords in COMMANDS[group, None][2] if name else ():
+        args[_dest(flag)] = keywords.get("default")
+    for flag, keywords in options:
+        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        args[_dest(flag)] = value = given.get(flag, default)
+        if value is None:  # a required option, or one of a point query's three
+            return None
+    return SimpleNamespace(**args, handler=handler)
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a long flag's value under."""
+    return flag[2:].replace("-", "_")
+
+
+def build_parser():
+    """The argparse parser of every row of ``COMMANDS``: it reads the calls
+    ``fast_parse`` declines, and writes all help and usage text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cobweb",
         description="Exact cobweb-poset computations with verification oracles.",
     )
     subparsers = {None: parser.add_subparsers(dest="command", required=True)}
-    for group, name in named:
-        help_text, handler, options = COMMANDS[group, name]
+    for (group, name), (help_text, handler, options) in COMMANDS.items():
         sub = subparsers[group if name else None].add_parser(name or group, help=help_text)
         for flag, keywords in options:
             sub.add_argument(flag, **keywords)
@@ -316,9 +376,9 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args, extras = build_parser(argv).parse_known_args(argv)
-    if extras:  # reported with the top-level usage, which names every command
-        build_parser([]).parse_args(argv)
+    args = fast_parse(argv)
+    if args is None:  # help, a usage error, or a spelling only argparse reads
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     # Exact results may have more decimal digits than the interpreter's
     # int/str conversion limit (Python >= 3.10.7); lift it for this command
     # only, so library callers keep their own setting.

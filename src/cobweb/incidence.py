@@ -122,7 +122,8 @@ class IncidenceMatrix:
         yield from labels_json(contract_order(self.poset))
         yield ', "rows": ['
         for i, row in enumerate(self._dense_rows(str)):
-            yield (", " if i else "") + json.dumps(row)
+            # entries are integer strings, which JSON quotes without escapes
+            yield (', ["' if i else '["') + '", "'.join(row) + '"]'
         yield "]}"
 
 

@@ -457,12 +457,15 @@ def labels_json(order: tuple[range, ...]) -> Iterator[str]:
 
 def export_dot(P: CobwebPoset) -> Iterator[str]:
     """DOT digraph: one node per vertex labelled "j,s", edges directed upward,
-    yielded one line at a time."""
+    yielded one node line, then one source vertex's edge lines, at a time."""
     yield "digraph cobweb {\n"
     order = contract_order(P)
     for s, js in enumerate(order):
         yield from (f'    "{j},{s}" [label="{j},{s}"];\n' for j in js)
     for s in range(P.L):
+        # every edge line from level s ends in one of these target suffixes
+        targets = [f' -> "{b},{s + 1}";\n' for b in order[s + 1]]
         for a in order[s]:
-            yield from (f'    "{a},{s}" -> "{b},{s + 1}";\n' for b in order[s + 1])
+            source = f'    "{a},{s}"'
+            yield source + source.join(targets)
     yield "}\n"

@@ -268,8 +268,21 @@ _POOL = (EMPTY, *(Prefabiant(k, k + width) for k in range(13) for width in range
 
 
 def _draw(rng: random.Random) -> int:
-    """The pool index of one drawn operand."""
-    return 0 if rng.random() < 0.125 else 12 * rng.randint(0, 12) + rng.randint(1, 12)
+    """The pool index of one drawn operand: the empty element with
+    probability 1/8, else ``12 * randint(0, 12) + randint(1, 12)``.  Each
+    ``randint`` is drawn as ``random.Random`` draws it, by rejecting 4-bit
+    ``getrandbits`` values out of range, so the stream is the same, but
+    without the three Python frames of a ``randint`` call."""
+    if rng.random() < 0.125:
+        return 0
+    bits = rng.getrandbits
+    k = bits(4)
+    while k >= 13:
+        k = bits(4)
+    width = bits(4)
+    while width >= 12:
+        width = bits(4)
+    return 12 * k + width + 1
 
 
 # Each law maps its operands, as many as it reads, to whether it holds, or to

@@ -444,19 +444,21 @@ def _odot_witness(operands: tuple[Prefabiant, ...]) -> LawWitness | None:
     return None if lhs == rhs else LawWitness(law, tuple(map(str, operands)), str(lhs), str(rhs))
 
 
+def draw_operand(rng: random.Random) -> Prefabiant:
+    """One law-check operand drawn through ``randint``: the empty element
+    with probability 1/8, else a layer of lower level 0..12 and width 1..12."""
+    if rng.random() < 0.125:
+        return EMPTY
+    k = rng.randint(0, 12)
+    return Prefabiant(k, k + rng.randint(1, 12))
+
+
 def law_report_by_samples(sample_count: int, seed: int) -> LawReport:
     """The law report with every law evaluated on every sample: all
     3 * sample_count draws in one list, sample i being draws 3i, 3i + 1 and
     3i + 2, and every sample scanned for the first odot witnesses."""
     rng = random.Random(seed)
-
-    def draw() -> Prefabiant:
-        if rng.random() < 0.125:
-            return EMPTY
-        k = rng.randint(0, 12)
-        return Prefabiant(k, k + rng.randint(1, 12))
-
-    draws = [draw() for _ in range(3 * sample_count)]
+    draws = [draw_operand(rng) for _ in range(3 * sample_count)]
     samples = list(zip(draws[0::3], draws[1::3], draws[2::3]))
     laws = []
     for law, holds in SAMPLED_LAWS.items():

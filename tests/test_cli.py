@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobweb import fnomial, fseq, incidence, poset, prefab
-from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, main
+from cobweb import cli, fnomial, fseq, incidence, poset, prefab
+from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, fast_parse, main
 from oracles import expand_order, triangle_text
 
 
@@ -647,33 +647,123 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict:
     return actions[0].choices if actions else {}
 
 
+def _argparse_reading(argv: list[str]) -> tuple[dict, list[str]] | None:
+    """The full parser's namespace (without ``parser``) and leftover
+    arguments for argv, or None where it exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extras = build_parser().parse_known_args(argv)
+        except SystemExit:
+            return None
+    args = vars(args)
+    del args["parser"]
+    return args, extras
+
+
 def test_every_command_row_has_a_sample_argv():
     assert set(ROW_ARGV) == {key for key, row in COMMANDS.items() if row[1] is not None}
 
 
 @pytest.mark.parametrize("key", list(ROW_ARGV), ids=lambda key: " ".join(filter(None, key)))
 def test_a_command_parses_alike_under_its_own_parser_and_the_full_one(key):
+    # its own parser is the fast reading of its COMMANDS row
     argv = ROW_ARGV[key].split()
-    own = build_parser(argv).parse_args(argv)
-    full = build_parser([]).parse_args(argv)
-    assert own.handler is full.handler is COMMANDS[key][1]
-    assert own.parser.format_help() == full.parser.format_help()
-    del own.parser, full.parser
-    assert own == full
+    fast = fast_parse(argv)
+    assert fast.handler is COMMANDS[key][1]
+    assert _argparse_reading(argv) == (vars(fast), [])
 
 
-def test_a_call_builds_only_the_command_it_names():
-    parser = build_parser(ROW_ARGV["poset", "pack"].split())
-    assert list(_subparsers(parser)) == ["poset"]
-    assert list(_subparsers(_subparsers(parser)["poset"])) == ["pack"]
-    parser = build_parser(ROW_ARGV["fnomial", None].split())
-    assert list(_subparsers(parser)) == ["fnomial"]
-    assert list(_subparsers(_subparsers(parser)["fnomial"])) == ["triangle"]
+def test_a_call_builds_only_the_command_it_names(capsys, monkeypatch):
+    # a well-formed call builds no argparse parser, and prints what it
+    # prints when argparse reads it
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "fast_parse", lambda argv: None)
+        by_argparse = {key: run(capsys, *argv.split()) for key, argv in ROW_ARGV.items()}
+
+    def refuse():
+        raise AssertionError("a well-formed call built the argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for key, argv in ROW_ARGV.items():
+        assert run(capsys, *argv.split()) == by_argparse[key], argv
+
+
+# Option values: those the fast parse reads, then malformed ones, which it
+# declines or argparse refuses (or, for a negative integer, reads alike).
+INTEGER_TEXT = st.integers(0, 40).map(str)
+PLAIN_TEXT = st.sampled_from(["natural", "fibonacci", "0,2", "i", "", "a=b"])
+BAD_INTEGER_TEXT = st.one_of(
+    st.integers(-3, -1).map(str), st.sampled_from(["1_0", "+3", " 3", "x", "", "\u0663"])
+)
+BAD_PLAIN_TEXT = st.sampled_from(["-x", "--spec", "-1"])
+STRAY = st.sampled_from(["-h", "--help", "stray", "--x", "-1", "--", "triangle", "pack"])
+
+
+@st.composite
+def _option_tokens(draw, flag: str, keywords: dict, defect: str | None) -> list[str]:
+    """One occurrence of an option: an exact flag with a value of its type
+    and choices, or with the one defect named."""
+    malformed = defect == "malformed"
+    if keywords.get("action") == "store_true":
+        return [flag, "yes"] if malformed else [flag]
+    if "choices" in keywords:
+        value = draw(st.sampled_from(["nope"] if malformed else keywords["choices"]))
+    elif "type" in keywords:
+        value = draw(BAD_INTEGER_TEXT if malformed else INTEGER_TEXT)
+    else:
+        value = draw(BAD_PLAIN_TEXT if malformed else PLAIN_TEXT)
+    if defect == "abbreviated" and len(flag) > 3:
+        flag = flag[:draw(st.integers(3, len(flag) - 1))]
+    return [f"{flag}={value}"] if defect == "equals" else [flag, value]
+
+
+DEFECTS = [None, "abbreviated", "equals", "malformed", "stray"]
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """An argv for one COMMANDS row: its options in any order, some left out
+    or repeated, and at most one defect: one option abbreviated, spelled
+    ``--flag=value`` or given a malformed value, or a stray token."""
+    group, name = key = draw(st.sampled_from(list(COMMANDS)))
+    options = COMMANDS[key][2]
+    chosen = [option for option in draw(st.permutations(options)) if draw(st.integers(0, 7))]
+    if options:
+        chosen += draw(st.lists(st.sampled_from(options), max_size=2))
+    defect = draw(st.sampled_from(DEFECTS))
+    target = draw(st.integers(0, len(chosen) - 1)) if chosen else None
+    argv = [group, *filter(None, [name])]
+    for i, (flag, keywords) in enumerate(chosen):
+        argv += draw(_option_tokens(flag, keywords, defect if i == target else None))
+    if defect == "stray":
+        argv.insert(draw(st.integers(0, len(argv))), draw(STRAY))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argvs())
+def test_the_fast_parse_agrees_with_argparse_or_declines(argv):
+    fast = fast_parse(argv)
+    if fast is not None:
+        assert _argparse_reading(argv) == (vars(fast), [])
+
+
+def _usage(words: list[str]) -> str:
+    """The usage line of the full parser's deepest command that words name."""
+    parser = build_parser()
+    for word in words:
+        parser = _subparsers(parser).get(word, parser)
+    return parser.format_usage()
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["--x", "poset", "pack"]])
-def test_top_level_help_matches_the_full_parser(argv):
-    assert build_parser(argv).format_help() == build_parser([]).format_help()
+def test_top_level_help_matches_the_full_parser(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    if argv == ["--help"]:
+        assert (code, out, err) == (0, build_parser().format_help(), "")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(_usage(argv))
 
 
 GROUPS = [group for group, name in COMMANDS if name is None]
@@ -681,10 +771,17 @@ GROUPS = [group for group, name in COMMANDS if name is None]
 
 @pytest.mark.parametrize("group", GROUPS)
 @pytest.mark.parametrize("words", [[], ["--help"], ["nope"], ["--x"]])
-def test_group_help_matches_the_full_parser(group, words):
-    argv = [group, *words]
-    own = _subparsers(build_parser(argv))[group]
-    assert own.format_help() == _subparsers(build_parser([]))[group].format_help()
+def test_group_help_matches_the_full_parser(capsys, group, words):
+    code, out, err = run(capsys, group, *words)
+    if words == ["--help"]:
+        assert (code, out, err) == (0, _subparsers(build_parser())[group].format_help(), "")
+        return
+    assert (code, out) == (2, "")
+    if COMMANDS[group, None][1] is not None and words == ["--x"]:
+        # a group that answers alone leaves --x over, reported at the top
+        assert err.startswith(_usage([]))
+    else:
+        assert err.startswith(_usage([group]))
 
 
 def test_unrecognized_arguments_are_reported_with_the_full_usage(capsys):

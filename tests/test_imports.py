@@ -44,6 +44,9 @@ SLOW_IMPORTS = {"dataclasses", "inspect"}
 FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions imports decimal
 DECIMAL = {"decimal", "numbers"}
 NONE: set[str] = set()
+# The argument parser and the translation machinery its messages load: only
+# help and usage errors need them, so a valid call loads none of the three.
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 BASE = {"cobweb", "cobweb.cli"}
 CORE = {"cobweb", "cobweb.fseq", "cobweb.fnomial"}
@@ -55,7 +58,8 @@ CHAINS = ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level
           "--to-level", "3", "--mode"]
 PACK = ["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"]
 
-# id -> (argv, exit code, cobweb modules loaded, FRACTIONS modules loaded)
+# id -> (argv, exit code, cobweb modules loaded, FRACTIONS modules loaded); as
+# valid calls, none of them loads an ARGPARSE module
 CLI_CALLS = {
     # the scans see integral values only, so neither loads a rational module
     "seq check": (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0,
@@ -108,8 +112,8 @@ CLI_CALLS = {
 
 
 def probe(code: str) -> tuple[int, set[str], set[str]]:
-    """Exit code, loaded cobweb modules, and the ``SLOW_IMPORTS`` and
-    ``FRACTIONS`` modules the code loaded."""
+    """Exit code, loaded cobweb modules, and the ``SLOW_IMPORTS``,
+    ``FRACTIONS`` and ``ARGPARSE`` modules the code loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
@@ -117,7 +121,7 @@ def probe(code: str) -> tuple[int, set[str], set[str]]:
         env=env, capture_output=True, text=True, timeout=60,
     )
     loaded, stdlib = json.loads(result.stderr.splitlines()[-1])
-    return result.returncode, set(loaded), (SLOW_IMPORTS | FRACTIONS) & set(stdlib)
+    return result.returncode, set(loaded), (SLOW_IMPORTS | FRACTIONS | ARGPARSE) & set(stdlib)
 
 
 def test_importing_the_cli_loads_no_computing_module():
@@ -128,6 +132,15 @@ def test_importing_the_cli_loads_no_computing_module():
 def test_cli_call_loads_only_its_modules(argv, code, modules, rational):
     call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
     assert probe(call) == (code, modules, rational)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["poset", "pack", "--spec", "natural"], 2),  # missing required options
+], ids=["help", "usage error"])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
+    assert probe(call) == (code, BASE, ARGPARSE)
 
 
 @pytest.mark.parametrize("a, b, rational", [(6, 3, NONE), (3, 2, FRACTIONS)],

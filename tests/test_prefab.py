@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -19,7 +20,7 @@ from cobweb.prefab import (
     verify_c2,
     weight,
 )
-from oracles import law_report_by_samples
+from oracles import draw_operand, law_report_by_samples
 
 FIB = parse_sequence("fibonacci")
 NAT = parse_sequence("natural")
@@ -377,6 +378,15 @@ def test_a_broken_composition_fails_its_laws(monkeypatch, variant, broken):
     report = check_algebra_laws(500, 11)
     assert {law.law for law in report.laws if not law.holds} >= broken
     assert report == law_report_by_samples(500, 11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64), st.integers(1, 3000))
+def test_the_bit_draws_give_the_randint_draws(seed, count):
+    # the checker's rejection loops over getrandbits pick what randint picks
+    fast, reference = random.Random(seed), random.Random(seed)
+    indices = [prefab._draw(fast) for _ in range(count)]
+    assert indices == [prefab._POOL.index(draw_operand(reference)) for _ in range(count)]
 
 
 def test_law_check_memory_does_not_grow_with_the_sample_count():
