@@ -16,18 +16,15 @@ caller pays only for the modules it uses.
 from importlib import import_module
 
 _EXPORTS = {
-    "fnomial": (
-        "f_factorial", "f_nomial", "f_nomial_from_factorials", "f_nomial_triangle",
-        "falling_f",
-    ),
+    "fnomial": ("f_factorial", "f_nomial", "falling_f"),
     "fseq": (
         "AdmissibilityReport", "FSequence", "GcdMorphismReport", "SequenceError",
         "admissibility_scan", "is_cobweb_admissible_prefix", "is_gcd_morphic_prefix",
         "parse_sequence",
     ),
     "incidence": (
-        "IncidenceMatrix", "count_chains", "count_maximal_chains_matrix",
-        "covering_matrix", "mobius_matrix", "zeta_matrix",
+        "IncidenceMatrix", "count_chains", "covering_matrix", "mobius_matrix",
+        "zeta_matrix",
     ),
     "poset": (
         "CobwebPoset", "Dim2Realizer", "PackingCapError", "PackingReport", "Vertex",
@@ -36,12 +33,11 @@ _EXPORTS = {
     ),
     "prefab": (
         "EMPTY", "C2Record", "LawReport", "Prefabiant", "check_algebra_laws", "circ",
-        "copies_count", "f_size", "odot", "verify_c2", "weight",
+        "copies_count", "f_size", "odot", "verify_c2",
     ),
     "series": (
-        "FormalSeries", "bell_f", "decomposition_oracle",
-        "enumerator_coeff_by_partitions", "exp_f_series", "gl_order",
-        "prefab_enumerator", "q_bell", "q_stirling",
+        "FormalSeries", "bell_by_partitions", "bell_f", "decomposition_oracle",
+        "exp_f_series", "prefab_enumerator", "q_bell", "q_stirling",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

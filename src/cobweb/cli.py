@@ -212,33 +212,38 @@ def _cmd_series(args: SimpleNamespace) -> Output:
     return 0, _line(build(F, args.order).to_json())
 
 
-def _with_oracle(args: SimpleNamespace, payload: dict, value, oracle) -> Output:
-    """With --oracle, adds the independent route's value and the verdict."""
+def _with_oracle(args: SimpleNamespace, payload: dict, key: str, formula, oracle) -> Output:
+    """The formula's value under ``key``; with --oracle also the independent
+    route's value and the verdict.  The oracle runs first, so that its size
+    bound refuses before the formula runs; it checks its arguments as the
+    formula does, so a malformed input gets the formula's own refusal."""
+    expected = oracle() if args.oracle else None
+    payload[key] = str(value := formula())
     if args.oracle:
-        expected = oracle()
         payload["oracle"] = str(expected)
         payload["match"] = value == expected
     return (0 if payload.get("match", True) else 1), _json(payload)
 
 
 def _cmd_series_bell(args: SimpleNamespace) -> Output:
-    from . import fnomial, fseq, series
+    from . import fseq, series
 
     F = fseq.parse_sequence(args.spec)
-    value = series.bell_f(F, args.n)
-    payload = {"spec": args.spec, "n": args.n, "value": str(value)}
-    return _with_oracle(args, payload, value, lambda: (
-        fnomial.f_factorial(F, args.n) * series.enumerator_coeff_by_partitions(F, args.n)))
+
+    def oracle():
+        F.terms(args.n)  # past the bound too, a short sequence gets the formula's refusal
+        return series.bell_by_partitions(F, args.n)
+
+    return _with_oracle(args, {"spec": args.spec, "n": args.n}, "value",
+                        lambda: series.bell_f(F, args.n), oracle)
 
 
 def _cmd_series_qbell(args: SimpleNamespace) -> Output:
     from . import series
 
-    value = series.q_bell(args.q, args.n)
-    payload = {"q": args.q, "n": args.n, "formula": str(value)}
-    return _with_oracle(
-        args, payload, value, lambda: series.decomposition_oracle(args.q, args.n)
-    )
+    return _with_oracle(args, {"q": args.q, "n": args.n}, "formula",
+                        lambda: series.q_bell(args.q, args.n),
+                        lambda: series.decomposition_oracle(args.q, args.n))
 
 
 # Option declarations: (flag, add_argument keywords).  The shared ones are

@@ -64,19 +64,12 @@ def f_nomial(F: FSequence, n: int, k: int) -> int | Fraction:
     reduced ``Fraction``.
 
     Computed as the falling product of length k divided by the k-factorial,
-    which keeps intermediate magnitudes down; ``f_nomial_from_factorials``
-    is the equivalent three-factorial route and the two must agree.
+    which keeps intermediate magnitudes down; the three-factorial route
+    F_n! / (F_k! F_(n-k)!) is the test oracle it must agree with.
     """
     if not 0 <= k <= n:
         raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
     return exact_quotient(falling_f(F, n, k), f_factorial(F, k))
-
-
-def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> int | Fraction:
-    """Same coefficient via F_n! / (F_k! F_(n-k)!), kept as a cross-check route."""
-    if not 0 <= k <= n:
-        raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
-    return exact_quotient(f_factorial(F, n), f_factorial(F, k) * f_factorial(F, n - k))
 
 
 def f_nomial_rows(F: FSequence, number: type = int) -> Iterator[list[int | Decimal | Fraction]]:
@@ -117,11 +110,6 @@ def _left_half(terms: list[int], n: int, number: type) -> list[int | Decimal | F
     for k in range(1, n // 2 + 1):
         row.append(exact_quotient(row[-1] * terms[n - k + 1], terms[k], number))
     return row
-
-
-def f_nomial_triangle(F: FSequence, rows: int) -> list[list[int | Fraction]]:
-    """All coefficients for 0 <= k <= n < rows, as a ragged table."""
-    return list(triangle_rows(F, rows))
 
 
 def triangle_rows(

@@ -6,11 +6,11 @@ here is constant on level blocks and is stored as an upper-triangular
 vertex of level s, [s][t] (s < t) the value on every pair (level s, level t),
 and distinct vertices of one level always get 0.  Products and inverses cost
 a power of L, never of the vertex count: chain counts are (delta - eta)^-1,
-saturated ones a covering walk per level.  The dense matrix is only exported,
-in the contract ordering (level-major, j ascending), byte for byte stable,
-and its text is yielded one dense row at a time.
-An interval [x, y] is fully contained once level(y) is built, so the inverse
-of a truncation agrees with the untruncated values entry by entry.
+saturated ones one covering walk from the lower level (``maximal_chain_row``).
+The dense matrix is only exported, in the contract ordering (level-major, j
+ascending), byte for byte stable, and its text is yielded one dense row at a
+time.  An interval [x, y] is fully contained once level(y) is built, so the
+inverse of a truncation agrees with the untruncated values entry by entry.
 """
 
 from __future__ import annotations
@@ -186,30 +186,15 @@ def count_chains(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
     return chain_count_matrix(P).entry(x, y)
 
 
-def _covering_walk(C: IncidenceMatrix, s: int, distance: int) -> list[int]:
-    """Row s of C^distance for the covering table C, walked from the unit row
-    of level s one covering step at a time: O(distance · L) work."""
+def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
+    """Row s of the covering-matrix power C^distance, the saturated-chain
+    counts from level s over that distance, walked from the unit row of
+    level s one covering step at a time: O(distance · L) work, never the
+    whole power."""
     if distance < 0:
         raise ValueError("matrix power must be nonnegative")
-    row = [int(t == s) for t in range(len(C.table))]
+    C = covering_matrix(P)
+    row = [int(t == s) for t in range(P.L + 1)]
     for _ in range(distance):
         row = C.push_row(s, row)
     return row
-
-
-def maximal_chain_matrix(P: CobwebPoset, distance: int) -> IncidenceMatrix:
-    """Saturated-chain counts over that distance: a covering walk per level."""
-    C = covering_matrix(P)
-    return IncidenceMatrix(P, [_covering_walk(C, s, distance) for s in range(P.L + 1)])
-
-
-def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
-    """Row s of the covering-matrix power by one walk, never the whole power."""
-    return _covering_walk(covering_matrix(P), s, distance)
-
-
-def count_maximal_chains_matrix(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
-    """Saturated chains from x to y, read off a covering-matrix power."""
-    if not P.leq(x, y):
-        raise ValueError(f"{x} and {y} are incomparable")
-    return maximal_chain_row(P, x.s, y.s - x.s)[y.s]

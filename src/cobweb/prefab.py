@@ -133,11 +133,6 @@ def f_size(
     return alpha**a.width
 
 
-def weight(a: Prefabiant) -> int:
-    """Exponent of the monomial weight: the layer width, 0 for the empty element."""
-    return a.width
-
-
 def copies_count(F: FSequence, a: Prefabiant) -> int:
     """Number of max-disjoint copies the element stands for.
 

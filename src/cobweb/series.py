@@ -12,10 +12,12 @@ B_m = (1/m) sum_j j (m over j)_F B_(m-j), and the k-summand term
 P_k(m) = F_m! [x^m] (E - 1)^k / k! obeys
 P_k(m) = (1/k) sum_j (m over j)_F P_(k-1)(m-j).  For an admissible F the
 divisions are exact on integers.  The vector-space counts are that formula
-over the bg:q sequence, whose factorials are the orders of the general
-linear groups over a prime field; they count the unordered direct-sum
-decompositions of a finite vector space and are verified against a literal
-subspace-enumeration oracle that shares no code with the series route.
+over the bg:q sequence, whose factorials (``fnomial.f_factorial``) are the
+orders of the general linear groups over a prime field; they count the
+unordered direct-sum decompositions of a finite vector space.  The two
+brute-force routes that ``--oracle`` runs stay here, sharing no code with
+the series route: ``bell_by_partitions``, a sum over the integer partitions
+of n, and ``decomposition_oracle``, a literal subspace enumeration.
 
 Values are exact: ``int`` where integral, ``Fraction`` otherwise, by the
 one division rule ``fseq.exact_quotient``; series coefficients are
@@ -208,12 +210,15 @@ def _partition_count_exceeds(n: int, bound: int) -> bool:
     return False
 
 
-def enumerator_coeff_by_partitions(F: FSequence, n: int) -> Fraction:
-    """Independent route to the enumerator coefficient: a sum over integer
+def bell_by_partitions(F: FSequence, n: int) -> int | Fraction:
+    """Independent route to B_n = F_n! [x^n] exp(E - 1): a sum over integer
     partitions with multiplicity factorials, instead of series convolution
     or coefficient rows.  A partition with parts p adds F_n! / d for
-    d = prod F_p! * prod (multiplicity)!, as an int where d divides F_n!;
-    the sum is divided by F_n! once."""
+    d = prod F_p! * prod (multiplicity)!, as an int where d divides F_n!.
+    n is checked as ``bell_f`` checks it, then against ``PARTITION_BOUND``,
+    before any term is read."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
     if _partition_count_exceeds(n, PARTITION_BOUND):
         raise ValueError(f"oracle is bounded to {PARTITION_BOUND} partitions; {n} has more")
     factorials = _factorials(F, n)
@@ -227,18 +232,8 @@ def enumerator_coeff_by_partitions(F: FSequence, n: int) -> Fraction:
             d *= factorials[part] * run
             previous = part
         total += exact_quotient(factorials[n], d)
-    from fractions import Fraction
-
-    return Fraction(total, factorials[n])
-
-
-def gl_order(q: int, n: int) -> int:
-    """Order of the group of invertible n x n matrices over the q-element field."""
-    if q < 2:
-        raise ValueError(f"field size must be >= 2, got {q}")
-    if n < 0:
-        raise ValueError(f"dimension must be nonnegative, got {n}")
-    return math.prod(q**n - q**i for i in range(n))
+    # an int where B_n is integral, even if some of its terms were not
+    return total.numerator if total.denominator == 1 else total
 
 
 def _is_prime(q: int) -> bool:
@@ -361,11 +356,12 @@ def decomposition_oracle(q: int, n: int) -> int:
 
     Enumerates every nonzero subspace, then every set of them (in canonical
     order, so each set once) whose dimensions add to n and whose combined
-    basis has full rank.  Entirely independent of the series route.
+    basis has full rank.  Entirely independent of the series route.  The
+    arguments are checked as ``q_bell`` checks them, with the same messages.
     """
-    _require_prime(q)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    _require_prime(q)
     # Subspace counts G_m of GF(q)^m by Goldman-Rota, G_(m+1) = 2 G_m +
     # (q^m - 1) G_(m-1), up to m = n or the first count past the bound.
     m, previous, subspaces = 1, 1, 2
@@ -397,17 +393,4 @@ def decomposition_oracle(q: int, n: int) -> int:
                 extend(idx + 1, widened, dim_sum + d)
 
     extend(0, [], 0)
-    return count
-
-
-def count_invertible_matrices(q: int, n: int) -> int:
-    """Literal enumeration of invertible n x n matrices over GF(q); tiny n only."""
-    _require_prime(q)
-    if not 0 <= n <= 3:
-        raise ValueError(f"matrix enumeration is guarded to n <= 3, got {n}")
-    count = 0
-    for entries in product(range(q), repeat=n * n):
-        rows = [entries[i * n : (i + 1) * n] for i in range(n)]
-        if _widen([], rows, q) is not None:
-            count += 1
     return count

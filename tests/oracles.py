@@ -3,10 +3,13 @@
 Everything here deliberately avoids the package's main code paths: chain
 counts walk explicit adjacency, the packing oracle is plain backtracking with
 no bounds, the inverse-matrix oracle is the textbook interval recursion, the
-dense product multiplies full vertex matrices row by column, and Bell numbers
-come from literally enumerating set partitions, and from a sum over the
-partitions of n that a recursive walk lists.  Vector-space decompositions
-are counted by re-ranking the whole stacked basis of every candidate set.
+dense product multiplies full vertex matrices row by column, saturated-chain
+counts are powers of the dense covering matrix, coefficients are quotients
+of three factorials, and Bell numbers come from literally enumerating set
+partitions, and from a sum over the partitions of n that a recursive walk
+lists.  Vector-space decompositions are counted by re-ranking the whole
+stacked basis of every candidate set, and invertible matrices by
+row-reducing every matrix, next to the closed form of their number.
 The algebra laws are evaluated on every sample, from the three columns of
 one list of all draws.  Embedded prime copies are
 listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
@@ -141,6 +144,19 @@ def dense_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     """Textbook row-by-column product of two dense integer matrices."""
     columns = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in A]
+
+
+def maximal_chain_matrix(P: CobwebPoset, distance: int) -> list[list[int]]:
+    """Saturated-chain counts over that distance between every pair of
+    vertices: the dense covering matrix, read off the vertex records (y
+    covers x when it is one level up), raised to the power by row-by-column
+    products."""
+    vertices = P.vertices()
+    covers = [[int(y.s == x.s + 1) for y in vertices] for x in vertices]
+    power = [[int(x == y) for y in vertices] for x in vertices]
+    for _ in range(distance):
+        power = dense_mul(power, covers)
+    return power
 
 
 def brute_max_packing(copies: list[PrimeCopy]) -> int:
@@ -286,6 +302,15 @@ def dot_text(P: CobwebPoset) -> str:
     return "".join(lines) + "}\n"
 
 
+def f_nomial_from_factorials(F: FSequence, n: int, k: int) -> int | Fraction:
+    """The coefficient (n over k)_F as F_n! / (F_k! F_(n-k)!), three
+    factorials over the terms and one ``Fraction``; an int where integral."""
+    if not 0 <= k <= n:
+        raise ValueError(f"coefficient needs 0 <= k <= n, got n={n}, k={k}")
+    factorials = list(accumulate(F.terms(n), lambda a, b: a * b, initial=1))
+    return _int_where_integral(Fraction(factorials[n], factorials[k] * factorials[n - k]))
+
+
 def triangle_text(F: FSequence, rows: int, fmt: str) -> str:
     """The standard output of ``fnomial triangle``, built the way the command
     once did: every coefficient from the point query ``f_nomial``, one list
@@ -388,6 +413,29 @@ def rref(rows: list[list[int]], q: int) -> list[list[int]]:
                 mat[r] = [(a - factor * b) % q for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return mat[:rank]
+
+
+def gl_order(q: int, n: int) -> int:
+    """Order of the group of invertible n x n matrices over the q-element
+    field, in closed form: the product of q^n - q^i over i < n."""
+    if q < 2:
+        raise ValueError(f"field size must be >= 2, got {q}")
+    if n < 0:
+        raise ValueError(f"dimension must be nonnegative, got {n}")
+    return math.prod(q**n - q**i for i in range(n))
+
+
+def count_invertible_matrices(q: int, n: int) -> int:
+    """Invertible n x n matrices over GF(q), by listing all q^(n*n) of them
+    and row-reducing each; prime q and n <= 3 only."""
+    if not is_prime_by_trial_division(q):
+        raise ValueError(f"field size must be prime, got {q}")
+    if not 0 <= n <= 3:
+        raise ValueError(f"matrix enumeration is guarded to n <= 3, got {n}")
+    return sum(
+        len(rref([list(entries[i * n : (i + 1) * n]) for i in range(n)], q)) == n
+        for entries in product(range(q), repeat=n * n)
+    )
 
 
 def decompositions_by_rank(q: int, n: int) -> int:

@@ -48,7 +48,7 @@ def test_fnomial_missing_args_usage_error(capsys):
 
 def test_fnomial_triangle_formats(capsys):
     F = fseq.parse_sequence("fibonacci")
-    triangle = fnomial.f_nomial_triangle(F, 5)
+    triangle = list(fnomial.triangle_rows(F, 5))
     code, out, _ = run(capsys, "fnomial", "triangle", "--spec", "fibonacci", "--rows", "5")
     assert code == 0
     assert out.strip() == "".join(fnomial.triangle_to_json(triangle))
@@ -598,6 +598,9 @@ def test_series_qbell_large_field_sizes(capsys):
         (["series", "qbell", "--q", "5", "--n", "4", "--oracle"], "200 nonzero subspaces"),
         (["series", "qbell", "--q", "13", "--n", "3", "--oracle"], "200 nonzero subspaces"),
         (["series", "bell", "--spec", "natural", "--n", "75", "--oracle"], "40000 partitions"),
+        # the formula alone would take seconds here: the bound refuses first
+        (["series", "qbell", "--q", "2", "--n", "250", "--oracle"], "200 nonzero subspaces"),
+        (["series", "bell", "--spec", "fibonacci", "--n", "300", "--oracle"], "40000 partitions"),
     ],
 )
 def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):
@@ -606,6 +609,19 @@ def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert bound in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "qbell", "--q", "4", "--n", "0"],
+    ["series", "qbell", "--q", "4", "--n", "2"],
+    ["series", "bell", "--spec", "natural", "--n", "-1"],
+    # past the partition bound, and past the end of the sequence
+    ["series", "bell", "--spec", "custom:1,2", "--n", "50"],
+])
+def test_oracle_calls_refuse_bad_input_as_the_formula_does(capsys, argv):
+    refusal = run(capsys, *argv)
+    assert refusal[:2] == (2, "")
+    assert run(capsys, *argv, "--oracle") == refusal
 
 
 def test_oracles_answer_the_largest_benchmark_inputs(capsys):

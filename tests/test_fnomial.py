@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from cobweb.fnomial import (
     f_factorial,
     f_nomial,
-    f_nomial_from_factorials,
     f_nomial_rows,
-    f_nomial_triangle,
     falling_f,
+    triangle_rows,
     triangle_to_csv,
     triangle_to_json,
 )
 from cobweb.fseq import is_cobweb_admissible_prefix, parse_sequence
+from oracles import f_nomial_from_factorials
 
 FIB = parse_sequence("fibonacci")
 NAT = parse_sequence("natural")
@@ -71,7 +71,7 @@ def test_non_integral_coefficient_is_returned_not_raised():
 
 
 def test_triangle_rows():
-    rows = f_nomial_triangle(FIB, 5)
+    rows = list(triangle_rows(FIB, 5))
     assert rows == [
         [1],
         [1, 1],
@@ -79,20 +79,20 @@ def test_triangle_rows():
         [1, 2, 2, 1],
         [1, 3, 6, 3, 1],
     ]
-    pascal = f_nomial_triangle(NAT, 4)
+    pascal = list(triangle_rows(NAT, 4))
     assert pascal == [
         [1],
         [1, 1],
         [1, 2, 1],
         [1, 3, 3, 1],
     ]
-    flat = f_nomial_triangle(parse_sequence("const:3"), 4)
+    flat = list(triangle_rows(parse_sequence("const:3"), 4))
     assert all(v == 1 for row in flat for v in row)
-    assert f_nomial_triangle(NAT, 0) == []
+    assert list(triangle_rows(NAT, 0)) == []
 
 
 def test_triangle_exports():
-    rows = f_nomial_triangle(FIB, 4)
+    rows = list(triangle_rows(FIB, 4))
     assert "".join(triangle_to_csv(rows)) == "1\n1,1\n1,1,1\n1,2,2,1\n"
     assert json.loads("".join(triangle_to_json(rows))) == [
         ["1"],
@@ -116,7 +116,7 @@ def test_symmetry_and_quotient_identity(spec, n, data):
     assert left * f_factorial(F, k) == falling_f(F, n, k)
     assert left == f_nomial_from_factorials(F, n, k)
     # the row generator against both point routes, entry by entry
-    for m, row in enumerate(f_nomial_triangle(F, n + 1)):
+    for m, row in enumerate(triangle_rows(F, n + 1)):
         assert row == [f_nomial(F, m, j) for j in range(m + 1)]
         assert row == [f_nomial_from_factorials(F, m, j) for j in range(m + 1)]
     # the streaming scan against a point-query scan

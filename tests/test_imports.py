@@ -1,6 +1,7 @@
 """The import surface: a CLI call loads only the modules it runs, and the
 package resolves its public names lazily from the module that defines them."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -100,6 +101,9 @@ CLI_CALLS = {
     "series enumerator": (["series", "enumerator", "--spec", "natural", "--order", "5"], 0,
                           SERIES, FRACTIONS),
     "series bell": (["series", "bell", "--spec", "natural", "--n", "5"], 0, SERIES, NONE),
+    # the partition route sums integers where B_n is integral
+    "series bell oracle": (["series", "bell", "--spec", "natural", "--n", "5", "--oracle"], 0,
+                           SERIES, NONE),
     # B_3 = 10/3 over fibonacci
     "series bell fractional": (["series", "bell", "--spec", "fibonacci", "--n", "3"], 0,
                                SERIES, FRACTIONS),
@@ -177,7 +181,24 @@ def test_dir_and_star_import_cover_all_public_names():
 def test_unknown_attribute_is_named_in_the_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cobweb.no_such_name
-    assert not hasattr(cobweb, "enumerate_copies")
+    # names that moved to tests/oracles.py or were folded into another route
+    for name in ("enumerate_copies", "f_nomial_from_factorials", "f_nomial_triangle",
+                 "maximal_chain_matrix", "count_maximal_chains_matrix", "weight",
+                 "count_invertible_matrices", "gl_order", "enumerator_coeff_by_partitions"):
+        assert not hasattr(cobweb, name), name
+
+
+def test_oracles_import_no_private_package_name():
+    # the second routes stay independent of the package's internals
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cobweb"
+        for alias in node.names
+    ]
+    assert imported
+    assert [pair for pair in imported if pair[1].startswith("_")] == []
 
 
 def test_oracles_load_without_a_module_entry():

@@ -11,15 +11,19 @@ from cobweb.incidence import (
     IncidenceMatrix,
     chain_count_matrix,
     count_chains,
-    count_maximal_chains_matrix,
     covering_matrix,
-    maximal_chain_matrix,
     maximal_chain_row,
     mobius_matrix,
     zeta_matrix,
 )
-from cobweb.poset import Vertex, build_poset
-from oracles import dense_mul, dfs_all_chains, dfs_paths_to_vertex, recursive_mobius
+from cobweb.poset import Vertex, build_poset, count_max_chains_between
+from oracles import (
+    dense_mul,
+    dfs_all_chains,
+    dfs_paths_to_vertex,
+    maximal_chain_matrix,
+    recursive_mobius,
+)
 
 NAT = parse_sequence("natural")
 FIB = parse_sequence("fibonacci")
@@ -209,37 +213,39 @@ def test_maximal_chain_matrix_against_dfs():
     depth = {NAT: 6, FIB: 6, parse_sequence("const:2"): 6, parse_sequence("even"): 4}
     for F, levels in depth.items():
         P = build_poset(F, levels)
-        powers = {d: maximal_chain_matrix(P, d) for d in range(levels + 1)}
-        for x in P.vertices():
-            for y in P.vertices():
-                if P.leq(x, y):
-                    assert powers[y.s - x.s].entry(x, y) == dfs_paths_to_vertex(
-                        P, x, y
-                    )
+        vertices = P.vertices()
+        for d in range(levels + 1):
+            dense = maximal_chain_matrix(P, d)
+            rows = [maximal_chain_row(P, s, d) for s in range(levels + 1)]
+            for i, x in enumerate(vertices):
+                for j, y in enumerate(vertices):
+                    if P.leq(x, y) and y.s - x.s == d:
+                        assert rows[x.s][y.s] == dense[i][j] == dfs_paths_to_vertex(P, x, y)
 
 
 def test_maximal_chain_matrix_examples():
     Pf = build_poset(FIB, 3)
     root = Vertex(1, 0)
-    per_vertex = [count_maximal_chains_matrix(Pf, root, y) for y in Pf.level(3)]
+    per_vertex = [maximal_chain_row(Pf, 0, 3)[y.s] for y in Pf.level(3)]
     assert per_vertex == [1, 1]
-    assert sum(per_vertex) == f_factorial(FIB, 3)
+    assert sum(per_vertex) == f_factorial(FIB, 3) == count_max_chains_between(Pf, root, 3, "matrix")
     Pn = build_poset(NAT, 3)
-    per_vertex = [count_maximal_chains_matrix(Pn, root, y) for y in Pn.level(3)]
+    per_vertex = [maximal_chain_row(Pn, 0, 3)[y.s] for y in Pn.level(3)]
     assert per_vertex == [2, 2, 2]
-    assert sum(per_vertex) == 6
-    assert count_maximal_chains_matrix(Pn, Vertex(2, 2), Vertex(2, 2)) == 1
+    assert sum(per_vertex) == 6 == count_max_chains_between(Pn, root, 3, "matrix")
+    assert count_max_chains_between(Pn, Vertex(2, 2), 2, "matrix") == 1
     with pytest.raises(ValueError):
-        count_maximal_chains_matrix(Pn, Vertex(1, 2), Vertex(2, 2))
+        count_max_chains_between(Pn, Vertex(1, 2), 1, "matrix")
+    with pytest.raises(ValueError):
+        maximal_chain_row(Pn, 2, -1)
 
 
 def test_root_row_sums_give_factorials():
     for F in BUILTINS:
         P = build_poset(F, 5)
-        root = Vertex(1, 0)
         for n in range(1, 6):
-            power = maximal_chain_matrix(P, n)
-            assert sum(power.entry(root, y) for y in P.level(n)) == f_factorial(F, n)
+            row = maximal_chain_row(P, 0, n)
+            assert sum(row[y.s] for y in P.level(n)) == f_factorial(F, n)
 
 
 def test_covering_matrix_structure():
@@ -308,9 +314,7 @@ def test_block_tables_match_closed_forms(terms):
         if d:
             power = power.multiply(C)
         # the covering walks read the power built by multiplication
-        assert maximal_chain_matrix(P, d) == power
-        s = 7 * d % (P.L + 1)
-        assert maximal_chain_row(P, s, d) == power.table[s]
+        assert [maximal_chain_row(P, s, d) for s in range(P.L + 1)] == power.table
         for s in range(P.L + 1):
             for t in range(s, P.L + 1):
                 inner = n[s + 1 : t]

@@ -18,7 +18,6 @@ from cobweb.prefab import (
     f_size,
     odot,
     verify_c2,
-    weight,
 )
 from oracles import draw_operand, law_report_by_samples
 
@@ -148,9 +147,10 @@ def test_f_size_circ_variants():
 
 
 def test_weight():
-    assert weight(Prefabiant.prime(6)) == 6
-    assert weight(EMPTY) == 0
-    assert weight(Prefabiant(2, 7)) == 5
+    # the monomial weight is the layer width, 0 for the empty element
+    assert Prefabiant.prime(6).width == 6
+    assert EMPTY.width == 0
+    assert Prefabiant(2, 7).width == 5
 
 
 def test_copies_count():

@@ -18,21 +18,21 @@ from cobweb.series import (
     _partitions,
     _scaled_enumerator,
     _scaled_power,
+    bell_by_partitions,
     bell_f,
-    count_invertible_matrices,
     decomposition_oracle,
     enumerate_subspaces,
-    enumerator_coeff_by_partitions,
     exp_f_series,
-    gl_order,
     prefab_enumerator,
     q_bell,
     q_stirling,
 )
 from oracles import (
+    count_invertible_matrices,
     count_set_partitions,
     decompositions_by_rank,
     enumerator_coeff_by_recursive_partitions,
+    gl_order,
     is_prime_by_trial_division,
     partitions_recursive,
     scaled_enumerator_by_fractions,
@@ -126,7 +126,7 @@ def test_enumerator_against_partition_sum():
         Fs = parse_sequence(spec)
         enum = prefab_enumerator(Fs, 10)
         for n in range(11):
-            assert enum.coefficient(n) == enumerator_coeff_by_partitions(Fs, n)
+            assert enum.coefficient(n) * f_factorial(Fs, n) == bell_by_partitions(Fs, n)
 
 
 def test_enumerator_examples():
@@ -154,8 +154,10 @@ def test_bell_examples():
     assert bell_f(NAT, 5) == 52
     assert bell_f(FIB, 0) == 1
     assert bell_f(parse_sequence("gauss:3"), 0) == 1
-    with pytest.raises(ValueError):
-        bell_f(NAT, -1)
+    # both routes refuse a negative index with one message
+    for route in (bell_f, bell_by_partitions):
+        with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+            route(NAT, -1)
 
 
 def test_gl_order_values_and_oracle():
@@ -163,8 +165,9 @@ def test_gl_order_values_and_oracle():
     assert gl_order(2, 3) == 168
     assert gl_order(5, 0) == 1
     for q in (2, 3):
+        bg = parse_sequence(f"bg:{q}")
         for n in range(4):
-            assert gl_order(q, n) == count_invertible_matrices(q, n)
+            assert f_factorial(bg, n) == gl_order(q, n) == count_invertible_matrices(q, n)
     with pytest.raises(ValueError):
         gl_order(1, 2)
 
@@ -232,7 +235,9 @@ def test_enumerator_recurrence_matches_series_exp(terms):
         exact = f_factorial(Fs, m) * enum.coefficient(m)
         assert value == exact
         assert type(value) is (int if exact.denominator == 1 else Fraction)
-        assert enumerator_coeff_by_partitions(Fs, m) == enum.coefficient(m)
+        partitioned = bell_by_partitions(Fs, m)
+        assert partitioned == exact
+        assert type(partitioned) is type(value)
 
 
 def typed(values):
@@ -344,9 +349,9 @@ def test_partition_oracle_refuses_past_the_partition_bound():
     start = time.perf_counter()
     for n in (41, 75, 10**6):
         with pytest.raises(ValueError, match=f"{PARTITION_BOUND} partitions"):
-            enumerator_coeff_by_partitions(NAT, n)
+            bell_by_partitions(NAT, n)
     assert time.perf_counter() - start < 1.0
-    assert enumerator_coeff_by_partitions(NAT, 40) * math.factorial(40) == bell_f(NAT, 40)
+    assert bell_by_partitions(NAT, 40) == bell_f(NAT, 40)
 
 
 def test_partition_walk_lists_the_recursive_partitions():
@@ -356,12 +361,16 @@ def test_partition_walk_lists_the_recursive_partitions():
         assert walked == sorted(tuple(sorted(p)) for p in partitions_recursive(n))
 
 
-@pytest.mark.parametrize("spec", ["natural", "fibonacci", "gauss:2"])
+@pytest.mark.parametrize("spec", ["natural", "fibonacci", "gauss:2", "bg:3"])
 def test_partition_sum_matches_the_recursive_route(spec):
+    # B_n by partitions equals the recursive partition sum, and bell_f in
+    # value and in type: an int exactly where B_n is integral
     Fs = parse_sequence(spec)
     for n in range(26):
-        expected = enumerator_coeff_by_recursive_partitions(Fs, n)
-        assert enumerator_coeff_by_partitions(Fs, n) == expected
+        expected = f_factorial(Fs, n) * enumerator_coeff_by_recursive_partitions(Fs, n)
+        value, formula = bell_by_partitions(Fs, n), bell_f(Fs, n)
+        assert value == expected == formula
+        assert type(value) is type(formula)
 
 
 def test_decomposition_oracle_matches_the_rank_from_scratch_walk():
