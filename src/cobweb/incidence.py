@@ -4,9 +4,10 @@ A cobweb poset is an ordinal sum of antichains, so every incidence function
 here is constant on level blocks and is stored as an upper-triangular
 (L+1)×(L+1) table of exact integers: [s][s] is the value on each diagonal
 vertex of level s, [s][t] (s < t) the value on every pair (level s, level t),
-and distinct vertices of one level always get 0.  Products and inverses cost
-a power of L, never of the vertex count: chain counts are (delta - eta)^-1,
-saturated ones one covering walk from the lower level (``maximal_chain_row``).
+and distinct vertices of one level always get 0.  Products and inverses
+run through one block convolution (``_convolve``) and cost a power of L,
+never of the vertex count: chain counts are (delta - eta)^-1, saturated
+ones one covering walk from the lower level (``maximal_chain_row``).
 The dense matrix is only exported, in the contract ordering (level-major, j
 ascending), byte for byte stable, and its text is yielded one dense row at a
 time.  An interval [x, y] is fully contained once level(y) is built, so the
@@ -58,28 +59,8 @@ class IncidenceMatrix:
         )
 
     def push_row(self, s: int, row: list[int]) -> list[int]:
-        """Row s of R·self for any R whose row s is ``row``:
-        sum over s <= r <= t of w_r row[r] self[r][t].
-
-        The weight w_r is the level size n_r for an intermediate level and 1
-        for an endpoint, where only the one vertex x or y itself contributes.
-        Zero entries of ``row`` and of ``self`` are skipped as they are met,
-        so a covering-walk step costs O(L).
-        """
-        sizes = self.poset.level_sizes
-        out = [0] * len(sizes)
-        for r in range(s, len(sizes)):
-            a = row[r]
-            if not a:
-                continue
-            B = self.table[r]
-            out[r] += a * B[r]
-            if r > s:
-                a *= sizes[r]
-            for t in range(r + 1, len(sizes)):
-                if B[t]:
-                    out[t] += a * B[t]
-        return out
+        """Row s of R·self for any R whose row s is ``row`` (see ``_convolve``)."""
+        return _convolve(self.poset.level_sizes, self.table, s, row)
 
     def is_identity(self) -> bool:
         return self == _table(self.poset, lambda s, t: int(s == t))
@@ -127,6 +108,30 @@ class IncidenceMatrix:
         yield "]}"
 
 
+def _convolve(sizes: tuple[int, ...], table: list[list[int]], s: int, row: list[int]) -> list[int]:
+    """Row s of R·T for the table T and any R whose row s is ``row``:
+    sum over s <= r <= t of w_r row[r] T[r][t].
+
+    The weight w_r is the level size n_r for an intermediate level and 1
+    for an endpoint, where only the one vertex x or y itself contributes.
+    Zero entries of ``row`` and of T are skipped as they are met, so a
+    covering-walk step costs O(L).
+    """
+    out = [0] * len(sizes)
+    for r in range(s, len(sizes)):
+        a = row[r]
+        if not a:
+            continue
+        B = table[r]
+        out[r] += a * B[r]
+        if r > s:
+            a *= sizes[r]
+        for t in range(r + 1, len(sizes)):
+            if B[t]:
+                out[t] += a * B[t]
+    return out
+
+
 def _table(P: CobwebPoset, value: Callable[[int, int], int]) -> IncidenceMatrix:
     """The matrix with table entry value(s, t) for every level pair s <= t."""
     n = P.L + 1
@@ -148,34 +153,27 @@ def covering_matrix(P: CobwebPoset) -> IncidenceMatrix:
 
 
 def mobius_matrix(Z: IncidenceMatrix) -> IncidenceMatrix:
-    """Exact integer inverse of an upper unitriangular level-block table.
+    """Exact integer inverse M of an upper unitriangular level-block table.
 
-    Back-substitution from the top level down: row s of the inverse is e_s
-    minus the rows above it, weighted by Z[s][r] and, except at the endpoint,
-    by the level size n_r.  The product with Z is the identity on both sides.
+    M = delta - (Z - delta) M, built from the top level down: row s is e_s
+    minus the ``_convolve`` of row s of Z, diagonal cleared, with the rows of
+    M above it.  The product with Z is the identity on both sides.
     """
     sizes = Z.poset.level_sizes
     n = len(sizes)
     if any(Z.table[s][s] != 1 for s in range(n)):
         raise ValueError("matrix is not upper unitriangular")
-    inverse = [[int(s == t) for t in range(n)] for s in range(n)]
+    inverse = [[0] * n for _ in range(n)]
     for s in reversed(range(n)):
-        row = inverse[s]
-        for r in range(s + 1, n):
-            z = Z.table[s][r]
-            if not z:
-                continue
-            row[r] -= z
-            z *= sizes[r]
-            for t in range(r + 1, n):
-                row[t] -= z * inverse[r][t]
+        pushed = _convolve(sizes, inverse, s, [0] * (s + 1) + Z.table[s][s + 1 :])
+        inverse[s] = [int(t == s) - x for t, x in enumerate(pushed)]
     return IncidenceMatrix(Z.poset, inverse)
 
 
 def chain_count_matrix(P: CobwebPoset) -> IncidenceMatrix:
     """Counts of all chains x = z_0 < ... < z_t = y, any length t >= 0: the
     geometric sum of the strict part eta of zeta, which as eta is nilpotent is
-    (delta - eta)^-1, inverted by the Moebius back-substitution."""
+    (delta - eta)^-1, inverted by ``mobius_matrix``."""
     return mobius_matrix(_table(P, lambda s, t: 1 if s == t else -1))
 
 

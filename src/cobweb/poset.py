@@ -7,7 +7,7 @@ differ.  Posets are stored as level sizes; every count and every export is
 read from them, and vertex records are built only for callers that ask.
 
 Chain counting has one entry point with three routes (product formula,
-literal depth-first walk, covering-matrix power) so each can certify the
+bounded index-tuple walk, covering-matrix power) so each can certify the
 others.  The packing search is an exact branch-and-bound, never a heuristic.
 It factors out every level with F_j = 1 (copies on different vertices there
 never conflict), builds the remaining conflict graph as a Kronecker product
@@ -26,7 +26,8 @@ is divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations, product
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .fseq import FSequence, exact_quotient
@@ -40,6 +41,10 @@ if TYPE_CHECKING:  # the packing quotient is the only rational value here
 # instances under the default cap tried so far reach this budget in
 # 0.9-2.0 s (one core of a 2-vCPU x86 VM).
 PACKING_NODE_BUDGET = 100_000
+
+# Chains after which an enumerate-mode count is refused: about 0.6 s of
+# walking (one core of a 2-vCPU x86 VM).
+ENUMERATION_BOUND = 10_000_000
 
 # Labels to one chunk of a streamed label list: about 40 KiB of text.
 LABEL_BLOCK = 4096
@@ -106,10 +111,7 @@ class CobwebPoset:
         """Every covering pair, source-major in the contract ordering, yielded
         one at a time."""
         for s in range(self.L):
-            upper = self.level(s + 1)
-            for u in self.level(s):
-                for v in upper:
-                    yield u, v
+            yield from product(self.level(s), self.level(s + 1))
 
     def to_json_dict(self) -> dict:
         return {"spec": self.F.spec, "levels": [str(s) for s in self.level_sizes]}
@@ -130,46 +132,33 @@ def build_poset(F: FSequence, levels: int) -> CobwebPoset:
     return CobwebPoset(F, sizes)
 
 
-def _dfs_chain_count(P: CobwebPoset, start: Vertex, target_level: int) -> int:
-    """Walk every saturated chain from start up to the target level, one by one.
-
-    This is the enumeration oracle: it lists the levels it visits, start.s+1
-    to target_level, and literally visits each chain, with no arithmetic
-    shortcuts.  A stack of level iterators avoids the recursion limit.
-    """
-    levels = {s: P.level(s) for s in range(start.s + 1, target_level + 1)}
-    count = 0
-    stack = [iter([start])]
-    while stack:
-        for w in stack[-1]:
-            if w.s == target_level:
-                count += 1
-            else:
-                stack.append(iter(levels[w.s + 1]))
-                break
-        else:
-            stack.pop()
-    return count
-
-
 def count_max_chains_between(
     P: CobwebPoset, v: Vertex, n: int, mode: str = "product"
 ) -> int:
     """Saturated chains from vertex v up to level n: F_(k+1) * ... * F_n for
     v on level k, so 1 for n = k and F_1 * ... * F_n from the root.
 
-    ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"`` walks
-    the Hasse digraph chain by chain; ``"matrix"`` reads row k of the
+    ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"``
+    visits each chain, a tuple of vertex indices on levels k+1..n, and is
+    refused with ``ValueError`` past ``ENUMERATION_BOUND`` chains, priced
+    first by a running product of the sizes; ``"matrix"`` reads row k of the
     covering-matrix power.  All three must agree.  The count only depends on
     v's level, never on which vertex of the level was picked (testable).
     """
     P.check_vertex(v)
     if not v.s <= n <= P.L:
         raise ValueError(f"target level {n} outside {v.s}..{P.L}")
+    sizes = P.level_sizes[v.s + 1 : n + 1]
     if mode == "product":
-        return math.prod(P.level_sizes[v.s + 1 : n + 1])
+        return math.prod(sizes)
     if mode == "enumerate":
-        return _dfs_chain_count(P, v, n)
+        if any(chains > ENUMERATION_BOUND for chains in accumulate(sizes, mul)):
+            raise ValueError(f"walk passes the enumeration bound of {ENUMERATION_BOUND} chains")
+        count = 0
+        # len drops each chain before the next, so product refills one tuple
+        for _ in map(len, product(*map(range, sizes))):
+            count += 1
+        return count
     if mode == "matrix":
         from .incidence import maximal_chain_row
 

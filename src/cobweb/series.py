@@ -357,11 +357,9 @@ def decomposition_oracle(q: int, n: int) -> int:
     Enumerates every nonzero subspace, then every set of them (in canonical
     order, so each set once) whose dimensions add to n and whose combined
     basis has full rank.  Entirely independent of the series route.  The
-    arguments are checked as ``q_bell`` checks them, with the same messages.
+    arguments are checked by ``_bg``, as ``q_bell`` checks them.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    _require_prime(q)
+    _bg(q, n)
     # Subspace counts G_m of GF(q)^m by Goldman-Rota, G_(m+1) = 2 G_m +
     # (q^m - 1) G_(m-1), up to m = n or the first count past the bound.
     m, previous, subspaces = 1, 1, 2

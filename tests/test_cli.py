@@ -601,6 +601,11 @@ def test_series_qbell_large_field_sizes(capsys):
         # the formula alone would take seconds here: the bound refuses first
         (["series", "qbell", "--q", "2", "--n", "250", "--oracle"], "200 nonzero subspaces"),
         (["series", "bell", "--spec", "fibonacci", "--n", "300", "--oracle"], "40000 partitions"),
+        # 14! and about 1.6e12 chains to walk: priced from the level sizes first
+        (["poset", "chains", "--spec", "natural", "--levels", "14", "--from-level", "0",
+          "--to-level", "14", "--mode", "enumerate"], "enumeration bound of 10000000 chains"),
+        (["poset", "chains", "--spec", "fibonacci", "--levels", "12", "--from-level", "0",
+          "--to-level", "12", "--mode", "enumerate"], "enumeration bound of 10000000 chains"),
     ],
 )
 def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):

@@ -201,6 +201,27 @@ def test_oracles_import_no_private_package_name():
     assert [pair for pair in imported if pair[1].startswith("_")] == []
 
 
+def test_src_builds_vertex_records_only_in_cobweb_poset():
+    # a poset is its level sizes: no code outside CobwebPoset's own methods
+    # asks it for a list of vertex records
+    builders = {"level", "vertices", "hasse_edges"}
+    calls = []
+    for path in sorted(Path(SRC, "cobweb").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {
+            id(node)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "CobwebPoset"
+            for node in ast.walk(cls)
+        }
+        calls += [
+            f"{path.name}:{node.lineno} .{node.func.attr}("
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in builders and id(node) not in own
+        ]
+    assert calls == []
+
+
 def test_oracles_load_without_a_module_entry():
     # the benchmark's checker executes tests/oracles.py this way
     spec = importlib.util.spec_from_file_location(

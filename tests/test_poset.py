@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cobweb.cli import main
 from cobweb.fnomial import f_factorial, f_nomial, falling_f
+from cobweb import poset
 from cobweb.fseq import parse_sequence
 from cobweb.poset import (
     CobwebPoset,
@@ -126,20 +127,24 @@ def test_chain_modes_agree_on_random_level_sizes(sizes):
 
 
 def test_enumerate_builds_only_the_levels_it_walks(monkeypatch):
-    asked = []
-    level = CobwebPoset.level
+    # the walk runs over level sizes alone: it builds no level at all
+    def no_level(self, s):
+        raise AssertionError(f"level {s} was built")
 
-    def recording_level(self, s):
-        asked.append(s)
-        return level(self, s)
-
-    monkeypatch.setattr(CobwebPoset, "level", recording_level)
+    monkeypatch.setattr(CobwebPoset, "level", no_level)
     P = build_poset(NAT, 8)
     assert count_max_chains_between(P, Vertex(2, 2), 5, "enumerate") == 3 * 4 * 5
-    assert asked == [3, 4, 5]
-    asked.clear()
     assert count_max_chains_between(P, Vertex(1, 4), 4, "enumerate") == 1
-    assert asked == []
+
+
+def test_enumerate_refuses_a_walk_past_the_bound(monkeypatch):
+    monkeypatch.setattr(poset, "ENUMERATION_BOUND", 3 * 4 * 5)
+    P = build_poset(NAT, 8)
+    assert count_max_chains_between(P, Vertex(1, 2), 5, "enumerate") == 60
+    with pytest.raises(ValueError, match="enumeration bound of 60 chains"):
+        count_max_chains_between(P, Vertex(1, 1), 5, "enumerate")
+    # the other routes count without walking
+    assert count_max_chains_between(P, Vertex(1, 1), 5, "product") == 120
 
 
 def test_between_range_errors():
