@@ -9,8 +9,18 @@ deterministic for identical arguments, including the seed.
 Every handler returns its exit code and its standard output as an iterable
 of text chunks, which ``main`` writes as they come: a large payload is never
 held whole.  A handler refuses before it returns, so exit code 2 always
-comes with empty standard output.  A failed write ends the call with one
-``error:`` line on standard error, not a traceback.
+comes with empty standard output; a dense export (``poset zeta|mobius|dot``)
+is priced from the level sizes and refused past ``EXPORT_BOUND`` entries.
+A failed write ends the call with one ``error:`` line on standard error,
+not a traceback.
+
+A process enters at ``run`` (the ``cobweb`` console script and the
+``__main__`` block): it runs ``main``, flushes the standard streams and ends
+the process with ``os._exit`` and ``main``'s code.  That skips the
+interpreter's teardown (clearing every module, collecting garbage), about
+10 ms of every call, and with it every ``atexit`` handler and finalizer.
+Help, a usage error (``SystemExit``) and any exception still take the
+normal exit.
 
 One table, ``COMMANDS``, declares every command once: its help, handler and
 options.  A valid call is read straight from the row its leading words name
@@ -48,6 +58,12 @@ DEFAULT_ORDER = 16
 # stream (PYTHONUNBUFFERED) makes every write a system call, so writing
 # chunk by chunk would cost one call per line of a DOT or CSV payload.
 WRITE_BATCH = 1 << 16
+
+# Matrix entries (N^2 for ``poset zeta|mobius``) or edges (``poset dot``)
+# past which a dense export is refused.  An export at the bound writes 20 to
+# 280 MB of text in 0.3-0.4 s (one core of a 2-vCPU x86 VM); the largest in
+# the benchmark, fibonacci L13 zeta/mobius, has 372,100 entries.
+EXPORT_BOUND = 10_000_000
 
 Output = tuple[int, Iterable[str]]
 
@@ -119,10 +135,20 @@ def _cmd_poset_build(args: SimpleNamespace) -> Output:
     return 0, _json(_poset(args).to_json_dict())
 
 
+def _priced(entries: int, unit: str) -> None:
+    """Refuses a dense export of more than ``EXPORT_BOUND`` entries, priced
+    from the level sizes before anything is built."""
+    if entries > EXPORT_BOUND:
+        raise ValueError(f"export passes the export bound of {EXPORT_BOUND} {unit}")
+
+
 def _cmd_poset_dot(args: SimpleNamespace) -> Output:
     from . import poset
 
-    return 0, poset.export_dot(_poset(args))
+    P = _poset(args)
+    sizes = P.level_sizes
+    _priced(sum(a * b for a, b in zip(sizes, sizes[1:])), "edges")
+    return 0, poset.export_dot(P)
 
 
 def _cmd_poset_chains(args: SimpleNamespace) -> Output:
@@ -152,7 +178,9 @@ def _cmd_poset_pack(args: SimpleNamespace) -> Output:
 def _cmd_poset_matrix(args: SimpleNamespace) -> Output:
     from . import incidence
 
-    M = incidence.zeta_matrix(_poset(args))
+    P = _poset(args)
+    _priced(P.vertex_count ** 2, "matrix entries")
+    M = incidence.zeta_matrix(P)
     if args.subcommand == "mobius":
         M = incidence.mobius_matrix(M)
     if args.format == "csv":
@@ -400,15 +428,40 @@ def main(argv: list[str] | None = None) -> int:
             _write(chunks)
             sys.stdout.flush()
         except OSError as exc:  # a closed pipe or a full device
-            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-            # what is still buffered goes nowhere, so the interpreter's flush
-            # at exit fails no second time
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+            return _write_failed(exc)
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
     return code
+
+
+def _write_failed(exc: OSError) -> int:
+    """Exit code 1 and one ``error:`` line for a write to standard output
+    that failed."""
+    print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+    # what is still buffered goes nowhere, so a later flush fails no second time
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
+def run() -> None:
+    """The process entry: ``main``'s code, then ``os._exit`` at the last flush.
+
+    The interpreter's teardown is safe to skip: the package registers no
+    ``atexit`` handler, starts no thread and closes every file it opens, so
+    the standard streams are the only state left, and they are flushed
+    here.  Only a code that ``main`` returns ends this way; ``SystemExit``
+    (help, a usage error), an interrupt and any other exception leave
+    through the normal exit."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when descriptor 1 was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _write_failed(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 def _write(chunks: Iterable[str]) -> None:
@@ -427,4 +480,4 @@ def _write(chunks: Iterable[str]) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,11 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -423,6 +425,17 @@ def test_export_bytes_are_pinned(call):
     assert _export_digest(call) == (0, EXPORT_DIGESTS[call])
 
 
+@pytest.mark.parametrize("command, bound", [("zeta", 49), ("mobius", 49), ("dot", 9)])
+def test_a_dense_export_is_refused_past_the_bound(capsys, monkeypatch, command, bound):
+    # natural levels 0..3 have 1, 1, 2 and 3 vertices: 7^2 = 49 entries, 1 + 2 + 6 = 9 edges
+    monkeypatch.setattr(cli, "EXPORT_BOUND", bound)
+    code, out, _ = run(capsys, "poset", command, "--spec", "natural", "--levels", "3")
+    assert code == 0 and out
+    code, out, err = run(capsys, "poset", command, "--spec", "natural", "--levels", "4")
+    assert (code, out) == (2, "")
+    assert f"export bound of {bound} " in err
+
+
 def test_no_export_builds_vertex_records(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an export built vertex records")
@@ -606,6 +619,10 @@ def test_series_qbell_large_field_sizes(capsys):
           "--to-level", "14", "--mode", "enumerate"], "enumeration bound of 10000000 chains"),
         (["poset", "chains", "--spec", "fibonacci", "--levels", "12", "--from-level", "0",
           "--to-level", "12", "--mode", "enumerate"], "enumeration bound of 10000000 chains"),
+        # N = 131,055: about 34 GB of CSV, priced from the level sizes first
+        (["poset", "zeta", "--spec", "gauss:2", "--levels", "16", "--format", "csv"],
+         "export bound of 10000000 matrix entries"),
+        (["poset", "dot", "--spec", "gauss:2", "--levels", "16"], "export bound of 10000000 edges"),
     ],
 )
 def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):
@@ -831,17 +848,85 @@ def test_stdout_is_pure_json(capsys):
     assert out.count("\n") == 1
 
 
-def _child(argv, buffered, **streams):
-    """One ``python -m cobweb.cli`` process, its standard output buffered or
-    not (the unbuffered one fails at a write, the buffered one at the flush)."""
+def _child_env(buffered):
     env = dict(os.environ)
     src = str(Path(fnomial.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, "-m", "cobweb.cli", *argv], env=env,
+    return env
+
+
+def _child(argv, buffered, **streams):
+    """One ``python -m cobweb.cli`` process, its standard output buffered or
+    not (the unbuffered one fails at a write, the buffered one at the flush)."""
+    return subprocess.Popen([sys.executable, "-m", "cobweb.cli", *argv], env=_child_env(buffered),
                             stderr=subprocess.PIPE, text=True, **streams)
+
+
+@pytest.mark.parametrize("argv", [
+    *ROW_ARGV.values(),
+    "fnomial triangle --spec fibonacci --rows 120 --format csv",  # 1.8 MB, past a pipe buffer
+    "poset zeta --spec gauss:2 --levels 16 --format csv",  # a refusal: exit 2
+])
+def test_a_process_prints_what_main_prints(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    children = [_child(argv.split(), buffered, stdout=subprocess.PIPE) for buffered in (False, True)]
+    for child in children:
+        payload = child.stdout.buffer.read()  # the bytes as written, undecoded
+        _, child_err = child.communicate(timeout=60)
+        assert (child.returncode, payload, child_err) == (code, out.encode(), err)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["poset", "build", "--spec", "natural"], 2),  # --levels is required
+])
+def test_help_and_usage_errors_keep_the_interpreter_exit(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    child = _child(argv, True, stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, out, err) == run(capsys, *argv)
+    assert child.returncode == code
+    assert (out if code == 0 else err).startswith("usage: cobweb")
+
+
+def test_a_refusal_with_descriptor_1_closed_keeps_its_code():
+    # the interpreter then starts with sys.stdout None, which the last flush skips
+    child = _child(["poset", "build", "--spec", "natural", "--levels", "-1"], True,
+                   stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (2, "error: level count must be nonnegative, got -1\n")
+
+
+# Runs the module as ``python -m cobweb.cli`` does, under an atexit handler.
+TEARDOWN_PROBE = ("import atexit, runpy; atexit.register(print, 'teardown'); "
+                  "runpy.run_module('cobweb.cli', run_name='__main__')")
+
+
+@pytest.mark.parametrize("argv, code, teardown", [
+    ("fnomial --spec fibonacci --n 5 --k 2", 0, False),
+    ("poset zeta --spec natural --levels -1", 2, False),  # a refusal
+    ("--help", 0, True),
+    ("poset build --spec natural", 2, True),  # a usage error
+])
+def test_only_a_returned_code_skips_the_interpreter_teardown(argv, code, teardown):
+    child = subprocess.run([sys.executable, "-c", TEARDOWN_PROBE, *argv.split()],
+                           env=_child_env(True), capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout.endswith("teardown\n")) == (code, teardown)
+
+
+def test_the_console_script_runs_what_the_main_block_runs():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    [target] = re.findall(r'^cobweb = "(.*)"$', scripts, re.M)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [block] = [node.body for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [statement] = block
+    assert isinstance(statement.value, ast.Call) and not statement.value.args
+    assert target == f"cobweb.cli:{ast.unparse(statement.value.func)}"
 
 
 def _assert_one_write_error(child):
