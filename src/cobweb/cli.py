@@ -9,8 +9,9 @@ deterministic for identical arguments, including the seed.
 Every handler returns its exit code and its standard output as an iterable
 of text chunks, which ``main`` writes as they come: a large payload is never
 held whole.  A handler refuses before it returns, so exit code 2 always
-comes with empty standard output; a dense export (``poset zeta|mobius|dot``)
-is priced from the level sizes and refused past ``EXPORT_BOUND`` entries.
+comes with empty standard output; a dense export (``poset
+zeta|mobius|dot|dim2``) is priced from the level sizes by
+``poset.check_work``, the one bound of every walk and export.
 A failed write ends the call with one ``error:`` line on standard error,
 not a traceback.
 
@@ -58,12 +59,6 @@ DEFAULT_ORDER = 16
 # stream (PYTHONUNBUFFERED) makes every write a system call, so writing
 # chunk by chunk would cost one call per line of a DOT or CSV payload.
 WRITE_BATCH = 1 << 16
-
-# Matrix entries (N^2 for ``poset zeta|mobius``) or edges (``poset dot``)
-# past which a dense export is refused.  An export at the bound writes 20 to
-# 280 MB of text in 0.3-0.4 s (one core of a 2-vCPU x86 VM); the largest in
-# the benchmark, fibonacci L13 zeta/mobius, has 372,100 entries.
-EXPORT_BOUND = 10_000_000
 
 Output = tuple[int, Iterable[str]]
 
@@ -135,19 +130,12 @@ def _cmd_poset_build(args: SimpleNamespace) -> Output:
     return 0, _json(_poset(args).to_json_dict())
 
 
-def _priced(entries: int, unit: str) -> None:
-    """Refuses a dense export of more than ``EXPORT_BOUND`` entries, priced
-    from the level sizes before anything is built."""
-    if entries > EXPORT_BOUND:
-        raise ValueError(f"export passes the export bound of {EXPORT_BOUND} {unit}")
-
-
 def _cmd_poset_dot(args: SimpleNamespace) -> Output:
     from . import poset
 
     P = _poset(args)
     sizes = P.level_sizes
-    _priced(sum(a * b for a, b in zip(sizes, sizes[1:])), "edges")
+    poset.check_work(sum(a * b for a, b in zip(sizes, sizes[1:])), "edges")
     return 0, poset.export_dot(P)
 
 
@@ -158,7 +146,7 @@ def _cmd_poset_chains(args: SimpleNamespace) -> Output:
     k, n = args.from_level, args.to_level
     if not 0 <= k < n <= P.L:
         raise ValueError(f"need 0 <= from-level < to-level <= {P.L}")
-    count = poset.count_max_chains_between(P, poset.Vertex(1, k), n, args.mode)
+    count = poset.count_max_chains_between(P, k, n, args.mode)
     payload = {"spec": args.spec, "levels": P.L, "from_level": k, "to_level": n}
     return 0, _json({**payload, "mode": args.mode, "count": str(count)})
 
@@ -169,17 +157,15 @@ def _cmd_poset_pack(args: SimpleNamespace) -> Output:
     if args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
     P = _poset(args, args.root_level + args.m)
-    report = poset.max_disjoint_packing(
-        P, poset.Vertex(1, args.root_level), args.m, cap=args.cap
-    )
+    report = poset.max_disjoint_packing(P, args.root_level, args.m, cap=args.cap)
     return (0 if report.tight else 1), _json(report.to_json_dict())
 
 
 def _cmd_poset_matrix(args: SimpleNamespace) -> Output:
-    from . import incidence
+    from . import incidence, poset
 
     P = _poset(args)
-    _priced(P.vertex_count ** 2, "matrix entries")
+    poset.check_work(P.vertex_count ** 2, "matrix entries")
     M = incidence.zeta_matrix(P)
     if args.subcommand == "mobius":
         M = incidence.mobius_matrix(M)
@@ -192,6 +178,7 @@ def _cmd_poset_dim2(args: SimpleNamespace) -> Output:
     from . import poset
 
     P = _poset(args)
+    poset.check_work(2 * P.vertex_count, "labels")
     realizer = poset.dim2_realizer(P)
     head = json.dumps({"spec": args.spec, "levels": P.L, "verified": realizer.verified})
     return (0 if realizer.verified else 1), _line(chain(

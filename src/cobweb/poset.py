@@ -6,10 +6,14 @@ levels, so two distinct vertices are comparable exactly when their levels
 differ.  Posets are stored as level sizes; every count and every export is
 read from them, and vertex records are built only for callers that ask.
 
-Chain counting has one entry point with three routes (product formula,
-bounded index-tuple walk, covering-matrix power) so each can certify the
-others.  The packing search is an exact branch-and-bound, never a heuristic.
-It factors out every level with F_j = 1 (copies on different vertices there
+The routes take level indices, never vertices: every count of a layer
+depends on the level sizes alone.  Chain counting has one entry point with
+three routes (product formula, bounded index-tuple walk, covering-matrix
+power) so each can certify the others.  Work that grows with the level
+sizes, the walk here and the dense exports of the command line, is priced
+from them first and refused past ``WORK_BOUND`` units by ``check_work``.
+The packing search is an exact branch-and-bound, never a heuristic.  It
+factors out every level with F_j = 1 (copies on different vertices there
 never conflict), builds the remaining conflict graph as a Kronecker product
 of per-level bitmask rows, fixes one copy by the symmetry of permuting
 vertices within levels, and prunes with a greedy colour-class bound and a
@@ -42,9 +46,11 @@ if TYPE_CHECKING:  # the packing quotient is the only rational value here
 # 0.9-2.0 s (one core of a 2-vCPU x86 VM).
 PACKING_NODE_BUDGET = 100_000
 
-# Chains after which an enumerate-mode count is refused: about 0.6 s of
-# walking (one core of a 2-vCPU x86 VM).
-ENUMERATION_BOUND = 10_000_000
+# Units of work, priced from the level sizes before any is done, past which
+# a call is refused.  At the bound (one core of a 2-vCPU x86 VM): 10^7 chains
+# walk in about 0.6 s, an export of 10^7 matrix entries or edges writes 20 to
+# 280 MB of text in 0.3-0.4 s, and one of 10^7 labels 123 MB in about 3.7 s.
+WORK_BOUND = 10_000_000
 
 # Labels to one chunk of a streamed label list: about 40 KiB of text.
 LABEL_BLOCK = 4096
@@ -132,28 +138,33 @@ def build_poset(F: FSequence, levels: int) -> CobwebPoset:
     return CobwebPoset(F, sizes)
 
 
+def check_work(units: int, unit: str) -> None:
+    """Refuses, with ``ValueError``, work of more than ``WORK_BOUND`` units
+    priced from the level sizes."""
+    if units > WORK_BOUND:
+        raise ValueError(f"call passes the work bound of {WORK_BOUND} {unit}")
+
+
 def count_max_chains_between(
-    P: CobwebPoset, v: Vertex, n: int, mode: str = "product"
+    P: CobwebPoset, k: int, n: int, mode: str = "product"
 ) -> int:
-    """Saturated chains from vertex v up to level n: F_(k+1) * ... * F_n for
-    v on level k, so 1 for n = k and F_1 * ... * F_n from the root.
+    """Saturated chains from a vertex of level k up to level n: F_(k+1) * ...
+    * F_n, so 1 for n = k and F_1 * ... * F_n from the root.
 
     ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"``
     visits each chain, a tuple of vertex indices on levels k+1..n, and is
-    refused with ``ValueError`` past ``ENUMERATION_BOUND`` chains, priced
-    first by a running product of the sizes; ``"matrix"`` reads row k of the
-    covering-matrix power.  All three must agree.  The count only depends on
-    v's level, never on which vertex of the level was picked (testable).
+    refused by ``check_work`` past ``WORK_BOUND`` chains, priced first by a
+    running product of the sizes; ``"matrix"`` reads row k of the
+    covering-matrix power.  All three must agree.
     """
-    P.check_vertex(v)
-    if not v.s <= n <= P.L:
-        raise ValueError(f"target level {n} outside {v.s}..{P.L}")
-    sizes = P.level_sizes[v.s + 1 : n + 1]
+    if not 0 <= k <= n <= P.L:
+        raise ValueError(f"levels {k}..{n} outside 0..{P.L}")
+    sizes = P.level_sizes[k + 1 : n + 1]
     if mode == "product":
         return math.prod(sizes)
     if mode == "enumerate":
-        if any(chains > ENUMERATION_BOUND for chains in accumulate(sizes, mul)):
-            raise ValueError(f"walk passes the enumeration bound of {ENUMERATION_BOUND} chains")
+        for chains in accumulate(sizes, mul):  # stops at the first product past the bound
+            check_work(chains, "chains")
         count = 0
         # len drops each chain before the next, so product refills one tuple
         for _ in map(len, product(*map(range, sizes))):
@@ -162,20 +173,18 @@ def count_max_chains_between(
     if mode == "matrix":
         from .incidence import maximal_chain_row
 
-        # Chains to one vertex of level n; on v's own level that vertex is v.
-        to_one = maximal_chain_row(P, v.s, n - v.s)[n]
-        return to_one if n == v.s else P.level_size(n) * to_one
+        # Chains to one vertex of level n; on level k itself, the one vertex.
+        to_one = maximal_chain_row(P, k, n - k)[n]
+        return to_one if n == k else P.level_size(n) * to_one
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _copy_shape(P: CobwebPoset, root: Vertex, m: int) -> list[tuple[int, int]]:
+def _copy_shape(P: CobwebPoset, k: int, m: int) -> list[tuple[int, int]]:
     """(vertices available, vertices needed) at each level k+1..k+m of a copy."""
-    P.check_vertex(root)
     if m < 0:
         raise ValueError(f"height must be nonnegative, got {m}")
-    k = root.s
-    if k + m > P.L:
-        raise ValueError(f"height {m} from level {k} exceeds the built level {P.L}")
+    if not 0 <= k <= P.L - m:
+        raise ValueError(f"copy levels {k}..{k + m} outside 0..{P.L}")
     shape = []
     for j in range(1, m + 1):
         avail, need = P.level_sizes[k + j], P.level_sizes[j]
@@ -194,7 +203,7 @@ class PackingReport(NamedTuple):
     """
 
     spec: str
-    root: Vertex
+    root_level: int
     m: int
     n: int
     copies_total: int
@@ -206,7 +215,7 @@ class PackingReport(NamedTuple):
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec,
-            "root_level": self.root.s,
+            "root_level": self.root_level,
             "m": self.m,
             "n": self.n,
             "copies_total": str(self.copies_total),
@@ -330,9 +339,10 @@ def _level_bound(levels: list[tuple[int, int]]) -> int:
 
 
 def max_disjoint_packing(
-    P: CobwebPoset, root: Vertex, m: int, cap: int = 5000
+    P: CobwebPoset, k: int, m: int, cap: int = 5000
 ) -> PackingReport:
-    """Exact maximum family of pairwise chain-disjoint copies, with its quotient.
+    """Exact maximum family of pairwise chain-disjoint copies of the m-level
+    prime poset on levels k..k+m, with its quotient.
 
     Instances whose copy count exceeds ``cap`` are refused outright; the
     count prod_j C(F_(k+j), F_j) is multiplied up level by level and the
@@ -356,7 +366,7 @@ def max_disjoint_packing(
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    shape = _copy_shape(P, root, m)
+    shape = _copy_shape(P, k, m)
     copies_total = 1
     for avail, need in shape:
         copies_total *= math.comb(avail, need)
@@ -378,9 +388,9 @@ def max_disjoint_packing(
     max_packing = factor * _max_family_through_first(conflict, _level_bound(spread))
     return PackingReport(
         spec=P.F.spec,
-        root=root,
+        root_level=k,
         m=m,
-        n=root.s + m,
+        n=k + m,
         copies_total=copies_total,
         chains_total=chains_total,
         quotient_bound=quotient,

@@ -72,7 +72,7 @@ def test_criterion_02_fibonomials_vs_chain_quotient_oracle():
         P = build_poset(fib, 8)
         # chains walked one by one, from a level-k vertex up to level n
         dfs_between = {
-            (k, n): count_max_chains_between(P, Vertex(1, k), n, "enumerate")
+            (k, n): count_max_chains_between(P, k, n, "enumerate")
             for k in range(8)
             for n in range(k + 1, 9)
         }
@@ -94,11 +94,11 @@ def test_criterion_03_root_chain_counts():
             P = build_poset(F, 6)
             for n in range(7):
                 assert count_max_chains_between(
-                    P, Vertex(1, 0), n, "enumerate"
+                    P, 0, n, "enumerate"
                 ) == f_factorial(F, n)
         fib = parse_sequence("fibonacci")
         P7 = build_poset(fib, 7)
-        count = count_max_chains_between(P7, Vertex(1, 0), 7, "enumerate")
+        count = count_max_chains_between(P7, 0, 7, "enumerate")
         assert count == 3120
         assert count == f_factorial(fib, 7)
 
@@ -198,7 +198,7 @@ def test_criterion_07_packing_oracle():
         def pack(spec, k, m):
             F = parse_sequence(spec)
             P = build_poset(F, k + m)
-            report = max_disjoint_packing(P, Vertex(1, k), m)
+            report = max_disjoint_packing(P, k, m)
             reports.append((F, report))
             return report
 

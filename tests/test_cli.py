@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -425,15 +426,17 @@ def test_export_bytes_are_pinned(call):
     assert _export_digest(call) == (0, EXPORT_DIGESTS[call])
 
 
-@pytest.mark.parametrize("command, bound", [("zeta", 49), ("mobius", 49), ("dot", 9)])
+@pytest.mark.parametrize("command, bound", [("zeta", 49), ("mobius", 49), ("dot", 9), ("dim2", 14)])
 def test_a_dense_export_is_refused_past_the_bound(capsys, monkeypatch, command, bound):
-    # natural levels 0..3 have 1, 1, 2 and 3 vertices: 7^2 = 49 entries, 1 + 2 + 6 = 9 edges
-    monkeypatch.setattr(cli, "EXPORT_BOUND", bound)
+    # natural levels 0..3 have 1, 1, 2 and 3 vertices: 7^2 = 49 entries,
+    # 1 + 2 + 6 = 9 edges, 2 * 7 = 14 labels; levels 0..4 have 11 vertices
+    unit = {"dot": "edges", "dim2": "labels"}.get(command, "matrix entries")
+    monkeypatch.setattr(poset, "WORK_BOUND", bound)
     code, out, _ = run(capsys, "poset", command, "--spec", "natural", "--levels", "3")
     assert code == 0 and out
     code, out, err = run(capsys, "poset", command, "--spec", "natural", "--levels", "4")
     assert (code, out) == (2, "")
-    assert f"export bound of {bound} " in err
+    assert err == f"error: call passes the work bound of {bound} {unit}\n"
 
 
 def test_no_export_builds_vertex_records(monkeypatch):
@@ -616,13 +619,16 @@ def test_series_qbell_large_field_sizes(capsys):
         (["series", "bell", "--spec", "fibonacci", "--n", "300", "--oracle"], "40000 partitions"),
         # 14! and about 1.6e12 chains to walk: priced from the level sizes first
         (["poset", "chains", "--spec", "natural", "--levels", "14", "--from-level", "0",
-          "--to-level", "14", "--mode", "enumerate"], "enumeration bound of 10000000 chains"),
+          "--to-level", "14", "--mode", "enumerate"], "work bound of 10000000 chains"),
         (["poset", "chains", "--spec", "fibonacci", "--levels", "12", "--from-level", "0",
-          "--to-level", "12", "--mode", "enumerate"], "enumeration bound of 10000000 chains"),
+          "--to-level", "12", "--mode", "enumerate"], "work bound of 10000000 chains"),
         # N = 131,055: about 34 GB of CSV, priced from the level sizes first
         (["poset", "zeta", "--spec", "gauss:2", "--levels", "16", "--format", "csv"],
-         "export bound of 10000000 matrix entries"),
-        (["poset", "dot", "--spec", "gauss:2", "--levels", "16"], "export bound of 10000000 edges"),
+         "work bound of 10000000 matrix entries"),
+        (["poset", "dot", "--spec", "gauss:2", "--levels", "16"], "work bound of 10000000 edges"),
+        # N is about 7.7e17 at 30 levels; at 40, level 40 has more vertices than a range can count
+        (["poset", "dim2", "--spec", "bg:2", "--levels", "30"], "work bound of 10000000 labels"),
+        (["poset", "dim2", "--spec", "bg:2", "--levels", "40"], "work bound of 10000000 labels"),
     ],
 )
 def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):
@@ -655,6 +661,62 @@ def test_oracles_answer_the_largest_benchmark_inputs(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["match"] is True
+
+
+# Values the generated calls draw from: ordinary and degenerate specs (a
+# unit or zero ratio, zero and negative terms, no terms, a missing file),
+# small and negative integers, and prefab layers, well-formed or not.
+FUZZ_SPECS = (
+    "natural", "fibonacci", "even", "gauss:2", "bg:2", "gauss:1", "bg:1", "const:0",
+    "mult:0", "custom:0,1,2", "custom:1,-2,3", "custom:2,2,0,5", "custom:",
+)
+FUZZ_LAYERS = ("i", "0,2", "2,1", "x", "3,-1")
+
+
+def _generated_call(rng: random.Random, missing_file: str) -> list[str]:
+    """One argv for a random ``COMMANDS`` row with a handler; an option is
+    left out with probability 1/20 (1/2 if it is optional), and a choice may
+    be one outside the row's."""
+    (group, name), (_, _, options) = rng.choice(
+        [row for row in COMMANDS.items() if row[1][1] is not None]
+    )
+    argv = [group] + ([name] if name else [])
+    for flag, keywords in options:
+        if rng.random() < (0.05 if keywords.get("required") else 0.5):
+            continue
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+        elif "choices" in keywords:
+            argv += [flag, rng.choice([*keywords["choices"], "bogus"])]
+        elif flag == "--spec":
+            argv += [flag, rng.choice([*FUZZ_SPECS, f"file:{missing_file}"])]
+        elif keywords.get("type") is cli.integer:
+            argv += [flag, str(rng.randint(-3, 12))]
+        else:  # the two layers of ``prefab compose``
+            argv += [flag, rng.choice(FUZZ_LAYERS)]
+    return argv
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_calls_answer_or_refuse_with_empty_output(capsys, tmp_path, seed):
+    # the contract, within 5 s a call: exit 0 or 1 with a payload (JSON
+    # unless CSV or DOT was asked for), or exit 2 with empty standard output
+    rng = random.Random(seed)
+    broken = []
+    for _ in range(250):
+        argv = _generated_call(rng, str(tmp_path / "missing.txt"))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        seconds = time.perf_counter() - start
+        try:
+            assert seconds < 5.0
+            if (code, out) != (2, ""):
+                assert code in (0, 1) and out
+                if not (argv[:2] == ["poset", "dot"] or "csv" in argv):
+                    json.loads(out)
+        except (AssertionError, ValueError):
+            broken.append((argv, code, out[:80], seconds))
+    assert broken == []
 
 
 # One argv per command row that has a handler.

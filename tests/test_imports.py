@@ -203,8 +203,8 @@ def test_oracles_import_no_private_package_name():
 
 def test_src_builds_vertex_records_only_in_cobweb_poset():
     # a poset is its level sizes: no code outside CobwebPoset's own methods
-    # asks it for a list of vertex records
-    builders = {"level", "vertices", "hasse_edges"}
+    # asks it for a list of vertex records or makes a Vertex
+    builders = {"level", "vertices", "hasse_edges", "Vertex"}
     calls = []
     for path in sorted(Path(SRC, "cobweb").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -214,10 +214,10 @@ def test_src_builds_vertex_records_only_in_cobweb_poset():
             for node in ast.walk(cls)
         }
         calls += [
-            f"{path.name}:{node.lineno} .{node.func.attr}("
+            f"{path.name}:{node.lineno} {name}("
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in builders and id(node) not in own
+            if isinstance(node, ast.Call) and id(node) not in own
+            and (name := getattr(node.func, "attr", getattr(node.func, "id", None))) in builders
         ]
     assert calls == []
 
@@ -232,3 +232,21 @@ def test_oracles_load_without_a_module_entry():
     P = cobweb.build_poset(cobweb.parse_sequence("natural"), 3)
     copies = oracles.enumerate_copies(P, cobweb.Vertex(1, 1), 2)
     assert (len(copies), oracles.brute_max_packing(copies)) == (6, 2)
+
+
+def test_the_benchmark_tracer_finds_every_method_it_wraps():
+    # perfbench/tracing.py replaces these methods in their class's own dict;
+    # a name that left the dict, or moved to a base class, fails its install
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{cls}.{method}"
+        for table in (tracing.SERIALIZER_METHODS, tracing.LAYER_METHODS)
+        for (module, cls), methods in table.items()
+        for method in methods
+        if method not in vars(getattr(importlib.import_module(f"cobweb.{module}"), cls))
+    ]
+    assert missing == []

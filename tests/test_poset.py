@@ -80,36 +80,31 @@ def test_comparability_is_level_based():
 def test_root_chain_counts_match_factorial(F):
     P = build_poset(F, 6)
     for n in range(7):
-        enumerated = count_max_chains_between(P, Vertex(1, 0), n, "enumerate")
-        assert enumerated == count_max_chains_between(P, Vertex(1, 0), n, "product")
+        enumerated = count_max_chains_between(P, 0, n, "enumerate")
+        assert enumerated == count_max_chains_between(P, 0, n, "product")
         assert enumerated == f_factorial(F, n)
 
 
 def test_root_chain_count_examples():
-    assert count_max_chains_between(build_poset(FIB, 4), Vertex(1, 0), 4, "enumerate") == 6
-    assert count_max_chains_between(build_poset(NAT, 4), Vertex(1, 0), 4, "enumerate") == 24
-    assert count_max_chains_between(build_poset(NAT, 4), Vertex(1, 0), 0, "enumerate") == 1
+    assert count_max_chains_between(build_poset(FIB, 4), 0, 4, "enumerate") == 6
+    assert count_max_chains_between(build_poset(NAT, 4), 0, 4, "enumerate") == 24
+    assert count_max_chains_between(build_poset(NAT, 4), 0, 0, "enumerate") == 1
 
 
 def test_between_chain_counts():
     P = build_poset(FIB, 4)
-    assert count_max_chains_between(P, Vertex(1, 2), 4, "enumerate") == 6
-    assert count_max_chains_between(P, Vertex(1, 2), 4, "product") == 6
+    assert count_max_chains_between(P, 2, 4, "enumerate") == 6
+    assert count_max_chains_between(P, 2, 4, "product") == 6
     Q = build_poset(NAT, 3)
-    assert count_max_chains_between(Q, Vertex(1, 1), 3, "enumerate") == 6
+    assert count_max_chains_between(Q, 1, 3, "enumerate") == 6
     # one step up: the size of the next level
-    assert count_max_chains_between(Q, Vertex(1, 2), 3) == 3
-
-
-@pytest.mark.parametrize("F", BUILTINS, ids=lambda F: F.spec)
-def test_between_counts_independent_of_vertex_choice(F):
-    P = build_poset(F, 5)
-    for k in range(1, 5):
-        for n in range(k + 1, 6):
-            counts = {
-                count_max_chains_between(P, v, n, "enumerate") for v in P.level(k)
-            }
-            assert counts == {falling_f(F, n, n - k)}
+    assert count_max_chains_between(Q, 2, 3) == 3
+    for F in BUILTINS:  # F_(k+1) * ... * F_n, a falling F-factorial
+        P = build_poset(F, 5)
+        assert all(
+            count_max_chains_between(P, k, n, "enumerate") == falling_f(F, n, n - k)
+            for k in range(6) for n in range(k, 6)
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,10 +112,9 @@ def test_between_counts_independent_of_vertex_choice(F):
 def test_chain_modes_agree_on_random_level_sizes(sizes):
     P = build_poset(parse_sequence("custom:" + ",".join(map(str, sizes))), len(sizes))
     for k in range(P.L + 1):
-        v = Vertex(P.level_size(k), k)
         for n in range(k, P.L + 1):
             counts = {
-                mode: count_max_chains_between(P, v, n, mode)
+                mode: count_max_chains_between(P, k, n, mode)
                 for mode in ("product", "enumerate", "matrix")
             }
             assert set(counts.values()) == {math.prod(sizes[k:n])}  # 1 at n = k
@@ -133,31 +127,33 @@ def test_enumerate_builds_only_the_levels_it_walks(monkeypatch):
 
     monkeypatch.setattr(CobwebPoset, "level", no_level)
     P = build_poset(NAT, 8)
-    assert count_max_chains_between(P, Vertex(2, 2), 5, "enumerate") == 3 * 4 * 5
-    assert count_max_chains_between(P, Vertex(1, 4), 4, "enumerate") == 1
+    assert count_max_chains_between(P, 2, 5, "enumerate") == 3 * 4 * 5
+    assert count_max_chains_between(P, 4, 4, "enumerate") == 1
 
 
 def test_enumerate_refuses_a_walk_past_the_bound(monkeypatch):
-    monkeypatch.setattr(poset, "ENUMERATION_BOUND", 3 * 4 * 5)
+    monkeypatch.setattr(poset, "WORK_BOUND", 3 * 4 * 5)
     P = build_poset(NAT, 8)
-    assert count_max_chains_between(P, Vertex(1, 2), 5, "enumerate") == 60
-    with pytest.raises(ValueError, match="enumeration bound of 60 chains"):
-        count_max_chains_between(P, Vertex(1, 1), 5, "enumerate")
+    assert count_max_chains_between(P, 2, 5, "enumerate") == 60
+    with pytest.raises(ValueError, match="work bound of 60 chains"):
+        count_max_chains_between(P, 1, 5, "enumerate")
     # the other routes count without walking
-    assert count_max_chains_between(P, Vertex(1, 1), 5, "product") == 120
+    assert count_max_chains_between(P, 1, 5, "product") == 120
 
 
 def test_between_range_errors():
     P = build_poset(NAT, 3)
-    assert count_max_chains_between(P, Vertex(1, 2), 2) == 1
+    assert count_max_chains_between(P, 2, 2) == 1
     with pytest.raises(ValueError):
-        count_max_chains_between(P, Vertex(1, 2), 1)
+        count_max_chains_between(P, 2, 1)
     with pytest.raises(ValueError):
-        count_max_chains_between(P, Vertex(1, 2), 4)
+        count_max_chains_between(P, 2, 4)
     with pytest.raises(ValueError):
-        count_max_chains_between(P, Vertex(1, 0), 4)
+        count_max_chains_between(P, 0, 4)
+    with pytest.raises(ValueError, match="levels -1..2 outside 0..3"):
+        count_max_chains_between(P, -1, 2)
     with pytest.raises(ValueError):
-        count_max_chains_between(P, Vertex(1, 0), 2, "nope")
+        count_max_chains_between(P, 0, 2, "nope")
 
 
 def test_enumerate_copies_counts():
@@ -201,7 +197,7 @@ def test_packing_reports_match_brute_force():
     ]
     for F, k, m, expected, quotient, tight in cases:
         P = build_poset(F, k + m)
-        report = max_disjoint_packing(P, Vertex(1, k), m)
+        report = max_disjoint_packing(P, k, m)
         assert report.max_packing == expected
         assert report.quotient_bound == quotient
         assert report.tight is tight
@@ -227,14 +223,14 @@ def test_packing_random_instances_match_brute_force():
             continue
         if len(copies) > 40:
             continue
-        report = max_disjoint_packing(P, Vertex(1, k), m, cap=10000)
+        report = max_disjoint_packing(P, k, m, cap=10000)
         assert report.max_packing == brute_max_packing(copies)
         checked += 1
 
 
 def test_packing_trivial_cases():
     P = build_poset(NAT, 2)
-    report = max_disjoint_packing(P, Vertex(1, 0), 2)
+    report = max_disjoint_packing(P, 0, 2)
     assert report.copies_total == 1
     assert report.max_packing == 1
     assert report.tight
@@ -243,31 +239,38 @@ def test_packing_trivial_cases():
 def test_packing_handles_instances_with_many_copies():
     # 1050 candidate copies: C(6,2) * C(8,4); search must not recurse per copy
     P = build_poset(EVEN, 4)
-    report = max_disjoint_packing(P, Vertex(1, 2), 2)
+    report = max_disjoint_packing(P, 2, 2)
     assert report.copies_total == 1050
     assert report.max_packing == 6
     assert report.tight
 
 
+def test_packing_refuses_levels_outside_the_poset():
+    P = build_poset(NAT, 3)
+    for k, m in ((-1, 1), (3, 1), (4, 0)):
+        with pytest.raises(ValueError, match=f"copy levels {k}..{k + m} outside 0..3"):
+            max_disjoint_packing(P, k, m)
+
+
 def test_packing_cap_refused():
     P = build_poset(EVEN, 3)
     with pytest.raises(PackingCapError):
-        max_disjoint_packing(P, Vertex(1, 1), 2, cap=10)
+        max_disjoint_packing(P, 1, 2, cap=10)
 
 
 def test_packing_cap_refused_before_the_count_is_built():
     # the full copy count has about 1.4 million bits; the refusal must not need it
     P = build_poset(parse_sequence("gauss:2"), 35)
     with pytest.raises(PackingCapError, match="cap"):
-        max_disjoint_packing(P, Vertex(1, 20), 15)
+        max_disjoint_packing(P, 20, 15)
     # a level too small for a copy is still reported as such, cap or not
     P = build_poset(parse_sequence("custom:1,3,5,1"), 4)
     with pytest.raises(ValueError, match="copy needs"):
-        max_disjoint_packing(P, Vertex(1, 1), 3, cap=1)
+        max_disjoint_packing(P, 1, 3, cap=1)
     # a cap below 1 is refused before any work, the level check included
     for cap in (0, -1):
         with pytest.raises(ValueError, match="cap must be at least 1"):
-            max_disjoint_packing(P, Vertex(1, 1), 3, cap=cap)
+            max_disjoint_packing(P, 1, 3, cap=cap)
 
 
 @st.composite
@@ -293,7 +296,7 @@ def test_packing_matches_brute_force_on_random_levels(instance):
     budget = math.prod(avails) // math.prod(needs)
     assume(sum(math.comb(copies_total, i) for i in range(budget + 1)) <= 20000)
     P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), k + m)
-    report = max_disjoint_packing(P, Vertex(1, k), m)
+    report = max_disjoint_packing(P, k, m)
     assert report.copies_total == copies_total
     assert report.max_packing == brute_max_packing(enumerate_copies(P, Vertex(1, k), m))
 
@@ -320,7 +323,7 @@ def test_level_bound_and_packing_on_layers_without_unit_levels(instance):
     assume(sum(math.comb(copies_total, i) for i in range(budget + 1)) <= 20000)
     P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), k + m)
     best = brute_max_packing(enumerate_copies(P, Vertex(1, k), m))
-    assert max_disjoint_packing(P, Vertex(1, k), m).max_packing == best
+    assert max_disjoint_packing(P, k, m).max_packing == best
     # the search budget: the level bound over the levels where copies can miss
     spread = [(a, n) for a, n in zip(avails, needs) if 2 * n <= a]
     assert best <= _level_bound(spread) <= max(budget, 1)
@@ -338,13 +341,13 @@ def test_packing_closes_a_layer_without_unit_levels(capsys):
     # and the level bound 10 is reached by the first families the search meets
     P = build_poset(parse_sequence("custom:2,2,7,7"), 4)
     start = time.perf_counter()
-    report = max_disjoint_packing(P, Vertex(1, 2), 2)
+    report = max_disjoint_packing(P, 2, 2)
     assert time.perf_counter() - start < 1.0
     assert (report.copies_total, report.max_packing) == (441, 10)
     assert report.quotient_bound == Fraction(49, 4) and not report.tight
     # min(floor(9 * 3 / 2), floor(9 * 4 / 3)) = 12 over levels of 9 for copies of 2, 3
     P = build_poset(parse_sequence("custom:2,3,9,9"), 4)
-    report = max_disjoint_packing(P, Vertex(1, 2), 2)
+    report = max_disjoint_packing(P, 2, 2)
     assert (report.copies_total, report.max_packing) == (3024, 12)
     argv = ["poset", "pack", "--spec", "custom:2,2,7,7", "--root-level", "2", "--m", "2"]
     assert main(argv) == 1
@@ -358,26 +361,26 @@ def test_packing_levels_where_every_two_copies_meet_cost_no_bound_steps():
     # const:2 from level 1 up 40 levels: one copy, and no level where two
     # copies could miss each other, so the level bound has 2^0 steps, not 2^40
     start = time.perf_counter()
-    report = max_disjoint_packing(build_poset(parse_sequence("const:2"), 41), Vertex(1, 1), 40)
+    report = max_disjoint_packing(build_poset(parse_sequence("const:2"), 41), 1, 40)
     assert (report.copies_total, report.max_packing, report.tight) == (1, 1, True)
     assert time.perf_counter() - start < 1.0
 
 
 def test_packing_quotient_is_an_int_where_integral():
-    report = max_disjoint_packing(build_poset(NAT, 4), Vertex(1, 2), 2)
+    report = max_disjoint_packing(build_poset(NAT, 4), 2, 2)
     assert type(report.quotient_bound) is int and report.quotient_bound == 6 and report.tight
-    report = max_disjoint_packing(build_poset(parse_sequence("custom:2,3"), 2), Vertex(1, 1), 1)
+    report = max_disjoint_packing(build_poset(parse_sequence("custom:2,3"), 2), 1, 1)
     assert type(report.quotient_bound) is Fraction and report.quotient_bound == Fraction(3, 2)
     assert (report.max_packing, report.tight) == (1, False)
 
 
 def test_packing_exact_values_on_larger_instances():
-    report = max_disjoint_packing(build_poset(NAT, 7), Vertex(1, 5), 2)
+    report = max_disjoint_packing(build_poset(NAT, 7), 5, 2)
     assert (report.copies_total, report.max_packing) == (126, 18)
     assert report.quotient_bound == 21 and not report.tight
-    report = max_disjoint_packing(build_poset(NAT, 9), Vertex(1, 7), 2)
+    report = max_disjoint_packing(build_poset(NAT, 9), 7, 2)
     assert (report.copies_total, report.max_packing) == (288, 32)
-    report = max_disjoint_packing(build_poset(FIB, 7), Vertex(1, 4), 3)
+    report = max_disjoint_packing(build_poset(FIB, 7), 4, 3)
     assert (report.copies_total, report.max_packing) == (3120, 240)
 
 
@@ -385,7 +388,7 @@ def test_packing_exact_values_on_larger_instances():
 def test_packing_with_unit_first_level_closed_form(k):
     # m = 2 with F_1 = 1: one vertex of level k+1, then disjoint F_2-subsets
     P = build_poset(NAT, k + 2)
-    report = max_disjoint_packing(P, Vertex(1, k), 2)
+    report = max_disjoint_packing(P, k, 2)
     assert report.max_packing == NAT.term(k + 1) * (NAT.term(k + 2) // NAT.term(2))
 
 
