@@ -229,9 +229,12 @@ def _cmd_series(args: SimpleNamespace) -> Output:
 
 def _with_oracle(args: SimpleNamespace, payload: dict, key: str, formula, oracle) -> Output:
     """The formula's value under ``key``; with --oracle also the independent
-    route's value and the verdict.  The oracle runs first, so that its size
-    bound refuses before the formula runs; it checks its arguments as the
-    formula does, so a malformed input gets the formula's own refusal."""
+    route's value and the verdict.  The oracle runs first and checks its
+    arguments before it reads any term or lists any subspace: first as the
+    formula checks them, so a malformed input gets the formula's own
+    refusal, then against its size bound, so that it refuses before the
+    formula runs.  ``series bell``'s bound is on n alone, so it checks n
+    before any term is read."""
     expected = oracle() if args.oracle else None
     payload[key] = str(value := formula())
     if args.oracle:
@@ -244,13 +247,9 @@ def _cmd_series_bell(args: SimpleNamespace) -> Output:
     from . import fseq, series
 
     F = fseq.parse_sequence(args.spec)
-
-    def oracle():
-        F.terms(args.n)  # past the bound too, a short sequence gets the formula's refusal
-        return series.bell_by_partitions(F, args.n)
-
     return _with_oracle(args, {"spec": args.spec, "n": args.n}, "value",
-                        lambda: series.bell_f(F, args.n), oracle)
+                        lambda: series.bell_f(F, args.n),
+                        lambda: series.bell_by_partitions(F, args.n))
 
 
 def _cmd_series_qbell(args: SimpleNamespace) -> Output:

@@ -15,9 +15,13 @@ divisions are exact on integers.  The vector-space counts are that formula
 over the bg:q sequence, whose factorials (``fnomial.f_factorial``) are the
 orders of the general linear groups over a prime field; they count the
 unordered direct-sum decompositions of a finite vector space.  The two
-brute-force routes that ``--oracle`` runs stay here, sharing no code with
-the series route: ``bell_by_partitions``, a sum over the integer partitions
-of n, and ``decomposition_oracle``, a literal subspace enumeration.
+brute-force routes that ``--oracle`` runs stay here, sharing neither the
+coefficient rows nor the recurrences: ``bell_by_partitions`` and
+``decomposition_oracle``, a literal subspace enumeration.  An assembly is a
+multiset of primes P_p, so B_n = F_n! [x^n] prod_p exp(x^p / F_p!), and
+``bell_by_partitions`` expands that product one part size p at a time: the
+sum over the integer partitions of n, with O(n^2 log n) exact divisions in
+place of one per partition.
 
 Values are exact: ``int`` where integral, ``Fraction`` otherwise, by the
 one division rule ``fseq.exact_quotient``; series coefficients are
@@ -49,13 +53,14 @@ if TYPE_CHECKING:
 PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
-# The brute-force oracles refuse, before enumerating, n with more partitions
-# than PARTITION_BOUND (n > 40) and GF(q)^n with more nonzero subspaces than
-# SUBSPACE_BOUND (n = 2, 3, 4 for q > 197, 7, 2).  At the bounds, in process on
-# a 2-vCPU VM under Python 3.11: the partition sum at n = 40 takes 0.05 s over
-# natural and 0.31 s over bg:7; the decomposition count takes 0.09 s on
-# GF(7)^3, 0.04 s on GF(197)^2 and 0.02 s on GF(2)^4.
-PARTITION_BOUND = 40_000
+# The brute-force oracles refuse, before reading a term or listing a subspace,
+# n > BELL_ORACLE_BOUND (p(40) = 37,338 partitions, p(41) = 44,583) and GF(q)^n
+# with more nonzero subspaces than SUBSPACE_BOUND (n = 2, 3, 4 for q > 197, 7,
+# 2).  At the bounds, in process on a 2-vCPU VM under Python 3.11: the
+# partition sum at n = 40 takes 0.001 s over natural and 0.012 s over bg:7;
+# the decomposition count takes 0.09 s on GF(7)^3, 0.04 s on GF(197)^2 and
+# 0.02 s on GF(2)^4.
+BELL_ORACLE_BOUND = 40
 SUBSPACE_BOUND = 200
 
 
@@ -164,76 +169,31 @@ def bell_f(F: FSequence, n: int) -> int | Fraction:
     return _scaled_enumerator(F, n)[n]
 
 
-def _partitions(n: int) -> Iterator[list[int]]:
-    """Integer partitions of n, each as a weakly increasing list of parts.
-
-    The ascending-composition walk ``accel_asc`` of Kelleher and O'Sullivan
-    ("Generating all partitions: a comparison of two encodings", 2009), in
-    constant amortised time per partition.
-    """
-    if n == 0:
-        yield []
-        return
-    a = [0] * (n + 1)
-    k, y = 1, n - 1
-    while k:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        last = k + 1
-        while x <= y:
-            a[k], a[last] = x, y
-            yield a[: k + 2]
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield a[: k + 1]
-
-
-def _partition_count_exceeds(n: int, bound: int) -> bool:
-    """Whether n has more than ``bound`` partitions, by Euler's pentagonal
-    recurrence; p is nondecreasing, so it stops at the first count above."""
-    p = [1]
-    for m in range(1, n + 1):
-        total, k = 0, 1
-        while (g := k * (3 * k - 1) // 2) <= m:
-            pair = p[m - g] + (p[m - g - k] if g + k <= m else 0)
-            total += pair if k % 2 else -pair
-            k += 1
-        if total > bound:
-            return True
-        p.append(total)
-    return False
-
-
 def bell_by_partitions(F: FSequence, n: int) -> int | Fraction:
-    """Independent route to B_n = F_n! [x^n] exp(E - 1): a sum over integer
-    partitions with multiplicity factorials, instead of series convolution
-    or coefficient rows.  A partition with parts p adds F_n! / d for
-    d = prod F_p! * prod (multiplicity)!, as an int where d divides F_n!.
-    n is checked as ``bell_f`` checks it, then against ``PARTITION_BOUND``,
-    before any term is read."""
+    """Independent route to B_n = F_n! [x^n] exp(E - 1): the sum over the
+    integer partitions of n of F_n! / (prod F_p! * prod multiplicity!), as
+    the product of exp(x^p / F_p!) over the part sizes p, expanded one part
+    size at a time, instead of series convolution or coefficient rows.
+    After parts 1..p, S[r] is F_n! times the sum over the partitions of r
+    into those parts; part p adds multiplicity m to S[r] as S[r - m p]
+    divided by F_p!^m * m!, one ``exact_quotient`` each, an int where it
+    divides.  n is checked as ``bell_f`` checks it, then against
+    ``BELL_ORACLE_BOUND``, before any term is read."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    if _partition_count_exceeds(n, PARTITION_BOUND):
-        raise ValueError(f"oracle is bounded to {PARTITION_BOUND} partitions; {n} has more")
+    if n > BELL_ORACLE_BOUND:
+        raise ValueError(f"oracle is bounded to n <= {BELL_ORACLE_BOUND}, got {n}")
     factorials = _factorials(F, n)
-    total: int | Fraction = 0
-    for partition in _partitions(n):
-        # the parts ascend, so equal parts are adjacent and each run's
-        # multiplicity factorial builds up one factor per part
-        d, run, previous = 1, 0, 0
-        for part in partition:
-            run = run + 1 if part == previous else 1
-            d *= factorials[part] * run
-            previous = part
-        total += exact_quotient(factorials[n], d)
+    S: list[int | Fraction] = [factorials[n]] + [0] * n
+    for p in range(1, n + 1):
+        # r descends, so S[r - m p] still sums over the parts below p only
+        for r in range(n, p - 1, -1):
+            weight = 1
+            for m in range(1, r // p + 1):
+                weight *= factorials[p] * m
+                S[r] += exact_quotient(S[r - m * p], weight)
     # an int where B_n is integral, even if some of its terms were not
-    return total.numerator if total.denominator == 1 else total
+    return S[n].numerator if S[n].denominator == 1 else S[n]
 
 
 def _is_prime(q: int) -> bool:

@@ -613,10 +613,12 @@ def test_series_qbell_large_field_sizes(capsys):
     [
         (["series", "qbell", "--q", "5", "--n", "4", "--oracle"], "200 nonzero subspaces"),
         (["series", "qbell", "--q", "13", "--n", "3", "--oracle"], "200 nonzero subspaces"),
-        (["series", "bell", "--spec", "natural", "--n", "75", "--oracle"], "40000 partitions"),
+        (["series", "bell", "--spec", "natural", "--n", "75", "--oracle"],
+         "oracle is bounded to n <= 40, got 75"),
         # the formula alone would take seconds here: the bound refuses first
         (["series", "qbell", "--q", "2", "--n", "250", "--oracle"], "200 nonzero subspaces"),
-        (["series", "bell", "--spec", "fibonacci", "--n", "300", "--oracle"], "40000 partitions"),
+        (["series", "bell", "--spec", "fibonacci", "--n", "300", "--oracle"],
+         "oracle is bounded to n <= 40, got 300"),
         # 14! and about 1.6e12 chains to walk: priced from the level sizes first
         (["poset", "chains", "--spec", "natural", "--levels", "14", "--from-level", "0",
           "--to-level", "14", "--mode", "enumerate"], "work bound of 10000000 chains"),
@@ -629,6 +631,9 @@ def test_series_qbell_large_field_sizes(capsys):
         # N is about 7.7e17 at 30 levels; at 40, level 40 has more vertices than a range can count
         (["poset", "dim2", "--spec", "bg:2", "--levels", "30"], "work bound of 10000000 labels"),
         (["poset", "dim2", "--spec", "bg:2", "--levels", "40"], "work bound of 10000000 labels"),
+        # past the end of the sequence too: n is refused before any term is read
+        (["series", "bell", "--spec", "custom:1,2", "--n", "50", "--oracle"],
+         "oracle is bounded to n <= 40, got 50"),
     ],
 )
 def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):
@@ -639,12 +644,31 @@ def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):
     assert bound in err
 
 
+def test_bell_oracle_refuses_before_reading_a_term(capsys, monkeypatch):
+    reads = 0
+    term = fseq.FSequence.term
+
+    def counted(self, n):
+        nonlocal reads
+        reads += 1
+        return term(self, n)
+
+    monkeypatch.setattr(fseq.FSequence, "term", counted)
+    argv = ["series", "bell", "--spec", "fibonacci", "--n", "40000", "--oracle"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, reads) == (2, "", 0)
+    assert "oracle is bounded to n <= 40, got 40000" in err
+    # the same patch counts the terms a call does read
+    assert run(capsys, *argv[:5], "5", "--oracle")[0] == 0
+    assert reads > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["series", "qbell", "--q", "4", "--n", "0"],
     ["series", "qbell", "--q", "4", "--n", "2"],
     ["series", "bell", "--spec", "natural", "--n", "-1"],
-    # past the partition bound, and past the end of the sequence
-    ["series", "bell", "--spec", "custom:1,2", "--n", "50"],
+    # within the oracle's bound, past the end of the sequence
+    ["series", "bell", "--spec", "custom:1,2", "--n", "5"],
 ])
 def test_oracle_calls_refuse_bad_input_as_the_formula_does(capsys, argv):
     refusal = run(capsys, *argv)

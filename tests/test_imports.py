@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -250,3 +251,38 @@ def test_the_benchmark_tracer_finds_every_method_it_wraps():
         if method not in vars(getattr(importlib.import_module(f"cobweb.{module}"), cls))
     ]
     assert missing == []
+
+
+def test_every_private_module_level_name_in_src_is_used():
+    # a private helper, class or constant that no code in src/ names again
+    # (outside its own definition) is dead: a change that leaves one behind
+    # fails here
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(SRC, "cobweb").glob("*.py"))]
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                definitions += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    private = [(name, node) for name, node in definitions
+               if name.startswith("_") and not name.startswith("__")]
+    assert len(private) > 40
+
+    def references(node):
+        """Each name that code under ``node`` reads: a name, an attribute or
+        an imported name."""
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+                yield child.id
+            elif isinstance(child, ast.Attribute):
+                yield child.attr
+            elif isinstance(child, ast.alias):
+                yield child.name
+
+    everywhere = Counter(name for tree in trees for name in references(tree))
+    unused = [name for name, node in private
+              if everywhere[name] == Counter(references(node))[name]]
+    assert unused == []

@@ -6,16 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cobweb import series
 from cobweb.fnomial import f_factorial, f_nomial
-from cobweb.fseq import parse_sequence
+from cobweb.fseq import exact_quotient, parse_sequence
 from cobweb.series import (
-    PARTITION_BOUND,
+    BELL_ORACLE_BOUND,
     PRIMALITY_BOUND,
     SUBSPACE_BOUND,
     FormalSeries,
     _is_prime,
-    _partition_count_exceeds,
-    _partitions,
     _scaled_enumerator,
     _scaled_power,
     bell_by_partitions,
@@ -342,23 +341,50 @@ def test_decomposition_oracle_refuses_past_the_subspace_bound():
 
 
 def test_partition_oracle_refuses_past_the_partition_bound():
-    for n in range(1, 30):
-        count = sum(1 for _ in _partitions(n))
-        assert not _partition_count_exceeds(n, count)
-        assert _partition_count_exceeds(n, count - 1)
+    # p(40) = 37,338 partitions <= 40,000 < p(41) = 44,583: the bound is on n
+    assert BELL_ORACLE_BOUND == 40
     start = time.perf_counter()
     for n in (41, 75, 10**6):
-        with pytest.raises(ValueError, match=f"{PARTITION_BOUND} partitions"):
+        with pytest.raises(ValueError, match=f"oracle is bounded to n <= 40, got {n}$"):
             bell_by_partitions(NAT, n)
+    # n is refused before any term is read, so past the end of a sequence too
+    with pytest.raises(ValueError, match="oracle is bounded to n <= 40, got 50$"):
+        bell_by_partitions(parse_sequence("custom:1,2"), 50)
     assert time.perf_counter() - start < 1.0
     assert bell_by_partitions(NAT, 40) == bell_f(NAT, 40)
 
 
-def test_partition_walk_lists_the_recursive_partitions():
-    for n in range(31):
-        walked = sorted(tuple(p) for p in _partitions(n))
-        assert all(list(p) == sorted(p) for p in walked)
-        assert walked == sorted(tuple(sorted(p)) for p in partitions_recursive(n))
+def test_partition_oracle_work_is_polynomial_in_n(monkeypatch):
+    # one exact division per part size, multiplicity and entry (1,492 at
+    # n = 30, 2,841 at n = 40), not one per partition
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return exact_quotient(a, b)
+
+    monkeypatch.setattr(series, "exact_quotient", counted)
+    for n in (30, 40):
+        calls = 0
+        value = bell_by_partitions(NAT, n)
+        assert 0 < calls < sum(1 for _ in partitions_recursive(n))
+        assert value == bell_f(NAT, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-6, max_value=6).filter(bool), min_size=1, max_size=9),
+       st.data())
+def test_part_by_part_sum_matches_the_recursive_partition_sum(terms, data):
+    # custom: prefixes with ones, repeats and negative terms: the same value
+    # and type (an int exactly where B_n is integral) as the literal sum over
+    # partitions and as bell_f
+    Fs = parse_sequence("custom:" + ",".join(map(str, terms)))
+    n = data.draw(st.integers(min_value=0, max_value=len(terms)))
+    expected = f_factorial(Fs, n) * enumerator_coeff_by_recursive_partitions(Fs, n)
+    value, formula = bell_by_partitions(Fs, n), bell_f(Fs, n)
+    assert value == expected == formula
+    assert type(value) is type(formula) is (int if expected.denominator == 1 else Fraction)
 
 
 @pytest.mark.parametrize("spec", ["natural", "fibonacci", "gauss:2", "bg:3"])
