@@ -23,8 +23,7 @@ _EXPORTS = {
         "parse_sequence",
     ),
     "incidence": (
-        "IncidenceMatrix", "count_chains", "covering_matrix", "mobius_matrix",
-        "zeta_matrix",
+        "IncidenceMatrix", "chain_count_matrix", "mobius_matrix", "zeta_matrix",
     ),
     "poset": (
         "CobwebPoset", "Dim2Realizer", "PackingCapError", "PackingReport", "Vertex",

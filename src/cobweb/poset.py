@@ -8,10 +8,11 @@ read from them, and vertex records are built only for callers that ask.
 
 The routes take level indices, never vertices: every count of a layer
 depends on the level sizes alone.  Chain counting has one entry point with
-three routes (product formula, bounded index-tuple walk, covering-matrix
-power) so each can certify the others.  Work that grows with the level
-sizes, the walk here and the dense exports of the command line, is priced
-from them first and refused past ``WORK_BOUND`` units by ``check_work``.
+three routes (product formula, bounded index-tuple walk, one row of the
+covering-matrix power walked with no table) so each can certify the others.
+Work that grows with the level sizes, the index-tuple walk here and the
+dense exports of the command line, is priced from them first and refused
+past ``WORK_BOUND`` units by ``check_work``.
 The packing search is an exact branch-and-bound, never a heuristic.  It
 factors out every level with F_j = 1 (copies on different vertices there
 never conflict), builds the remaining conflict graph as a Kronecker product
@@ -100,19 +101,6 @@ class CobwebPoset:
         """All vertices in the contract ordering: level-major, j ascending."""
         return [v for s in range(self.L + 1) for v in self.level(s)]
 
-    def contains(self, v: Vertex) -> bool:
-        return 0 <= v.s <= self.L and 1 <= v.j <= self.level_sizes[v.s]
-
-    def check_vertex(self, v: Vertex) -> None:
-        if not self.contains(v):
-            raise ValueError(f"vertex {v} is not in the poset")
-
-    def leq(self, u: Vertex, v: Vertex) -> bool:
-        """Comparability: u <= v iff u = v or level(u) < level(v)."""
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return u == v or u.s < v.s
-
     def hasse_edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         """Every covering pair, source-major in the contract ordering, yielded
         one at a time."""
@@ -154,8 +142,8 @@ def count_max_chains_between(
     ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"``
     visits each chain, a tuple of vertex indices on levels k+1..n, and is
     refused by ``check_work`` past ``WORK_BOUND`` chains, priced first by a
-    running product of the sizes; ``"matrix"`` reads row k of the
-    covering-matrix power.  All three must agree.
+    running product of the sizes; ``"matrix"`` walks row k of the
+    covering-matrix power with no table, O(L) per step.  All three must agree.
     """
     if not 0 <= k <= n <= P.L:
         raise ValueError(f"levels {k}..{n} outside 0..{P.L}")
@@ -171,11 +159,15 @@ def count_max_chains_between(
             count += 1
         return count
     if mode == "matrix":
-        from .incidence import maximal_chain_row
-
-        # Chains to one vertex of level n; on level k itself, the one vertex.
-        to_one = maximal_chain_row(P, k, n - k)[n]
-        return to_one if n == k else P.level_size(n) * to_one
+        # row[t] counts the chains from one vertex of level k to one of
+        # level t.  y covers x iff y is one level up, so a step moves each
+        # count one level up, times the level's size past level k, since a
+        # chain may pass any of its vertices.
+        widths = P.level_sizes
+        row = [int(t == k) for t in range(P.L + 1)]
+        for _ in range(n - k):
+            row = [0] + [c * (widths[t] if t > k else 1) for t, c in enumerate(row[:-1])]
+        return row[n] if n == k else widths[n] * row[n]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -404,7 +396,6 @@ class Dim2Realizer(NamedTuple):
 
     order_a: tuple[range, ...]
     order_b: tuple[range, ...]
-    verified: bool
 
 
 def contract_order(P: CobwebPoset) -> tuple[range, ...]:
@@ -417,29 +408,11 @@ def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
 
     The first order is the contract ordering, the second reverses each of
     its levels; vertices on a common level flip between the two, so the
-    intersection keeps exactly the cross-level pairs.  Verification is the
-    O(L) certificate ``_realizes``.
+    intersection keeps exactly the cross-level pairs.  The check of all N^2
+    pairs of the expanded orders is the certificate in ``tests/oracles.py``.
     """
     order_a = contract_order(P)
-    order_b = tuple(js[::-1] for js in order_a)
-    return Dim2Realizer(order_a, order_b, _realizes(P, order_a, order_b))
-
-
-def _realizes(P: CobwebPoset, order_a: tuple[range, ...], order_b: tuple[range, ...]) -> bool:
-    """Whether the two orders intersect to the strict order of P, in O(L).
-
-    Each order lists the levels in turn, so it is a linear extension once
-    each level's range is a permutation of 1..n_s: n_s long, endpoints 1 and
-    n_s.  ``order_b`` must reverse each level of ``order_a``, so the two
-    disagree on every pair of one level.  The check of all N^2 pairs of the
-    expanded orders is the oracle in ``tests/oracles.py``.
-    """
-    sizes = P.level_sizes
-    return len(order_a) == len(order_b) == len(sizes) and all(
-        isinstance(js, range) and len(js) == n and {js[0], js[-1]} == {1, n}
-        and order_b[s] == js[::-1]
-        for s, (js, n) in enumerate(zip(order_a, sizes))
-    )
+    return Dim2Realizer(order_a, tuple(js[::-1] for js in order_a))
 
 
 def labels_json(order: tuple[range, ...]) -> Iterator[str]:

@@ -16,11 +16,14 @@ listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
 algorithm, the series exponential runs its derivative recurrence on
 ``Fraction`` coefficients, and primality is decided by trial division.  The
 series algebra, the scaled series recurrences with a ``Fraction`` per term,
+the block convolution with its products, covering walks and general
+unitriangular inverse, the vertex readers of the incidence tables,
 the pairwise dim2 check over vertex records, the DOT text written from
 ``vertices()`` and ``hasse_edges()``, the triangle text built by one join of
 ``str`` and the gcd-morphism scan over every pair are the routes the package
 replaced by recurrences, integer sums over a common denominator, a
-certificate on per-level ranges, loops over the level sizes, a streamed
+construction on per-level ranges, closed forms in the level sizes, loops
+over the level sizes, a streamed
 ``Decimal`` route and one gcd per row against the running lcm.
 """
 
@@ -37,9 +40,26 @@ from typing import Iterator
 from cobweb import prefab
 from cobweb.fnomial import f_nomial
 from cobweb.fseq import FSequence, GcdMorphismReport, SequenceError
+from cobweb.incidence import IncidenceMatrix, chain_count_matrix
 from cobweb.poset import CobwebPoset, Vertex
 from cobweb.prefab import EMPTY, LawReport, LawResult, LawWitness, Prefabiant
 from cobweb.series import FormalSeries, enumerate_subspaces
+
+
+def contains(P: CobwebPoset, v: Vertex) -> bool:
+    return 0 <= v.s <= P.L and 1 <= v.j <= P.level_sizes[v.s]
+
+
+def check_vertex(P: CobwebPoset, v: Vertex) -> None:
+    if not contains(P, v):
+        raise ValueError(f"vertex {v} is not in the poset")
+
+
+def leq(P: CobwebPoset, u: Vertex, v: Vertex) -> bool:
+    """Comparability: u <= v iff u = v or level(u) < level(v)."""
+    check_vertex(P, u)
+    check_vertex(P, v)
+    return u == v or u.s < v.s
 
 
 class PrimeCopy:
@@ -77,7 +97,7 @@ def enumerate_copies(P: CobwebPoset, root: Vertex, m: int) -> list[PrimeCopy]:
     There are prod_j C(F_(k+j), F_j) of them; each is checked to carry
     F_1 * ... * F_m maximal chains.
     """
-    P.check_vertex(root)
+    check_vertex(P, root)
     if not 0 <= m <= P.L - root.s:
         raise ValueError(f"height {m} from level {root.s} does not fit in levels 0..{P.L}")
     per_level = []
@@ -135,7 +155,7 @@ def recursive_mobius(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
     total = 0
     for s in range(x.s, y.s):
         for z in P.level(s):
-            if P.leq(x, z):
+            if leq(P, x, z):
                 total += recursive_mobius(P, x, z)
     return -total
 
@@ -144,6 +164,106 @@ def dense_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     """Textbook row-by-column product of two dense integer matrices."""
     columns = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in A]
+
+
+def entry(M: IncidenceMatrix, x: Vertex, y: Vertex) -> int:
+    """The value of the incidence function M on the vertex pair (x, y)."""
+    check_vertex(M.poset, x)
+    check_vertex(M.poset, y)
+    if x.s == y.s and x != y:
+        return 0
+    return M.table[x.s][y.s]
+
+
+def to_dense(M: IncidenceMatrix) -> list[list[int]]:
+    """The N×N integer matrix over the vertex records of ``P.vertices()``,
+    one ``entry`` per pair."""
+    vertices = M.poset.vertices()
+    return [[entry(M, x, y) for y in vertices] for x in vertices]
+
+
+def count_chains(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
+    """Number of chains from x to y inclusive, of any length, read from the
+    chain-count table."""
+    from cobweb.incidence import chain_count_matrix
+
+    if not leq(P, x, y):
+        raise ValueError(f"{x} and {y} are incomparable")
+    return entry(chain_count_matrix(P), x, y)
+
+
+def convolve(sizes: tuple[int, ...], table: list[list[int]], s: int, row: list[int]) -> list[int]:
+    """Row s of R·T for the block table T and any R whose row s is ``row``:
+    sum over s <= r <= t of w_r row[r] T[r][t].
+
+    The weight w_r is the level size n_r for an intermediate level and 1
+    for an endpoint, where only the one vertex x or y itself contributes.
+    """
+    out = [0] * len(sizes)
+    for r in range(s, len(sizes)):
+        a = row[r]
+        if not a:
+            continue
+        B = table[r]
+        out[r] += a * B[r]
+        if r > s:
+            a *= sizes[r]
+        for t in range(r + 1, len(sizes)):
+            out[t] += a * B[t]
+    return out
+
+
+def push_row(M: IncidenceMatrix, s: int, row: list[int]) -> list[int]:
+    """Row s of R·M for any R whose row s is ``row``."""
+    return convolve(M.poset.level_sizes, M.table, s, row)
+
+
+def multiply(A: IncidenceMatrix, B: IncidenceMatrix) -> IncidenceMatrix:
+    """The product A·B by block convolution, one row of A at a time."""
+    if A.poset.level_sizes != B.poset.level_sizes:
+        raise ValueError("matrix orderings disagree")
+    return IncidenceMatrix(A.poset, [push_row(B, s, row) for s, row in enumerate(A.table)])
+
+
+def is_identity(M: IncidenceMatrix) -> bool:
+    n = M.poset.L + 1
+    return M.table == [[int(s == t) for t in range(n)] for s in range(n)]
+
+
+def covering_matrix(P: CobwebPoset) -> IncidenceMatrix:
+    """Entry (x, y) = 1 iff y covers x (one level up)."""
+    n = P.L + 1
+    return IncidenceMatrix(P, [[int(t == s + 1) for t in range(n)] for s in range(n)])
+
+
+def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
+    """Row s of the covering-matrix power C^distance, one ``push_row`` of
+    ``covering_matrix`` per step from the unit row of level s."""
+    if distance < 0:
+        raise ValueError("matrix power must be nonnegative")
+    C = covering_matrix(P)
+    row = [int(t == s) for t in range(P.L + 1)]
+    for _ in range(distance):
+        row = push_row(C, s, row)
+    return row
+
+
+def unitriangular_inverse(Z: IncidenceMatrix) -> IncidenceMatrix:
+    """Exact integer inverse M of any upper unitriangular block table.
+
+    M = delta - (Z - delta) M, built from the top level down: row s is e_s
+    minus the ``convolve`` of row s of Z, diagonal cleared, with the rows of
+    M above it.
+    """
+    sizes = Z.poset.level_sizes
+    n = len(sizes)
+    if any(Z.table[s][s] != 1 for s in range(n)):
+        raise ValueError("matrix is not upper unitriangular")
+    inverse = [[0] * n for _ in range(n)]
+    for s in reversed(range(n)):
+        pushed = convolve(sizes, inverse, s, [0] * (s + 1) + Z.table[s][s + 1 :])
+        inverse[s] = [int(t == s) - x for t, x in enumerate(pushed)]
+    return IncidenceMatrix(Z.poset, inverse)
 
 
 def maximal_chain_matrix(P: CobwebPoset, distance: int) -> list[list[int]]:

@@ -1,28 +1,31 @@
 import json
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cobweb.fnomial import f_factorial
 from cobweb.fseq import parse_sequence
-from cobweb.incidence import (
-    IncidenceMatrix,
-    chain_count_matrix,
-    count_chains,
-    covering_matrix,
-    maximal_chain_row,
-    mobius_matrix,
-    zeta_matrix,
-)
+from cobweb.incidence import IncidenceMatrix, chain_count_matrix, mobius_matrix, zeta_matrix
 from cobweb.poset import Vertex, build_poset, count_max_chains_between
 from oracles import (
+    count_chains,
+    covering_matrix,
     dense_mul,
     dfs_all_chains,
     dfs_paths_to_vertex,
+    entry,
+    is_identity,
+    leq,
     maximal_chain_matrix,
+    maximal_chain_row,
+    multiply,
     recursive_mobius,
+    to_dense,
+    unitriangular_inverse,
 )
 
 NAT = parse_sequence("natural")
@@ -41,7 +44,7 @@ def test_zeta_matches_comparability_predicate():
         Z = zeta_matrix(P)
         for x in P.vertices():
             for y in P.vertices():
-                assert Z.entry(x, y) == (1 if P.leq(x, y) else 0)
+                assert entry(Z, x, y) == (1 if leq(P, x, y) else 0)
 
 
 def test_zeta_staircase_blocks():
@@ -50,22 +53,22 @@ def test_zeta_staircase_blocks():
     for x in P.vertices():
         for y in P.vertices():
             if x.s == y.s:
-                assert Z.entry(x, y) == (1 if x == y else 0)
+                assert entry(Z, x, y) == (1 if x == y else 0)
             elif x.s < y.s:
-                assert Z.entry(x, y) == 1
+                assert entry(Z, x, y) == 1
             else:
-                assert Z.entry(x, y) == 0
+                assert entry(Z, x, y) == 0
 
 
 def test_zeta_examples():
     chain = zeta_matrix(build_poset(parse_sequence("const:1"), 2))
-    assert chain.to_dense() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    assert to_dense(chain) == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
     Pn = build_poset(NAT, 2)
     order = Pn.vertices()
-    assert zeta_matrix(Pn).to_dense()[order.index(Vertex(1, 1))] == [0, 1, 1, 1]
+    assert to_dense(zeta_matrix(Pn))[order.index(Vertex(1, 1))] == [0, 1, 1, 1]
     Pf = build_poset(FIB, 3)
     order = Pf.vertices()
-    row = zeta_matrix(Pf).to_dense()[order.index(Vertex(1, 3))]
+    row = to_dense(zeta_matrix(Pf))[order.index(Vertex(1, 3))]
     assert row[order.index(Vertex(1, 3))] == 1
     assert row[order.index(Vertex(2, 3))] == 0
 
@@ -86,54 +89,53 @@ def test_zeta_csv_golden_bytes():
 
 
 def test_mobius_of_chain():
-    Z = zeta_matrix(build_poset(parse_sequence("const:1"), 2))
-    M = mobius_matrix(Z)
-    assert M.to_dense() == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
+    M = mobius_matrix(build_poset(parse_sequence("const:1"), 2))
+    assert to_dense(M) == [[1, -1, 0], [0, 1, -1], [0, 0, 1]]
 
 
 def test_mobius_examples_and_inverse_property():
     for F in BUILTINS:
         P = build_poset(F, 5)
         Z = zeta_matrix(P)
-        M = mobius_matrix(Z)
-        assert Z.multiply(M).is_identity()
-        assert M.multiply(Z).is_identity()
-        assert dense_mul(Z.to_dense(), M.to_dense()) == identity(P.vertex_count)
-    Zf = zeta_matrix(build_poset(FIB, 3))
-    Mf = mobius_matrix(Zf)
-    assert Mf.entry(Vertex(1, 0), Vertex(1, 2)) == 0
-    assert Mf.entry(Vertex(1, 0), Vertex(1, 1)) == -1
+        M = mobius_matrix(P)
+        assert is_identity(multiply(Z, M))
+        assert is_identity(multiply(M, Z))
+        assert dense_mul(to_dense(Z), to_dense(M)) == identity(P.vertex_count)
+    Mf = mobius_matrix(build_poset(FIB, 3))
+    assert entry(Mf, Vertex(1, 0), Vertex(1, 2)) == 0
+    assert entry(Mf, Vertex(1, 0), Vertex(1, 1)) == -1
 
 
 def test_mobius_matches_interval_recursion():
     for F in (NAT, FIB):
         P = build_poset(F, 4)
-        M = mobius_matrix(zeta_matrix(P))
+        M = mobius_matrix(P)
         for x in P.vertices():
             for y in P.vertices():
-                if P.leq(x, y):
-                    assert M.entry(x, y) == recursive_mobius(P, x, y)
+                if leq(P, x, y):
+                    assert entry(M, x, y) == recursive_mobius(P, x, y)
 
 
 def test_mobius_is_stable_under_truncation_growth():
     # an interval [x, y] is unchanged by building more levels above y
     small = build_poset(FIB, 3)
     large = build_poset(FIB, 6)
-    M_small = mobius_matrix(zeta_matrix(small))
-    M_large = mobius_matrix(zeta_matrix(large))
+    M_small = mobius_matrix(small)
+    M_large = mobius_matrix(large)
     for x in small.vertices():
         for y in small.vertices():
-            if small.leq(x, y):
-                assert M_small.entry(x, y) == M_large.entry(x, y)
+            if leq(small, x, y):
+                assert entry(M_small, x, y) == entry(M_large, x, y)
 
 
 def test_mobius_rejects_non_unitriangular():
+    # the general inverse of the oracle refuses a table it cannot invert
     P = build_poset(NAT, 2)
     for diagonal in (0, 2, -1):
         table = zeta_matrix(P).table
         table[1][1] = diagonal
         with pytest.raises(ValueError):
-            mobius_matrix(IncidenceMatrix(P, table))
+            unitriangular_inverse(IncidenceMatrix(P, table))
     # a table with entries below the diagonal is refused when it is built
     with pytest.raises(ValueError):
         IncidenceMatrix(P, [list(reversed(r)) for r in reversed(zeta_matrix(P).table)])
@@ -146,15 +148,15 @@ def test_strict_matrix_is_nilpotent():
         eta = IncidenceMatrix(
             P, [[v if s != t else 0 for t, v in enumerate(row)] for s, row in enumerate(Z.table)]
         )
-        dense_eta = eta.to_dense()
+        dense_eta = to_dense(eta)
         power, dense_power = eta, dense_eta
         for _ in range(P.L - 1):
-            power = power.multiply(eta)
+            power = multiply(power, eta)
             dense_power = dense_mul(dense_power, dense_eta)
         # eta^L still counts the chains root < level 1 < ... < level L
-        assert power.to_dense() == dense_power
+        assert to_dense(power) == dense_power
         assert any(map(any, power.table))
-        assert not any(map(any, power.multiply(eta).table))
+        assert not any(map(any, multiply(power, eta).table))
         assert not any(map(any, dense_mul(dense_power, dense_eta)))
 
 
@@ -164,8 +166,8 @@ def test_count_chains_against_dfs():
         counts = chain_count_matrix(P)
         for x in P.vertices():
             for y in P.vertices():
-                if P.leq(x, y):
-                    assert counts.entry(x, y) == dfs_all_chains(P, x, y)
+                if leq(P, x, y):
+                    assert entry(counts, x, y) == dfs_all_chains(P, x, y)
 
 
 def test_count_chains_closed_form():
@@ -177,10 +179,11 @@ def test_count_chains_closed_form():
         for n in range(1, levels + 1):
             closed = math.prod(1 + P.level_size(s) for s in range(1, n))
             for y in P.level(n):
-                assert counts.entry(Vertex(1, 0), y) == closed
+                assert entry(counts, Vertex(1, 0), y) == closed
 
 
 def test_mobius_inverts_any_unitriangular_matrix():
+    # the general inverse of the oracle, which the closed form is checked against
     rng = random.Random(7)
     for F, levels in ((NAT, 3), (FIB, 5), (parse_sequence("const:2"), 4)):
         P = build_poset(F, levels)
@@ -191,12 +194,12 @@ def test_mobius_inverts_any_unitriangular_matrix():
                 for s in range(n)
             ]
             Z = IncidenceMatrix(P, table)
-            M = mobius_matrix(Z)
-            assert Z.multiply(M).is_identity()
-            assert M.multiply(Z).is_identity()
-            Zd, Md = Z.to_dense(), M.to_dense()
+            M = unitriangular_inverse(Z)
+            assert is_identity(multiply(Z, M))
+            assert is_identity(multiply(M, Z))
+            Zd, Md = to_dense(Z), to_dense(M)
             assert dense_mul(Zd, Md) == dense_mul(Md, Zd) == identity(P.vertex_count)
-            assert Z.multiply(Z).to_dense() == dense_mul(Zd, Zd)
+            assert to_dense(multiply(Z, Z)) == dense_mul(Zd, Zd)
 
 
 def test_count_chains_examples():
@@ -219,7 +222,7 @@ def test_maximal_chain_matrix_against_dfs():
             rows = [maximal_chain_row(P, s, d) for s in range(levels + 1)]
             for i, x in enumerate(vertices):
                 for j, y in enumerate(vertices):
-                    if P.leq(x, y) and y.s - x.s == d:
+                    if leq(P, x, y) and y.s - x.s == d:
                         assert rows[x.s][y.s] == dense[i][j] == dfs_paths_to_vertex(P, x, y)
 
 
@@ -251,7 +254,7 @@ def test_covering_matrix_structure():
     P = build_poset(NAT, 2)
     C = covering_matrix(P)
     assert C.table == [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    assert C.to_dense() == [
+    assert to_dense(C) == [
         [0, 1, 0, 0],
         [0, 0, 1, 1],
         [0, 0, 0, 0],
@@ -269,7 +272,7 @@ def test_exports():
 @pytest.mark.parametrize("spec,levels", [("const:1", 0), ("natural", 0), ("natural", 3), ("fibonacci", 6)])
 def test_json_export_is_the_json_dumps_text(spec, levels):
     Z = zeta_matrix(build_poset(parse_sequence(spec), levels))
-    for M in (Z, mobius_matrix(Z), chain_count_matrix(Z.poset)):
+    for M in (Z, mobius_matrix(Z.poset), chain_count_matrix(Z.poset)):
         assert "".join(M.to_json()) == json.dumps(M.to_json_dict())
 
 
@@ -282,42 +285,104 @@ def test_matrix_shape_validation():
     Z = zeta_matrix(P)
     assert Z.dim == 2
     with pytest.raises(ValueError):
-        Z.entry(Vertex(9, 9), Vertex(1, 0))
+        entry(Z, Vertex(9, 9), Vertex(1, 0))
     with pytest.raises(ValueError):
-        Z.multiply(zeta_matrix(build_poset(NAT, 2)))
+        multiply(Z, zeta_matrix(build_poset(NAT, 2)))
+
+
+# level sizes for custom: posets, ones frequent: a level of one vertex
+# zeroes every Möbius value across it
+SIZES = st.lists(st.one_of(st.just(1), st.integers(min_value=1, max_value=6)),
+                 min_size=1, max_size=40)
+
+
+def custom_poset(terms):
+    """The ordinal sum of antichains of sizes n_0 = 1, n_1, ..., n_L."""
+    return build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), len(terms))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=40))
+@given(SIZES)
 def test_block_tables_match_closed_forms(terms):
-    # an ordinal sum of antichains of sizes n_0 = 1, n_1, ..., n_L
-    P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), len(terms))
+    P = custom_poset(terms)
     n = P.level_sizes
-    Z = zeta_matrix(P)
-    M = mobius_matrix(Z)
-    assert Z.multiply(M).is_identity()
-    assert M.multiply(Z).is_identity()
-    chains = chain_count_matrix(P)
+    Z, M, chains = zeta_matrix(P), mobius_matrix(P), chain_count_matrix(P)
+    # the closed forms against the block convolution: the general inverse
+    # of zeta and of delta - eta, and the products with zeta both ways
+    assert M == unitriangular_inverse(Z)
+    assert is_identity(multiply(Z, M))
+    assert is_identity(multiply(M, Z))
+    size = P.L + 1
+    eta = IncidenceMatrix(P, [[int(s < t) for t in range(size)] for s in range(size)])
+    unit = IncidenceMatrix(P, [[int(s == t) for t in range(size)] for s in range(size)])
+    delta_minus_eta = IncidenceMatrix(
+        P, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(unit.table, eta.table)])
+    assert chains == unitriangular_inverse(delta_minus_eta)
     # the geometric sum of the strict part eta, which vanishes at power L + 1
-    eta = IncidenceMatrix(P, [[int(s < t) for t in range(P.L + 1)] for s in range(P.L + 1)])
-    unit = IncidenceMatrix(P, [[int(s == t) for t in range(P.L + 1)] for s in range(P.L + 1)])
     total, term = unit.table, unit
     for _ in range(P.L):
-        term = term.multiply(eta)
+        term = multiply(term, eta)
         total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term.table)]
-    assert term.multiply(eta) == IncidenceMatrix(P, [[0] * (P.L + 1)] * (P.L + 1))
+    assert multiply(term, eta) == IncidenceMatrix(P, [[0] * size] * size)
     assert chains == IncidenceMatrix(P, total)
     C = covering_matrix(P)
     power = unit
     for d in range(P.L + 2):
         if d:
-            power = power.multiply(C)
+            power = multiply(power, C)
         # the covering walks read the power built by multiplication
-        assert [maximal_chain_row(P, s, d) for s in range(P.L + 1)] == power.table
-        for s in range(P.L + 1):
-            for t in range(s, P.L + 1):
+        assert [maximal_chain_row(P, s, d) for s in range(size)] == power.table
+        for s in range(size):
+            for t in range(s, size):
                 inner = n[s + 1 : t]
                 assert power.table[s][t] == (math.prod(inner) if t - s == d else 0)
                 if d == 0:
                     assert M.table[s][t] == (-1) ** (t - s) * math.prod(m - 1 for m in inner)
                     assert chains.table[s][t] == math.prod(1 + m for m in inner)
+    if P.vertex_count <= 40:
+        # the dense brute inverses: vertex matrices multiplied row by column
+        I = identity(P.vertex_count)
+        Zd, Md = to_dense(Z), to_dense(M)
+        assert dense_mul(Zd, Md) == dense_mul(Md, Zd) == I
+        assert dense_mul(to_dense(delta_minus_eta), to_dense(chains)) == I
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.just(1), st.integers(min_value=1, max_value=4)),
+                min_size=1, max_size=7))
+def test_matrix_walk_matches_the_dense_covering_power(terms):
+    # every pair of levels k <= n: the chains from one vertex of level k to
+    # the whole of level n, summed off the dense power of the covering matrix
+    P = custom_poset(terms)
+    first = [sum(P.level_sizes[:s]) for s in range(P.L + 1)]
+    for d in range(P.L + 1):
+        dense = maximal_chain_matrix(P, d)
+        for k in range(P.L + 1 - d):
+            to_level = sum(dense[first[k]][first[k + d] : first[k + d] + P.level_sizes[k + d]])
+            assert count_max_chains_between(P, k, k + d, "matrix") == to_level
+
+
+def test_mobius_of_a_long_poset_is_built_in_closed_form():
+    # const:2 L1500: mu = (-1)^(t - s) on every pair of levels s <= t, so
+    # no entry is zero; the O(L^3) block inverse that built this table
+    # before took about 44 s on one core of a 2-vCPU x86 VM
+    P = build_poset(parse_sequence("const:2"), 1500)
+    start = time.perf_counter()
+    M = mobius_matrix(P)
+    assert time.perf_counter() - start < 10
+    alternating = [1, -1] * 751
+    assert all(row == [0] * s + alternating[: 1501 - s] for s, row in enumerate(M.table))
+
+
+def test_matrix_walk_holds_one_row():
+    # const:1 L2000: the walk keeps one (L+1)-row, never an (L+1)^2 table
+    # (the covering table it once built took 61.6 MB)
+    P = build_poset(parse_sequence("const:1"), 2000)
+    tracemalloc.start()
+    try:
+        count = count_max_chains_between(P, 0, 2000, "matrix")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < 1_000_000

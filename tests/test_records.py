@@ -45,7 +45,7 @@ RECORDS = {
     ),
     "Dim2Realizer": (
         lambda: dim2_realizer(build_poset(_natural(), 2)),
-        ("order_a", "order_b", "verified"),
+        ("order_a", "order_b"),
     ),
     "Prefabiant": (lambda: Prefabiant(1, 3), ("k", "n")),
     "C2Record": (
