@@ -3,7 +3,7 @@
 The package computes, in arbitrary-precision integer and rational
 arithmetic: sequence-nomial coefficient triangles and their admissibility,
 graded posets with complete bipartite covering relations, chain counts by
-product formula, literal enumeration and incidence-matrix powers, exact
+product formula (the covering-matrix power) and literal enumeration, exact
 max-disjoint packings of embedded prime copies, two layer-composition
 algebras with their size quotients, and exponential-formula enumerators
 including the vector-space decomposition counts over prime fields.

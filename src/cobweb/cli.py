@@ -10,8 +10,8 @@ Every handler returns its exit code and its standard output as an iterable
 of text chunks, which ``main`` writes as they come: a large payload is never
 held whole.  A handler refuses before it returns, so exit code 2 always
 comes with empty standard output; a dense export (``poset
-zeta|mobius|dot|dim2``) is priced from the level sizes by
-``poset.check_work``, the one bound of every walk and export.
+zeta|mobius|dot|dim2``) is priced from the level sizes, one running total a
+level, by ``poset.check_work``, the one bound of every walk and export.
 A failed write ends the call with one ``error:`` line on standard error,
 not a traceback.
 
@@ -49,7 +49,8 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from itertools import chain
+from itertools import accumulate, chain
+from operator import mul
 from types import SimpleNamespace
 
 # Series order for ``series expf`` and ``series enumerator`` without --order.
@@ -135,7 +136,7 @@ def _cmd_poset_dot(args: SimpleNamespace) -> Output:
 
     P = _poset(args)
     sizes = P.level_sizes
-    poset.check_work(sum(a * b for a, b in zip(sizes, sizes[1:])), "edges")
+    poset.check_work(accumulate(map(mul, sizes, sizes[1:])), "edges")
     return 0, poset.export_dot(P)
 
 
@@ -162,10 +163,13 @@ def _cmd_poset_pack(args: SimpleNamespace) -> Output:
 
 
 def _cmd_poset_matrix(args: SimpleNamespace) -> Output:
-    from . import incidence, poset
+    from . import fseq, incidence, poset
 
-    P = _poset(args)
-    poset.check_work(P.vertex_count ** 2, "matrix entries")
+    F = fseq.parse_sequence(args.spec)
+    # every level has a vertex: at least (L + 1)^2 entries before any level is built
+    poset.check_work([(max(args.levels, 0) + 1) ** 2], "matrix entries")
+    P = poset.build_poset(F, args.levels)
+    poset.check_work((N * N for N in accumulate(P.level_sizes)), "matrix entries")
     M = (incidence.mobius_matrix if args.subcommand == "mobius" else incidence.zeta_matrix)(P)
     if args.format == "csv":
         return 0, M.to_csv()
@@ -176,7 +180,7 @@ def _cmd_poset_dim2(args: SimpleNamespace) -> Output:
     from . import poset
 
     P = _poset(args)
-    poset.check_work(2 * P.vertex_count, "labels")
+    poset.check_work((2 * N for N in accumulate(P.level_sizes)), "labels")
     realizer = poset.dim2_realizer(P)
     # the realizer is correct by construction; tests/oracles.py checks its N^2 pairs
     head = json.dumps({"spec": args.spec, "levels": P.L, "verified": True})

@@ -26,6 +26,7 @@ from .poset import CobwebPoset, contract_order, labels_json
 class IncidenceMatrix:
     """A level-block incidence function on a poset truncation.
 
+    The table is taken over, not copied, so the caller writes no more to it.
     Treated as immutable after construction, so instances are safe to share
     for concurrent reads.
     """
@@ -37,7 +38,7 @@ class IncidenceMatrix:
         if any(any(row[:s]) for s, row in enumerate(table)):
             raise ValueError("table must be upper triangular")
         self.poset = P
-        self.table = [list(row) for row in table]
+        self.table = table
 
     @property
     def dim(self) -> int:

@@ -7,12 +7,11 @@ differ.  Posets are stored as level sizes; every count and every export is
 read from them, and vertex records are built only for callers that ask.
 
 The routes take level indices, never vertices: every count of a layer
-depends on the level sizes alone.  Chain counting has one entry point with
-three routes (product formula, bounded index-tuple walk, one row of the
-covering-matrix power walked with no table) so each can certify the others.
-Work that grows with the level sizes, the index-tuple walk here and the
-dense exports of the command line, is priced from them first and refused
-past ``WORK_BOUND`` units by ``check_work``.
+depends on the level sizes alone.  Chains are counted by the product of the
+level sizes, which is also the covering-matrix power over level blocks, or
+by a bounded index-tuple walk; the dense power is an oracle's route.  Work
+that grows with the level sizes is priced from them level by level, as
+running totals, and refused at the first past ``WORK_BOUND`` by ``check_work``.
 The packing search is an exact branch-and-bound, never a heuristic.  It
 factors out every level with F_j = 1 (copies on different vertices there
 never conflict), builds the remaining conflict graph as a Kronecker product
@@ -31,9 +30,9 @@ is divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .fseq import FSequence, exact_quotient
 
@@ -126,11 +125,13 @@ def build_poset(F: FSequence, levels: int) -> CobwebPoset:
     return CobwebPoset(F, sizes)
 
 
-def check_work(units: int, unit: str) -> None:
-    """Refuses, with ``ValueError``, work of more than ``WORK_BOUND`` units
-    priced from the level sizes."""
-    if units > WORK_BOUND:
-        raise ValueError(f"call passes the work bound of {WORK_BOUND} {unit}")
+def check_work(running: Iterable[int], unit: str) -> None:
+    """Refuses, with ``ValueError``, work priced from the level sizes one
+    level at a time: ``running`` yields the nondecreasing running totals of
+    its units, and is read no further than the first past ``WORK_BOUND``."""
+    for units in running:
+        if units > WORK_BOUND:
+            raise ValueError(f"call passes the work bound of {WORK_BOUND} {unit}")
 
 
 def count_max_chains_between(
@@ -142,32 +143,21 @@ def count_max_chains_between(
     ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"``
     visits each chain, a tuple of vertex indices on levels k+1..n, and is
     refused by ``check_work`` past ``WORK_BOUND`` chains, priced first by a
-    running product of the sizes; ``"matrix"`` walks row k of the
-    covering-matrix power with no table, O(L) per step.  All three must agree.
+    running product of the sizes.  ``"matrix"``, row k of the covering-matrix
+    power, is the product too: over level blocks a step moves a count one
+    level up, times that level's size, so the row is one nonzero entry.
     """
     if not 0 <= k <= n <= P.L:
         raise ValueError(f"levels {k}..{n} outside 0..{P.L}")
-    sizes = P.level_sizes[k + 1 : n + 1]
-    if mode == "product":
-        return math.prod(sizes)
+    if mode in ("product", "matrix"):
+        return math.prod(islice(P.level_sizes, k + 1, n + 1))
     if mode == "enumerate":
-        for chains in accumulate(sizes, mul):  # stops at the first product past the bound
-            check_work(chains, "chains")
+        check_work(accumulate(islice(P.level_sizes, k + 1, n + 1), mul), "chains")
         count = 0
         # len drops each chain before the next, so product refills one tuple
-        for _ in map(len, product(*map(range, sizes))):
+        for _ in map(len, product(*map(range, islice(P.level_sizes, k + 1, n + 1)))):
             count += 1
         return count
-    if mode == "matrix":
-        # row[t] counts the chains from one vertex of level k to one of
-        # level t.  y covers x iff y is one level up, so a step moves each
-        # count one level up, times the level's size past level k, since a
-        # chain may pass any of its vertices.
-        widths = P.level_sizes
-        row = [int(t == k) for t in range(P.L + 1)]
-        for _ in range(n - k):
-            row = [0] + [c * (widths[t] if t > k else 1) for t, c in enumerate(row[:-1])]
-        return row[n] if n == k else widths[n] * row[n]
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -10,6 +10,10 @@ partitions, and from a sum over the partitions of n that a recursive walk
 lists.  Vector-space decompositions are counted by re-ranking the whole
 stacked basis of every candidate set, and invertible matrices by
 row-reducing every matrix, next to the closed form of their number.
+The F-nomials of the natural, Gaussian and bg sequences are counted as the
+k-subsets, the k-dimensional subspaces and the complementary pairs of
+subspaces the paper reads them as, every subspace listed as a span of
+vector tuples.
 The algebra laws are evaluated on every sample, from the three columns of
 one list of all draws.  Embedded prime copies are
 listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
@@ -556,6 +560,52 @@ def count_invertible_matrices(q: int, n: int) -> int:
         len(rref([list(entries[i * n : (i + 1) * n]) for i in range(n)], q)) == n
         for entries in product(range(q), repeat=n * n)
     )
+
+
+# Subspaces, of every dimension, that ``subspaces_by_dimension`` lists
+# before it refuses: GF(2)^4 has 67 and GF(3)^3 28, GF(2)^5 374.
+SPAN_BOUND = 200
+
+
+def subspaces_by_dimension(q: int, n: int) -> list[set[frozenset[tuple[int, ...]]]]:
+    """The subspaces of GF(q)^n by dimension, each the frozenset of its
+    vectors: a space of dimension d + 1 is the span of one of dimension d and
+    a vector outside it.  Prime q only; refused as soon as more than
+    ``SPAN_BOUND`` subspaces are listed."""
+    if not is_prime_by_trial_division(q):
+        raise ValueError(f"field size must be prime, got {q}")
+    layers = [{frozenset([(0,) * n])}]
+    listed = 1
+    for _ in range(n):
+        layer = set()
+        for U in layers[-1]:
+            for v in product(range(q), repeat=n):
+                if v in U:
+                    continue
+                layer.add(frozenset(
+                    tuple((a + c * b) % q for a, b in zip(u, v)) for u in U for c in range(q)))
+                if listed + len(layer) > SPAN_BOUND:
+                    raise ValueError(f"oracle is bounded to {SPAN_BOUND} subspaces")
+        listed += len(layer)
+        layers.append(layer)
+    return layers
+
+
+def count_subsets(n: int, k: int) -> int:
+    """The k-subsets of an n-set, listed one by one: (n over k) of ``natural``."""
+    return sum(1 for _ in combinations(range(n), k))
+
+
+def count_subspaces(q: int, n: int, k: int) -> int:
+    """The k-dimensional subspaces of GF(q)^n: (n over k) of ``gauss:q``."""
+    return len(subspaces_by_dimension(q, n)[k])
+
+
+def count_complementary_pairs(q: int, n: int, k: int) -> int:
+    """Ordered pairs (U, W) of subspaces of GF(q)^n with dim U = k,
+    dim W = n - k and U & W = {0}: (n over k) of ``bg:q``."""
+    layers = subspaces_by_dimension(q, n)
+    return sum(len(U & W) == 1 for U in layers[k] for W in layers[n - k])
 
 
 def decompositions_by_rank(q: int, n: int) -> int:

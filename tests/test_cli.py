@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -12,6 +13,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -437,6 +439,65 @@ def test_a_dense_export_is_refused_past_the_bound(capsys, monkeypatch, command, 
     code, out, err = run(capsys, "poset", command, "--spec", "natural", "--levels", "4")
     assert (code, out) == (2, "")
     assert err == f"error: call passes the work bound of {bound} {unit}\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
+       st.one_of(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=800)))
+def test_each_running_price_refuses_exactly_when_its_whole_total_passes(terms, bound):
+    # the totals as once priced whole from the level sizes, against the
+    # running prices that stop at the first level past the bound
+    sizes = [1, *terms]
+    N = sum(sizes)
+    spec, levels = "custom:" + ",".join(map(str, terms)), str(len(terms))
+    totals = {
+        ("zeta", "matrix entries"): N * N,
+        ("mobius", "matrix entries"): N * N,
+        ("dot", "edges"): sum(a * b for a, b in zip(sizes, sizes[1:])),
+        ("dim2", "labels"): 2 * N,
+    }
+    with mock.patch.object(poset, "WORK_BOUND", bound):
+        P = poset.build_poset(fseq.parse_sequence(spec), len(terms))
+        if math.prod(sizes) > bound:
+            with pytest.raises(ValueError, match=f"work bound of {bound} chains"):
+                poset.count_max_chains_between(P, 0, P.L, "enumerate")
+        else:
+            assert poset.count_max_chains_between(P, 0, P.L, "enumerate") == math.prod(sizes)
+        for (command, unit), total in totals.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["poset", command, "--spec", spec, "--levels", levels])
+            if total > bound:
+                refusal = f"error: call passes the work bound of {bound} {unit}\n"
+                assert (code, out.getvalue(), err.getvalue()) == (2, "", refusal)
+            else:
+                assert (code, err.getvalue()) == (0, "") and out.getvalue()
+
+
+def test_a_dense_matrix_is_priced_from_the_level_count_before_any_level_is_built(
+    capsys, monkeypatch
+):
+    # every level has a vertex, so L + 1 levels make at least (L + 1)^2
+    # entries; building the 40000 levels first took about 2.5 s
+    reads = 0
+    term = fseq.FSequence.term
+
+    def counted(self, n):
+        nonlocal reads
+        reads += 1
+        return term(self, n)
+
+    monkeypatch.setattr(fseq.FSequence, "term", counted)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poset", "mobius", "--spec", "gauss:2", "--levels", "40000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, reads) == (2, "", 0)
+    assert err == "error: call passes the work bound of 10000000 matrix entries\n"
+    # the spec is parsed before the price, and the level count checked after it
+    assert run(capsys, "poset", "zeta", "--spec", "custom:1,x", "--levels", "40000") == (
+        2, "", "error: malformed integer 'x'\n")
+    assert run(capsys, "poset", "zeta", "--spec", "natural", "--levels", "-40000") == (
+        2, "", "error: level count must be nonnegative, got -40000\n")
 
 
 def test_no_export_builds_vertex_records(monkeypatch):

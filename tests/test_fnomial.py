@@ -17,7 +17,12 @@ from cobweb.fnomial import (
     triangle_to_json,
 )
 from cobweb.fseq import is_cobweb_admissible_prefix, parse_sequence
-from oracles import f_nomial_from_factorials
+from oracles import (
+    count_complementary_pairs,
+    count_subsets,
+    count_subspaces,
+    f_nomial_from_factorials,
+)
 
 FIB = parse_sequence("fibonacci")
 NAT = parse_sequence("natural")
@@ -196,3 +201,20 @@ def test_multiple_cancellation():
         for n in range(21):
             for k in range(n + 1):
                 assert f_nomial(F, n, k) == f_nomial(NAT, n, k)
+
+
+def test_f_nomials_count_the_sets_they_are_read_as():
+    # natural: k-subsets; gauss:q: k-dimensional subspaces of GF(q)^n;
+    # bg:q: ordered pairs of complementary subspaces of dimensions k, n - k
+    for n in range(9):
+        assert [count_subsets(n, k) for k in range(n + 1)] == [
+            f_nomial(NAT, n, k) for k in range(n + 1)]
+    for q, n in ((2, 3), (2, 4), (3, 3)):
+        gauss, bg = parse_sequence(f"gauss:{q}"), parse_sequence(f"bg:{q}")
+        for k in range(n + 1):
+            assert count_subspaces(q, n, k) == f_nomial(gauss, n, k), (q, n, k)
+            assert count_complementary_pairs(q, n, k) == f_nomial(bg, n, k), (q, n, k)
+    assert count_complementary_pairs(2, 4, 2) == 560
+    # GF(2)^5 has 374 subspaces: refused while they are listed
+    with pytest.raises(ValueError, match="bounded to 200 subspaces"):
+        count_subspaces(2, 5, 1)

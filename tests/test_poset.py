@@ -143,6 +143,17 @@ def test_enumerate_refuses_a_walk_past_the_bound(monkeypatch):
     assert count_max_chains_between(P, 1, 5, "product") == 120
 
 
+def test_check_work_reads_no_total_past_the_first_over_the_bound():
+    def totals():
+        yield from (0, poset.WORK_BOUND, poset.WORK_BOUND + 1)
+        raise AssertionError("a total past the first over the bound was read")
+
+    with pytest.raises(ValueError, match="work bound of 10000000 units"):
+        poset.check_work(totals(), "units")
+    poset.check_work([0, poset.WORK_BOUND], "units")
+    poset.check_work([], "units")
+
+
 def test_between_range_errors():
     P = build_poset(NAT, 3)
     assert count_max_chains_between(P, 2, 2) == 1
