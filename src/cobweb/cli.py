@@ -9,9 +9,11 @@ deterministic for identical arguments, including the seed.
 Every handler returns its exit code and its standard output as an iterable
 of text chunks, which ``main`` writes as they come: a large payload is never
 held whole.  A handler refuses before it returns, so exit code 2 always
-comes with empty standard output; a dense export (``poset
-zeta|mobius|dot|dim2``) is priced from the level sizes, one running total a
-level, by ``poset.check_work``, the one bound of every walk and export.
+comes with empty standard output.  A dense export (``poset
+zeta|mobius|dot|dim2``) is priced by ``poset.check_work``, the one bound of
+every walk and export, on running totals of the level sizes as
+``poset.level_sizes`` reads them, and built from the sizes the price read:
+a refusal reads no term past the first level over the bound.
 A failed write ends the call with one ``error:`` line on standard error,
 not a traceback.
 
@@ -49,7 +51,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise, starmap, tee
 from operator import mul
 from types import SimpleNamespace
 
@@ -85,6 +87,19 @@ def _poset(args: SimpleNamespace, levels: int | None = None):
 
     F = fseq.parse_sequence(args.spec)
     return poset.build_poset(F, args.levels if levels is None else levels)
+
+
+def _priced_poset(args: SimpleNamespace, price, unit: str):
+    """The poset of ``args``, refused by ``poset.check_work`` at the first
+    running total past the bound that ``price`` reads off its level sizes.
+    Each term is read once, by the price, and the poset is built from the
+    sizes it read."""
+    from . import fseq, poset
+
+    F = fseq.parse_sequence(args.spec)
+    priced, kept = tee(poset.level_sizes(F, args.levels))
+    poset.check_work(price(priced), unit)
+    return poset.CobwebPoset(F, kept)
 
 
 def _cmd_seq_check(args: SimpleNamespace) -> Output:
@@ -134,9 +149,7 @@ def _cmd_poset_build(args: SimpleNamespace) -> Output:
 def _cmd_poset_dot(args: SimpleNamespace) -> Output:
     from . import poset
 
-    P = _poset(args)
-    sizes = P.level_sizes
-    poset.check_work(accumulate(map(mul, sizes, sizes[1:])), "edges")
+    P = _priced_poset(args, lambda sizes: accumulate(starmap(mul, pairwise(sizes))), "edges")
     return 0, poset.export_dot(P)
 
 
@@ -163,13 +176,9 @@ def _cmd_poset_pack(args: SimpleNamespace) -> Output:
 
 
 def _cmd_poset_matrix(args: SimpleNamespace) -> Output:
-    from . import fseq, incidence, poset
+    from . import incidence
 
-    F = fseq.parse_sequence(args.spec)
-    # every level has a vertex: at least (L + 1)^2 entries before any level is built
-    poset.check_work([(max(args.levels, 0) + 1) ** 2], "matrix entries")
-    P = poset.build_poset(F, args.levels)
-    poset.check_work((N * N for N in accumulate(P.level_sizes)), "matrix entries")
+    P = _priced_poset(args, lambda sizes: (N * N for N in accumulate(sizes)), "matrix entries")
     M = (incidence.mobius_matrix if args.subcommand == "mobius" else incidence.zeta_matrix)(P)
     if args.format == "csv":
         return 0, M.to_csv()
@@ -179,8 +188,7 @@ def _cmd_poset_matrix(args: SimpleNamespace) -> Output:
 def _cmd_poset_dim2(args: SimpleNamespace) -> Output:
     from . import poset
 
-    P = _poset(args)
-    poset.check_work((2 * N for N in accumulate(P.level_sizes)), "labels")
+    P = _priced_poset(args, lambda sizes: (2 * N for N in accumulate(sizes)), "labels")
     realizer = poset.dim2_realizer(P)
     # the realizer is correct by construction; tests/oracles.py checks its N^2 pairs
     head = json.dumps({"spec": args.spec, "levels": P.L, "verified": True})

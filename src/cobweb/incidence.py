@@ -1,18 +1,19 @@
-"""Incidence algebra on level-block tables, dense only on export.
+"""Incidence functions of a cobweb poset as closed forms, dense only on export.
 
 A cobweb poset is an ordinal sum of antichains, so every incidence function
-here is constant on level blocks and is stored as an upper-triangular
-(L+1)×(L+1) table of exact integers: [s][s] is the value on each diagonal
-vertex of level s, [s][t] (s < t) the value on every pair (level s, level t),
-and distinct vertices of one level always get 0.  The tables are closed
-forms in the level sizes, each row one running product (``_geometric``), so
-a table costs O(L^2) and never a power of the vertex count.
+here is constant on level blocks: one value on each diagonal vertex of
+level s, one on every pair (level s, level t) with s < t, and 0 on two
+distinct vertices of one level.  Zeta, Möbius and the chain counts are the
+one closed form z·∏_(s<j<t)(1 + w·n_j) on levels s < t, with 1 on the
+diagonal, so an ``IncidenceMatrix`` is the poset and the two integers
+(z, w), and ``row(s)`` computes level row s as one running product, O(L).
 The dense matrix is only exported, in the contract ordering (level-major, j
 ascending), byte for byte stable, and its text is yielded one dense row at a
-time.  An interval [x, y] is fully contained once level(y) is built, so the
-table of a truncation agrees with the untruncated values entry by entry.
-The block convolution, the general unitriangular inverse and the vertex
-readers are the independent route in ``tests/oracles.py``.
+time, so no export holds more than one level row and one dense row.  An
+interval [x, y] is fully contained once level(y) is built, so the values of
+a truncation agree with the untruncated ones entry by entry.
+The level tables, the block convolution, the general unitriangular inverse
+and the vertex readers are the independent route in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,42 +25,49 @@ from .poset import CobwebPoset, contract_order, labels_json
 
 
 class IncidenceMatrix:
-    """A level-block incidence function on a poset truncation.
+    """The incidence function z·∏_(s<j<t)(1 + w·n_j) on levels s < t of a
+    poset truncation, 1 on each diagonal vertex.
 
-    The table is taken over, not copied, so the caller writes no more to it.
-    Treated as immutable after construction, so instances are safe to share
-    for concurrent reads.
+    At w = z it is (δ − zη)⁻¹ = δ + zη + z²η² + …, η the strict part of
+    zeta: a chain x < z_1 < … < z_(i−1) < y from level s to level t picks
+    i − 1 of the levels strictly between and one vertex on each, so the sum
+    of z^i over these chains is that product (P. Hall's theorem, Stanley,
+    EC1 ch. 3).  Immutable, so instances are safe to share for concurrent
+    reads.
     """
 
-    def __init__(self, P: CobwebPoset, table: list[list[int]]):
-        n = P.L + 1
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError("table shape must match the L + 1 levels")
-        if any(any(row[:s]) for s, row in enumerate(table)):
-            raise ValueError("table must be upper triangular")
+    def __init__(self, P: CobwebPoset, z: int, w: int):
         self.poset = P
-        self.table = table
+        self.z = z
+        self.w = w
 
     @property
     def dim(self) -> int:
         """Side of the dense matrix: the vertex count."""
         return self.poset.vertex_count
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IncidenceMatrix):
-            return NotImplemented
-        return self.poset.level_sizes == other.poset.level_sizes and self.table == other.table
+    def row(self, s: int) -> list[int]:
+        """The values on levels (s, t) for t = 0..L: 0 below the diagonal, 1
+        on it, then z times the product over the levels between."""
+        self.poset.level_size(s)  # refuses a level outside 0..L
+        row = [0] * s + [1]
+        running = self.z
+        for n in self.poset.level_sizes[s + 1 :]:
+            row.append(running)
+            running *= 1 + self.w * n
+        return row
 
     def _dense_rows(self, cell: Callable[[int], object]) -> Iterator[list]:
-        """Dense rows built from one ``cell`` per table entry, shared along each block."""
+        """Dense rows built from one ``cell`` per level pair, shared along each block."""
         sizes = self.poset.level_sizes
         zero = cell(0)
         for s, size in enumerate(sizes):
+            row = self.row(s)
             head = [zero] * sum(sizes[:s])
             tail = []
             for t in range(s + 1, len(sizes)):
-                tail += [cell(self.table[s][t])] * sizes[t]
-            diagonal = cell(self.table[s][s])
+                tail += [cell(row[t])] * sizes[t]
+            diagonal = cell(row[s])
             for j in range(size):
                 yield head + [zero] * j + [diagonal] + [zero] * (size - j - 1) + tail
 
@@ -84,44 +92,19 @@ class IncidenceMatrix:
         yield "]}"
 
 
-def _geometric(P: CobwebPoset, z: int) -> IncidenceMatrix:
-    """(delta - z eta)^-1 = delta + z eta + z^2 eta^2 + ..., eta the strict
-    part of zeta, in closed form.
-
-    A chain x < z_1 < ... < z_(i-1) < y from level s to level t picks i - 1
-    of the levels strictly between and one vertex on each, so the sum of z^i
-    over these chains is z prod_(s<j<t) (1 + z n_j) (P. Hall's theorem,
-    Stanley, EC1 ch. 3).  Row s is that product running over t.
-    """
-    sizes = P.level_sizes
-    table = []
-    for s in range(len(sizes)):
-        row = [0] * s + [1]
-        running = z
-        for n in sizes[s + 1 :]:
-            row.append(running)
-            running *= 1 + z * n
-        table.append(row)
-    return IncidenceMatrix(P, table)
-
-
 def zeta_matrix(P: CobwebPoset) -> IncidenceMatrix:
-    """zeta(x, y) = 1 iff x <= y, i.e. x = y or level(x) < level(y).
-
-    Densely this is upper unitriangular with the staircase block pattern:
-    identity blocks on each level, all-ones blocks above.
-    """
-    n = P.L + 1
-    return IncidenceMatrix(P, [[0] * s + [1] * (n - s) for s in range(n)])
+    """zeta(x, y) = 1 iff x <= y, i.e. x = y or level(x) < level(y): the
+    staircase of identity blocks on each level and all-ones blocks above."""
+    return IncidenceMatrix(P, 1, 0)
 
 
 def mobius_matrix(P: CobwebPoset) -> IncidenceMatrix:
     """The Möbius function, the inverse of zeta = delta + eta: at z = -1,
     mu = -prod_(s<j<t) (1 - n_j) on levels s < t."""
-    return _geometric(P, -1)
+    return IncidenceMatrix(P, -1, -1)
 
 
 def chain_count_matrix(P: CobwebPoset) -> IncidenceMatrix:
     """Counts of all chains x = z_0 < ... < z_t = y, any length t >= 0: the
     geometric sum of eta at z = 1, prod_(s<j<t) (1 + n_j) on levels s < t."""
-    return _geometric(P, 1)
+    return IncidenceMatrix(P, 1, 1)

@@ -76,10 +76,10 @@ class CobwebPoset:
     Immutable after construction; build through :func:`build_poset`.
     """
 
-    def __init__(self, F: FSequence, level_sizes: list[int]):
+    def __init__(self, F: FSequence, level_sizes: Iterable[int]):
         self.F = F
         self.level_sizes = tuple(level_sizes)
-        self.L = len(level_sizes) - 1
+        self.L = len(self.level_sizes) - 1
 
     def __repr__(self) -> str:
         return f"CobwebPoset({self.F.spec!r}, L={self.L})"
@@ -110,19 +110,24 @@ class CobwebPoset:
         return {"spec": self.F.spec, "levels": [str(s) for s in self.level_sizes]}
 
 
-def build_poset(F: FSequence, levels: int) -> CobwebPoset:
-    """Truncation with levels 0..levels; every level size must be >= 1."""
+def level_sizes(F: FSequence, levels: int) -> Iterator[int]:
+    """The sizes 1, F_1, ..., F_levels of levels 0..levels, each term read
+    and checked (every level size must be >= 1) only when it is yielded."""
     if levels < 0:
         raise ValueError(f"level count must be nonnegative, got {levels}")
-    sizes = [1]
+    yield 1
     for s in range(1, levels + 1):
         size = F.term(s)
         if size < 1:
             raise ValueError(
                 f"{F.spec!r} gives nonpositive level size {size} at level {s}"
             )
-        sizes.append(size)
-    return CobwebPoset(F, sizes)
+        yield size
+
+
+def build_poset(F: FSequence, levels: int) -> CobwebPoset:
+    """Truncation with levels 0..levels."""
+    return CobwebPoset(F, level_sizes(F, levels))
 
 
 def check_work(running: Iterable[int], unit: str) -> None:

@@ -20,8 +20,9 @@ listed as explicit vertex sets, the Hasse digraph is sorted by Kahn's
 algorithm, the series exponential runs its derivative recurrence on
 ``Fraction`` coefficients, and primality is decided by trial division.  The
 series algebra, the scaled series recurrences with a ``Fraction`` per term,
-the block convolution with its products, covering walks and general
-unitriangular inverse, the vertex readers of the incidence tables,
+the stored (L+1)² level tables with their block convolution, products,
+covering walks and general unitriangular inverse, the vertex readers of
+the incidence functions,
 the pairwise dim2 check over vertex records, the DOT text written from
 ``vertices()`` and ``hasse_edges()``, the triangle text built by one join of
 ``str`` and the gcd-morphism scan over every pair are the routes the package
@@ -44,7 +45,7 @@ from typing import Iterator
 from cobweb import prefab
 from cobweb.fnomial import f_nomial
 from cobweb.fseq import FSequence, GcdMorphismReport, SequenceError
-from cobweb.incidence import IncidenceMatrix, chain_count_matrix
+from cobweb.incidence import chain_count_matrix
 from cobweb.poset import CobwebPoset, Vertex
 from cobweb.prefab import EMPTY, LawReport, LawResult, LawWitness, Prefabiant
 from cobweb.series import FormalSeries, enumerate_subspaces
@@ -170,16 +171,48 @@ def dense_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return [[sum(a * b for a, b in zip(row, col)) for col in columns] for row in A]
 
 
-def entry(M: IncidenceMatrix, x: Vertex, y: Vertex) -> int:
+class BlockTable:
+    """A level-block incidence function stored as its upper-triangular
+    (L+1)×(L+1) table of exact integers: [s][t] is the value on each pair
+    (level s, level t), s < t, and [s][s] on each diagonal vertex of level
+    s.  The block algebra below reads it, and a package ``IncidenceMatrix``
+    alike, through ``row(s)``.  The table is taken over, not copied.
+    """
+
+    def __init__(self, P: CobwebPoset, table: list[list[int]]):
+        n = P.L + 1
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError("table shape must match the L + 1 levels")
+        if any(any(row[:s]) for s, row in enumerate(table)):
+            raise ValueError("table must be upper triangular")
+        self.poset = P
+        self.table = table
+
+    def row(self, s: int) -> list[int]:
+        return self.table[s]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockTable):
+            return NotImplemented
+        return self.poset.level_sizes == other.poset.level_sizes and self.table == other.table
+
+
+def table(M) -> list[list[int]]:
+    """The level table of a ``BlockTable`` or an ``IncidenceMatrix``, one
+    ``row(s)`` per level."""
+    return [M.row(s) for s in range(M.poset.L + 1)]
+
+
+def entry(M, x: Vertex, y: Vertex) -> int:
     """The value of the incidence function M on the vertex pair (x, y)."""
     check_vertex(M.poset, x)
     check_vertex(M.poset, y)
     if x.s == y.s and x != y:
         return 0
-    return M.table[x.s][y.s]
+    return M.row(x.s)[y.s]
 
 
-def to_dense(M: IncidenceMatrix) -> list[list[int]]:
+def to_dense(M) -> list[list[int]]:
     """The N×N integer matrix over the vertex records of ``P.vertices()``,
     one ``entry`` per pair."""
     vertices = M.poset.vertices()
@@ -189,15 +222,13 @@ def to_dense(M: IncidenceMatrix) -> list[list[int]]:
 def count_chains(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
     """Number of chains from x to y inclusive, of any length, read from the
     chain-count table."""
-    from cobweb.incidence import chain_count_matrix
-
     if not leq(P, x, y):
         raise ValueError(f"{x} and {y} are incomparable")
     return entry(chain_count_matrix(P), x, y)
 
 
-def convolve(sizes: tuple[int, ...], table: list[list[int]], s: int, row: list[int]) -> list[int]:
-    """Row s of R·T for the block table T and any R whose row s is ``row``:
+def convolve(sizes: tuple[int, ...], rows: list[list[int]], s: int, row: list[int]) -> list[int]:
+    """Row s of R·T for the block table T of ``rows`` and any R whose row s is ``row``:
     sum over s <= r <= t of w_r row[r] T[r][t].
 
     The weight w_r is the level size n_r for an intermediate level and 1
@@ -208,7 +239,7 @@ def convolve(sizes: tuple[int, ...], table: list[list[int]], s: int, row: list[i
         a = row[r]
         if not a:
             continue
-        B = table[r]
+        B = rows[r]
         out[r] += a * B[r]
         if r > s:
             a *= sizes[r]
@@ -217,27 +248,27 @@ def convolve(sizes: tuple[int, ...], table: list[list[int]], s: int, row: list[i
     return out
 
 
-def push_row(M: IncidenceMatrix, s: int, row: list[int]) -> list[int]:
+def push_row(M, s: int, row: list[int]) -> list[int]:
     """Row s of R·M for any R whose row s is ``row``."""
-    return convolve(M.poset.level_sizes, M.table, s, row)
+    return convolve(M.poset.level_sizes, table(M), s, row)
 
 
-def multiply(A: IncidenceMatrix, B: IncidenceMatrix) -> IncidenceMatrix:
+def multiply(A, B) -> BlockTable:
     """The product A·B by block convolution, one row of A at a time."""
     if A.poset.level_sizes != B.poset.level_sizes:
         raise ValueError("matrix orderings disagree")
-    return IncidenceMatrix(A.poset, [push_row(B, s, row) for s, row in enumerate(A.table)])
+    return BlockTable(A.poset, [push_row(B, s, row) for s, row in enumerate(table(A))])
 
 
-def is_identity(M: IncidenceMatrix) -> bool:
+def is_identity(M) -> bool:
     n = M.poset.L + 1
-    return M.table == [[int(s == t) for t in range(n)] for s in range(n)]
+    return table(M) == [[int(s == t) for t in range(n)] for s in range(n)]
 
 
-def covering_matrix(P: CobwebPoset) -> IncidenceMatrix:
+def covering_matrix(P: CobwebPoset) -> BlockTable:
     """Entry (x, y) = 1 iff y covers x (one level up)."""
     n = P.L + 1
-    return IncidenceMatrix(P, [[int(t == s + 1) for t in range(n)] for s in range(n)])
+    return BlockTable(P, [[int(t == s + 1) for t in range(n)] for s in range(n)])
 
 
 def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
@@ -252,7 +283,7 @@ def maximal_chain_row(P: CobwebPoset, s: int, distance: int) -> list[int]:
     return row
 
 
-def unitriangular_inverse(Z: IncidenceMatrix) -> IncidenceMatrix:
+def unitriangular_inverse(Z) -> BlockTable:
     """Exact integer inverse M of any upper unitriangular block table.
 
     M = delta - (Z - delta) M, built from the top level down: row s is e_s
@@ -261,13 +292,14 @@ def unitriangular_inverse(Z: IncidenceMatrix) -> IncidenceMatrix:
     """
     sizes = Z.poset.level_sizes
     n = len(sizes)
-    if any(Z.table[s][s] != 1 for s in range(n)):
+    rows = table(Z)
+    if any(rows[s][s] != 1 for s in range(n)):
         raise ValueError("matrix is not upper unitriangular")
     inverse = [[0] * n for _ in range(n)]
     for s in reversed(range(n)):
-        pushed = convolve(sizes, inverse, s, [0] * (s + 1) + Z.table[s][s + 1 :])
+        pushed = convolve(sizes, inverse, s, [0] * (s + 1) + rows[s][s + 1 :])
         inverse[s] = [int(t == s) - x for t, x in enumerate(pushed)]
-    return IncidenceMatrix(Z.poset, inverse)
+    return BlockTable(Z.poset, inverse)
 
 
 def maximal_chain_matrix(P: CobwebPoset, distance: int) -> list[list[int]]:

@@ -477,8 +477,9 @@ def test_each_running_price_refuses_exactly_when_its_whole_total_passes(terms, b
 def test_a_dense_matrix_is_priced_from_the_level_count_before_any_level_is_built(
     capsys, monkeypatch
 ):
-    # every level has a vertex, so L + 1 levels make at least (L + 1)^2
-    # entries; building the 40000 levels first took about 2.5 s
+    # the running N^2 is read level by level, so the refusal reads the
+    # terms up to level 11, the first whose N = 2^12 - 12 passes sqrt(10^7);
+    # building the 40000 levels first took about 2.5 s
     reads = 0
     term = fseq.FSequence.term
 
@@ -491,13 +492,43 @@ def test_a_dense_matrix_is_priced_from_the_level_count_before_any_level_is_built
     start = time.perf_counter()
     code, out, err = run(capsys, "poset", "mobius", "--spec", "gauss:2", "--levels", "40000")
     assert time.perf_counter() - start < 0.5
-    assert (code, out, reads) == (2, "", 0)
+    assert (code, out, reads) == (2, "", 11)
     assert err == "error: call passes the work bound of 10000000 matrix entries\n"
     # the spec is parsed before the price, and the level count checked after it
     assert run(capsys, "poset", "zeta", "--spec", "custom:1,x", "--levels", "40000") == (
         2, "", "error: malformed integer 'x'\n")
     assert run(capsys, "poset", "zeta", "--spec", "natural", "--levels", "-40000") == (
         2, "", "error: level count must be nonnegative, got -40000\n")
+
+
+@pytest.mark.parametrize("command, unit, last", [
+    # const:1000 has N = 1 + 1000 s through level s: the N^2 matrix entries
+    # pass 10^7 at s = 4, the 1000 + 10^6 (s - 1) edges at s = 11 and the
+    # 2N labels at s = 5000
+    ("mobius", "matrix entries", 4), ("dot", "edges", 11), ("dim2", "labels", 5000),
+])
+def test_a_price_reads_no_term_past_the_first_level_over_the_bound(
+    capsys, monkeypatch, command, unit, last
+):
+    term = fseq.FSequence.term
+
+    def spy(self, n):
+        if n > last:
+            raise AssertionError(f"term {n} read past level {last}")
+        return term(self, n)
+
+    monkeypatch.setattr(fseq.FSequence, "term", spy)
+    assert run(capsys, "poset", command, "--spec", "const:1000", "--levels", "6000") == (
+        2, "", f"error: call passes the work bound of 10000000 {unit}\n")
+
+
+def test_dot_and_dim2_refuse_a_long_gauss_spec_fast(capsys):
+    # building the 30000 levels first took about 4.3 s a call
+    for command in ("dot", "dim2"):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "poset", command, "--spec", "gauss:3", "--levels", "30000")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
 
 
 def test_no_export_builds_vertex_records(monkeypatch):

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from cobweb.fnomial import f_factorial
 from cobweb.fseq import parse_sequence
-from cobweb.incidence import IncidenceMatrix, chain_count_matrix, mobius_matrix, zeta_matrix
+from cobweb.incidence import chain_count_matrix, mobius_matrix, zeta_matrix
 from cobweb.poset import Vertex, build_poset, count_max_chains_between
 from oracles import (
+    BlockTable,
     count_chains,
     covering_matrix,
     dense_mul,
@@ -24,6 +25,7 @@ from oracles import (
     maximal_chain_row,
     multiply,
     recursive_mobius,
+    table,
     to_dense,
     unitriangular_inverse,
 )
@@ -132,21 +134,21 @@ def test_mobius_rejects_non_unitriangular():
     # the general inverse of the oracle refuses a table it cannot invert
     P = build_poset(NAT, 2)
     for diagonal in (0, 2, -1):
-        table = zeta_matrix(P).table
-        table[1][1] = diagonal
+        rows = table(zeta_matrix(P))
+        rows[1][1] = diagonal
         with pytest.raises(ValueError):
-            unitriangular_inverse(IncidenceMatrix(P, table))
+            unitriangular_inverse(BlockTable(P, rows))
     # a table with entries below the diagonal is refused when it is built
     with pytest.raises(ValueError):
-        IncidenceMatrix(P, [list(reversed(r)) for r in reversed(zeta_matrix(P).table)])
+        BlockTable(P, [list(reversed(r)) for r in reversed(table(zeta_matrix(P)))])
 
 
 def test_strict_matrix_is_nilpotent():
     for F in BUILTINS:
         P = build_poset(F, 4)
         Z = zeta_matrix(P)
-        eta = IncidenceMatrix(
-            P, [[v if s != t else 0 for t, v in enumerate(row)] for s, row in enumerate(Z.table)]
+        eta = BlockTable(
+            P, [[v if s != t else 0 for t, v in enumerate(row)] for s, row in enumerate(table(Z))]
         )
         dense_eta = to_dense(eta)
         power, dense_power = eta, dense_eta
@@ -189,11 +191,11 @@ def test_mobius_inverts_any_unitriangular_matrix():
         P = build_poset(F, levels)
         n = P.L + 1
         for _ in range(5):
-            table = [
+            rows = [
                 [1 if s == t else (rng.randint(-5, 5) if t > s else 0) for t in range(n)]
                 for s in range(n)
             ]
-            Z = IncidenceMatrix(P, table)
+            Z = BlockTable(P, rows)
             M = unitriangular_inverse(Z)
             assert is_identity(multiply(Z, M))
             assert is_identity(multiply(M, Z))
@@ -279,9 +281,9 @@ def test_json_export_is_the_json_dumps_text(spec, levels):
 def test_matrix_shape_validation():
     P = build_poset(NAT, 1)
     with pytest.raises(ValueError):
-        IncidenceMatrix(P, [[1, 0]])
+        BlockTable(P, [[1, 0]])
     with pytest.raises(ValueError):
-        IncidenceMatrix(P, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # table shape must be L + 1
+        BlockTable(P, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # table shape must be L + 1
     Z = zeta_matrix(P)
     assert Z.dim == 2
     with pytest.raises(ValueError):
@@ -306,16 +308,17 @@ def custom_poset(terms):
 def test_block_tables_match_closed_forms(terms):
     P = custom_poset(terms)
     n = P.level_sizes
-    Z, M, chains = zeta_matrix(P), mobius_matrix(P), chain_count_matrix(P)
+    Z, M, chains = (BlockTable(P, table(closed(P)))
+                    for closed in (zeta_matrix, mobius_matrix, chain_count_matrix))
     # the closed forms against the block convolution: the general inverse
     # of zeta and of delta - eta, and the products with zeta both ways
     assert M == unitriangular_inverse(Z)
     assert is_identity(multiply(Z, M))
     assert is_identity(multiply(M, Z))
     size = P.L + 1
-    eta = IncidenceMatrix(P, [[int(s < t) for t in range(size)] for s in range(size)])
-    unit = IncidenceMatrix(P, [[int(s == t) for t in range(size)] for s in range(size)])
-    delta_minus_eta = IncidenceMatrix(
+    eta = BlockTable(P, [[int(s < t) for t in range(size)] for s in range(size)])
+    unit = BlockTable(P, [[int(s == t) for t in range(size)] for s in range(size)])
+    delta_minus_eta = BlockTable(
         P, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(unit.table, eta.table)])
     assert chains == unitriangular_inverse(delta_minus_eta)
     # the geometric sum of the strict part eta, which vanishes at power L + 1
@@ -323,8 +326,8 @@ def test_block_tables_match_closed_forms(terms):
     for _ in range(P.L):
         term = multiply(term, eta)
         total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, term.table)]
-    assert multiply(term, eta) == IncidenceMatrix(P, [[0] * size] * size)
-    assert chains == IncidenceMatrix(P, total)
+    assert multiply(term, eta) == BlockTable(P, [[0] * size] * size)
+    assert chains == BlockTable(P, total)
     C = covering_matrix(P)
     power = unit
     for d in range(P.L + 2):
@@ -371,7 +374,7 @@ def test_mobius_of_a_long_poset_is_built_in_closed_form():
     M = mobius_matrix(P)
     assert time.perf_counter() - start < 10
     alternating = [1, -1] * 751
-    assert all(row == [0] * s + alternating[: 1501 - s] for s, row in enumerate(M.table))
+    assert all(M.row(s) == [0] * s + alternating[: 1501 - s] for s in range(1501))
 
 
 def test_matrix_walk_holds_one_row():
@@ -395,3 +398,27 @@ def test_matrix_mode_counts_a_long_poset_in_one_product():
     start = time.perf_counter()
     assert count_max_chains_between(P, 0, 20000, "matrix") == 1
     assert time.perf_counter() - start < 1
+
+
+def test_a_row_is_one_level_of_the_closed_form():
+    P = build_poset(parse_sequence("custom:3,1,4"), 3)
+    assert mobius_matrix(P).row(0) == [1, -1, 2, 0]
+    assert chain_count_matrix(P).row(1) == [0, 1, 1, 2]
+    assert zeta_matrix(P).row(3) == [0, 0, 0, 1]
+    for s in (-1, 4):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            zeta_matrix(P).row(s)
+
+
+def test_a_dense_export_holds_one_level_row():
+    # const:1 L3000: the first CSV row needs one level row, never the
+    # (L+1)^2 table (that table took about 72 MB)
+    P = build_poset(parse_sequence("const:1"), 3000)
+    tracemalloc.start()
+    try:
+        line = next(zeta_matrix(P).to_csv())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert line == ",".join(["1"] * 3001) + "\n"
+    assert peak < 2_000_000

@@ -4,15 +4,17 @@ Run from anywhere in the repository:
 
     python3 tools/compare_outputs.py REV [--seeds 1 2] [--calls FILE]
 
-REV is checked out with ``git worktree add --detach`` in a temporary
-directory, removed again at the end.  Each call runs as ``python3 -m
-cobweb.cli`` in this tree and in REV's, with ``PYTHONPATH`` set to that
-tree's ``src``, one call at a time and for at most ``TIME_LIMIT_S`` seconds.
-The calls are those of the four benchmark workloads of
-``perfbench/workloads.generate`` at each seed, then one JSON array of
-arguments per nonblank line of FILE.  The exit code, the SHA-256 of standard
-output and standard error are compared; every mismatch is printed, and the
-script exits 1 if there is any.
+REV's files are written by ``git archive`` to a temporary directory,
+removed again at the end.  Each call runs as ``python3 -m cobweb.cli`` in
+this tree and in REV's, with ``PYTHONPATH`` set to that tree's ``src``, one
+call at a time and for at most ``TIME_LIMIT_S`` seconds, spawned by the
+benchmark's launcher ``perfbench/spawn.py``.  The calls are those
+of the four benchmark workloads of ``perfbench/workloads.generate`` at each
+seed, then one JSON array of arguments per nonblank line of FILE.  The exit
+code, the SHA-256 of standard output and standard error are compared; every
+mismatch is printed, and the script exits 1 if there is any.  Each call of
+FILE is also measured in both trees: its exit code, wall seconds and peak
+RSS (the child's own ``ru_maxrss``, read by ``os.wait4``) are printed.
 """
 
 from __future__ import annotations
@@ -34,36 +36,49 @@ import workloads  # noqa: E402  (perfbench/ is not a package)
 TIME_LIMIT_S = 120
 
 
-def run_call(tree: Path, argv: list[str], workdir: str) -> tuple:
-    """(exit code, SHA-256 of standard output, standard error) of one call;
-    the exit code is "timeout" for a call past the time limit."""
+def launcher(tree: Path, outdir: str, workdir: str) -> subprocess.Popen:
+    """``perfbench/spawn.py`` for one tree: a bare interpreter that spawns
+    each call, with standard output and error in files of ``outdir``, and
+    reads the child's exit code and own ``ru_maxrss`` with ``os.wait4``.  A
+    child spawned by this script would report this script's peak RSS (about
+    20 MB) as its own floor; the launcher's is a bare interpreter's."""
+    os.mkdir(outdir)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        try:
-            code = subprocess.run(
-                [sys.executable, "-m", "cobweb.cli", *argv], stdout=out, stderr=err,
-                cwd=workdir, env=env, timeout=TIME_LIMIT_S,
-            ).returncode
-        except subprocess.TimeoutExpired:
-            code = "timeout"
-        digest = hashlib.sha256()
-        out.seek(0)
+    return subprocess.Popen(
+        [sys.executable, "-I", "-S", str(ROOT / "perfbench" / "spawn.py"), outdir,
+         str(TIME_LIMIT_S)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, cwd=workdir, env=env, text=True,
+    )
+
+
+def run_call(spawner: subprocess.Popen, outdir: str, argv: list[str]) -> tuple[tuple, float, float]:
+    """(exit code, SHA-256 of standard output, standard error) of one call,
+    its wall seconds and its peak RSS in MB; the exit code is "timeout" for
+    a call past the time limit."""
+    spawner.stdin.write(json.dumps([sys.executable, "-m", "cobweb.cli", *argv]) + "\n")
+    spawner.stdin.flush()
+    report = json.loads(spawner.stdout.readline())
+    digest = hashlib.sha256()
+    with open(os.path.join(outdir, "child.stdout"), "rb") as out:
         for block in iter(lambda: out.read(1 << 20), b""):
             digest.update(block)
-        err.seek(0)
-        return code, digest.hexdigest(), err.read().decode(errors="replace")
+    with open(os.path.join(outdir, "child.stderr"), encoding="utf-8", errors="replace") as err:
+        stderr = err.read()
+    code = "timeout" if report["code"] is None else report["code"]
+    return (code, digest.hexdigest(), stderr), report["wall_s"], report["maxrss_kb"] / 1024
 
 
-def calls(seeds: list[int], calls_file: str | None, workdir: str) -> list[tuple[str, list[str]]]:
-    """(label, argv) of every call: the workloads at each seed, then the file's."""
+def calls(seeds: list[int], calls_file: str | None, workdir: str) -> list[tuple[str, list[str], bool]]:
+    """(label, argv, measured) of every call: the workloads at each seed,
+    then the file's, which are the measured ones."""
     listed = []
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             for call in workloads.generate(workload, seed, workdir):
-                listed.append((f"{workload}:{seed}#{call['id']}", call["argv"]))
+                listed.append((f"{workload}:{seed}#{call['id']}", call["argv"], False))
     if calls_file:
         lines = Path(calls_file).read_text(encoding="utf-8").splitlines()
-        listed += [(f"{calls_file}:{i}", json.loads(line))
+        listed += [(f"{calls_file}:{i}", json.loads(line), True)
                    for i, line in enumerate(lines, 1) if line.strip()]
     return listed
 
@@ -78,22 +93,28 @@ def main() -> int:
         other = Path(scratch) / "tree"
         workdir = os.path.join(scratch, "work")
         os.mkdir(workdir)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(other), args.rev], check=True)
-        try:
-            listed = calls(args.seeds, args.calls, workdir)
-            mismatches = 0
-            for label, argv in listed:
-                here, there = run_call(ROOT, argv, workdir), run_call(other, argv, workdir)
+        os.mkdir(other)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
+        listed = calls(args.seeds, args.calls, workdir)
+        here_dir, there_dir = os.path.join(scratch, "here"), os.path.join(scratch, "there")
+        mismatches = 0
+        with launcher(ROOT, here_dir, workdir) as here_spawner, \
+                launcher(other, there_dir, workdir) as there_spawner:
+            for label, argv, measured in listed:
+                here, here_s, here_mb = run_call(here_spawner, here_dir, argv)
+                there, there_s, there_mb = run_call(there_spawner, there_dir, argv)
+                if measured:
+                    print(f"{label} {json.dumps(argv)}\n"
+                          f"  {args.rev}: exit {there[0]}, {there_s:.2f} s, {there_mb:.1f} MB\n"
+                          f"  tree: exit {here[0]}, {here_s:.2f} s, {here_mb:.1f} MB")
                 if here != there:
                     mismatches += 1
                     print(f"mismatch {label} {json.dumps(argv)}")
                     for name, a, b in zip(("exit", "stdout", "stderr"), there, here):
                         if a != b:
                             print(f"  {name}: {args.rev} {a!r}\n  {name}: tree {b!r}")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(other)], check=True)
     print(f"{len(listed)} calls, {mismatches} mismatches against {args.rev}")
     return 1 if mismatches else 0
 
