@@ -8,12 +8,17 @@ deterministic for identical arguments, including the seed.
 
 Every handler returns its exit code and its standard output as an iterable
 of text chunks, which ``main`` writes as they come: a large payload is never
-held whole.  A handler refuses before it returns, so exit code 2 always
-comes with empty standard output.  A dense export (``poset
-zeta|mobius|dot|dim2``) is priced by ``poset.check_work``, the one bound of
-every walk and export, on running totals of the level sizes as
-``poset.level_sizes`` reads them, and built from the sizes the price read:
-a refusal reads no term past the first level over the bound.
+held whole.  ``_write`` gathers small chunks into one write batch of about
+``WRITE_BATCH`` characters and hands a larger chunk to the stream as it is,
+never copied into a batch: a streamed payload holds at once the chunks of
+one row (a triangle row's left-half texts, one dense row, one level size)
+and one write batch.  A handler refuses before it returns, so
+exit code 2 always comes with empty standard output.  A dense export
+(``poset zeta|mobius|dot|dim2``) and the enumerate walk of ``poset chains``
+are priced by ``poset.check_work``, the one bound of every walk and export,
+on running totals of the level sizes as ``poset.level_sizes`` reads them,
+and built from the sizes the price read: a refusal reads no term past the
+first level over the bound.
 A failed write ends the call with one ``error:`` line on standard error,
 not a traceback.
 
@@ -51,7 +56,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
-from itertools import accumulate, chain, pairwise, starmap, tee
+from itertools import accumulate, chain, islice, pairwise, starmap, tee
 from operator import mul
 from types import SimpleNamespace
 
@@ -143,7 +148,7 @@ def _cmd_fnomial_triangle(args: SimpleNamespace) -> Output:
 
 
 def _cmd_poset_build(args: SimpleNamespace) -> Output:
-    return 0, _json(_poset(args).to_json_dict())
+    return 0, _line(_poset(args).to_json())
 
 
 def _cmd_poset_dot(args: SimpleNamespace) -> Output:
@@ -156,10 +161,15 @@ def _cmd_poset_dot(args: SimpleNamespace) -> Output:
 def _cmd_poset_chains(args: SimpleNamespace) -> Output:
     from . import poset
 
-    P = _poset(args)
     k, n = args.from_level, args.to_level
-    if not 0 <= k < n <= P.L:
-        raise ValueError(f"need 0 <= from-level < to-level <= {P.L}")
+    # before any term is read; a negative level count keeps its own refusal
+    if args.levels >= 0 and not 0 <= k < n <= args.levels:
+        raise ValueError(f"need 0 <= from-level < to-level <= {args.levels}")
+    if args.mode == "enumerate":
+        P = _priced_poset(args, lambda sizes: accumulate(islice(sizes, k + 1, n + 1), mul),
+                          "chains")
+    else:
+        P = _poset(args)
     count = poset.count_max_chains_between(P, k, n, args.mode)
     payload = {"spec": args.spec, "levels": P.L, "from_level": k, "to_level": n}
     return 0, _json({**payload, "mode": args.mode, "count": str(count)})
@@ -462,12 +472,20 @@ def run() -> None:
 
 
 def _write(chunks: Iterable[str]) -> None:
-    """Writes the chunks to the standard output of the moment, in batches
-    of about ``WRITE_BATCH`` characters."""
+    """Writes the chunks to the standard output of the moment: small ones
+    gathered into batches of about ``WRITE_BATCH`` characters, and one of
+    ``WRITE_BATCH`` or more as it is, after the batch pending before it, so
+    no large chunk is copied into a batch."""
     out = sys.stdout
     batch: list[str] = []
     size = 0
     for chunk in chunks:
+        if len(chunk) >= WRITE_BATCH:
+            if batch:
+                out.write("".join(batch))
+                batch, size = [], 0
+            out.write(chunk)
+            continue
         batch.append(chunk)
         size += len(chunk)
         if size >= WRITE_BATCH:

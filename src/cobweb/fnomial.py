@@ -10,9 +10,11 @@ remainder, so integral calls never load it (nor ``decimal`` and
 non-integral coefficient comes back rather than raised, so admissibility
 scans can observe it.  For printing, the row generator runs in
 ``decimal.Decimal`` integers instead, whose decimal text costs time linear
-in the digits; only then is ``decimal`` loaded.  The exporters yield their
-text a row at a time.  Every function here is pure and safe for concurrent
-use.
+in the digits; only then is ``decimal`` loaded.  The exporters yield each
+row as two joined halves, its left half's texts and then their mirror,
+with every separator, opening and closing a chunk of its own, so the largest
+text they hold is half a row.  Every function here is pure and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -124,27 +126,40 @@ def triangle_rows(
     return islice(f_nomial_rows(F, number), rows)
 
 
-def _row_texts(row: list) -> list[str]:
-    """A palindromic row's entries as text: the left half converted, then mirrored."""
-    left = list(map(str, row[: (len(row) + 1) // 2]))
-    return left + left[: len(row) // 2][::-1]
+def _row_chunks(row: list, separator: str) -> Iterator[str]:
+    """A palindromic row's entries as text, in two joins on ``separator``:
+    the left half converted once, then its mirror, with the separator
+    between them a chunk of its own.  A consumer that writes each chunk as
+    it comes has let go of the first join before the second is made, so no
+    more than half the row's text is joined at a time."""
+    left = list(map(str, islice(row, (len(row) + 1) // 2)))
+    yield separator.join(left)
+    if len(row) > 1:
+        yield separator
+        yield separator.join(left[len(row) // 2 - 1 :: -1])
 
 
 def triangle_to_csv(triangle: Iterable[list]) -> Iterator[str]:
-    """Ragged CSV, one row per n, entries as exact decimal (or p/q) strings,
-    yielded a row at a time; no rows give one empty line.  Rows must be
-    palindromic, as triangle rows are: each text is made once and mirrored."""
+    """Ragged CSV, one row per n, entries as exact decimal (or p/q) strings;
+    no rows give one empty line.  Rows must be palindromic, as triangle rows
+    are: each text is made once and mirrored (``_row_chunks``), and the line
+    break before a row is a chunk of its own."""
     for n, row in enumerate(triangle):
-        yield ("\n" if n else "") + ",".join(_row_texts(row))
+        if n:
+            yield "\n"
+        yield from _row_chunks(row, ",")
     yield "\n"
 
 
 def triangle_to_json(triangle: Iterable[list]) -> Iterator[str]:
     """JSON array of arrays of strings, preserving arbitrary precision: the
-    text ``json.dumps`` gives for the whole table, yielded a row at a time.
-    The entries' texts (digits, sign, slash) need no escaping.  Rows must be
+    text ``json.dumps`` gives for the whole table, with each row's opening,
+    separator and closing chunks of their own around its two halves.  The
+    entries' texts (digits, sign, slash) need no escaping.  Rows must be
     nonempty and palindromic, as triangle rows are (see ``triangle_to_csv``)."""
     yield "["
     for n, row in enumerate(triangle):
-        yield (', ["' if n else '["') + '", "'.join(_row_texts(row)) + '"]'
+        yield ', ["' if n else '["'
+        yield from _row_chunks(row, '", "')
+        yield '"]'
     yield "]"

@@ -99,6 +99,25 @@ def _fibonacci_term() -> Callable[[int], int]:
     return term
 
 
+def _running_power(q: int, start: int = 1) -> Callable[[int], int]:
+    """n -> start * q**n.  A read of n + 1 right after a read of n costs one
+    multiplication by q; any other read is the power itself.  The last
+    (n, value) is replaced as one tuple, so concurrent reads stay exact."""
+    state = (0, start)
+
+    def power(n: int) -> int:
+        nonlocal state
+        last, value = state
+        if n == last + 1:
+            value *= q
+        elif n != last:
+            value = start * q**n
+        state = (n, value)
+        return value
+
+    return power
+
+
 def _finite(values: list[int], spec: str) -> FSequence:
     """The finite sequence F_1, ..., F_len(values), refused at a zero term."""
     for i, v in enumerate(values, start=1):
@@ -153,6 +172,9 @@ def parse_sequence(spec: str) -> FSequence:
     bg:<uint>=2> | const:<nonzero int> | custom:<int>(,<int>)* | file:<path>``,
     where an integer is written ``-?[0-9]+``.  ``file`` content is a JSON
     array of integers (booleans are not integers) interpreted as F_1, F_2, ...
+    ``gauss:q`` and ``bg:q`` read their terms off running powers of q, so a
+    term read right after the one before it costs one multiplication by q
+    per power, not a fresh ``q**n``.
     """
     head, _, tail = spec.partition(":")
 
@@ -173,14 +195,15 @@ def parse_sequence(spec: str) -> FSequence:
         q = parse_int(tail)
         if q < 2:
             raise SequenceError(f"gauss base must be an integer >= 2, got {spec!r}")
-        return FSequence(spec, lambda n: (q**n - 1) // (q - 1))
+        power = _running_power(q)
+        return FSequence(spec, lambda n: (power(n) - 1) // (q - 1))
     if head == "bg":
         q = parse_int(tail)
         if q < 2:
             raise SequenceError(f"bg base must be an integer >= 2, got {spec!r}")
-        return FSequence(
-            spec, lambda n: 0 if n == 0 else (q**n - 1) * q ** (n - 1)
-        )
+        # (q^n - 1) q^(n-1) = q^(2n-1) - q^(n-1)
+        low, high = _running_power(q), _running_power(q * q, q)
+        return FSequence(spec, lambda n: high(n - 1) - low(n - 1) if n else 0)
     if head == "const":
         c = parse_int(tail)
         if c == 0:

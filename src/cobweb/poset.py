@@ -29,6 +29,7 @@ is divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import accumulate, combinations, islice, product
 from operator import mul
@@ -107,7 +108,19 @@ class CobwebPoset:
             yield from product(self.level(s), self.level(s + 1))
 
     def to_json_dict(self) -> dict:
-        return {"spec": self.F.spec, "levels": [str(s) for s in self.level_sizes]}
+        """The ``to_json`` text read back: the spec and the level sizes as strings."""
+        return json.loads("".join(self.to_json()))
+
+    def to_json(self) -> Iterator[str]:
+        """The spec and the level sizes as decimal strings, the ``json.dumps``
+        text of ``to_json_dict``, yielded one level size at a time: no more
+        than one level's text is held.  Digits need no escaping."""
+        yield f'{{"spec": {json.dumps(self.F.spec)}, "levels": ["'
+        for s, size in enumerate(self.level_sizes):
+            if s:
+                yield '", "'
+            yield str(size)
+        yield '"]}'
 
 
 def level_sizes(F: FSequence, levels: int) -> Iterator[int]:

@@ -142,6 +142,86 @@ def test_a_large_triangle_streams_in_bounded_memory(monkeypatch):
     )
 
 
+class DiscardingSink:
+    """A text stream that drops what is written."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_triangle_row_passes_through_memory_once(monkeypatch, fmt):
+    # row 199 is 275 KB of text.  Its exporter joins the left half and its
+    # mirror as two chunks, each handed to the stream as it is, so the call
+    # holds the left half's texts, one join of them and the row's numbers:
+    # under three half rows.  Joining the whole row, prefixing it, batching
+    # it and joining the batch held more than six.
+    row = list(fnomial.triangle_rows(fseq.parse_sequence("fibonacci"), 200))[-1]
+    half = sum(len(str(entry)) for entry in row[:100])
+    monkeypatch.setattr(sys, "stdout", DiscardingSink())
+    tracemalloc.start()
+    try:
+        code = main(["fnomial", "triangle", "--spec", "fibonacci", "--rows", "200",
+                     "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * half
+
+
+def test_a_large_chunk_reaches_the_stream_as_it_is(monkeypatch):
+    written = []
+
+    class Spy:
+        def write(self, text):
+            written.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Spy())
+    big = "x" * cli.WRITE_BATCH
+    bigger = "y" * (cli.WRITE_BATCH + 1)
+    almost = "z" * (cli.WRITE_BATCH - 1)
+    cli._write(["a", "b", big, bigger, "c", almost, "d", "e"])
+    # the pending small chunks go first, each large one as its own write,
+    # and small chunks still batch up to WRITE_BATCH characters
+    assert written == ["ab", big, bigger, "c" + almost, "de"]
+    assert written[1] is big and written[2] is bigger
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    pytest.param(
+        "fnomial triangle --spec fibonacci --rows 200 --format csv",
+        "dbaecdefbb36b6a764137545d9a4feba7bfe59e12ee7d083ac7514b5fef97725",
+        id="triangle-csv-200",
+    ),
+    # levels of up to 3.4 KB of digits, 3.4 MB in all
+    pytest.param(
+        "poset build --spec bg:7 --levels 2000",
+        "b5ded145c5c14104bfbf4d45eb5a212f2e543a037c5f86f59c0d7196d974898b",
+        id="build-bg7-2000",
+    ),
+])
+def test_streamed_payload_digest_at_benchmark_scale(capsys, argv, sha256):
+    # payloads streamed a half row or a level at a time keep the text of the
+    # whole-payload exporters they replaced; the json triangle is pinned by
+    # test_a_large_triangle_streams_in_bounded_memory
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_poset_build_escapes_the_spec_as_json_does(capsys, tmp_path):
+    path = tmp_path / 'quote"\\ and \u00e9.json'
+    path.write_text("[3, 1, 4]", encoding="utf-8")
+    spec = f"file:{path}"
+    code, out, _ = run(capsys, "poset", "build", "--spec", spec, "--levels", "3")
+    assert code == 0
+    assert out == json.dumps({"spec": spec, "levels": ["1", "3", "1", "4"]}) + "\n"
+
+
 def test_seq_check_admissible(capsys):
     code, out, _ = run(capsys, "seq", "check", "--spec", "fibonacci", "--upto", "15",
                        "--admissible")
@@ -520,6 +600,30 @@ def test_a_price_reads_no_term_past_the_first_level_over_the_bound(
     monkeypatch.setattr(fseq.FSequence, "term", spy)
     assert run(capsys, "poset", command, "--spec", "const:1000", "--levels", "6000") == (
         2, "", f"error: call passes the work bound of 10000000 {unit}\n")
+
+
+@pytest.mark.parametrize("from_level, last", [(0, 3), (2, 5)])
+def test_an_enumerate_refusal_reads_no_term_past_the_first_level_over_the_bound(
+    capsys, monkeypatch, from_level, last
+):
+    # const:1000 has 1000^(s - k) chains from level k through level s, past
+    # 10^7 at s = k + 3; building the 6000 levels first read every term
+    term = fseq.FSequence.term
+
+    def spy(self, n):
+        if n > last:
+            raise AssertionError(f"term {n} read past level {last}")
+        return term(self, n)
+
+    monkeypatch.setattr(fseq.FSequence, "term", spy)
+    argv = ["poset", "chains", "--spec", "const:1000", "--levels", "6000", "--mode", "enumerate",
+            "--from-level", str(from_level), "--to-level"]
+    assert run(capsys, *argv, "6000") == (
+        2, "", "error: call passes the work bound of 10000000 chains\n")
+    # the levels are checked against --levels before any term is read
+    last = 0
+    assert run(capsys, *argv, "6001") == (
+        2, "", "error: need 0 <= from-level < to-level <= 6000\n")
 
 
 def test_dot_and_dim2_refuse_a_long_gauss_spec_fast(capsys):

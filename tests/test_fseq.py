@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -36,6 +38,55 @@ def test_builtin_terms():
 def test_term_is_deterministic():
     fib = parse_sequence("fibonacci")
     assert [fib.term(20) for _ in range(3)] == [fib.term(20)] * 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.lists(st.integers(min_value=0, max_value=300), max_size=30),
+    st.integers(min_value=0, max_value=400),
+)
+def test_power_specs_match_their_closed_forms_in_any_read_order(q, jumps, run):
+    # gauss:q and bg:q step a running power of q from one read to the next;
+    # an increasing run, a repeated read and an out-of-order read must all
+    # give (q^n - 1)/(q - 1) and (q^n - 1) q^(n-1)
+    reads = [n for start in jumps for n in (start, start, start + 1)] + list(range(run))
+    reads += reversed(range(run // 2, run + 2))
+    for spec, closed in (
+        (f"gauss:{q}", lambda n: (q**n - 1) // (q - 1)),
+        (f"bg:{q}", lambda n: (q**n - 1) * q ** (n - 1) if n else 0),
+    ):
+        F = parse_sequence(spec)
+        assert [F.term(n) for n in reads] == [closed(n) for n in reads]
+
+
+def test_power_specs_stay_exact_under_concurrent_reads():
+    # threads interleave reads of one sequence's running powers; each swap of
+    # the (n, q**n) state is one tuple, so a stale state only costs a power
+    specs = {"gauss:3": lambda n: (3**n - 1) // 2, "bg:3": lambda n: (3**n - 1) * 3 ** (n - 1)}
+    sequences = {spec: parse_sequence(spec) for spec in specs}
+    wrong = []
+    start = threading.Barrier(6, timeout=30)
+
+    def reader(offset):
+        start.wait()
+        for spec, closed in specs.items():
+            for n in [*range(1 + offset, 400, 3), *range(200, 1, -7 - offset)]:
+                if sequences[spec].term(n) != closed(n):
+                    wrong.append((spec, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i % 3,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_spec_roundtrip():
