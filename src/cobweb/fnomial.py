@@ -14,20 +14,21 @@ in the digits; only then is ``decimal`` loaded.  The exporters yield each
 row as two joined halves, its left half's texts and then their mirror,
 with every separator, opening and closing a chunk of its own, so the largest
 text they hold is half a row.  Every function here is pure and safe for
-concurrent use.
+concurrent use.  The ``cobweb fnomial`` handlers close the module.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .fseq import FSequence, exact_quotient
+from .fseq import FSequence, exact_quotient, parse_sequence
 
 if TYPE_CHECKING:
     from decimal import Context, Decimal
     from fractions import Fraction
+    from types import SimpleNamespace
 
 
 def _exact_context() -> Context:
@@ -163,3 +164,21 @@ def triangle_to_json(triangle: Iterable[list]) -> Iterator[str]:
         yield from _row_chunks(row, '", "')
         yield '"]'
     yield "]"
+
+
+def _cmd_fnomial(args: SimpleNamespace) -> tuple[int, dict]:
+    """``cobweb fnomial``: one coefficient."""
+    if args.spec is None or args.n is None or args.k is None:
+        args.parser.error("--spec, --n and --k are required")
+    value = f_nomial(parse_sequence(args.spec), args.n, args.k)
+    return 0, {"value": str(value), "integral": value.denominator == 1}
+
+
+def _cmd_fnomial_triangle(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
+    """``cobweb fnomial triangle``: rows printed through ``Decimal``."""
+    from decimal import Decimal
+
+    rows = triangle_rows(parse_sequence(args.spec), args.rows, Decimal)
+    if args.format == "csv":
+        return 0, triangle_to_csv(rows)
+    return 0, chain(triangle_to_json(rows), "\n")

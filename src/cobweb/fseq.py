@@ -11,7 +11,8 @@ in input order, and a broken candidate never aborts the rest of the scan.
 
 ``exact_quotient`` is the package's one exact-division rule: a quotient of
 the integer type asked for where it is integral, a reduced ``Fraction``
-otherwise, with ``fractions`` imported only on a remainder.
+otherwise, with ``fractions`` imported only on a remainder.  The ``cobweb
+seq check`` handler closes the module.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 if TYPE_CHECKING:  # named only in annotations: fractions load on a remainder
     from decimal import Decimal
     from fractions import Fraction
+    from types import SimpleNamespace
 
 
 class SequenceError(ValueError):
@@ -362,3 +364,22 @@ def admissibility_scan(
             yield is_cobweb_admissible_prefix(F, bound)
         except SequenceError as exc:
             yield AdmissibilityReport(F.spec, bound, "error", error=str(exc))
+
+
+def _cmd_seq_check(args: SimpleNamespace) -> tuple[int, dict]:
+    """``cobweb seq check``: both scans, or the one a flag names."""
+    F = parse_sequence(args.spec)
+    payload: dict = {"spec": args.spec, "upto": args.upto}
+    failed = False
+    for key, scan in (
+        ("admissible", is_cobweb_admissible_prefix),
+        ("gcd_morphic", is_gcd_morphic_prefix),
+    ):
+        if getattr(args, key) or not (args.admissible or args.gcd_morphic):
+            report = scan(F, args.upto)
+            body = report.to_json_dict()
+            body.pop("spec")
+            body.pop("upto")
+            payload[key] = body
+            failed |= not getattr(report, key)  # the verdict, named like the key
+    return (1 if failed else 0), payload

@@ -25,20 +25,23 @@ approximated.  The explicit route, every copy as vertex sets searched
 without bounds, is the packing oracle in ``tests/oracles.py``.  The
 packing's coefficient quotient, the one value here that can be a fraction,
 is divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
+The search's helpers are in ``_packing``, which loads only when a packing
+runs; the ``cobweb poset`` handlers close this module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, chain, islice, pairwise, product, starmap, tee
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from .fseq import FSequence, exact_quotient
+from .fseq import FSequence, exact_quotient, parse_sequence
 
 if TYPE_CHECKING:  # the packing quotient is the only rational value here
     from fractions import Fraction
+    from types import SimpleNamespace
 
 
 # Branch-and-bound nodes after which a packing search is refused.  Every
@@ -114,13 +117,19 @@ class CobwebPoset:
     def to_json(self) -> Iterator[str]:
         """The spec and the level sizes as decimal strings, the ``json.dumps``
         text of ``to_json_dict``, yielded one level size at a time: no more
-        than one level's text is held.  Digits need no escaping."""
-        yield f'{{"spec": {json.dumps(self.F.spec)}, "levels": ["'
-        for s, size in enumerate(self.level_sizes):
-            if s:
-                yield '", "'
-            yield str(size)
-        yield '"]}'
+        than one level's text is held."""
+        return _levels_json(self.F.spec, self.level_sizes)
+
+
+def _levels_json(spec: str, sizes: Iterable[int]) -> Iterator[str]:
+    """The text of ``CobwebPoset.to_json`` for a spec and its level sizes,
+    read one at a time as the text is yielded.  Digits need no escaping."""
+    yield f'{{"spec": {json.dumps(spec)}, "levels": ["'
+    for s, size in enumerate(sizes):
+        if s:
+            yield '", "'
+        yield str(size)
+    yield '"]}'
 
 
 def level_sizes(F: FSequence, levels: int) -> Iterator[int]:
@@ -179,21 +188,6 @@ def count_max_chains_between(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _copy_shape(P: CobwebPoset, k: int, m: int) -> list[tuple[int, int]]:
-    """(vertices available, vertices needed) at each level k+1..k+m of a copy."""
-    if m < 0:
-        raise ValueError(f"height must be nonnegative, got {m}")
-    if not 0 <= k <= P.L - m:
-        raise ValueError(f"copy levels {k}..{k + m} outside 0..{P.L}")
-    shape = []
-    for j in range(1, m + 1):
-        avail, need = P.level_sizes[k + j], P.level_sizes[j]
-        if need > avail:
-            raise ValueError(f"level {k + j} has {avail} vertices, copy needs {need}")
-        shape.append((avail, need))
-    return shape
-
-
 class PackingReport(NamedTuple):
     """Exact packing outcome next to the quotient it is measured against.
 
@@ -226,118 +220,6 @@ class PackingReport(NamedTuple):
         }
 
 
-def _level_conflicts(avail: int, need: int) -> list[int]:
-    """Row c is the bitmask of the need-subsets of avail vertices that meet subset c.
-
-    Each row is the union, over the elements of subset c, of the mask of
-    subsets containing that element; no pair of subsets is intersected.
-    """
-    subsets = list(combinations(range(avail), need))
-    containing = [0] * avail
-    for c, subset in enumerate(subsets):
-        for x in subset:
-            containing[x] |= 1 << c
-    rows = []
-    for subset in subsets:
-        row = 0
-        for x in subset:
-            row |= containing[x]
-        rows.append(row)
-    return rows
-
-
-def _kronecker(rows_a: list[int], rows_b: list[int]) -> list[int]:
-    """Bitmask rows of the Kronecker product, index a * len(rows_b) + b.
-
-    Spreading bit i of a row to bit i * width and multiplying by a row of
-    rows_b places a copy of that row in each block; the blocks are disjoint,
-    so the product has no carries.
-    """
-    width = len(rows_b)
-    product_rows = []
-    for a in rows_a:
-        spread = 0
-        while a:
-            low = a & -a
-            spread |= 1 << ((low.bit_length() - 1) * width)
-            a ^= low
-        product_rows += [spread * b for b in rows_b]
-    return product_rows
-
-
-def _colour_classes(candidates: int, conflict: list[int]) -> list[tuple[int, int]]:
-    """Greedy cover of the candidates by pairwise conflicting classes.
-
-    Returns (copy, class number) in class order.  A chain-disjoint family
-    takes at most one copy per class, so among the copies up to a position a
-    family gains at most that position's class number.
-    """
-    order = []
-    colour = 0
-    while candidates:
-        colour += 1
-        free = candidates
-        while free:
-            low = free & -free
-            v = low.bit_length() - 1
-            order.append((v, colour))
-            candidates ^= low
-            free &= conflict[v] ^ low
-    return order
-
-
-def _max_family_through_first(conflict: list[int], budget: int) -> int:
-    """Largest pairwise non-conflicting family that contains copy 0.
-
-    Branch and bound in the order of Tomita and Seki's MCQ (2003): expand the
-    candidates from the highest class number down and cut a node once its
-    family size plus the class number cannot pass the best found.  The
-    search stops as soon as a family reaches the budget, an upper bound on
-    the family size.  The recursion is as deep as the family is large, which
-    the budget bounds.
-    """
-    best = 1
-    nodes = 0
-
-    def expand(size: int, candidates: int) -> None:
-        nonlocal best, nodes
-        for v, colour in reversed(_colour_classes(candidates, conflict)):
-            if size + colour <= best or best >= budget:
-                return
-            nodes += 1
-            if nodes > PACKING_NODE_BUDGET:
-                raise PackingCapError(
-                    f"search passed the node budget of {PACKING_NODE_BUDGET} nodes"
-                )
-            rest = candidates & ~conflict[v]
-            if rest:
-                expand(size + 1, rest)
-            else:
-                best = max(best, size + 1)
-            candidates ^= 1 << v
-
-    expand(1, ((1 << len(conflict)) - 1) & ~conflict[0])
-    return best
-
-
-def _level_bound(levels: list[tuple[int, int]]) -> int:
-    """Upper bound on a chain-disjoint family over (avail, need) levels:
-    P(S) <= min_j floor(avail_j * P(S - j) / need_j) over the level sets S,
-    from P of no level = 1.  The copies through one vertex of level j miss
-    each other on the other levels, so at most P(S - j) of them pass there,
-    and each copy passes need_j of the avail_j vertices.  On one level it is
-    floor(avail / need), and it is never above the chain budget
-    prod avail // prod need.  It takes 2^L steps for L levels; a level with
-    2 * need <= avail has C(avail, need) >= 6 copies, so the copy cap bounds L."""
-    bound = [1] * (1 << len(levels))
-    for subset in range(1, len(bound)):
-        bound[subset] = min(
-            avail * bound[subset ^ 1 << j] // need
-            for j, (avail, need) in enumerate(levels) if subset >> j & 1
-        )
-    return bound[-1]
-
-
 def max_disjoint_packing(
     P: CobwebPoset, k: int, m: int, cap: int = 5000
 ) -> PackingReport:
@@ -366,12 +248,13 @@ def max_disjoint_packing(
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    shape = _copy_shape(P, k, m)
-    copies_total = 1
-    for avail, need in shape:
-        copies_total *= math.comb(avail, need)
-        if copies_total > cap:
-            raise PackingCapError(f"instance has more copies than the cap of {cap}")
+    from ._packing import (
+        _copies_total, _copy_shape, _kronecker, _level_bound, _level_conflicts,
+        _max_family_through_first,
+    )
+
+    shape = _copy_shape(P.level_sizes, P.L, k, m)
+    copies_total = _copies_total(shape, cap)
     chains_total = math.prod(avail for avail, _ in shape)
     chain_cost = math.prod(need for _, need in shape)
     quotient = exact_quotient(chains_total, chain_cost)
@@ -449,3 +332,90 @@ def export_dot(P: CobwebPoset) -> Iterator[str]:
             source = f'    "{a},{s}"'
             yield source + source.join(targets)
     yield "}\n"
+
+
+# The ``cobweb poset`` handlers; each refuses before it returns.  A dense
+# export (``zeta|mobius|dot|dim2``) and the enumerate walk of ``chains`` are
+# priced by ``check_work`` on running totals of the level sizes as
+# ``level_sizes`` reads them, and built from the sizes the price read: a
+# refusal reads no term past the first level over the bound.
+
+
+def _priced_poset(
+    args: SimpleNamespace, price: Callable[[Iterator[int]], Iterable[int]], unit: str
+) -> CobwebPoset:
+    """The poset of ``args``, refused by ``check_work`` at the first running
+    total past the bound that ``price`` reads off its level sizes.  Each term
+    is read once, by the price, and the poset is built from the sizes it read."""
+    F = parse_sequence(args.spec)
+    priced, kept = tee(level_sizes(F, args.levels))
+    check_work(price(priced), unit)
+    return CobwebPoset(F, kept)
+
+
+def _cmd_poset_build(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
+    """The level sizes, written as a second read of the terms yields them:
+    the first checks every level, so a refusal prints nothing, and no more
+    than one level is held."""
+    F = parse_sequence(args.spec)
+    for _ in level_sizes(F, args.levels):
+        pass
+    return 0, chain(_levels_json(F.spec, level_sizes(F, args.levels)), "\n")
+
+
+def _cmd_poset_dot(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
+    P = _priced_poset(args, lambda sizes: accumulate(starmap(mul, pairwise(sizes))), "edges")
+    return 0, export_dot(P)
+
+
+def _cmd_poset_chains(args: SimpleNamespace) -> tuple[int, dict]:
+    k, n = args.from_level, args.to_level
+    # before any term is read; a negative level count keeps its own refusal
+    if args.levels >= 0 and not 0 <= k < n <= args.levels:
+        raise ValueError(f"need 0 <= from-level < to-level <= {args.levels}")
+    if args.mode == "enumerate":
+        P = _priced_poset(args, lambda sizes: accumulate(islice(sizes, k + 1, n + 1), mul),
+                          "chains")
+    else:
+        P = build_poset(parse_sequence(args.spec), args.levels)
+    count = count_max_chains_between(P, k, n, args.mode)
+    payload = {"spec": args.spec, "levels": P.L, "from_level": k, "to_level": n}
+    return 0, {**payload, "mode": args.mode, "count": str(count)}
+
+
+def _cmd_poset_pack(args: SimpleNamespace) -> tuple[int, dict]:
+    """The packing of levels k..k+m.  One read of the terms checks every
+    level and keeps only levels 1..m and k+1..k+m, on which the copy shape
+    and the copy cap refuse as ``max_disjoint_packing`` would; only an
+    instance the cap admits gets its poset, built by a second read."""
+    from ._packing import _copies_total, _copy_shape
+
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
+    k, m = args.root_level, args.m
+    F = parse_sequence(args.spec)
+    kept = {s: size for s, size in enumerate(level_sizes(F, k + m)) if s <= m or s > k}
+    _copies_total(_copy_shape(kept, k + m, k, m), args.cap)
+    report = max_disjoint_packing(build_poset(F, k + m), k, m, cap=args.cap)
+    return (0 if report.tight else 1), report.to_json_dict()
+
+
+def _cmd_poset_matrix(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
+    from . import incidence
+
+    P = _priced_poset(args, lambda sizes: (N * N for N in accumulate(sizes)), "matrix entries")
+    M = (incidence.mobius_matrix if args.subcommand == "mobius" else incidence.zeta_matrix)(P)
+    if args.format == "csv":
+        return 0, M.to_csv()
+    return 0, chain(M.to_json(), "\n")
+
+
+def _cmd_poset_dim2(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
+    P = _priced_poset(args, lambda sizes: (2 * N for N in accumulate(sizes)), "labels")
+    realizer = dim2_realizer(P)
+    # the realizer is correct by construction; tests/oracles.py checks its N^2 pairs
+    head = json.dumps({"spec": args.spec, "levels": P.L, "verified": True})
+    return 0, chain(
+        (head[:-1], ', "l1": '), labels_json(realizer.order_a),
+        (', "l2": ',), labels_json(realizer.order_b), ("}\n",),
+    )

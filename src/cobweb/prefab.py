@@ -22,20 +22,22 @@ its sample count and seed.  It checks each law once per distinct operand
 tuple drawn, weighted by how often it was drawn, in one pass whose memory
 does not grow with the sample count.  It needs neither coefficients nor
 rationals, so the sizes, copy counts and quotient law import ``fnomial`` and
-``Fraction`` where they use them.  Everything here is pure on immutable values.
+``Fraction`` where they use them; its pool, draw and law tables are in
+``_laws``, which loads only when it runs.  Everything here is pure on
+immutable values.  The ``cobweb prefab`` handlers close the module.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from itertools import compress, product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .fseq import FSequence, _Frozen, parse_int
+from .fseq import FSequence, _Frozen, parse_int, parse_sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from types import SimpleNamespace
 
 
 class Prefabiant(_Frozen):
@@ -257,67 +259,6 @@ class LawReport(NamedTuple):
         }
 
 
-# The pool a sample draws from, built once: the empty element at index 0, then
-# the 13 x 12 layers of lower level 0..12 and width 1..12, layer (k, k + w) at 12k + w.
-_POOL = (EMPTY, *(Prefabiant(k, k + width) for k in range(13) for width in range(1, 13)))
-
-
-def _draw(rng: random.Random) -> int:
-    """The pool index of one drawn operand: the empty element with
-    probability 1/8, else ``12 * randint(0, 12) + randint(1, 12)``.  Each
-    ``randint`` is drawn as ``random.Random`` draws it, by rejecting 4-bit
-    ``getrandbits`` values out of range, so the stream is the same, but
-    without the three Python frames of a ``randint`` call."""
-    if rng.random() < 0.125:
-        return 0
-    bits = rng.getrandbits
-    k = bits(4)
-    while k >= 13:
-        k = bits(4)
-    width = bits(4)
-    while width >= 12:
-        width = bits(4)
-    return 12 * k + width + 1
-
-
-# Each law maps its operands, as many as it reads, to whether it holds, or to
-# None where it does not apply; the order is the payload order.
-_LAWS = {
-    "identity_odot": lambda a: odot(EMPTY, a) == a and odot(a, EMPTY) == a,
-    "identity_circ": lambda a: circ(EMPTY, a) == a and circ(a, EMPTY) == a,
-    "commutativity_circ": lambda a, b: circ(a, b) == circ(b, a),
-    "associativity_circ": lambda a, b, c: circ(circ(a, b), c) == circ(a, circ(b, c)),
-    "grading_odot": lambda a, b: None if a.is_empty or b.is_empty else (
-        (stacked := odot(a, b)).k == a.n and stacked.width == b.width),
-    "grading_circ": lambda a, b: None if a.is_empty or b.is_empty else (
-        (added := circ(a, b)).k == a.k + b.k and added.n == a.n + b.n),
-    "layer_prime_splitting": lambda a: None if a.is_empty or a.is_prime else (
-        odot(Prefabiant.prime(a.k), Prefabiant.prime(a.width)) == a),
-}
-_ARITY = {law: holds.__code__.co_argcount for law, holds in _LAWS.items()}
-
-# The two laws odot breaks, each from its operands to its two sides.
-_FAILING = {
-    "odot_noncommutativity": lambda a, b: (odot(a, b), odot(b, a)),
-    "odot_nonassociativity": lambda a, b, c: (odot(odot(a, b), c), odot(a, odot(b, c))),
-}
-# Canonical operands of the laws in _FAILING, in its order.  Nonassociativity
-# shows already on this small triple: stacking the composite of the first two
-# under the third lands two levels higher than stacking the last two onto the first.
-_CANONICAL = (
-    (Prefabiant.prime(2), Prefabiant.prime(3)),
-    (Prefabiant(1, 3), Prefabiant(0, 2), Prefabiant(0, 1)),
-)
-
-
-def _witness(law: str, operands: tuple[Prefabiant, ...]) -> LawWitness | None:
-    """The witness that law fails on operands, None where its sides agree."""
-    lhs, rhs = _FAILING[law](*operands)
-    if lhs == rhs:
-        return None
-    return LawWitness(law, tuple(map(str, operands)), str(lhs), str(rhs))
-
-
 def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     """Deterministic sampled law check over both algebras; no sequence enters.
 
@@ -336,6 +277,10 @@ def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     """
     if sample_count < 1:
         raise ValueError(f"sample count must be >= 1, got {sample_count}")
+    import random
+
+    from ._laws import _ARITY, _CANONICAL, _FAILING, _LAWS, _POOL, _draw, _witness
+
     rng = random.Random(seed)
     size = len(_POOL)
     # Draw counts of a at index i and of (a, b) at size * i + j: the order of
@@ -364,3 +309,36 @@ def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     laws = (LawResult(law, sample_count - v[None], v[False]) for law, v in verdicts.items())
     canonical = map(_witness, _FAILING, _CANONICAL)
     return LawReport(seed, sample_count, tuple(laws), (*canonical, *sampled.values()))
+
+
+def _cmd_prefab_compose(args: SimpleNamespace) -> tuple[int, dict]:
+    """``cobweb prefab compose``: the composite, and for a layer its
+    coefficient (and under ``odot`` its size)."""
+    F = parse_sequence(args.spec)
+    a = Prefabiant.parse(args.a)
+    b = Prefabiant.parse(args.b)
+    compose = odot if args.op == "odot" else circ
+    result = compose(a, b)
+    payload: dict = {
+        "op": args.op,
+        "a": str(a),
+        "b": str(b),
+        "result": str(result),
+        "width": result.width,
+    }
+    if not result.is_empty:
+        from .fnomial import f_nomial
+
+        coefficient = f_nomial(F, result.n, result.k)
+        payload["coefficient"] = str(coefficient)
+        payload["integral"] = coefficient.denominator == 1
+        if args.op == "odot":
+            payload["f_size"] = str(f_size(F, result, "odot"))
+    return 0, payload
+
+
+def _cmd_prefab_laws(args: SimpleNamespace) -> tuple[int, dict]:
+    """``cobweb prefab laws``: the sampled law report; exit 1 if a law fails."""
+    parse_sequence(args.spec)  # a malformed spec is still refused
+    report = check_algebra_laws(args.samples, args.seed)
+    return (0 if report.all_hold else 1), report.to_json_dict()

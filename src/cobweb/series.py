@@ -31,21 +31,23 @@ and sums in integers over it; ``fractions`` is imported only by the
 functions that build a fraction, so an integral count such as ``q_bell``
 never loads it.  Field sizes are checked prime by a
 deterministic Miller-Rabin test, which is exact below ``PRIMALITY_BOUND``;
-larger field sizes are refused.
+larger field sizes are refused.  The ``cobweb series`` handlers close the
+module.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, combinations, islice, product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from itertools import accumulate, chain, combinations, islice, product
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .fnomial import f_nomial_rows
 from .fseq import FSequence, _Frozen, exact_quotient, parse_sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from types import SimpleNamespace
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly below
 # this bound (psi_13 of Sorenson and Webster, "Strong pseudoprimes to twelve
@@ -352,3 +354,44 @@ def decomposition_oracle(q: int, n: int) -> int:
 
     extend(0, [], 0)
     return count
+
+
+def _cmd_series(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
+    """``cobweb series expf|enumerator``: the series to ``--order``."""
+    F = parse_sequence(args.spec)
+    build = exp_f_series if args.subcommand == "expf" else prefab_enumerator
+    return 0, chain(build(F, args.order).to_json(), "\n")
+
+
+def _with_oracle(
+    args: SimpleNamespace, payload: dict, key: str, formula: Callable, oracle: Callable
+) -> tuple[int, dict]:
+    """The formula's value under ``key``; with --oracle also the independent
+    route's value and the verdict.  The oracle runs first and checks its
+    arguments before it reads any term or lists any subspace: first as the
+    formula checks them, so a malformed input gets the formula's own
+    refusal, then against its size bound, so that it refuses before the
+    formula runs.  ``series bell``'s bound is on n alone, so it checks n
+    before any term is read."""
+    expected = oracle() if args.oracle else None
+    payload[key] = str(value := formula())
+    if args.oracle:
+        payload["oracle"] = str(expected)
+        payload["match"] = value == expected
+    return (0 if payload.get("match", True) else 1), payload
+
+
+def _cmd_series_bell(args: SimpleNamespace) -> tuple[int, dict]:
+    """``cobweb series bell``: B_n, and with --oracle its partition sum."""
+    F = parse_sequence(args.spec)
+    return _with_oracle(args, {"spec": args.spec, "n": args.n}, "value",
+                        lambda: bell_f(F, args.n),
+                        lambda: bell_by_partitions(F, args.n))
+
+
+def _cmd_series_qbell(args: SimpleNamespace) -> tuple[int, dict]:
+    """``cobweb series qbell``: the decomposition count, and with --oracle
+    the subspace enumeration."""
+    return _with_oracle(args, {"q": args.q, "n": args.n}, "formula",
+                        lambda: q_bell(args.q, args.n),
+                        lambda: decomposition_oracle(args.q, args.n))

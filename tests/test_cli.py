@@ -406,6 +406,66 @@ def test_poset_pack_refused_by_node_budget(capsys):
     assert "node budget" in err
 
 
+def test_a_pack_refusal_holds_only_the_levels_it_checks(capsys):
+    # the copy shape reads levels 1..10 and 29991..30000; the 30000 sizes of
+    # gauss:3, held whole to refuse, came to about 107 MB
+    tracemalloc.start()
+    try:
+        code = main(["poset", "pack", "--spec", "gauss:3", "--root-level", "29990",
+                     "--m", "10"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: instance has more copies than the cap of 5000\n")
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ("--spec bogus --root-level 1 --m 2 --cap 0", "--cap must be at least 1, got 0"),
+    ("--spec natural --root-level -3 --m 1", "level count must be nonnegative, got -2"),
+    ("--spec custom:1,2,3 --root-level 2 --m 2",
+     "'custom:1,2,3' defines only 3 terms, index 4 requested"),
+    # every level is read and checked before the height
+    ("--spec custom:1,-2 --root-level 5 --m -1",
+     "'custom:1,-2' gives nonpositive level size -2 at level 2"),
+    ("--spec natural --root-level 1 --m -1", "height must be nonnegative, got -1"),
+    ("--spec natural --root-level -1 --m 2", "copy levels -1..1 outside 0..1"),
+    ("--spec custom:1,5,2,1 --root-level 2 --m 2", "level 4 has 1 vertices, copy needs 5"),
+    ("--spec even --root-level 1 --m 2 --cap 10", "instance has more copies than the cap of 10"),
+], ids=["cap", "level-count", "finite", "nonpositive", "height", "range", "need", "copies"])
+def test_a_pack_refusal_keeps_its_order_and_message(capsys, argv, reason):
+    assert run(capsys, "poset", "pack", *argv.split()) == (2, "", f"error: {reason}\n")
+
+
+def test_poset_build_holds_one_level_at_a_time(monkeypatch):
+    # the 6000 sizes of gauss:3 alone take about 3.6 MB
+    F = fseq.parse_sequence("gauss:3")
+    sizes = [str(size) for size in poset.level_sizes(F, 6000)]
+    text = json.dumps({"spec": "gauss:3", "levels": sizes}) + "\n"
+    sink = HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["poset", "build", "--spec", "gauss:3", "--levels", "6000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20
+    assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("custom:1,2,3", "'custom:1,2,3' defines only 3 terms, index 4 requested"),
+    ("custom:1,2,-3,4,5", "'custom:1,2,-3,4,5' gives nonpositive level size -3 at level 3"),
+])
+def test_poset_build_refuses_a_bad_level_before_any_text(capsys, spec, reason):
+    # the payload streams, so every level is checked by a first read
+    assert run(capsys, "poset", "build", "--spec", spec, "--levels", "5") == (
+        2, "", f"error: {reason}\n")
+
+
 def test_poset_zeta_and_mobius(capsys):
     P = poset.build_poset(fseq.parse_sequence("const:1"), 2)
     Z = incidence.zeta_matrix(P)

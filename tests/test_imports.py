@@ -59,6 +59,8 @@ POSET = BASE | {"cobweb.fseq", "cobweb.poset"}
 CHAINS = ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "1",
           "--to-level", "3", "--mode"]
 PACK = ["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"]
+# a pack call checks the copy shape and cap with the search's own helpers
+PACKING = POSET | {"cobweb._packing"}
 
 # id -> (argv, exit code, cobweb modules loaded, FRACTIONS modules loaded); as
 # valid calls, none of them loads an ARGPARSE module
@@ -80,13 +82,13 @@ CLI_CALLS = {
     "poset build": (["poset", "build", "--spec", "fibonacci", "--levels", "4"], 0,
                     POSET, NONE),
     "poset dot": (["poset", "dot", "--spec", "natural", "--levels", "3"], 0, POSET, NONE),
-    "poset pack": (PACK, 1, POSET, NONE),
+    "poset pack": (PACK, 1, PACKING, NONE),
     # the quotient 3/2 is the one fraction a packing builds
     "poset pack fractional": (
         ["poset", "pack", "--spec", "custom:2,3", "--root-level", "1", "--m", "1"], 1,
-        POSET, FRACTIONS),
+        PACKING, FRACTIONS),
     # refused by the copy cap before any quotient is formed
-    "poset pack cap-refused": (PACK + ["--cap", "1"], 2, POSET, NONE),
+    "poset pack cap-refused": (PACK + ["--cap", "1"], 2, PACKING, NONE),
     "poset chains": (CHAINS + ["product"], 0, POSET, NONE),
     # the matrix walk steps through one row with no incidence table
     "poset chains matrix": (CHAINS + ["matrix"], 0, POSET, NONE),
@@ -113,7 +115,7 @@ CLI_CALLS = {
                         "--spec", "fibonacci"], 0, COEFFICIENTS | {"cobweb.prefab"}, NONE),
     # the laws act on layer bounds alone: no coefficient, no rational
     "prefab laws": (["prefab", "laws", "--spec", "fibonacci", "--samples", "50", "--seed", "1"],
-                    0, BASE | {"cobweb.fseq", "cobweb.prefab"}, NONE),
+                    0, BASE | {"cobweb.fseq", "cobweb.prefab", "cobweb._laws"}, NONE),
 }
 
 
@@ -296,3 +298,34 @@ def test_every_private_module_level_name_in_src_is_used():
     unused = [name for name, node in private
               if everywhere[name] == Counter(references(node))[name]]
     assert unused == []
+
+
+def test_no_package_module_but_cli_imports_the_cli():
+    # a handler that imported the front end would compile it a second time,
+    # beside the ``__main__`` copy that ``python -m cobweb.cli`` runs
+    found = []
+    for path in sorted(Path(SRC, "cobweb").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = "cobweb" if node.level else ""
+                module = ".".join(filter(None, (package, node.module)))
+                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "cobweb.cli"]
+    assert found == []
+
+
+def test_every_command_handler_lives_in_its_groups_module():
+    # cli.py holds the table, the parser and the writer; each handler is
+    # compiled only by the calls of its group, in the module it drives
+    from cobweb import cli
+
+    for (group, name), (_help, handler, _options) in cli.COMMANDS.items():
+        if handler is not None:
+            module = importlib.import_module(f"cobweb.{cli.MODULES[group]}")
+            assert handler(module).__module__ == module.__name__ != "cobweb.cli", (group, name)

@@ -11,11 +11,11 @@ from cobweb.cli import main
 from cobweb.fnomial import f_factorial, f_nomial, falling_f
 from cobweb import poset
 from cobweb.fseq import parse_sequence
+from cobweb._packing import _level_bound
 from cobweb.poset import (
     CobwebPoset,
     PackingCapError,
     Vertex,
-    _level_bound,
     build_poset,
     count_max_chains_between,
     dim2_realizer,

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobweb import prefab
+from cobweb import _laws, prefab
 from cobweb.cli import main
 from cobweb.fnomial import f_factorial, f_nomial
 from cobweb.fseq import parse_sequence
@@ -385,8 +385,8 @@ def test_a_broken_composition_fails_its_laws(monkeypatch, variant, broken):
 def test_the_bit_draws_give_the_randint_draws(seed, count):
     # the checker's rejection loops over getrandbits pick what randint picks
     fast, reference = random.Random(seed), random.Random(seed)
-    indices = [prefab._draw(fast) for _ in range(count)]
-    assert indices == [prefab._POOL.index(draw_operand(reference)) for _ in range(count)]
+    indices = [_laws._draw(fast) for _ in range(count)]
+    assert indices == [_laws._POOL.index(draw_operand(reference)) for _ in range(count)]
 
 
 def test_law_check_memory_does_not_grow_with_the_sample_count():
