@@ -5,7 +5,7 @@ arithmetic: sequence-nomial coefficient triangles and their admissibility,
 graded posets with complete bipartite covering relations, chain counts by
 product formula (the covering-matrix power) and literal enumeration, exact
 max-disjoint packings of embedded prime copies, two layer-composition
-algebras with their size quotients, and exponential-formula enumerators
+algebras with their size functions, and exponential-formula enumerators
 including the vector-space decomposition counts over prime fields.
 
 Importing the package loads none of its modules.  Each public name below is
@@ -19,24 +19,20 @@ _EXPORTS = {
     "fnomial": ("f_factorial", "f_nomial", "falling_f"),
     "fseq": (
         "AdmissibilityReport", "FSequence", "GcdMorphismReport", "SequenceError",
-        "admissibility_scan", "is_cobweb_admissible_prefix", "is_gcd_morphic_prefix",
-        "parse_sequence",
+        "is_cobweb_admissible_prefix", "is_gcd_morphic_prefix", "parse_sequence",
     ),
-    "incidence": (
-        "IncidenceMatrix", "chain_count_matrix", "mobius_matrix", "zeta_matrix",
-    ),
+    "incidence": ("IncidenceMatrix", "mobius_matrix", "zeta_matrix"),
     "poset": (
         "CobwebPoset", "Dim2Realizer", "PackingCapError", "PackingReport", "Vertex",
         "build_poset", "count_max_chains_between", "dim2_realizer", "export_dot",
         "max_disjoint_packing",
     ),
     "prefab": (
-        "EMPTY", "C2Record", "LawReport", "Prefabiant", "check_algebra_laws", "circ",
-        "copies_count", "f_size", "odot", "verify_c2",
+        "EMPTY", "LawReport", "Prefabiant", "check_algebra_laws", "circ", "f_size", "odot",
     ),
     "series": (
         "FormalSeries", "bell_by_partitions", "bell_f", "decomposition_oracle",
-        "exp_f_series", "prefab_enumerator", "q_bell", "q_stirling",
+        "exp_f_series", "prefab_enumerator", "q_bell",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,8 +6,7 @@ taken as 1 and the bottom level of every poset holds a single vertex, so
 whatever ``term(0)`` returns is irrelevant.
 
 Sequences are immutable after construction and safe to share for concurrent
-reads.  A scan over many candidate sequences emits one report per candidate,
-in input order, and a broken candidate never aborts the rest of the scan.
+reads.
 
 ``exact_quotient`` is the package's one exact-division rule: a quotient of
 the integer type asked for where it is integral, a reduced ``Fraction``
@@ -21,7 +20,7 @@ import json
 import math
 import operator
 import re
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:  # named only in annotations: fractions load on a remainder
     from decimal import Decimal
@@ -233,9 +232,8 @@ def parse_sequence(spec: str) -> FSequence:
 class AdmissibilityReport(NamedTuple):
     """Outcome of an exact coefficient-integrality scan over one prefix.
 
-    ``verdict`` is "admissible" or "violation"; a scan that could not finish
-    (zero term, exhausted finite sequence) reports "error" instead.  The
-    verdict never says anything beyond the scanned bound.
+    ``verdict`` is "admissible" or "violation"; it never says anything
+    beyond the scanned bound.
     """
 
     spec: str
@@ -243,7 +241,6 @@ class AdmissibilityReport(NamedTuple):
     verdict: str
     violation: tuple[int, int] | None = None
     value: int | Fraction | None = None
-    error: str | None = None
 
     @property
     def admissible(self) -> bool:
@@ -254,8 +251,6 @@ class AdmissibilityReport(NamedTuple):
         if self.violation is not None:
             n, k = self.violation
             out["first_violation"] = {"n": n, "k": k, "value": str(self.value)}
-        if self.error is not None:
-            out["error"] = self.error
         return out
 
 
@@ -353,17 +348,6 @@ def is_gcd_morphic_prefix(F: FSequence, bound: int) -> GcdMorphismReport:
                 return GcdMorphismReport(F.spec, bound, False, (n, m))
         raise AssertionError(f"row {n} of {F.spec!r} failed the criterion with no violating pair")
     return GcdMorphismReport(F.spec, bound, True)
-
-
-def admissibility_scan(
-    candidates: Iterable[FSequence], bound: int
-) -> Iterator[AdmissibilityReport]:
-    """One report per candidate, in input order; failures don't stop the scan."""
-    for F in candidates:
-        try:
-            yield is_cobweb_admissible_prefix(F, bound)
-        except SequenceError as exc:
-            yield AdmissibilityReport(F.spec, bound, "error", error=str(exc))
 
 
 def _cmd_seq_check(args: SimpleNamespace) -> tuple[int, dict]:

@@ -3,10 +3,12 @@
 A cobweb poset is an ordinal sum of antichains, so every incidence function
 here is constant on level blocks: one value on each diagonal vertex of
 level s, one on every pair (level s, level t) with s < t, and 0 on two
-distinct vertices of one level.  Zeta, Möbius and the chain counts are the
-one closed form z·∏_(s<j<t)(1 + w·n_j) on levels s < t, with 1 on the
-diagonal, so an ``IncidenceMatrix`` is the poset and the two integers
-(z, w), and ``row(s)`` computes level row s as one running product, O(L).
+distinct vertices of one level.  Zeta, Möbius and the counts of all chains
+are the one closed form z·∏_(s<j<t)(1 + w·n_j) on levels s < t, with 1 on
+the diagonal, so an ``IncidenceMatrix`` is the poset and the two integers
+(z, w): (1, 0) for ``zeta_matrix``, (−1, −1) for ``mobius_matrix`` and
+(1, 1) for the chain counts, ``IncidenceMatrix(P, 1, 1)``.  ``row(s)``
+computes level row s as one running product, O(L).
 The dense matrix is only exported, in the contract ordering (level-major, j
 ascending), byte for byte stable, and its text is yielded one dense row at a
 time, so no export holds more than one level row and one dense row.  An
@@ -103,8 +105,3 @@ def mobius_matrix(P: CobwebPoset) -> IncidenceMatrix:
     mu = -prod_(s<j<t) (1 - n_j) on levels s < t."""
     return IncidenceMatrix(P, -1, -1)
 
-
-def chain_count_matrix(P: CobwebPoset) -> IncidenceMatrix:
-    """Counts of all chains x = z_0 < ... < z_t = y, any length t >= 0: the
-    geometric sum of eta at z = 1, prod_(s<j<t) (1 + n_j) on levels s < t."""
-    return IncidenceMatrix(P, 1, 1)

@@ -111,19 +111,15 @@ class CobwebPoset:
             yield from product(self.level(s), self.level(s + 1))
 
     def to_json_dict(self) -> dict:
-        """The ``to_json`` text read back: the spec and the level sizes as strings."""
-        return json.loads("".join(self.to_json()))
-
-    def to_json(self) -> Iterator[str]:
-        """The spec and the level sizes as decimal strings, the ``json.dumps``
-        text of ``to_json_dict``, yielded one level size at a time: no more
-        than one level's text is held."""
-        return _levels_json(self.F.spec, self.level_sizes)
+        """The spec and the level sizes as decimal strings: the ``poset build``
+        payload, whose text ``_levels_json`` yields."""
+        return {"spec": self.F.spec, "levels": [str(size) for size in self.level_sizes]}
 
 
 def _levels_json(spec: str, sizes: Iterable[int]) -> Iterator[str]:
-    """The text of ``CobwebPoset.to_json`` for a spec and its level sizes,
-    read one at a time as the text is yielded.  Digits need no escaping."""
+    """The ``json.dumps`` text of ``CobwebPoset.to_json_dict`` for a spec and
+    its level sizes, read one at a time as the text is yielded, so no more
+    than one level's text is held.  Digits need no escaping."""
     yield f'{{"spec": {json.dumps(spec)}, "levels": ["'
     for s, size in enumerate(sizes):
         if s:

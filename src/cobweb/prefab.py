@@ -14,15 +14,18 @@ unique choice that makes the quotient law produce the layer's coefficient for
 prime pairs and gives left-nested prime powers the factorial of their total
 width.  Left nesting is the fixed convention for powers since ``odot`` does
 not associate.  For ``circ`` the size is constant 1, or alpha^width for a
-given nonzero alpha.  Sizes and copy counts take the sequence F directly.
+given nonzero alpha.  Sizes take the sequence F directly.  A layer's copy
+count is its coefficient ``fnomial.f_nomial(F, n, k)``, and the quotient law
+on primes a, b of widths k, m reads f(a odot b) / (f(a) f(b)) =
+``f_nomial(F, k + m, k)``.
 
 The algebra laws are sequence-independent: both compositions act on layer
 bounds alone, so the law checker takes no sequence and is deterministic given
 its sample count and seed.  It checks each law once per distinct operand
 tuple drawn, weighted by how often it was drawn, in one pass whose memory
 does not grow with the sample count.  It needs neither coefficients nor
-rationals, so the sizes, copy counts and quotient law import ``fnomial`` and
-``Fraction`` where they use them; its pool, draw and law tables are in
+rationals, so the sizes and the ``compose`` handler import ``fnomial`` where
+they use it; its pool, draw and law tables are in
 ``_laws``, which loads only when it runs.  Everything here is pure on
 immutable values.  The ``cobweb prefab`` handlers close the module.
 """
@@ -133,78 +136,6 @@ def f_size(
     if alpha is None:
         return 1
     return alpha**a.width
-
-
-def copies_count(F: FSequence, a: Prefabiant) -> int:
-    """Number of max-disjoint copies the element stands for.
-
-    1 for the empty element; for a layer it is the coefficient (n over k)_F,
-    which must be an integer (the sequence must be admissible that far).
-    """
-    if a.is_empty:
-        return 1
-    from .fnomial import f_nomial
-
-    coefficient = f_nomial(F, a.n, a.k)
-    if coefficient.denominator != 1:
-        raise ValueError(
-            f"({a.n} over {a.k}) is {coefficient} for {F.spec!r}: "
-            "not an integer, sequence is not admissible here"
-        )
-    return coefficient.numerator
-
-
-class C2Record(NamedTuple):
-    """The quotient law on a prime pair, with all three values side by side."""
-
-    k: int
-    m: int
-    size_ratio: Fraction
-    coefficient: int | Fraction
-    copies: int | None
-    holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "size_ratio": str(self.size_ratio),
-            "coefficient": str(self.coefficient),
-            "copies": None if self.copies is None else str(self.copies),
-            "holds": self.holds,
-        }
-
-
-def verify_c2(F: FSequence, a: Prefabiant, b: Prefabiant) -> C2Record:
-    """Check f(a odot b) / (f(a) f(b)) against the coefficient of the result.
-
-    Defined for distinct primes; a pair of equal primes shares a factor and is
-    outside the law's hypothesis, so it is rejected.  A non-integral
-    coefficient is reported in the record, never raised.
-    """
-    if not (a.is_prime and b.is_prime):
-        raise ValueError("the quotient law is checked on prime elements")
-    if a == b:
-        raise ValueError("primes must be distinct")
-    from fractions import Fraction
-
-    from .fnomial import f_nomial
-
-    composed = odot(a, b)
-    ratio = Fraction(
-        f_size(F, composed, "odot"),
-        f_size(F, a, "odot") * f_size(F, b, "odot"),
-    )
-    coefficient = f_nomial(F, composed.n, composed.k)
-    copies = coefficient.numerator if coefficient.denominator == 1 else None
-    return C2Record(
-        k=a.width,
-        m=b.width,
-        size_ratio=ratio,
-        coefficient=coefficient,
-        copies=copies,
-        holds=ratio == coefficient,
-    )
 
 
 class LawWitness(NamedTuple):

@@ -8,9 +8,7 @@ coefficient back by the factorial.
 One exponential formula serves every count, scaled by the factorials so
 that it runs on the coefficients (m over j)_F of one streamed triangle row at
 a time: B_m = F_m! [x^m] exp(E - 1) obeys
-B_m = (1/m) sum_j j (m over j)_F B_(m-j), and the k-summand term
-P_k(m) = F_m! [x^m] (E - 1)^k / k! obeys
-P_k(m) = (1/k) sum_j (m over j)_F P_(k-1)(m-j).  For an admissible F the
+B_m = (1/m) sum_j j (m over j)_F B_(m-j).  For an admissible F the
 divisions are exact on integers.  The vector-space counts are that formula
 over the bg:q sequence, whose factorials (``fnomial.f_factorial``) are the
 orders of the general linear groups over a prime field; they count the
@@ -76,21 +74,6 @@ class FormalSeries(_Frozen):
             raise ValueError("a series carries at least its constant term")
         FormalSeries.coeffs.__set__(self, coeffs)
 
-    @classmethod
-    def from_coefficients(cls, values: Iterable[int | Fraction]) -> "FormalSeries":
-        from fractions import Fraction
-
-        return cls(tuple(Fraction(v) for v in values))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside 0..{self.order}")
-        return self.coeffs[n]
-
     def to_json(self) -> Iterator[str]:
         """The text json.dumps gives for the coefficient strings (which need
         no escaping), yielded one coefficient at a time."""
@@ -126,20 +109,6 @@ def _scaled_enumerator(F: FSequence, n: int) -> list[int | Fraction]:
         B.append(value)
         S.append(value.numerator * (D // value.denominator))
     return B
-
-
-def _scaled_power(F: FSequence, n: int, k: int) -> int | Fraction:
-    """P_k(n) = F_n! [x^n] (E - 1)^k / k!, by
-    P_i(m) = (1/i) sum_{j>=1} (m over j)_F P_(i-1)(m-j) from P_0(m) = [m = 0],
-    all i <= k carried along one streamed coefficient row at a time, each
-    step one ``exact_quotient``.  Over ``bg:q``, its one caller's sequence,
-    every P_i(m) counts decompositions, so no step builds a fraction."""
-    P = [[1] + [0] * n] + [[0] * (n + 1) for _ in range(k)]
-    for m, row in zip(range(1, n + 1), islice(f_nomial_rows(F), 1, None)):
-        for i in range(1, min(k, m) + 1):
-            below = P[i - 1]
-            P[i][m] = exact_quotient(sum(row[j] * below[m - j] for j in range(1, m - i + 2)), i)
-    return P[k][n]
 
 
 def exp_f_series(F: FSequence, order: int) -> FormalSeries:
@@ -250,15 +219,6 @@ def q_bell(q: int, n: int) -> int:
     """Number of unordered direct-sum decompositions of the n-dim space over
     the q-element field, via the exponential formula on linear-group orders."""
     return _integral(_scaled_enumerator(_bg(q, n), n)[n], "decomposition count")
-
-
-def q_stirling(q: int, n: int, k: int) -> int:
-    """Decompositions with exactly k summands: the k-th power term of the
-    exponential formula."""
-    F = _bg(q, n)
-    if not 1 <= k <= n:
-        raise ValueError(f"summand count needs 1 <= k <= n, got {k}")
-    return _integral(_scaled_power(F, n, k), "summand count")
 
 
 def _widen(

@@ -45,7 +45,6 @@ from typing import Iterator
 from cobweb import prefab
 from cobweb.fnomial import f_nomial
 from cobweb.fseq import FSequence, GcdMorphismReport, SequenceError
-from cobweb.incidence import chain_count_matrix
 from cobweb.poset import CobwebPoset, Vertex
 from cobweb.prefab import EMPTY, LawReport, LawResult, LawWitness, Prefabiant
 from cobweb.series import FormalSeries, enumerate_subspaces
@@ -219,14 +218,6 @@ def to_dense(M) -> list[list[int]]:
     return [[entry(M, x, y) for y in vertices] for x in vertices]
 
 
-def count_chains(P: CobwebPoset, x: Vertex, y: Vertex) -> int:
-    """Number of chains from x to y inclusive, of any length, read from the
-    chain-count table."""
-    if not leq(P, x, y):
-        raise ValueError(f"{x} and {y} are incomparable")
-    return entry(chain_count_matrix(P), x, y)
-
-
 def convolve(sizes: tuple[int, ...], rows: list[list[int]], s: int, row: list[int]) -> list[int]:
     """Row s of R·T for the block table T of ``rows`` and any R whose row s is ``row``:
     sum over s <= r <= t of w_r row[r] T[r][t].
@@ -385,8 +376,9 @@ def series_exp(s: FormalSeries) -> FormalSeries:
     """
     if s.coeffs[0] != 0:
         raise ValueError("series exponential requires a zero constant term")
-    out = [Fraction(1)] + [Fraction(0)] * s.order
-    for n in range(1, s.order + 1):
+    order = len(s.coeffs) - 1
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
         acc = Fraction(0)
         for j in range(1, n + 1):
             if s.coeffs[j]:
@@ -404,7 +396,7 @@ def series_add(a: FormalSeries, b: FormalSeries | int | Fraction) -> FormalSerie
     """a + b truncated to the smaller order; a scalar b adds to the constant term."""
     if isinstance(b, (int, Fraction)):
         return FormalSeries((a.coeffs[0] + b,) + a.coeffs[1:])
-    order = min(a.order, b.order)
+    order = min(len(a.coeffs), len(b.coeffs)) - 1
     return FormalSeries(tuple(a.coeffs[n] + b.coeffs[n] for n in range(order + 1)))
 
 
@@ -416,7 +408,7 @@ def series_sub(a: FormalSeries, b: FormalSeries | int | Fraction) -> FormalSerie
 
 def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
     """Cauchy product truncated to the smaller order."""
-    order = min(a.order, b.order)
+    order = min(len(a.coeffs), len(b.coeffs)) - 1
     return FormalSeries(
         tuple(
             sum((a.coeffs[j] * b.coeffs[n - j] for j in range(n + 1)), Fraction(0))

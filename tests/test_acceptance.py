@@ -23,13 +23,12 @@ from cobweb.poset import (
     dim2_realizer,
     max_disjoint_packing,
 )
-from cobweb.prefab import Prefabiant, check_algebra_laws, verify_c2
+from cobweb.prefab import Prefabiant, check_algebra_laws, f_size, odot
 from cobweb.series import (
     bell_f,
     decomposition_oracle,
     exp_f_series,
     q_bell,
-    q_stirling,
     FormalSeries,
 )
 from oracles import (
@@ -46,6 +45,7 @@ from oracles import (
     leq,
     maximal_chain_row,
     multiply,
+    scaled_power_by_fractions,
     series_exp,
     to_dense,
 )
@@ -195,11 +195,10 @@ def test_criterion_06_quotient_law_on_prime_pairs():
                 for m in range(1, 13 - k):
                     if k == m:
                         continue
-                    record = verify_c2(
-                        F, Prefabiant.prime(k), Prefabiant.prime(m)
+                    a, b = Prefabiant.prime(k), Prefabiant.prime(m)
+                    assert f_size(F, odot(a, b), "odot") == (
+                        f_size(F, a, "odot") * f_size(F, b, "odot") * f_nomial(F, k + m, k)
                     )
-                    assert record.holds
-                    assert record.size_ratio == f_nomial(F, k + m, k)
 
 
 def test_criterion_07_packing_oracle():
@@ -242,10 +241,10 @@ def test_criterion_09_vector_space_decompositions():
         assert q_bell(2, 2) == 4 == decomposition_oracle(2, 2)
         assert q_bell(2, 3) == 57 == decomposition_oracle(2, 3)
         assert q_bell(3, 2) == 7 == decomposition_oracle(3, 2)
-        stirling = [q_stirling(2, 3, k) for k in (1, 2, 3)]
-        assert stirling == [1, 28, 28]
-        assert sum(stirling) == 57
         bg2 = parse_sequence("bg:2")
+        stirling = [scaled_power_by_fractions(bg2, 3, k) for k in (1, 2, 3)]
+        assert stirling == [1, 28, 28]
+        assert sum(stirling) == 57 == q_bell(2, 3)
         assert f_factorial(bg2, 2) == 6 == gl_order(2, 2) == count_invertible_matrices(2, 2)
         assert f_factorial(bg2, 3) == 168 == gl_order(2, 3) == count_invertible_matrices(2, 3)
 
@@ -256,8 +255,8 @@ def test_criterion_10_sequence_exponential():
             F = parse_sequence(spec)
             series = exp_f_series(F, 30)
             for n in range(31):
-                assert series.coefficient(n) == Fraction(1, f_factorial(F, n))
-        ordinary = series_exp(FormalSeries.from_coefficients([0, 1] + [0] * 29))
+                assert series.coeffs[n] == Fraction(1, f_factorial(F, n))
+        ordinary = series_exp(FormalSeries(tuple(map(Fraction, [0, 1] + [0] * 29))))
         assert exp_f_series(parse_sequence("natural"), 30) == ordinary
 
 

@@ -12,7 +12,6 @@ from cobweb.fnomial import _exact_context
 from cobweb.fseq import (
     FSequence,
     SequenceError,
-    admissibility_scan,
     exact_quotient,
     is_cobweb_admissible_prefix,
     is_gcd_morphic_prefix,
@@ -297,29 +296,6 @@ def test_gcd_morphism_refuses_a_nonpositive_term_at_its_index():
     with pytest.raises(SequenceError, match="nonpositive term at index 4"):
         is_gcd_morphic_prefix(F, 5)
     assert reads == [1, 2, 3, 4]
-
-
-def test_scan_order_and_verdicts():
-    specs = ["natural", "even", "fibonacci"]
-    reports = list(admissibility_scan((parse_sequence(s) for s in specs), 15))
-    assert [r.spec for r in reports] == specs
-    assert all(r.admissible for r in reports)
-
-
-def test_scan_survives_bad_candidate():
-    candidates = [
-        parse_sequence("const:7"),
-        parse_sequence("custom:1,2"),  # exhausted below the bound
-        parse_sequence("natural"),
-    ]
-    reports = list(admissibility_scan(candidates, 10))
-    assert [r.verdict for r in reports] == ["admissible", "error", "admissible"]
-    assert reports[1].error is not None
-    assert reports[1].violation is None
-
-
-def test_scan_empty_stream():
-    assert list(admissibility_scan([], 10)) == []
 
 
 def test_report_json_shape():

@@ -185,11 +185,13 @@ def test_dir_and_star_import_cover_all_public_names():
 def test_unknown_attribute_is_named_in_the_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cobweb.no_such_name
-    # names that moved to tests/oracles.py or were folded into another route
+    # names that moved to tests/oracles.py, were folded into another route
+    # or were deleted
     for name in ("enumerate_copies", "f_nomial_from_factorials", "f_nomial_triangle",
                  "maximal_chain_matrix", "count_maximal_chains_matrix", "weight",
                  "count_invertible_matrices", "gl_order", "enumerator_coeff_by_partitions",
-                 "count_chains", "covering_matrix"):
+                 "count_chains", "covering_matrix", "admissibility_scan", "copies_count",
+                 "verify_c2", "C2Record", "q_stirling", "chain_count_matrix"):
         assert not hasattr(cobweb, name), name
 
 
@@ -298,6 +300,96 @@ def test_every_private_module_level_name_in_src_is_used():
     unused = [name for name, node in private
               if everywhere[name] == Counter(references(node))[name]]
     assert unused == []
+
+
+# Functions and methods under src/cobweb that no ``cli.main`` call enters,
+# each with its reason; every other one must be entered by a call of
+# ``test_every_function_in_src_is_entered_by_a_command``.
+UNREACHED = {
+    "cli.run": "the process entry; the subprocess tests run it",
+    "cli._write_failed": "a write of standard output that fails; the subprocess tests run it",
+    "__init__.__getattr__": "the package's lazy names, read by library callers",
+    "__init__.__dir__": "the package's lazy names, read by library callers",
+    "fseq._Frozen.__init_subclass__": "runs when a record class is defined, at import",
+    "fseq._Frozen.__hash__": "record hashing, for library callers",
+    "fseq._Frozen.__setattr__": "refuses an assignment to a record field",
+    "fseq._Frozen.__delattr__": "refuses a deletion of a record field",
+    "fseq._Frozen.__repr__": "a record's repr, for library callers",
+    "fseq.FSequence.__repr__": "a record's repr, for library callers",
+    "poset.CobwebPoset.__repr__": "a record's repr, for library callers",
+    "poset.Vertex.__str__": "a vertex record's label; the oracles' DOT text and dim2 labels use it",
+}
+
+
+def test_every_function_in_src_is_entered_by_a_command(tmp_path):
+    # the reach counterpart of the private-name check above: a function or
+    # method that no call of README's examples or of the generated calls
+    # enters, and that UNREACHED does not name, is dead, so a change that
+    # leaves one behind fails here
+    import contextlib
+    import io
+    import random
+
+    from cobweb import cli
+    from test_cli import _generated_call
+    from test_readme import cli_examples
+
+    defined = {}  # (file, first line) -> "module.Class.function"
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    defined[(str(path), first)] = name
+                visit(child, path, f"{name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(Path(SRC, "cobweb").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, f"{path.stem}.")
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # the methods the benchmark's tracer wraps, and the two its matrix hook reads
+    bound = {
+        f"{module}.{cls}.{method}"
+        for table in (tracing.SERIALIZER_METHODS, tracing.LAYER_METHODS)
+        for (module, cls), methods in table.items()
+        for method in methods
+    } | {"incidence.IncidenceMatrix.dim", "poset.CobwebPoset.vertex_count"}
+    exempt = set(UNREACHED) | bound
+    assert exempt <= set(defined.values())
+
+    rng = random.Random(1)
+    calls = [argv for argv, _, _ in cli_examples()]
+    calls += [_generated_call(rng, str(tmp_path / "missing.txt")) for _ in range(300)]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for argv in calls:
+            sys.setprofile(profile)
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+            finally:
+                sys.setprofile(None)
+            sink.seek(0)
+            sink.truncate()
+    reached = {
+        defined.get((str(Path(code.co_filename).resolve()), code.co_firstlineno))
+        for code in entered
+    }
+    assert sorted(set(defined.values()) - reached - exempt) == []
 
 
 def test_no_package_module_but_cli_imports_the_cli():

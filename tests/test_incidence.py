@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from cobweb.fnomial import f_factorial
 from cobweb.fseq import parse_sequence
-from cobweb.incidence import chain_count_matrix, mobius_matrix, zeta_matrix
+from cobweb.incidence import IncidenceMatrix, mobius_matrix, zeta_matrix
 from cobweb.poset import Vertex, build_poset, count_max_chains_between
 from oracles import (
     BlockTable,
-    count_chains,
     covering_matrix,
     dense_mul,
     dfs_all_chains,
@@ -165,7 +164,7 @@ def test_strict_matrix_is_nilpotent():
 def test_count_chains_against_dfs():
     for F in (NAT, FIB, parse_sequence("const:2")):
         P = build_poset(F, 4)
-        counts = chain_count_matrix(P)
+        counts = IncidenceMatrix(P, 1, 1)
         for x in P.vertices():
             for y in P.vertices():
                 if leq(P, x, y):
@@ -177,7 +176,7 @@ def test_count_chains_closed_form():
     # one vertex on each picked level, so the count is prod(1 + size_s)
     for spec, levels in (("fibonacci", 5), ("natural", 4), ("even", 4)):
         P = build_poset(parse_sequence(spec), levels)
-        counts = chain_count_matrix(P)
+        counts = IncidenceMatrix(P, 1, 1)
         for n in range(1, levels + 1):
             closed = math.prod(1 + P.level_size(s) for s in range(1, n))
             for y in P.level(n):
@@ -205,13 +204,16 @@ def test_mobius_inverts_any_unitriangular_matrix():
 
 
 def test_count_chains_examples():
-    Pf = build_poset(FIB, 3)
-    assert count_chains(Pf, Vertex(1, 0), Vertex(1, 3)) == 4
-    assert count_chains(Pf, Vertex(1, 2), Vertex(1, 2)) == 1
-    Pn = build_poset(NAT, 2)
-    assert count_chains(Pn, Vertex(1, 0), Vertex(2, 2)) == 2
-    with pytest.raises(ValueError):
-        count_chains(Pn, Vertex(1, 2), Vertex(2, 2))
+    # the walk and the closed form (z, w) = (1, 1), read by vertex pair
+    Pf, Pn = build_poset(FIB, 3), build_poset(NAT, 2)
+    for P, x, y, expected in (
+        (Pf, Vertex(1, 0), Vertex(1, 3), 4),
+        (Pf, Vertex(1, 2), Vertex(1, 2), 1),
+        (Pn, Vertex(1, 0), Vertex(2, 2), 2),
+        (Pn, Vertex(1, 2), Vertex(2, 2), 0),  # incomparable: no chain
+    ):
+        assert dfs_all_chains(P, x, y) == entry(IncidenceMatrix(P, 1, 1), x, y) == expected
+    assert not leq(Pn, Vertex(1, 2), Vertex(2, 2))
 
 
 def test_maximal_chain_matrix_against_dfs():
@@ -274,7 +276,7 @@ def test_exports():
 @pytest.mark.parametrize("spec,levels", [("const:1", 0), ("natural", 0), ("natural", 3), ("fibonacci", 6)])
 def test_json_export_is_the_json_dumps_text(spec, levels):
     Z = zeta_matrix(build_poset(parse_sequence(spec), levels))
-    for M in (Z, mobius_matrix(Z.poset), chain_count_matrix(Z.poset)):
+    for M in (Z, mobius_matrix(Z.poset), IncidenceMatrix(Z.poset, 1, 1)):
         assert "".join(M.to_json()) == json.dumps(M.to_json_dict())
 
 
@@ -308,8 +310,8 @@ def custom_poset(terms):
 def test_block_tables_match_closed_forms(terms):
     P = custom_poset(terms)
     n = P.level_sizes
-    Z, M, chains = (BlockTable(P, table(closed(P)))
-                    for closed in (zeta_matrix, mobius_matrix, chain_count_matrix))
+    Z, M, chains = (BlockTable(P, table(closed))
+                    for closed in (zeta_matrix(P), mobius_matrix(P), IncidenceMatrix(P, 1, 1)))
     # the closed forms against the block convolution: the general inverse
     # of zeta and of delta - eta, and the products with zeta both ways
     assert M == unitriangular_inverse(Z)
@@ -403,7 +405,7 @@ def test_matrix_mode_counts_a_long_poset_in_one_product():
 def test_a_row_is_one_level_of_the_closed_form():
     P = build_poset(parse_sequence("custom:3,1,4"), 3)
     assert mobius_matrix(P).row(0) == [1, -1, 2, 0]
-    assert chain_count_matrix(P).row(1) == [0, 1, 1, 2]
+    assert IncidenceMatrix(P, 1, 1).row(1) == [0, 1, 1, 2]
     assert zeta_matrix(P).row(3) == [0, 0, 0, 1]
     for s in (-1, 4):
         with pytest.raises(ValueError, match="outside 0..3"):

@@ -16,6 +16,7 @@ from cobweb.poset import (
     CobwebPoset,
     PackingCapError,
     Vertex,
+    _levels_json,
     build_poset,
     count_max_chains_between,
     dim2_realizer,
@@ -519,7 +520,10 @@ def test_hasse_edge_counts_and_acyclicity(F):
 
 
 def test_json_dump_shape():
-    assert build_poset(FIB, 3).to_json_dict() == {
+    P = build_poset(FIB, 3)
+    assert P.to_json_dict() == {
         "spec": "fibonacci",
         "levels": ["1", "1", "1", "2"],
     }
+    # the poset build payload is the json.dumps text of the record
+    assert "".join(_levels_json(P.F.spec, P.level_sizes)) == json.dumps(P.to_json_dict())

@@ -13,7 +13,7 @@ from cobweb.fseq import (
     parse_sequence,
 )
 from cobweb.poset import Vertex, build_poset, dim2_realizer, max_disjoint_packing
-from cobweb.prefab import Prefabiant, check_algebra_laws, verify_c2
+from cobweb.prefab import Prefabiant, check_algebra_laws
 from cobweb.series import FormalSeries, exp_f_series
 
 
@@ -31,7 +31,7 @@ RECORDS = {
     "FSequence": (_natural, ("spec", "_term")),
     "AdmissibilityReport": (
         lambda: is_cobweb_admissible_prefix(_natural(), 4),
-        ("spec", "bound", "verdict", "violation", "value", "error"),
+        ("spec", "bound", "verdict", "violation", "value"),
     ),
     "GcdMorphismReport": (
         lambda: is_gcd_morphic_prefix(parse_sequence("even"), 4),
@@ -48,10 +48,6 @@ RECORDS = {
         ("order_a", "order_b"),
     ),
     "Prefabiant": (lambda: Prefabiant(1, 3), ("k", "n")),
-    "C2Record": (
-        lambda: verify_c2(_natural(), Prefabiant.prime(1), Prefabiant.prime(2)),
-        ("k", "m", "size_ratio", "coefficient", "copies", "holds"),
-    ),
     "LawWitness": (lambda: _laws().witnesses[0], ("law", "operands", "lhs", "rhs")),
     "LawResult": (lambda: _laws().laws[0], ("law", "checked", "violations")),
     "LawReport": (_laws, ("seed", "samples", "laws", "witnesses")),
