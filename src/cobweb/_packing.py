@@ -1,17 +1,39 @@
-"""The packing search's helpers, loaded by ``poset.max_disjoint_packing``
-and the ``poset pack`` handler when they run, so that no other call compiles
-them: the copy shape and count with their refusals, the per-level conflict
-rows and their Kronecker product, the colour-class branch and bound and the
-level bound.  ``poset``'s docstring describes the search.
+"""The packing search and the ``cobweb poset pack`` handler, loaded by
+``poset.max_disjoint_packing`` and a ``poset pack`` call when they run, so
+that no other call compiles them: the copy shape and count with their
+refusals, the per-level conflict rows and their Kronecker product, the
+colour-class branch and bound, the level bound and the packing's report.
+
+The search is an exact branch-and-bound, never a heuristic.  It factors out
+every level with F_j = 1 (copies on different vertices there never
+conflict), builds the remaining conflict graph as a Kronecker product of
+per-level bitmask rows, fixes one copy by the symmetry of permuting
+vertices within levels, and prunes with a greedy colour-class bound and a
+level bound: at most floor(n_j * P(rest) / a_j) copies for any level j of
+n_j vertices of which a copy takes a_j, with P(rest) the bound without that
+level.  The explicit route, every copy as vertex sets searched without
+bounds, is the packing oracle in ``tests/oracles.py``.  The packing's
+coefficient quotient, the one value of a poset that can be a fraction, is
+divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
+
+The handler calls the poset's functions through ``poset``, so it runs what
+that module holds at the time of the call: a variant under test, or a
+tracing wrapper.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .poset import PACKING_NODE_BUDGET, PackingCapError
+from . import poset
+from .fseq import exact_quotient, parse_sequence
+from .poset import PACKING_NODE_BUDGET, CobwebPoset, PackingCapError
+
+if TYPE_CHECKING:  # the packing quotient is the only rational value here
+    from fractions import Fraction
+    from types import SimpleNamespace
 
 
 def _copy_shape(
@@ -154,3 +176,104 @@ def _level_bound(levels: list[tuple[int, int]]) -> int:
             for j, (avail, need) in enumerate(levels) if subset >> j & 1
         )
     return bound[-1]
+
+
+class PackingReport(NamedTuple):
+    """Exact packing outcome next to the quotient it is measured against.
+
+    ``quotient_bound`` is the coefficient (n over k)_F; the exact maximum
+    number of pairwise chain-disjoint copies can fall below it, which is why
+    both values are reported and only the inequality is guaranteed.
+    """
+
+    spec: str
+    root_level: int
+    m: int
+    n: int
+    copies_total: int
+    chains_total: int
+    quotient_bound: int | Fraction
+    max_packing: int
+    tight: bool
+
+    def to_json_dict(self) -> dict:
+        return {
+            "spec": self.spec,
+            "root_level": self.root_level,
+            "m": self.m,
+            "n": self.n,
+            "copies_total": str(self.copies_total),
+            "chains_total": str(self.chains_total),
+            "quotient_bound": str(self.quotient_bound),
+            "max_packing": str(self.max_packing),
+            "tight": self.tight,
+        }
+
+
+def _max_disjoint_packing(P: CobwebPoset, k: int, m: int, cap: int) -> PackingReport:
+    """``poset.max_disjoint_packing``.
+
+    Instances whose copy count exceeds ``cap`` are refused outright; the
+    count prod_j C(F_(k+j), F_j) is multiplied up level by level and the
+    refusal comes as soon as it passes the cap, before it grows further.
+
+    Copies pick an F_j-subset at each level k+j and share a maximal chain
+    iff all their subsets meet.  A level with F_j = 1 picks one vertex, so
+    copies on different vertices there never conflict: the maximum is
+    F_(k+j) times that of the instance without the level.  The rest is one
+    conflict graph, built as the Kronecker product of the per-level
+    "subsets meet" bitmask rows.  Permuting vertices within levels maps any
+    copy to copy 0, so some maximum family contains copy 0, and the search
+    starts from it.  Each node is bounded by a greedy colour-class cover
+    (pairwise conflicting classes) and the whole search by ``_level_bound``
+    over the levels with 2 F_j <= F_(k+j); on any other level every two
+    copies meet, so it leaves the maximum as it is.  The quotient comes from
+    ``fseq.exact_quotient``: an ``int`` where it is integral, else a ``Fraction``.
+    A search that passes ``PACKING_NODE_BUDGET`` nodes is refused with
+    ``PackingCapError``.  Every instance has at least one copy, so a ``cap``
+    below 1 raises ``ValueError``.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    shape = _copy_shape(P.level_sizes, P.L, k, m)
+    copies_total = _copies_total(shape, cap)
+    chains_total = math.prod(avail for avail, _ in shape)
+    chain_cost = math.prod(need for _, need in shape)
+    quotient = exact_quotient(chains_total, chain_cost)
+    factor = 1
+    conflict = [1]
+    spread = []  # the levels on which two copies can miss each other
+    for avail, need in shape:
+        if need == 1:
+            factor *= avail
+        else:
+            conflict = _kronecker(conflict, _level_conflicts(avail, need))
+            if 2 * need <= avail:
+                spread.append((avail, need))
+    max_packing = factor * _max_family_through_first(conflict, _level_bound(spread))
+    return PackingReport(
+        spec=P.F.spec,
+        root_level=k,
+        m=m,
+        n=k + m,
+        copies_total=copies_total,
+        chains_total=chains_total,
+        quotient_bound=quotient,
+        max_packing=max_packing,
+        tight=max_packing == quotient,
+    )
+
+
+def _cmd_poset_pack(args: SimpleNamespace) -> tuple[int, dict]:
+    """The packing of levels k..k+m.  One read of the terms checks every
+    level and keeps only levels 1..m and k+1..k+m, on which the copy shape
+    and the copy cap refuse as ``max_disjoint_packing`` would; only an
+    instance the cap admits gets its poset, built by a second read."""
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
+    k, m = args.root_level, args.m
+    F = parse_sequence(args.spec)
+    kept = {s: size for s, size in enumerate(poset.level_sizes(F, k + m)) if s <= m or s > k}
+    _copies_total(_copy_shape(kept, k + m, k, m), args.cap)
+    report = poset.max_disjoint_packing(poset.build_poset(F, k + m), k, m, cap=args.cap)
+    return (0 if report.tight else 1), report.to_json_dict()

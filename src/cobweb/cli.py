@@ -36,18 +36,21 @@ abbreviation, ``--flag=value``, a value starting with ``-``) go to the
 argparse parser of every row (``build_parser``), which writes all help and
 usage text.
 
-The handlers live in the module each group drives (``MODULES``): ``seq`` in
-``fseq``, ``fnomial`` in ``fnomial``, ``poset`` in ``poset``, ``prefab`` in
-``prefab`` and ``series`` in ``series``.  A row names its handler by a
-function that reads it off that module, which ``main`` imports when it
-dispatches the call, so a call compiles the handlers of its own group only.
-Where bytecode is not cached (``PYTHONDONTWRITEBYTECODE``), every call
-compiles each module it loads, and the largest compile sets a floor under
-the call's peak RSS; this module, which every call compiles, is kept small
-for that reason.  A ``fnomial`` call loads ``fseq`` and ``fnomial``, a
-``poset`` call ``fseq`` and ``poset``; ``incidence``, ``prefab``,
-``series``, the packing search's ``_packing`` and the law checker's
-``_laws`` load where used.
+A row names its handler as ``module:function``; ``main`` imports that
+module when it dispatches the call, so a call compiles the code of its own
+command only.  Where bytecode is not cached (``PYTHONDONTWRITEBYTECODE``),
+every call compiles each module it loads (about 2.5 us an AST node on a
+2-vCPU x86 VM), and the largest compile sets a floor under the call's peak RSS; this module,
+which every call compiles, is kept small for that reason, and the argparse
+parser is built in ``_parser``.  Every call loads ``fseq``; a layer module
+(``fnomial``, ``poset``, ``prefab``, ``series``) holds the code every call
+of its group runs, and a private module the code of one command: ``_scans``
+(``seq check``), ``_triangle`` (``fnomial triangle``), ``_chains``,
+``_packing`` and ``_exports`` (``poset chains``, ``pack`` and
+``build|dot|dim2``, with ``_dense`` for the priced ones), ``_laws``
+(``prefab laws``) and ``_brute`` (``series --oracle``); ``poset
+zeta|mobius`` is ``incidence``'s.  A ``custom:`` or ``file:`` spec loads
+``_finite``.
 Rational arithmetic (``fractions``, which imports ``decimal`` and
 ``numbers``) loads only where a value is fractional: an integral coefficient,
 packing quotient or count is an ``int`` from one ``divmod``, so the calls on
@@ -97,66 +100,62 @@ FORMAT = ("--format", {"choices": ("csv", "json"), "default": "json"})
 ORACLE = ("--oracle", FLAG)
 ORDER = ("--order", {"type": integer, "default": DEFAULT_ORDER})
 
-# The module that holds a group's handlers, imported when one is dispatched.
-MODULES = {"seq": "fseq", "fnomial": "fnomial", "poset": "poset", "prefab": "prefab",
-           "series": "series"}
-
 # One row per command: (group, subcommand) -> (help, handler, options).  A
 # (group, None) row is the group itself; its handler, if any, answers the
 # group word alone (the ``fnomial`` point query), and without one a
-# subcommand is required.  A handler is named by a function of the group's
-# module (``MODULES``) that reads it off the module once ``main`` has
-# imported it.  Parsers are added in table order.
+# subcommand is required.  A handler is named "module:function", a module
+# of the package and the function's name there; ``main`` imports the module
+# when it dispatches the call.  Parsers are added in table order.
 COMMANDS: dict[tuple[str, str | None], tuple] = {
     ("seq", None): ("sequence checks", None, ()),
     ("seq", "check"): (
-        "admissibility / gcd-morphism scan", lambda fseq: fseq._cmd_seq_check,
+        "admissibility / gcd-morphism scan", "_scans:_cmd_seq_check",
         (SPEC, ("--upto", REQUIRED_INT), ("--admissible", FLAG), ("--gcd-morphic", FLAG))),
     ("fnomial", None): (
-        "coefficients and triangles", lambda fnomial: fnomial._cmd_fnomial,
+        "coefficients and triangles", "fnomial:_cmd_fnomial",
         (("--spec", {}), ("--n", {"type": integer}), ("--k", {"type": integer}))),
     ("fnomial", "triangle"): (
-        "tabulate rows 0..rows-1", lambda fnomial: fnomial._cmd_fnomial_triangle,
+        "tabulate rows 0..rows-1", "_triangle:_cmd_fnomial_triangle",
         (SPEC, ("--rows", REQUIRED_INT), FORMAT)),
     ("poset", None): ("poset construction and verification", None, ()),
     ("poset", "build"): (
-        "level-size dump", lambda poset: poset._cmd_poset_build, (SPEC, LEVELS)),
+        "level-size dump", "_exports:_cmd_poset_build", (SPEC, LEVELS)),
     ("poset", "dot"): (
-        "DOT export of the Hasse digraph", lambda poset: poset._cmd_poset_dot, (SPEC, LEVELS)),
+        "DOT export of the Hasse digraph", "_exports:_cmd_poset_dot", (SPEC, LEVELS)),
     ("poset", "chains"): (
-        "saturated-chain counts", lambda poset: poset._cmd_poset_chains,
+        "saturated-chain counts", "_chains:_cmd_poset_chains",
         (SPEC, LEVELS, ("--from-level", REQUIRED_INT), ("--to-level", REQUIRED_INT),
          ("--mode", {"choices": ("enumerate", "product", "matrix"), "required": True}))),
     ("poset", "pack"): (
-        "exact max-disjoint packing", lambda poset: poset._cmd_poset_pack,
+        "exact max-disjoint packing", "_packing:_cmd_poset_pack",
         (SPEC, ("--root-level", REQUIRED_INT), ("--m", REQUIRED_INT),
          ("--cap", {"type": integer, "default": 5000}))),
     ("poset", "zeta"): (
-        "incidence matrix", lambda poset: poset._cmd_poset_matrix, (SPEC, LEVELS, FORMAT)),
+        "incidence matrix", "incidence:_cmd_poset_matrix", (SPEC, LEVELS, FORMAT)),
     ("poset", "mobius"): (
-        "inverse incidence matrix", lambda poset: poset._cmd_poset_matrix,
+        "inverse incidence matrix", "incidence:_cmd_poset_matrix",
         (SPEC, LEVELS, FORMAT)),
     ("poset", "dim2"): (
-        "two-linear-order realizer", lambda poset: poset._cmd_poset_dim2, (SPEC, LEVELS)),
+        "two-linear-order realizer", "_exports:_cmd_poset_dim2", (SPEC, LEVELS)),
     ("prefab", None): ("layer composition algebras", None, ()),
     ("prefab", "compose"): (
-        "compose two elements", lambda prefab: prefab._cmd_prefab_compose,
+        "compose two elements", "prefab:_cmd_prefab_compose",
         (("--op", {"choices": ("odot", "circ"), "required": True}),
          ("--a", {"required": True, "metavar": "i|k,n"}),
          ("--b", {"required": True, "metavar": "i|k,n"}), SPEC)),
     ("prefab", "laws"): (
-        "sampled law check with witnesses", lambda prefab: prefab._cmd_prefab_laws,
+        "sampled law check with witnesses", "_laws:_cmd_prefab_laws",
         (SPEC, ("--samples", REQUIRED_INT), ("--seed", REQUIRED_INT))),
     ("series", None): ("exact generating series", None, ()),
     ("series", "expf"): (
-        "sequence exponential", lambda series: series._cmd_series, (SPEC, ORDER)),
+        "sequence exponential", "series:_cmd_series", (SPEC, ORDER)),
     ("series", "enumerator"): (
-        "exp(exp_F - 1)", lambda series: series._cmd_series, (SPEC, ORDER)),
+        "exp(exp_F - 1)", "series:_cmd_series", (SPEC, ORDER)),
     ("series", "bell"): (
-        "factorial-scaled enumerator coefficient", lambda series: series._cmd_series_bell,
+        "factorial-scaled enumerator coefficient", "series:_cmd_series_bell",
         (SPEC, ("--n", REQUIRED_INT), ORACLE)),
     ("series", "qbell"): (
-        "vector-space decomposition counts", lambda series: series._cmd_series_qbell,
+        "vector-space decomposition counts", "series:_cmd_series_qbell",
         (("--q", REQUIRED_INT), ("--n", REQUIRED_INT), ORACLE)),
 }
 
@@ -223,23 +222,11 @@ def _dest(flag: str) -> str:
 
 def build_parser():
     """The argparse parser of every row of ``COMMANDS``: it reads the calls
-    ``fast_parse`` declines, and writes all help and usage text."""
-    import argparse
+    ``fast_parse`` declines, and writes all help and usage text.  It is
+    built in ``_parser``, which no other call loads."""
+    from ._parser import _build_parser
 
-    parser = argparse.ArgumentParser(
-        prog="cobweb",
-        description="Exact cobweb-poset computations with verification oracles.",
-    )
-    subparsers = {None: parser.add_subparsers(dest="command", required=True)}
-    for (group, name), (help_text, handler, options) in COMMANDS.items():
-        sub = subparsers[group if name else None].add_parser(name or group, help=help_text)
-        for flag, keywords in options:
-            sub.add_argument(flag, **keywords)
-        if handler is not None:
-            sub.set_defaults(handler=handler, parser=sub)
-        if name is None:
-            subparsers[group] = sub.add_subparsers(dest="subcommand", required=handler is None)
-    return parser
+    return _build_parser(COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -247,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     args = fast_parse(argv)
     if args is None:  # help, a usage error, or a spelling only argparse reads
         args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
-    handler = args.handler(import_module(f".{MODULES[args.command]}", __package__))
+    module, name = args.handler.split(":")
+    handler = getattr(import_module(f".{module}", __package__), name)
     # Exact results may have more decimal digits than the interpreter's
     # int/str conversion limit (Python >= 3.10.7); lift it for this command
     # only, so library callers keep their own setting.

@@ -14,38 +14,24 @@ in the digits; only then is ``decimal`` loaded.  The exporters yield each
 row as two joined halves, its left half's texts and then their mirror,
 with every separator, opening and closing a chunk of its own, so the largest
 text they hold is half a row.  Every function here is pure and safe for
-concurrent use.  The ``cobweb fnomial`` handlers close the module.
+concurrent use.  The ``cobweb fnomial`` point query's handler closes the
+module.  The exporters' bodies, the exact ``Decimal`` context and the
+``fnomial triangle`` handler are in ``_triangle``, which only a printed
+triangle loads: the exporters' entries here import it when they run.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .fseq import FSequence, exact_quotient, parse_sequence
 
 if TYPE_CHECKING:
-    from decimal import Context, Decimal
+    from decimal import Decimal
     from fractions import Fraction
     from types import SimpleNamespace
-
-
-def _exact_context() -> Context:
-    """The Decimal context of the row recurrence, fixed in full so that no
-    setting of the caller's context reaches it: integer products and integer
-    divisions stay exact up to MAX_PREC digits, and a result that is not is
-    trapped."""
-    from decimal import (
-        MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, DivisionByZero, Inexact,
-        InvalidOperation, Overflow, Rounded,
-    )
-
-    return Context(
-        prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX, capitals=1,
-        clamp=0, flags=[],
-        traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded],
-    )
 
 
 def f_factorial(F: FSequence, n: int) -> int:
@@ -85,13 +71,15 @@ def f_nomial_rows(F: FSequence, number: type = int) -> Iterator[list[int | Decim
     ``number``, otherwise ``Fraction``.  ``int`` serves arithmetic and needs
     no context; ``decimal.Decimal`` serves printing, since its ``str()``
     takes time linear in the digits where an ``int``'s takes quadratic time.
-    Decimal steps run in ``_exact_context()``, entered per row, so no context
-    reaches the caller across a ``yield``.  Row n reads the terms only up to
-    F_n, so a scan can stop at any row of a finite sequence, and only the
-    current row is held.
+    Decimal steps run in ``_triangle._exact_context()``, entered per row, so
+    no context reaches the caller across a ``yield``.  Row n reads the terms
+    only up to F_n, so a scan can stop at any row of a finite sequence, and
+    only the current row is held.
     """
     if number is not int:
         from decimal import localcontext
+
+        from ._triangle import _exact_context
 
         exact = _exact_context()
     terms = [0]  # F_0 is never read
@@ -127,43 +115,24 @@ def triangle_rows(
     return islice(f_nomial_rows(F, number), rows)
 
 
-def _row_chunks(row: list, separator: str) -> Iterator[str]:
-    """A palindromic row's entries as text, in two joins on ``separator``:
-    the left half converted once, then its mirror, with the separator
-    between them a chunk of its own.  A consumer that writes each chunk as
-    it comes has let go of the first join before the second is made, so no
-    more than half the row's text is joined at a time."""
-    left = list(map(str, islice(row, (len(row) + 1) // 2)))
-    yield separator.join(left)
-    if len(row) > 1:
-        yield separator
-        yield separator.join(left[len(row) // 2 - 1 :: -1])
-
-
 def triangle_to_csv(triangle: Iterable[list]) -> Iterator[str]:
     """Ragged CSV, one row per n, entries as exact decimal (or p/q) strings;
     no rows give one empty line.  Rows must be palindromic, as triangle rows
-    are: each text is made once and mirrored (``_row_chunks``), and the line
-    break before a row is a chunk of its own."""
-    for n, row in enumerate(triangle):
-        if n:
-            yield "\n"
-        yield from _row_chunks(row, ",")
-    yield "\n"
+    are: each text is made once and mirrored, and the line break before a
+    row is a chunk of its own."""
+    from ._triangle import _csv_chunks
+
+    return _csv_chunks(triangle)
 
 
 def triangle_to_json(triangle: Iterable[list]) -> Iterator[str]:
     """JSON array of arrays of strings, preserving arbitrary precision: the
     text ``json.dumps`` gives for the whole table, with each row's opening,
-    separator and closing chunks of their own around its two halves.  The
-    entries' texts (digits, sign, slash) need no escaping.  Rows must be
-    nonempty and palindromic, as triangle rows are (see ``triangle_to_csv``)."""
-    yield "["
-    for n, row in enumerate(triangle):
-        yield ', ["' if n else '["'
-        yield from _row_chunks(row, '", "')
-        yield '"]'
-    yield "]"
+    separator and closing chunks of their own around its two halves.  Rows
+    must be nonempty and palindromic, as triangle rows are."""
+    from ._triangle import _json_chunks
+
+    return _json_chunks(triangle)
 
 
 def _cmd_fnomial(args: SimpleNamespace) -> tuple[int, dict]:
@@ -172,13 +141,3 @@ def _cmd_fnomial(args: SimpleNamespace) -> tuple[int, dict]:
         args.parser.error("--spec, --n and --k are required")
     value = f_nomial(parse_sequence(args.spec), args.n, args.k)
     return 0, {"value": str(value), "integral": value.denominator == 1}
-
-
-def _cmd_fnomial_triangle(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    """``cobweb fnomial triangle``: rows printed through ``Decimal``."""
-    from decimal import Decimal
-
-    rows = triangle_rows(parse_sequence(args.spec), args.rows, Decimal)
-    if args.format == "csv":
-        return 0, triangle_to_csv(rows)
-    return 0, chain(triangle_to_json(rows), "\n")

@@ -10,22 +10,27 @@ reads.
 
 ``exact_quotient`` is the package's one exact-division rule: a quotient of
 the integer type asked for where it is integral, a reduced ``Fraction``
-otherwise, with ``fractions`` imported only on a remainder.  The ``cobweb
-seq check`` handler closes the module.
+otherwise, with ``fractions`` imported only on a remainder.
+
+Every call loads this module, so it holds what every call runs.  The two
+prefix scans, their reports and the ``cobweb seq check`` handler are in
+``_scans``, which only a scan loads: the scans' entries here import it when
+they run, and the report classes are read from it on first access.  The
+finite sequences of ``custom:`` and ``file:`` specs are built in
+``_finite``, which only such a spec loads.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import operator
 import re
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # named only in annotations: fractions load on a remainder
     from decimal import Decimal
     from fractions import Fraction
-    from types import SimpleNamespace
+
+    from ._scans import AdmissibilityReport, GcdMorphismReport
 
 
 class SequenceError(ValueError):
@@ -119,24 +124,6 @@ def _running_power(q: int, start: int = 1) -> Callable[[int], int]:
     return power
 
 
-def _finite(values: list[int], spec: str) -> FSequence:
-    """The finite sequence F_1, ..., F_len(values), refused at a zero term."""
-    for i, v in enumerate(values, start=1):
-        if v == 0:
-            raise SequenceError(f"{spec!r} has a zero term at index {i}")
-
-    def term(n: int) -> int:
-        if n == 0:
-            return 0
-        if n > len(values):
-            raise SequenceError(
-                f"{spec!r} defines only {len(values)} terms, index {n} requested"
-            )
-        return values[n - 1]
-
-    return FSequence(spec, term)
-
-
 def parse_int(text: str) -> int:
     """The one integer grammar of specs, layer bounds and CLI options:
     ``-?[0-9]+``, so no "+", space, "_" or non-ASCII digit."""
@@ -210,160 +197,39 @@ def parse_sequence(spec: str) -> FSequence:
         if c == 0:
             raise SequenceError("const sequence requires a nonzero value")
         return FSequence(spec, lambda n: c)
-    if head == "custom":
+    if head in ("custom", "file"):
         if not tail:
             raise SequenceError(f"malformed sequence spec {spec!r}")
-        return _finite([parse_int(piece) for piece in tail.split(",")], spec)
-    if head == "file":
-        if not tail:
-            raise SequenceError(f"malformed sequence spec {spec!r}")
-        try:
-            with open(tail, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SequenceError(f"cannot read sequence file {tail!r}: {exc}") from None
-        if not isinstance(data, list) or not all(type(v) is int for v in data):
-            raise SequenceError(f"{tail!r} must hold a JSON array of integers")
-        return _finite(data, spec)
+        from ._finite import _finite_spec
+
+        return _finite_spec(head, tail, spec)
 
     raise SequenceError(f"unknown sequence spec {spec!r}")
 
 
-class AdmissibilityReport(NamedTuple):
-    """Outcome of an exact coefficient-integrality scan over one prefix.
-
-    ``verdict`` is "admissible" or "violation"; it never says anything
-    beyond the scanned bound.
-    """
-
-    spec: str
-    bound: int
-    verdict: str
-    violation: tuple[int, int] | None = None
-    value: int | Fraction | None = None
-
-    @property
-    def admissible(self) -> bool:
-        return self.verdict == "admissible"
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"spec": self.spec, "upto": self.bound, "verdict": self.verdict}
-        if self.violation is not None:
-            n, k = self.violation
-            out["first_violation"] = {"n": n, "k": k, "value": str(self.value)}
-        return out
-
-
-class GcdMorphismReport(NamedTuple):
-    """Whether gcd(F_n, F_m) = F_gcd(n, m) held for every pair up to a bound."""
-
-    spec: str
-    bound: int
-    gcd_morphic: bool
-    violation: tuple[int, int] | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "spec": self.spec,
-            "upto": self.bound,
-            "gcd_morphic": self.gcd_morphic,
-        }
-        if self.violation is not None:
-            n, m = self.violation
-            out["first_violation"] = {"n": n, "m": m}
-        return out
-
-
 def is_cobweb_admissible_prefix(F: FSequence, bound: int) -> AdmissibilityReport:
-    """Scan all coefficients (n over k)_F for 0 <= k <= n <= bound.
+    """Scan all coefficients (n over k)_F for 0 <= k <= n <= bound: the
+    verdict is "admissible" iff every one is a nonnegative integer, and
+    otherwise the report holds the first offending (n, k) and its value.
+    The scan is ``_scans._admissible_scan``."""
+    from ._scans import _admissible_scan
 
-    The verdict is "admissible" iff every coefficient is a nonnegative
-    integer, decided in exact rational arithmetic.  The first offending
-    (n, k) pair and its value are recorded otherwise.  Rows are streamed, so
-    a violation is found before any later term of the sequence is read.
-    """
-    from .fnomial import f_nomial_rows
-
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    for n, row in zip(range(bound + 1), f_nomial_rows(F)):
-        for k, value in enumerate(row):
-            if value.denominator != 1 or value < 0:
-                return AdmissibilityReport(F.spec, bound, "violation", (n, k), value)
-    return AdmissibilityReport(F.spec, bound, "admissible")
+    return _admissible_scan(F, bound)
 
 
 def is_gcd_morphic_prefix(F: FSequence, bound: int) -> GcdMorphismReport:
-    """Check gcd(F_n, F_m) = F_gcd(n, m) for all 1 <= m <= n <= bound.
+    """Check gcd(F_n, F_m) = F_gcd(n, m) for all 1 <= m <= n <= bound; the
+    report holds the first violating (n, m), if any.  Bound 0 is vacuously
+    gcd-morphic.  The scan is ``_scans._gcd_morphic_scan``."""
+    from ._scans import _gcd_morphic_scan
 
-    Row n (the pairs m <= n) is decided by one criterion: when rows 1..n-1
-    hold, row n holds iff gcd(F_n, L) = D_n, where L = lcm(F_1, ..., F_(n-1))
-    and D_n = lcm{F_(n/p) : p prime, p | n} (D_1 = 1).  Per prime p, the
-    earlier rows make {m < n : p^t | F_m} the multiples of a least element
-    r_t, and both sides say that every t <= v_p(F_n) some earlier F_m reaches
-    has r_t | n.  With c_n = F_n / D_n (D_n not dividing F_n fails the row),
-    the row holds when gcd(c_n, L) = 1 and otherwise iff
-    gcd(L, D_n * gcd(c_n, L)) = D_n; a passing row makes L * c_n the next L.
-    L is held as ``folded * recent``, where ``recent`` is the product of the
-    latest c_n, folded in once it passes 1/8 of the bits of ``folded``.  Only
-    a failing row is scanned pair by pair, for its smallest violating m.
-
-    So a row costs a few gcds and products against L instead of n gcds:
-    O(N) big-integer operations in all for slowly growing terms, and for
-    exponentially growing terms still O(n * |F_n|^2) digit operations per
-    row, a constant factor below the pairwise scan.  F_n is read when row n
-    is reached, so a violation is found before any later term of the
-    sequence is read.  Bound 0 is vacuously gcd-morphic.
-    """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
-    terms = [0]  # F_0 is never read
-    folded, recent = 1, 1  # L = folded * recent
-    waiting: dict[int, list[int]] = {}  # n -> the primes of n met so far
-    for n in range(1, bound + 1):
-        term = F.term(n)
-        if term <= 0:
-            raise SequenceError(f"{F.spec!r} has a nonpositive term at index {n}")
-        terms.append(term)
-        # an incremental sieve: each prime waits at its next multiple, so
-        # n > 1 is prime when no prime waits at n
-        lower = 1  # D_n
-        for p in waiting.pop(n, None) or ((n,) if n > 1 else ()):
-            lower = math.lcm(lower, terms[n // p])
-            waiting.setdefault(n + p, []).append(p)
-        new, rest = divmod(term, lower)  # c_n
-        if not rest:
-            # gcd(x, L) as gcd(x, gcd(x, folded) * recent): in the exponent of
-            # each prime, min(x, min(x, folded) + recent) = min(x, folded + recent)
-            shared = math.gcd(new, math.gcd(new, folded) * recent)
-            joint = lower * shared
-            if shared == 1 or math.gcd(joint, math.gcd(joint, folded) * recent) == lower:
-                recent *= new
-                if recent.bit_length() * 8 > folded.bit_length():
-                    folded, recent = folded * recent, 1
-                continue
-        # the criterion failed, so the row holds a violating pair
-        for m in range(1, n):
-            if math.gcd(term, terms[m]) != terms[math.gcd(n, m)]:
-                return GcdMorphismReport(F.spec, bound, False, (n, m))
-        raise AssertionError(f"row {n} of {F.spec!r} failed the criterion with no violating pair")
-    return GcdMorphismReport(F.spec, bound, True)
+    return _gcd_morphic_scan(F, bound)
 
 
-def _cmd_seq_check(args: SimpleNamespace) -> tuple[int, dict]:
-    """``cobweb seq check``: both scans, or the one a flag names."""
-    F = parse_sequence(args.spec)
-    payload: dict = {"spec": args.spec, "upto": args.upto}
-    failed = False
-    for key, scan in (
-        ("admissible", is_cobweb_admissible_prefix),
-        ("gcd_morphic", is_gcd_morphic_prefix),
-    ):
-        if getattr(args, key) or not (args.admissible or args.gcd_morphic):
-            report = scan(F, args.upto)
-            body = report.to_json_dict()
-            body.pop("spec")
-            body.pop("upto")
-            payload[key] = body
-            failed |= not getattr(report, key)  # the verdict, named like the key
-    return (1 if failed else 0), payload
+def __getattr__(name: str) -> type:
+    """The scan reports, defined with the scans in ``_scans``."""
+    if name in ("AdmissibilityReport", "GcdMorphismReport"):
+        from . import _scans
+
+        return getattr(_scans, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

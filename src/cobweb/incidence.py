@@ -16,14 +16,20 @@ interval [x, y] is fully contained once level(y) is built, so the values of
 a truncation agree with the untruncated ones entry by entry.
 The level tables, the block convolution, the general unitriangular inverse
 and the vertex readers are the independent route in ``tests/oracles.py``.
+Only ``cobweb poset zeta|mobius`` loads this module, so its handler closes
+the module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterator
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .poset import CobwebPoset, contract_order, labels_json
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 
 class IncidenceMatrix:
@@ -105,3 +111,13 @@ def mobius_matrix(P: CobwebPoset) -> IncidenceMatrix:
     mu = -prod_(s<j<t) (1 - n_j) on levels s < t."""
     return IncidenceMatrix(P, -1, -1)
 
+
+def _cmd_poset_matrix(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
+    """``cobweb poset zeta|mobius``: the dense matrix, priced by its entries."""
+    from ._dense import _priced_poset
+
+    P = _priced_poset(args, lambda sizes: (N * N for N in accumulate(sizes)), "matrix entries")
+    M = (mobius_matrix if args.subcommand == "mobius" else zeta_matrix)(P)
+    if args.format == "csv":
+        return 0, M.to_csv()
+    return 0, chain(M.to_json(), "\n")

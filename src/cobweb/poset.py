@@ -12,36 +12,32 @@ level sizes, which is also the covering-matrix power over level blocks, or
 by a bounded index-tuple walk; the dense power is an oracle's route.  Work
 that grows with the level sizes is priced from them level by level, as
 running totals, and refused at the first past ``WORK_BOUND`` by ``check_work``.
-The packing search is an exact branch-and-bound, never a heuristic.  It
-factors out every level with F_j = 1 (copies on different vertices there
-never conflict), builds the remaining conflict graph as a Kronecker product
-of per-level bitmask rows, fixes one copy by the symmetry of permuting
-vertices within levels, and prunes with a greedy colour-class bound and a
-level bound: at most floor(n_j * P(rest) / a_j) copies for any level j of
-n_j vertices of which a copy takes a_j, with P(rest) the bound without that
-level.  An instance above the copy cap, or a search past
+The packing search (``_packing``) is an exact branch-and-bound, never a
+heuristic: an instance above the copy cap, or a search past
 ``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``, not
-approximated.  The explicit route, every copy as vertex sets searched
-without bounds, is the packing oracle in ``tests/oracles.py``.  The
-packing's coefficient quotient, the one value here that can be a fraction,
-is divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
-The search's helpers are in ``_packing``, which loads only when a packing
-runs; the ``cobweb poset`` handlers close this module.
+approximated.
+
+This module holds what every ``cobweb poset`` call runs: the poset, its
+level sizes and the work bound.  The code that only some commands run is
+in a private module that only they load: ``_chains`` (the chain counts and
+``poset chains``), ``_packing`` (the packing search and ``poset pack``),
+``_exports`` (the DOT, dim2 and level-size exports and ``poset
+build|dot|dim2``) and ``_dense`` (the price of a dense export and the label
+text); ``poset zeta|mobius`` is ``incidence``'s.  The public entries here
+import their module when they run, and ``PackingReport`` and
+``Dim2Realizer`` are read from theirs on first access.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from itertools import accumulate, chain, islice, pairwise, product, starmap, tee
-from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from itertools import product
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .fseq import FSequence, exact_quotient, parse_sequence
+from .fseq import FSequence
 
-if TYPE_CHECKING:  # the packing quotient is the only rational value here
-    from fractions import Fraction
-    from types import SimpleNamespace
+if TYPE_CHECKING:
+    from ._exports import Dim2Realizer
+    from ._packing import PackingReport
 
 
 # Branch-and-bound nodes after which a packing search is refused.  Every
@@ -112,20 +108,8 @@ class CobwebPoset:
 
     def to_json_dict(self) -> dict:
         """The spec and the level sizes as decimal strings: the ``poset build``
-        payload, whose text ``_levels_json`` yields."""
+        payload, whose text ``_exports._levels_json`` yields."""
         return {"spec": self.F.spec, "levels": [str(size) for size in self.level_sizes]}
-
-
-def _levels_json(spec: str, sizes: Iterable[int]) -> Iterator[str]:
-    """The ``json.dumps`` text of ``CobwebPoset.to_json_dict`` for a spec and
-    its level sizes, read one at a time as the text is yielded, so no more
-    than one level's text is held.  Digits need no escaping."""
-    yield f'{{"spec": {json.dumps(spec)}, "levels": ["'
-    for s, size in enumerate(sizes):
-        if s:
-            yield '", "'
-        yield str(size)
-    yield '"]}'
 
 
 def level_sizes(F: FSequence, levels: int) -> Iterator[int]:
@@ -164,125 +148,29 @@ def count_max_chains_between(
     * F_n, so 1 for n = k and F_1 * ... * F_n from the root.
 
     ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"``
-    visits each chain, a tuple of vertex indices on levels k+1..n, and is
-    refused by ``check_work`` past ``WORK_BOUND`` chains, priced first by a
-    running product of the sizes.  ``"matrix"``, row k of the covering-matrix
-    power, is the product too: over level blocks a step moves a count one
-    level up, times that level's size, so the row is one nonzero entry.
+    visits each chain, and is refused by ``check_work`` past ``WORK_BOUND``
+    chains; ``"matrix"``, row k of the covering-matrix power, is the product
+    too.  The count is ``_chains._count_chains``.
     """
-    if not 0 <= k <= n <= P.L:
-        raise ValueError(f"levels {k}..{n} outside 0..{P.L}")
-    if mode in ("product", "matrix"):
-        return math.prod(islice(P.level_sizes, k + 1, n + 1))
-    if mode == "enumerate":
-        check_work(accumulate(islice(P.level_sizes, k + 1, n + 1), mul), "chains")
-        count = 0
-        # len drops each chain before the next, so product refills one tuple
-        for _ in map(len, product(*map(range, islice(P.level_sizes, k + 1, n + 1)))):
-            count += 1
-        return count
-    raise ValueError(f"unknown mode {mode!r}")
+    from ._chains import _count_chains
 
-
-class PackingReport(NamedTuple):
-    """Exact packing outcome next to the quotient it is measured against.
-
-    ``quotient_bound`` is the coefficient (n over k)_F; the exact maximum
-    number of pairwise chain-disjoint copies can fall below it, which is why
-    both values are reported and only the inequality is guaranteed.
-    """
-
-    spec: str
-    root_level: int
-    m: int
-    n: int
-    copies_total: int
-    chains_total: int
-    quotient_bound: int | Fraction
-    max_packing: int
-    tight: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "root_level": self.root_level,
-            "m": self.m,
-            "n": self.n,
-            "copies_total": str(self.copies_total),
-            "chains_total": str(self.chains_total),
-            "quotient_bound": str(self.quotient_bound),
-            "max_packing": str(self.max_packing),
-            "tight": self.tight,
-        }
+    return _count_chains(P, k, n, mode)
 
 
 def max_disjoint_packing(
     P: CobwebPoset, k: int, m: int, cap: int = 5000
 ) -> PackingReport:
     """Exact maximum family of pairwise chain-disjoint copies of the m-level
-    prime poset on levels k..k+m, with its quotient.
-
-    Instances whose copy count exceeds ``cap`` are refused outright; the
-    count prod_j C(F_(k+j), F_j) is multiplied up level by level and the
-    refusal comes as soon as it passes the cap, before it grows further.
-
-    Copies pick an F_j-subset at each level k+j and share a maximal chain
-    iff all their subsets meet.  A level with F_j = 1 picks one vertex, so
-    copies on different vertices there never conflict: the maximum is
-    F_(k+j) times that of the instance without the level.  The rest is one
-    conflict graph, built as the Kronecker product of the per-level
-    "subsets meet" bitmask rows.  Permuting vertices within levels maps any
-    copy to copy 0, so some maximum family contains copy 0, and the search
-    starts from it.  Each node is bounded by a greedy colour-class cover
-    (pairwise conflicting classes) and the whole search by ``_level_bound``
-    over the levels with 2 F_j <= F_(k+j); on any other level every two
-    copies meet, so it leaves the maximum as it is.  The quotient comes from
-    ``fseq.exact_quotient``: an ``int`` where it is integral, else a ``Fraction``.
-    A search that passes ``PACKING_NODE_BUDGET`` nodes is refused with
-    ``PackingCapError``.  Every instance has at least one copy, so a ``cap``
-    below 1 raises ``ValueError``.
+    prime poset on levels k..k+m, with its quotient, the coefficient
+    (n over k)_F: an ``int`` where it is integral, else a ``Fraction``.
+    An instance with more than ``cap`` copies, or whose search passes
+    ``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``; a
+    ``cap`` below 1 raises ``ValueError``.  The search is
+    ``_packing._max_disjoint_packing``.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    from ._packing import (
-        _copies_total, _copy_shape, _kronecker, _level_bound, _level_conflicts,
-        _max_family_through_first,
-    )
+    from ._packing import _max_disjoint_packing
 
-    shape = _copy_shape(P.level_sizes, P.L, k, m)
-    copies_total = _copies_total(shape, cap)
-    chains_total = math.prod(avail for avail, _ in shape)
-    chain_cost = math.prod(need for _, need in shape)
-    quotient = exact_quotient(chains_total, chain_cost)
-    factor = 1
-    conflict = [1]
-    spread = []  # the levels on which two copies can miss each other
-    for avail, need in shape:
-        if need == 1:
-            factor *= avail
-        else:
-            conflict = _kronecker(conflict, _level_conflicts(avail, need))
-            if 2 * need <= avail:
-                spread.append((avail, need))
-    max_packing = factor * _max_family_through_first(conflict, _level_bound(spread))
-    return PackingReport(
-        spec=P.F.spec,
-        root_level=k,
-        m=m,
-        n=k + m,
-        copies_total=copies_total,
-        chains_total=chains_total,
-        quotient_bound=quotient,
-        max_packing=max_packing,
-        tight=max_packing == quotient,
-    )
-
-
-class Dim2Realizer(NamedTuple):
-    """Two linear orders, one range of j per level, intersecting to the strict order."""
-
-    order_a: tuple[range, ...]
-    order_b: tuple[range, ...]
+    return _max_disjoint_packing(P, k, m, cap)
 
 
 def contract_order(P: CobwebPoset) -> tuple[range, ...]:
@@ -291,127 +179,42 @@ def contract_order(P: CobwebPoset) -> tuple[range, ...]:
 
 
 def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
-    """Realize the poset as the intersection of two linear orders.
+    """Realize the poset as the intersection of two linear orders: the
+    contract ordering, and the same with each level reversed.  The check of
+    all N^2 pairs of the expanded orders is the certificate in
+    ``tests/oracles.py``; the realizer is ``_exports._dim2_realizer``."""
+    from ._exports import _dim2_realizer
 
-    The first order is the contract ordering, the second reverses each of
-    its levels; vertices on a common level flip between the two, so the
-    intersection keeps exactly the cross-level pairs.  The check of all N^2
-    pairs of the expanded orders is the certificate in ``tests/oracles.py``.
-    """
-    order_a = contract_order(P)
-    return Dim2Realizer(order_a, tuple(js[::-1] for js in order_a))
+    return _dim2_realizer(P)
 
 
 def labels_json(order: tuple[range, ...]) -> Iterator[str]:
     """The ``json.dumps`` text of the labels "j,s" of an order, one range of j
-    per level s, ``LABEL_BLOCK`` labels to a chunk.  Digits and commas need no escaping."""
-    yield "["
-    separator = ""
-    for s, js in enumerate(order):
-        for start in range(0, len(js), LABEL_BLOCK):
-            yield separator + ", ".join([f'"{j},{s}"' for j in js[start:start + LABEL_BLOCK]])
-            separator = ", "
-    yield "]"
+    per level s, ``LABEL_BLOCK`` labels to a chunk.  The text is
+    ``_dense._labels_chunks``'s."""
+    from ._dense import _labels_chunks
+
+    return _labels_chunks(order)
 
 
 def export_dot(P: CobwebPoset) -> Iterator[str]:
     """DOT digraph: one node per vertex labelled "j,s", edges directed upward,
-    yielded one node line, then one source vertex's edge lines, at a time."""
-    yield "digraph cobweb {\n"
-    order = contract_order(P)
-    for s, js in enumerate(order):
-        yield from (f'    "{j},{s}" [label="{j},{s}"];\n' for j in js)
-    for s in range(P.L):
-        # every edge line from level s ends in one of these target suffixes
-        targets = [f' -> "{b},{s + 1}";\n' for b in order[s + 1]]
-        for a in order[s]:
-            source = f'    "{a},{s}"'
-            yield source + source.join(targets)
-    yield "}\n"
+    yielded one node line, then one source vertex's edge lines, at a time.
+    The text is ``_exports._dot_chunks``'s."""
+    from ._exports import _dot_chunks
+
+    return _dot_chunks(P)
 
 
-# The ``cobweb poset`` handlers; each refuses before it returns.  A dense
-# export (``zeta|mobius|dot|dim2``) and the enumerate walk of ``chains`` are
-# priced by ``check_work`` on running totals of the level sizes as
-# ``level_sizes`` reads them, and built from the sizes the price read: a
-# refusal reads no term past the first level over the bound.
+def __getattr__(name: str) -> type:
+    """The records of the packing and of the dim2 realizer, defined in the
+    modules that build them."""
+    if name == "PackingReport":
+        from ._packing import PackingReport
 
+        return PackingReport
+    if name == "Dim2Realizer":
+        from ._exports import Dim2Realizer
 
-def _priced_poset(
-    args: SimpleNamespace, price: Callable[[Iterator[int]], Iterable[int]], unit: str
-) -> CobwebPoset:
-    """The poset of ``args``, refused by ``check_work`` at the first running
-    total past the bound that ``price`` reads off its level sizes.  Each term
-    is read once, by the price, and the poset is built from the sizes it read."""
-    F = parse_sequence(args.spec)
-    priced, kept = tee(level_sizes(F, args.levels))
-    check_work(price(priced), unit)
-    return CobwebPoset(F, kept)
-
-
-def _cmd_poset_build(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    """The level sizes, written as a second read of the terms yields them:
-    the first checks every level, so a refusal prints nothing, and no more
-    than one level is held."""
-    F = parse_sequence(args.spec)
-    for _ in level_sizes(F, args.levels):
-        pass
-    return 0, chain(_levels_json(F.spec, level_sizes(F, args.levels)), "\n")
-
-
-def _cmd_poset_dot(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    P = _priced_poset(args, lambda sizes: accumulate(starmap(mul, pairwise(sizes))), "edges")
-    return 0, export_dot(P)
-
-
-def _cmd_poset_chains(args: SimpleNamespace) -> tuple[int, dict]:
-    k, n = args.from_level, args.to_level
-    # before any term is read; a negative level count keeps its own refusal
-    if args.levels >= 0 and not 0 <= k < n <= args.levels:
-        raise ValueError(f"need 0 <= from-level < to-level <= {args.levels}")
-    if args.mode == "enumerate":
-        P = _priced_poset(args, lambda sizes: accumulate(islice(sizes, k + 1, n + 1), mul),
-                          "chains")
-    else:
-        P = build_poset(parse_sequence(args.spec), args.levels)
-    count = count_max_chains_between(P, k, n, args.mode)
-    payload = {"spec": args.spec, "levels": P.L, "from_level": k, "to_level": n}
-    return 0, {**payload, "mode": args.mode, "count": str(count)}
-
-
-def _cmd_poset_pack(args: SimpleNamespace) -> tuple[int, dict]:
-    """The packing of levels k..k+m.  One read of the terms checks every
-    level and keeps only levels 1..m and k+1..k+m, on which the copy shape
-    and the copy cap refuse as ``max_disjoint_packing`` would; only an
-    instance the cap admits gets its poset, built by a second read."""
-    from ._packing import _copies_total, _copy_shape
-
-    if args.cap < 1:
-        raise ValueError(f"--cap must be at least 1, got {args.cap}")
-    k, m = args.root_level, args.m
-    F = parse_sequence(args.spec)
-    kept = {s: size for s, size in enumerate(level_sizes(F, k + m)) if s <= m or s > k}
-    _copies_total(_copy_shape(kept, k + m, k, m), args.cap)
-    report = max_disjoint_packing(build_poset(F, k + m), k, m, cap=args.cap)
-    return (0 if report.tight else 1), report.to_json_dict()
-
-
-def _cmd_poset_matrix(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    from . import incidence
-
-    P = _priced_poset(args, lambda sizes: (N * N for N in accumulate(sizes)), "matrix entries")
-    M = (incidence.mobius_matrix if args.subcommand == "mobius" else incidence.zeta_matrix)(P)
-    if args.format == "csv":
-        return 0, M.to_csv()
-    return 0, chain(M.to_json(), "\n")
-
-
-def _cmd_poset_dim2(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
-    P = _priced_poset(args, lambda sizes: (2 * N for N in accumulate(sizes)), "labels")
-    realizer = dim2_realizer(P)
-    # the realizer is correct by construction; tests/oracles.py checks its N^2 pairs
-    head = json.dumps({"spec": args.spec, "levels": P.L, "verified": True})
-    return 0, chain(
-        (head[:-1], ', "l1": '), labels_json(realizer.order_a),
-        (', "l2": ',), labels_json(realizer.order_b), ("}\n",),
-    )
+        return Dim2Realizer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,22 +25,24 @@ its sample count and seed.  It checks each law once per distinct operand
 tuple drawn, weighted by how often it was drawn, in one pass whose memory
 does not grow with the sample count.  It needs neither coefficients nor
 rationals, so the sizes and the ``compose`` handler import ``fnomial`` where
-they use it; its pool, draw and law tables are in
-``_laws``, which loads only when it runs.  Everything here is pure on
-immutable values.  The ``cobweb prefab`` handlers close the module.
+they use it.  The checker, its records, pool, draw and law tables and the
+``cobweb prefab laws`` handler are in ``_laws``, which only a law check
+loads: ``check_algebra_laws`` here imports it when it runs, and the records
+are read from it on first access.  Everything here is pure on immutable
+values.  The ``cobweb prefab compose`` handler closes the module.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import compress, product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .fseq import FSequence, _Frozen, parse_int, parse_sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
     from types import SimpleNamespace
+
+    from ._laws import LawReport
 
 
 class Prefabiant(_Frozen):
@@ -138,58 +140,6 @@ def f_size(
     return alpha**a.width
 
 
-class LawWitness(NamedTuple):
-    law: str
-    operands: tuple[str, ...]
-    lhs: str
-    rhs: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "operands": list(self.operands),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
-
-class LawResult(NamedTuple):
-    law: str
-    checked: int
-    violations: int
-
-    @property
-    def holds(self) -> bool:
-        return self.violations == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "checked": self.checked,
-            "violations": self.violations,
-            "holds": self.holds,
-        }
-
-
-class LawReport(NamedTuple):
-    seed: int
-    samples: int
-    laws: tuple[LawResult, ...]
-    witnesses: tuple[LawWitness, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(law.holds for law in self.laws)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "laws": [law.to_json_dict() for law in self.laws],
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-        }
-
-
 def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     """Deterministic sampled law check over both algebras; no sequence enters.
 
@@ -197,49 +147,13 @@ def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     associativity for ``circ``, the grading laws, and the prime splitting of
     layers.  For ``odot`` it emits explicit witnesses of noncommutativity and
     nonassociativity: the canonical ones always, plus the first sampled ones
-    the pool yields.
-
-    The samples are drawn in one pass that counts how often each pool element
-    comes first and each pair of pool elements comes first and second.  A law
-    of one or two operands is then checked once per distinct operand tuple,
-    its verdict weighted by that count; associativity, of three, is checked
-    on each sample as it is drawn.  So the memory is the same for every
-    sample count, and the verdicts are those of checking every sample.
+    the pool yields.  The verdicts are those of checking every sample, in
+    memory that does not grow with the sample count.  The check is
+    ``_laws._check_laws``.
     """
-    if sample_count < 1:
-        raise ValueError(f"sample count must be >= 1, got {sample_count}")
-    import random
+    from ._laws import _check_laws
 
-    from ._laws import _ARITY, _CANONICAL, _FAILING, _LAWS, _POOL, _draw, _witness
-
-    rng = random.Random(seed)
-    size = len(_POOL)
-    # Draw counts of a at index i and of (a, b) at size * i + j: the order of
-    # product(_POOL, repeat=arity).
-    tables = {1: [0] * size, 2: [0] * size**2}
-    firsts, pairs = tables[1], tables[2]
-    verdicts = {law: Counter() for law in _LAWS}
-    inline = [(verdicts[law], holds) for law, holds in _LAWS.items() if _ARITY[law] == 3]
-    sampled = {}
-    for _ in range(sample_count):
-        i, j = _draw(rng), _draw(rng)
-        a, b, c = _POOL[i], _POOL[j], _POOL[_draw(rng)]
-        firsts[i] += 1
-        pairs[size * i + j] += 1
-        for tally, holds in inline:
-            tally[holds(a, b, c)] += 1
-        if len(sampled) < len(_FAILING):
-            for law, operands in zip(_FAILING, ((a, b), (a, b, c))):
-                if law not in sampled and (witness := _witness(law, operands)):
-                    sampled[law] = witness
-    for law, holds in _LAWS.items():
-        if (counts := tables.get(_ARITY[law])) is not None:
-            drawn = compress(product(_POOL, repeat=_ARITY[law]), counts)
-            for count, operands in zip(filter(None, counts), drawn):
-                verdicts[law][holds(*operands)] += count
-    laws = (LawResult(law, sample_count - v[None], v[False]) for law, v in verdicts.items())
-    canonical = map(_witness, _FAILING, _CANONICAL)
-    return LawReport(seed, sample_count, tuple(laws), (*canonical, *sampled.values()))
+    return _check_laws(sample_count, seed)
 
 
 def _cmd_prefab_compose(args: SimpleNamespace) -> tuple[int, dict]:
@@ -268,8 +182,10 @@ def _cmd_prefab_compose(args: SimpleNamespace) -> tuple[int, dict]:
     return 0, payload
 
 
-def _cmd_prefab_laws(args: SimpleNamespace) -> tuple[int, dict]:
-    """``cobweb prefab laws``: the sampled law report; exit 1 if a law fails."""
-    parse_sequence(args.spec)  # a malformed spec is still refused
-    report = check_algebra_laws(args.samples, args.seed)
-    return (0 if report.all_hold else 1), report.to_json_dict()
+def __getattr__(name: str) -> type:
+    """The law checker's records, defined with it in ``_laws``."""
+    if name in ("LawWitness", "LawResult", "LawReport"):
+        from . import _laws
+
+        return getattr(_laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

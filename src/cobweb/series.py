@@ -13,13 +13,15 @@ divisions are exact on integers.  The vector-space counts are that formula
 over the bg:q sequence, whose factorials (``fnomial.f_factorial``) are the
 orders of the general linear groups over a prime field; they count the
 unordered direct-sum decompositions of a finite vector space.  The two
-brute-force routes that ``--oracle`` runs stay here, sharing neither the
-coefficient rows nor the recurrences: ``bell_by_partitions`` and
-``decomposition_oracle``, a literal subspace enumeration.  An assembly is a
-multiset of primes P_p, so B_n = F_n! [x^n] prod_p exp(x^p / F_p!), and
-``bell_by_partitions`` expands that product one part size p at a time: the
-sum over the integer partitions of n, with O(n^2 log n) exact divisions in
-place of one per partition.
+brute-force routes that ``--oracle`` runs share neither the coefficient rows
+nor the recurrences: ``bell_by_partitions`` and ``decomposition_oracle``, a
+literal subspace enumeration.  An assembly is a multiset of primes P_p, so
+B_n = F_n! [x^n] prod_p exp(x^p / F_p!), and ``bell_by_partitions`` expands
+that product one part size p at a time: the sum over the integer partitions
+of n, with O(n^2 log n) exact divisions in place of one per partition.
+Their bodies are in ``_brute``, which only an ``--oracle`` call loads: their
+entries here import it when they run, and ``enumerate_subspaces`` is read
+from it on first access.
 
 Values are exact: ``int`` where integral, ``Fraction`` otherwise, by the
 one division rule ``fseq.exact_quotient``; series coefficients are
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .fnomial import f_nomial_rows
@@ -140,33 +142,6 @@ def bell_f(F: FSequence, n: int) -> int | Fraction:
     return _scaled_enumerator(F, n)[n]
 
 
-def bell_by_partitions(F: FSequence, n: int) -> int | Fraction:
-    """Independent route to B_n = F_n! [x^n] exp(E - 1): the sum over the
-    integer partitions of n of F_n! / (prod F_p! * prod multiplicity!), as
-    the product of exp(x^p / F_p!) over the part sizes p, expanded one part
-    size at a time, instead of series convolution or coefficient rows.
-    After parts 1..p, S[r] is F_n! times the sum over the partitions of r
-    into those parts; part p adds multiplicity m to S[r] as S[r - m p]
-    divided by F_p!^m * m!, one ``exact_quotient`` each, an int where it
-    divides.  n is checked as ``bell_f`` checks it, then against
-    ``BELL_ORACLE_BOUND``, before any term is read."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    if n > BELL_ORACLE_BOUND:
-        raise ValueError(f"oracle is bounded to n <= {BELL_ORACLE_BOUND}, got {n}")
-    factorials = _factorials(F, n)
-    S: list[int | Fraction] = [factorials[n]] + [0] * n
-    for p in range(1, n + 1):
-        # r descends, so S[r - m p] still sums over the parts below p only
-        for r in range(n, p - 1, -1):
-            weight = 1
-            for m in range(1, r // p + 1):
-                weight *= factorials[p] * m
-                S[r] += exact_quotient(S[r - m * p], weight)
-    # an int where B_n is integral, even if some of its terms were not
-    return S[n].numerator if S[n].denominator == 1 else S[n]
-
-
 def _is_prime(q: int) -> bool:
     """Deterministic Miller-Rabin over ``PRIMALITY_BASES``; exact for
     q < ``PRIMALITY_BOUND``, which callers must check."""
@@ -221,99 +196,26 @@ def q_bell(q: int, n: int) -> int:
     return _integral(_scaled_enumerator(_bg(q, n), n)[n], "decomposition count")
 
 
-def _widen(
-    basis: list[tuple[int, list[int]]], rows: Iterable[Iterable[int]], q: int
-) -> list[tuple[int, list[int]]] | None:
-    """The echelon basis of span(basis) + span(rows) over the prime field, or
-    None if the rows are not independent of the basis and of each other.
+def bell_by_partitions(F: FSequence, n: int) -> int | Fraction:
+    """Independent route to B_n = F_n! [x^n] exp(E - 1): the sum over the
+    integer partitions of n of F_n! / (prod F_p! * prod multiplicity!),
+    instead of series convolution or coefficient rows, with one
+    ``exact_quotient`` per part size, multiplicity and entry.  n is checked
+    as ``bell_f`` checks it, then against ``BELL_ORACLE_BOUND``, before any
+    term is read.  The sum is ``_brute._partition_sum``."""
+    from ._brute import _partition_sum
 
-    A basis is a list of (pivot column, row) with a 1 at the pivot and a 0 at
-    every earlier row's pivot, so one pass in order reduces a vector
-    against it.  ``basis`` itself is left as it is.
-    """
-    widened = list(basis)
-    for row in rows:
-        v = list(row)
-        for pivot, b in widened:
-            if c := v[pivot]:
-                v = [(x - c * y) % q for x, y in zip(v, b)]
-        pivot = next((col for col, x in enumerate(v) if x), None)
-        if pivot is None:
-            return None
-        inverse = pow(v[pivot], -1, q)
-        widened.append((pivot, [x * inverse % q for x in v]))
-    return widened
-
-
-def enumerate_subspaces(q: int, n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every subspace of the n-dim space over GF(q), as canonical echelon bases.
-
-    A subspace is generated once, directly in reduced echelon form: choose
-    pivot columns, then fill the free cells right of each pivot.
-    """
-    _require_prime(q)
-    if n < 0:
-        raise ValueError(f"dimension must be nonnegative, got {n}")
-    spaces: list[tuple[tuple[int, ...], ...]] = []
-    for d in range(n + 1):
-        for pivots in combinations(range(n), d):
-            free_cells = [
-                (i, c)
-                for i in range(d)
-                for c in range(n)
-                if c > pivots[i] and c not in pivots
-            ]
-            for values in product(range(q), repeat=len(free_cells)):
-                rows = [[0] * n for _ in range(d)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, c), v in zip(free_cells, values):
-                    rows[i][c] = v
-                spaces.append(tuple(tuple(r) for r in rows))
-    return spaces
+    return _partition_sum(F, n)
 
 
 def decomposition_oracle(q: int, n: int) -> int:
-    """Brute-force count of unordered direct-sum decompositions.
+    """Brute-force count of unordered direct-sum decompositions of GF(q)^n,
+    by enumerating subspaces; entirely independent of the series route.  The
+    arguments are checked as ``q_bell`` checks them, then against
+    ``SUBSPACE_BOUND``.  The count is ``_brute._decomposition_count``."""
+    from ._brute import _decomposition_count
 
-    Enumerates every nonzero subspace, then every set of them (in canonical
-    order, so each set once) whose dimensions add to n and whose combined
-    basis has full rank.  Entirely independent of the series route.  The
-    arguments are checked by ``_bg``, as ``q_bell`` checks them.
-    """
-    _bg(q, n)
-    # Subspace counts G_m of GF(q)^m by Goldman-Rota, G_(m+1) = 2 G_m +
-    # (q^m - 1) G_(m-1), up to m = n or the first count past the bound.
-    m, previous, subspaces = 1, 1, 2
-    while m < n and subspaces - 1 <= SUBSPACE_BOUND:
-        m, previous, subspaces = m + 1, subspaces, 2 * subspaces + (q**m - 1) * previous
-    if subspaces - 1 > SUBSPACE_BOUND:
-        raise ValueError(
-            f"oracle is bounded to {SUBSPACE_BOUND} nonzero subspaces; GF({q})^{n} has more"
-        )
-    spaces = sorted(
-        (s for s in enumerate_subspaces(q, n) if s),
-        key=lambda s: (len(s), s),
-    )
-    count = 0
-
-    def extend(start: int, basis: list[tuple[int, list[int]]], dim_sum: int) -> None:
-        nonlocal count
-        for idx in range(start, len(spaces)):
-            candidate = spaces[idx]
-            d = len(candidate)
-            if dim_sum + d > n:
-                break  # sorted by dimension: every later space is as large
-            widened = _widen(basis, candidate, q)
-            if widened is None:
-                continue
-            if dim_sum + d == n:
-                count += 1
-            else:
-                extend(idx + 1, widened, dim_sum + d)
-
-    extend(0, [], 0)
-    return count
+    return _decomposition_count(q, n)
 
 
 def _cmd_series(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
@@ -355,3 +257,13 @@ def _cmd_series_qbell(args: SimpleNamespace) -> tuple[int, dict]:
     return _with_oracle(args, {"q": args.q, "n": args.n}, "formula",
                         lambda: q_bell(args.q, args.n),
                         lambda: decomposition_oracle(args.q, args.n))
+
+
+def __getattr__(name: str) -> object:
+    """``enumerate_subspaces``, defined with the oracle that lists them in
+    ``_brute``."""
+    if name == "enumerate_subspaces":
+        from ._brute import enumerate_subspaces
+
+        return enumerate_subspaces
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobweb.fnomial import _exact_context
+from cobweb._triangle import _exact_context
 from cobweb.fseq import (
     FSequence,
     SequenceError,

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -53,11 +54,21 @@ ARGPARSE = {"argparse", "gettext", "locale"}
 BASE = {"cobweb", "cobweb.cli"}
 CORE = {"cobweb", "cobweb.fseq", "cobweb.fnomial"}
 COEFFICIENTS = BASE | CORE
+# a command's own code is in a private module that only its calls load, and
+# a finite sequence's in one that only a custom: or file: spec loads
+FINITE = {"cobweb._finite"}
+SCANS = COEFFICIENTS | {"cobweb._scans"}
 SERIES = COEFFICIENTS | {"cobweb.series"}
+# the brute-force routes load only with --oracle
+ORACLE = SERIES | {"cobweb._brute"}
 # a poset is its level sizes, so no poset call needs the coefficient module
 POSET = BASE | {"cobweb.fseq", "cobweb.poset"}
+EXPORTS = POSET | {"cobweb._exports"}
+# a dense export and the enumerate walk are priced by the helper they share
+DENSE = {"cobweb._dense"}
 CHAINS = ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level", "1",
           "--to-level", "3", "--mode"]
+CHAIN_COUNTS = POSET | {"cobweb._chains"}
 PACK = ["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"]
 # a pack call checks the copy shape and cap with the search's own helpers
 PACKING = POSET | {"cobweb._packing"}
@@ -66,39 +77,42 @@ PACKING = POSET | {"cobweb._packing"}
 # valid calls, none of them loads an ARGPARSE module
 CLI_CALLS = {
     # the scans see integral values only, so neither loads a rational module
-    "seq check": (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0,
-                  COEFFICIENTS, NONE),
+    "seq check": (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0, SCANS, NONE),
     "seq check gcd-morphic": (
         ["seq", "check", "--spec", "fibonacci", "--upto", "10", "--gcd-morphic"], 0,
-        BASE | {"cobweb.fseq"}, NONE),
+        BASE | {"cobweb.fseq", "cobweb._scans"}, NONE),
     "seq check violation": (["seq", "check", "--spec", "custom:2,3", "--upto", "2"], 1,
-                            COEFFICIENTS, FRACTIONS),
+                            SCANS | FINITE, FRACTIONS),
     "fnomial": (["fnomial", "--spec", "fibonacci", "--n", "5", "--k", "2"], 0,
                 COEFFICIENTS, NONE),
     "fnomial fractional": (["fnomial", "--spec", "custom:2,3", "--n", "2", "--k", "1"], 0,
-                           COEFFICIENTS, FRACTIONS),
+                           COEFFICIENTS | FINITE, FRACTIONS),
     "fnomial triangle": (["fnomial", "triangle", "--spec", "fibonacci", "--rows", "5"], 0,
-                         COEFFICIENTS, DECIMAL),
+                         COEFFICIENTS | {"cobweb._triangle"}, DECIMAL),
     "poset build": (["poset", "build", "--spec", "fibonacci", "--levels", "4"], 0,
-                    POSET, NONE),
-    "poset dot": (["poset", "dot", "--spec", "natural", "--levels", "3"], 0, POSET, NONE),
+                    EXPORTS, NONE),
+    "poset dot": (["poset", "dot", "--spec", "natural", "--levels", "3"], 0, EXPORTS | DENSE,
+                  NONE),
     "poset pack": (PACK, 1, PACKING, NONE),
     # the quotient 3/2 is the one fraction a packing builds
     "poset pack fractional": (
         ["poset", "pack", "--spec", "custom:2,3", "--root-level", "1", "--m", "1"], 1,
-        PACKING, FRACTIONS),
+        PACKING | FINITE, FRACTIONS),
     # refused by the copy cap before any quotient is formed
     "poset pack cap-refused": (PACK + ["--cap", "1"], 2, PACKING, NONE),
-    "poset chains": (CHAINS + ["product"], 0, POSET, NONE),
+    "poset chains": (CHAINS + ["product"], 0, CHAIN_COUNTS, NONE),
     # the matrix walk steps through one row with no incidence table
-    "poset chains matrix": (CHAINS + ["matrix"], 0, POSET, NONE),
-    "poset chains enumerate": (CHAINS + ["enumerate"], 0, POSET, NONE),
+    "poset chains matrix": (CHAINS + ["matrix"], 0, CHAIN_COUNTS, NONE),
+    "poset chains enumerate": (CHAINS + ["enumerate"], 0, CHAIN_COUNTS | DENSE, NONE),
     "poset zeta": (["poset", "zeta", "--spec", "fibonacci", "--levels", "4", "--format", "csv"],
-                   0, POSET | {"cobweb.incidence"}, NONE),
+                   0, POSET | DENSE | {"cobweb.incidence"}, NONE),
     "poset mobius": (["poset", "mobius", "--spec", "fibonacci", "--levels", "4"], 0,
-                     POSET | {"cobweb.incidence"}, NONE),
-    "poset dim2": (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0, POSET, NONE),
+                     POSET | DENSE | {"cobweb.incidence"}, NONE),
+    "poset dim2": (["poset", "dim2", "--spec", "natural", "--levels", "3"], 0,
+                   EXPORTS | DENSE, NONE),
     "series qbell": (["series", "qbell", "--q", "2", "--n", "3"], 0, SERIES, NONE),
+    "series qbell oracle": (["series", "qbell", "--q", "2", "--n", "3", "--oracle"], 0,
+                            ORACLE, NONE),
     # series coefficients are fractions
     "series expf": (["series", "expf", "--spec", "fibonacci", "--order", "5"], 0,
                     SERIES, FRACTIONS),
@@ -107,7 +121,7 @@ CLI_CALLS = {
     "series bell": (["series", "bell", "--spec", "natural", "--n", "5"], 0, SERIES, NONE),
     # the partition route sums integers where B_n is integral
     "series bell oracle": (["series", "bell", "--spec", "natural", "--n", "5", "--oracle"], 0,
-                           SERIES, NONE),
+                           ORACLE, NONE),
     # B_3 = 10/3 over fibonacci
     "series bell fractional": (["series", "bell", "--spec", "fibonacci", "--n", "3"], 0,
                                SERIES, FRACTIONS),
@@ -148,7 +162,7 @@ def test_cli_call_loads_only_its_modules(argv, code, modules, rational):
 ], ids=["help", "usage error"])
 def test_help_and_usage_errors_load_argparse(argv, code):
     call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
-    assert probe(call) == (code, BASE, ARGPARSE)
+    assert probe(call) == (code, BASE | {"cobweb._parser"}, ARGPARSE)
 
 
 @pytest.mark.parametrize("a, b, rational", [(6, 3, NONE), (3, 2, FRACTIONS)],
@@ -249,6 +263,110 @@ def test_oracles_load_without_a_module_entry():
     assert (len(copies), oracles.brute_max_packing(copies)) == (6, 2)
 
 
+# One call per command and the AST nodes it may compile, summed over the
+# cobweb modules it loads: the figure when the ceiling was set, plus 5%.
+# Where bytecode is not cached, every call compiles each module it loads
+# from source, so these sums price a call's start-up (about 2.5 us a node on
+# a 2-vCPU x86 VM).
+COMPILE_BUDGET = {
+    "seq check": ("seq check --spec fibonacci --upto 10", 4521),
+    "fnomial": ("fnomial --spec fibonacci --n 5 --k 2", 3570),
+    "fnomial triangle": ("fnomial triangle --spec fibonacci --rows 5", 3931),
+    "poset build": ("poset build --spec natural --levels 4", 4209),
+    "poset dot": ("poset dot --spec natural --levels 3", 4426),
+    "poset chains": (
+        "poset chains --spec natural --levels 4 --from-level 1 --to-level 3 --mode enumerate",
+        4252),
+    "poset pack": ("poset pack --spec natural --root-level 1 --m 2", 5131),
+    "poset zeta": ("poset zeta --spec natural --levels 3", 4484),
+    "poset mobius": ("poset mobius --spec natural --levels 3 --format csv", 4484),
+    "poset dim2": ("poset dim2 --spec natural --levels 3", 4426),
+    "prefab compose": ("prefab compose --op odot --a 0,2 --b 0,3 --spec fibonacci", 4389),
+    "prefab laws": ("prefab laws --spec natural --samples 50 --seed 1", 5181),
+    "series qbell": ("series qbell --q 2 --n 3", 4889),
+    "series qbell oracle": ("series qbell --q 2 --n 3 --oracle", 5926),
+    "series expf": ("series expf --spec natural --order 5", 4889),
+}
+
+
+def ast_nodes(module: str) -> int:
+    """The nodes of a cobweb module's syntax tree: what compiling it walks."""
+    path = Path(SRC, *module.split(".")[:2])
+    path = path / "__init__.py" if module == "cobweb" else path.with_suffix(".py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+@pytest.mark.parametrize("argv, ceiling", COMPILE_BUDGET.values(), ids=COMPILE_BUDGET)
+def test_a_call_compiles_no_more_than_its_budget(argv, ceiling):
+    code, loaded, _ = probe(f"from cobweb.cli import main; sys.exit(main({argv.split()!r}))")
+    nodes = sum(map(ast_nodes, loaded))
+    assert code in (0, 1)
+    assert nodes <= ceiling, (
+        f"`cobweb {argv}` compiles {nodes} AST nodes in {sorted(loaded)}, past its budget "
+        f"of {ceiling}: a module this call loads has grown.  Move what only some calls run "
+        "into a private module that they alone load (README, Start-up), or raise the "
+        "budget and say why in CHANGES.md")
+
+
+# Runs one cli.main call per argv line of argv[2] with the benchmark's tracer
+# installed (perfbench/ is argv[1]), then prints the exit codes, the
+# tracer's counters and the packs that ``inproc.layer_totals`` finds.
+TRACED = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import inproc, tracing
+from cobweb import cli
+tracer = tracing.Tracer()
+tracing.install(tracer)
+codes = []
+for line in sys.argv[2].splitlines():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(line.split()))
+totals = inproc.layer_totals(tracer)
+print(json.dumps([codes, dict(tracer.counters), totals["packs"]]))
+"""
+TRACED_CALLS = [
+    "seq check --spec fibonacci --upto 12",
+    "fnomial --spec fibonacci --n 9 --k 4",
+    "fnomial triangle --spec natural --rows 6 --format csv",
+    "poset build --spec natural --levels 4",
+    "poset dot --spec natural --levels 3",
+    "poset chains --spec natural --levels 4 --from-level 0 --to-level 4 --mode enumerate",
+    "poset pack --spec natural --root-level 1 --m 2",
+    "poset zeta --spec fibonacci --levels 4",
+    "poset mobius --spec natural --levels 3 --format csv",
+    "poset dim2 --spec natural --levels 3",
+    "prefab compose --op odot --a 0,2 --b 0,3 --spec fibonacci",
+    "prefab laws --spec natural --samples 40 --seed 3",
+    "series expf --spec natural --order 6",
+    "series enumerator --spec fibonacci --order 5",
+    "series bell --spec natural --n 6 --oracle",
+    "series qbell --q 2 --n 3 --oracle",
+]
+
+
+def test_the_benchmark_tracer_counts_one_call_of_every_command():
+    # a public function whose body moved to a private module keeps an entry
+    # in its layer module: re-exported from the private module, its layer
+    # would be unknown to ``layer_totals`` (a KeyError), and a body that
+    # handlers call directly would leave its hook counting nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED, perfbench, "\n".join(TRACED_CALLS)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    codes, counters, packs = json.loads(result.stdout)
+    assert codes == [0] * 6 + [1] + [0] * 9  # natural's 2-packing is not tight
+    assert counters == {
+        "fseq.pairs_scanned": 169, "fnomial.coefficients": 2, "incidence.entries": 113,
+        "poset.chains_walked": 24, "prefab.samples": 40, "series.coefficients": 13,
+    }
+    assert packs == 1
+
+
 def test_the_benchmark_tracer_finds_every_method_it_wraps():
     # perfbench/tracing.py replaces these methods in their class's own dict;
     # a name that left the dict, or moved to a base class, fails its install
@@ -286,8 +404,9 @@ def test_every_private_module_level_name_in_src_is_used():
     assert len(private) > 40
 
     def references(node):
-        """Each name that code under ``node`` reads: a name, an attribute or
-        an imported name."""
+        """Each name that code under ``node`` reads: a name, an attribute, an
+        imported name or the function of a "module:function" handler string
+        of ``cli.COMMANDS``."""
         for child in ast.walk(node):
             if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
                 yield child.id
@@ -295,6 +414,9 @@ def test_every_private_module_level_name_in_src_is_used():
                 yield child.attr
             elif isinstance(child, ast.alias):
                 yield child.name
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if handler := re.fullmatch(r"_?[a-z]+:(\w+)", child.value):
+                    yield handler[1]
 
     everywhere = Counter(name for tree in trees for name in references(tree))
     unused = [name for name, node in private
@@ -310,6 +432,10 @@ UNREACHED = {
     "cli._write_failed": "a write of standard output that fails; the subprocess tests run it",
     "__init__.__getattr__": "the package's lazy names, read by library callers",
     "__init__.__dir__": "the package's lazy names, read by library callers",
+    "fseq.__getattr__": "the scan reports, read from _scans by library callers",
+    "poset.__getattr__": "the packing and dim2 records, read by library callers",
+    "prefab.__getattr__": "the law checker's records, read from _laws by library callers",
+    "series.__getattr__": "the subspace listing, read from _brute by library callers",
     "fseq._Frozen.__init_subclass__": "runs when a record class is defined, at import",
     "fseq._Frozen.__hash__": "record hashing, for library callers",
     "fseq._Frozen.__setattr__": "refuses an assignment to a record field",
@@ -354,9 +480,11 @@ def test_every_function_in_src_is_entered_by_a_command(tmp_path):
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    # the methods the benchmark's tracer wraps, and the two its matrix hook reads
+    # the methods the benchmark's tracer wraps, named by the module that
+    # defines their class, and the two its matrix hook reads
     bound = {
-        f"{module}.{cls}.{method}"
+        f"{getattr(importlib.import_module(f'cobweb.{module}'), cls).__module__[7:]}"
+        f".{cls}.{method}"
         for table in (tracing.SERIALIZER_METHODS, tracing.LAYER_METHODS)
         for (module, cls), methods in table.items()
         for method in methods
@@ -412,12 +540,14 @@ def test_no_package_module_but_cli_imports_the_cli():
     assert found == []
 
 
-def test_every_command_handler_lives_in_its_groups_module():
-    # cli.py holds the table, the parser and the writer; each handler is
-    # compiled only by the calls of its group, in the module it drives
+def test_every_command_handler_lives_in_the_module_its_row_names():
+    # cli.py holds the table and the writer; each handler is compiled only by
+    # the calls that load the module its row names
     from cobweb import cli
 
     for (group, name), (_help, handler, _options) in cli.COMMANDS.items():
         if handler is not None:
-            module = importlib.import_module(f"cobweb.{cli.MODULES[group]}")
-            assert handler(module).__module__ == module.__name__ != "cobweb.cli", (group, name)
+            module_name, function = handler.split(":")
+            module = importlib.import_module(f"cobweb.{module_name}")
+            assert getattr(module, function).__module__ == module.__name__ != "cobweb.cli", (
+                group, name)

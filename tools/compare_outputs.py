@@ -2,7 +2,7 @@
 
 Run from anywhere in the repository:
 
-    python3 tools/compare_outputs.py REV [--seeds 1 2] [--calls FILE]
+    python3 tools/compare_outputs.py REV [--seeds 1 2] [--calls FILE] [--repeat N]
 
 REV's files are written by ``git archive`` to a temporary directory,
 removed again at the end.  Each call runs as ``python3 -m cobweb.cli`` in
@@ -14,7 +14,13 @@ seed, then one JSON array of arguments per nonblank line of FILE.  The exit
 code, the SHA-256 of standard output and standard error are compared; every
 mismatch is printed, and the script exits 1 if there is any.  Each call of
 FILE is also measured in both trees: its exit code, wall seconds and peak
-RSS (the child's own ``ru_maxrss``, read by ``os.wait4``) are printed.
+RSS (the child's own ``ru_maxrss``, read by ``os.wait4``).  With
+``--repeat N`` it runs N times in each tree, the two trees alternating and
+taking turns to go first, and the script prints each tree's medians and the
+paired medians (this tree's run minus REV's run next to it, and that as a
+share of REV's), then the paired medians over every measured pair.
+``tools/startup_calls.jsonl`` holds one cheap call per command and one per
+refusal path, sized so that start-up, not the computation, sets their time.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -83,11 +90,22 @@ def calls(seeds: list[int], calls_file: str | None, workdir: str) -> list[tuple[
     return listed
 
 
+def paired(pairs: list[tuple[float, float, float, float]]) -> str:
+    """The paired medians of (tree s, REV s, tree MB, REV MB) runs: wall
+    milliseconds, as a share of REV's, and peak-RSS megabytes."""
+    wall_ms = statistics.median((here - there) * 1e3 for here, there, _, _ in pairs)
+    share = statistics.median((here - there) / there for here, there, _, _ in pairs)
+    rss_mb = statistics.median(here - there for _, _, here, there in pairs)
+    return f"{wall_ms:+.2f} ms ({share:+.1%}), {rss_mb:+.2f} MB over {len(pairs)} pairs"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the revision to compare against, e.g. HEAD~1")
     parser.add_argument("--seeds", type=int, nargs="*", default=[1], help="workload seeds")
     parser.add_argument("--calls", help="file of JSON argv arrays, one call a line")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs of each call of FILE in each tree (default 1)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
         other = Path(scratch) / "tree"
@@ -100,21 +118,38 @@ def main() -> int:
         listed = calls(args.seeds, args.calls, workdir)
         here_dir, there_dir = os.path.join(scratch, "here"), os.path.join(scratch, "there")
         mismatches = 0
+        every_pair = []
         with launcher(ROOT, here_dir, workdir) as here_spawner, \
                 launcher(other, there_dir, workdir) as there_spawner:
             for label, argv, measured in listed:
-                here, here_s, here_mb = run_call(here_spawner, here_dir, argv)
-                there, there_s, there_mb = run_call(there_spawner, there_dir, argv)
+                pairs = []
+                mismatched = False
+                for turn in range(args.repeat if measured else 1):
+                    if turn % 2:
+                        here, here_s, here_mb = run_call(here_spawner, here_dir, argv)
+                        there, there_s, there_mb = run_call(there_spawner, there_dir, argv)
+                    else:
+                        there, there_s, there_mb = run_call(there_spawner, there_dir, argv)
+                        here, here_s, here_mb = run_call(here_spawner, here_dir, argv)
+                    pairs.append((here_s, there_s, here_mb, there_mb))
+                    if here != there and not mismatched:
+                        mismatched = True
+                        mismatches += 1
+                        print(f"mismatch {label} {json.dumps(argv)}")
+                        for name, a, b in zip(("exit", "stdout", "stderr"), there, here):
+                            if a != b:
+                                print(f"  {name}: {args.rev} {a!r}\n  {name}: tree {b!r}")
                 if measured:
+                    every_pair += pairs
+                    medians = [statistics.median(column) for column in zip(*pairs)]
+                    here_s, there_s, here_mb, there_mb = medians
                     print(f"{label} {json.dumps(argv)}\n"
-                          f"  {args.rev}: exit {there[0]}, {there_s:.2f} s, {there_mb:.1f} MB\n"
-                          f"  tree: exit {here[0]}, {here_s:.2f} s, {here_mb:.1f} MB")
-                if here != there:
-                    mismatches += 1
-                    print(f"mismatch {label} {json.dumps(argv)}")
-                    for name, a, b in zip(("exit", "stdout", "stderr"), there, here):
-                        if a != b:
-                            print(f"  {name}: {args.rev} {a!r}\n  {name}: tree {b!r}")
+                          f"  {args.rev}: exit {there[0]}, {there_s:.3f} s, {there_mb:.1f} MB\n"
+                          f"  tree: exit {here[0]}, {here_s:.3f} s, {here_mb:.1f} MB")
+                    if args.repeat > 1:
+                        print(f"  paired: {paired(pairs)}")
+    if every_pair and args.repeat > 1:
+        print(f"all measured calls, paired: {paired(every_pair)}")
     print(f"{len(listed)} calls, {mismatches} mismatches against {args.rev}")
     return 1 if mismatches else 0
 

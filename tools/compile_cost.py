@@ -3,34 +3,48 @@
 Run from anywhere in the repository:
 
     python3 tools/compile_cost.py [--src DIR] [--calls FILE] [-- ARGV...]
+    python3 tools/compile_cost.py --workload NAME [--seed N] [--src DIR]
 
 A process that may not write bytecode (``PYTHONDONTWRITEBYTECODE=1``, or a
 checkout without ``__pycache__``) compiles every module it imports from
 source.  For each ``*.py`` of the package directory (``src/cobweb`` of this
-tree, or ``--src``) the script prints the source bytes, the median time of
-``compile()`` in this process, and the rise in peak RSS of the module's first
-``compile()`` in a fresh interpreter (``-I``), read with
-``resource.getrusage`` before and after (the median over ``--children``
-children).  A call's peak RSS is at least that of its largest compile.
+tree, or ``--src``) the script prints the source bytes, the AST nodes
+(``ast.walk`` over ``ast.parse``), the median time of ``compile()`` in this
+process, and the rise in peak RSS of the module's first ``compile()`` in a
+fresh interpreter (``-I``), read with ``resource.getrusage`` before and
+after (the median over ``--children`` children).  A call's peak RSS is at
+least that of its largest compile.
 
 For a call, given as arguments after ``--`` or as one JSON array of
 arguments per nonblank line of FILE, it runs ``cobweb.cli.main`` in a fresh
-interpreter on that package, prints the ``cobweb`` modules the call loaded
-and the largest compile peak among them.  Standard library only.
+interpreter on that package (stopped after ``TIME_LIMIT_S`` seconds, by
+which every call has loaded its modules) and prints the ``cobweb`` modules
+the call loaded, their source bytes and AST nodes in all, and the largest
+compile peak among them.  ``--workload`` takes the calls of one pass of a
+benchmark workload at ``--seed`` (``perfbench/workloads.generate``, whose
+``file:`` sequences go to a temporary directory), prints one line per call
+and then the median and the maximum of the bytes and nodes per call; it
+skips the compile peaks, which need many children.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds after which a call is stopped: it has loaded its modules long
+# before, and the packing workload holds searches that do not finish.
+TIME_LIMIT_S = 10.0
 
 # The peak-RSS rise, in KB, of one compile of the file given as argv[1].
 COMPILE_PEAK = """
@@ -49,16 +63,26 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 LAUNCH = "import os, sys; os.waitpid(os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ), 0)"
 
 # Runs the call given as argv[1] (a JSON array) with standard output
-# discarded, then prints the loaded cobweb modules as the last line of
-# standard error.
+# discarded, for at most argv[2] seconds, then prints the loaded cobweb
+# modules as the last line of standard error.
 LOADED = """
-import json, os, sys
+import json, os, signal, sys
+
+class Stop(BaseException):
+    pass
+
+def stop(signum, frame):
+    raise Stop()
+
 sys.stdout = open(os.devnull, "w")
+signal.signal(signal.SIGALRM, stop)
+signal.setitimer(signal.ITIMER_REAL, float(sys.argv[2]))
 from cobweb.cli import main
 try:
     main(json.loads(sys.argv[1]))
-except SystemExit:
+except (SystemExit, Stop):
     pass
+signal.setitimer(signal.ITIMER_REAL, 0)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "cobweb")),
       file=sys.stderr)
 """
@@ -85,17 +109,54 @@ def compile_ms(source: str, path: Path, repeat: int) -> float:
     return statistics.median(times) * 1e3
 
 
+def ast_nodes(source: str) -> int:
+    """The nodes of the module's syntax tree: what its compile walks."""
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
 def loaded_modules(src: Path, argv: list[str]) -> list[str]:
     """The ``cobweb`` modules that the call loads, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src.parent), PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argv)],
-                            env=env, capture_output=True, text=True, timeout=600)
+    result = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argv), str(TIME_LIMIT_S)],
+                            env=env, capture_output=True, text=True, timeout=TIME_LIMIT_S + 60)
     return json.loads(result.stderr.splitlines()[-1])
 
 
 def module_file(name: str) -> str:
     """The file of a ``cobweb`` module, relative to the package directory."""
     return "__init__.py" if name == "cobweb" else name.split(".", 1)[1] + ".py"
+
+
+def workload_calls(name: str, seed: int, workdir: str) -> list[list[str]]:
+    """The argv of each call of one pass of a benchmark workload."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads  # perfbench/ is not a package
+
+    return [call["argv"] for call in workloads.generate(name, seed, workdir)]
+
+
+def call_costs(src: Path, argv: list[str]) -> tuple[list[str], int, int]:
+    """The ``cobweb`` modules the call loads, with their source bytes and
+    AST nodes in all."""
+    names = loaded_modules(src, argv)
+    sources = [(src / module_file(name)).read_text(encoding="utf-8") for name in names]
+    return names, sum(len(text.encode()) for text in sources), sum(map(ast_nodes, sources))
+
+
+def report_workload(src: Path, name: str, seed: int) -> None:
+    """One line per call of the workload's pass, then the median and the
+    maximum of the bytes and AST nodes a call compiles."""
+    with tempfile.TemporaryDirectory() as workdir:
+        costs = [(argv, *call_costs(src, argv))
+                 for argv in workload_calls(name, seed, workdir)]
+    print(f"{'nodes':>6}{'bytes':>8}  modules beyond cobweb, cobweb.cli; call")
+    for argv, names, size, nodes in costs:
+        extra = [m.split(".", 1)[1] for m in names if m not in ("cobweb", "cobweb.cli")]
+        print(f"{nodes:>6}{size:>8}  {','.join(extra)}; {' '.join(argv)}")
+    for label, column in (("nodes", 3), ("bytes", 2)):
+        values = [cost[column] for cost in costs]
+        print(f"{name} seed {seed}: {label} per call, median {statistics.median(values):g},"
+              f" max {max(values)}, over {len(values)} calls")
 
 
 def main() -> int:
@@ -106,9 +167,14 @@ def main() -> int:
     parser.add_argument("--children", type=int, default=5,
                         help="fresh interpreters per compile peak")
     parser.add_argument("--calls", help="file of JSON argv arrays, one call a line")
+    parser.add_argument("--workload", help="the calls of one pass of this benchmark workload")
+    parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
     parser.add_argument("argv", nargs=argparse.REMAINDER,
                         help="one call's arguments, after --")
     args = parser.parse_args()
+    if args.workload:
+        report_workload(args.src, args.workload, args.seed)
+        return 0
     call_list = []
     if args.calls:
         call_list += [json.loads(line) for line in
@@ -118,16 +184,17 @@ def main() -> int:
         call_list.append(call)
 
     peaks = {}
-    print(f"{'module':<16}{'bytes':>8}{'compile ms':>12}{'peak KB':>9}")
+    print(f"{'module':<16}{'bytes':>8}{'nodes':>8}{'compile ms':>12}{'peak KB':>9}")
     for path in sorted(args.src.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         peaks[path.name] = compile_peak_kb(path, args.children)
-        print(f"{path.name:<16}{len(source.encode()):>8}"
+        print(f"{path.name:<16}{len(source.encode()):>8}{ast_nodes(source):>8}"
               f"{compile_ms(source, path, args.repeat):>12.2f}{peaks[path.name]:>9}")
     for argv in call_list:
-        names = loaded_modules(args.src, argv)
+        names, size, nodes = call_costs(args.src, argv)
         largest = max(names, key=lambda name: peaks[module_file(name)])
         print(f"\n{json.dumps(argv)}\n  loads {', '.join(names)}\n"
+              f"  compiles {size} bytes, {nodes} AST nodes\n"
               f"  largest compile peak {peaks[module_file(largest)]} KB ({largest})")
     return 0
 
