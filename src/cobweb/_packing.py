@@ -4,7 +4,8 @@ that no other call compiles them: the copy shape and count with their
 refusals, the per-level conflict rows and their Kronecker product, the
 colour-class branch and bound, the level bound and the packing's report.
 
-The search is an exact branch-and-bound, never a heuristic.  It factors out
+A layer depends on F alone, so the search reads the terms, not a poset.
+It is an exact branch-and-bound, never a heuristic.  It factors out
 every level with F_j = 1 (copies on different vertices there never
 conflict), builds the remaining conflict graph as a Kronecker product of
 per-level bitmask rows, fixes one copy by the symmetry of permuting
@@ -13,39 +14,39 @@ level bound: at most floor(n_j * P(rest) / a_j) copies for any level j of
 n_j vertices of which a copy takes a_j, with P(rest) the bound without that
 level.  The explicit route, every copy as vertex sets searched without
 bounds, is the packing oracle in ``tests/oracles.py``.  The packing's
-coefficient quotient, the one value of a poset that can be a fraction, is
+coefficient quotient, the one value of a layer that can be a fraction, is
 divided by ``fseq.exact_quotient``, so ``fractions`` loads only when it is.
 
-The handler calls the poset's functions through ``poset``, so it runs what
-that module holds at the time of the call: a variant under test, or a
-tracing wrapper.
+The search reads the terms through ``poset.level_sizes`` and the handler
+calls ``poset.max_disjoint_packing``, so each runs what that module holds
+at the time of the call: a variant under test, or a tracing wrapper.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import poset
-from .fseq import exact_quotient, parse_sequence
-from .poset import PACKING_NODE_BUDGET, CobwebPoset, PackingCapError
+from .fseq import FSequence, exact_quotient, parse_sequence
+from .poset import PACKING_NODE_BUDGET, PackingCapError
 
 if TYPE_CHECKING:  # the packing quotient is the only rational value here
     from fractions import Fraction
     from types import SimpleNamespace
 
 
-def _copy_shape(
-    sizes: Sequence[int] | Mapping[int, int], L: int, k: int, m: int
-) -> list[tuple[int, int]]:
+def _copy_shape(F: FSequence, k: int, m: int) -> list[tuple[int, int]]:
     """(vertices available, vertices needed) at each level k+1..k+m of a
-    copy, read from ``sizes[s]``, the size of level s of a poset of levels
-    0..L; only levels 1..m and k+1..k+m are read."""
+    copy, from one read of levels 0..k+m that keeps only levels 1..m and
+    k+1..k+m.  Each term is checked as it is read, then the height, the
+    range and each level's need, in that order."""
+    sizes = {s: size for s, size in enumerate(poset.level_sizes(F, k + m)) if s <= m or s > k}
     if m < 0:
         raise ValueError(f"height must be nonnegative, got {m}")
-    if not 0 <= k <= L - m:
-        raise ValueError(f"copy levels {k}..{k + m} outside 0..{L}")
+    if k < 0:
+        raise ValueError(f"copy levels {k}..{k + m} outside 0..{k + m}")
     shape = []
     for j in range(1, m + 1):
         avail, need = sizes[k + j], sizes[j]
@@ -53,17 +54,6 @@ def _copy_shape(
             raise ValueError(f"level {k + j} has {avail} vertices, copy needs {need}")
         shape.append((avail, need))
     return shape
-
-
-def _copies_total(shape: list[tuple[int, int]], cap: int) -> int:
-    """prod C(avail, need) over the shape, multiplied up level by level and
-    refused with ``PackingCapError`` as soon as it passes ``cap``."""
-    copies_total = 1
-    for avail, need in shape:
-        copies_total *= math.comb(avail, need)
-        if copies_total > cap:
-            raise PackingCapError(f"instance has more copies than the cap of {cap}")
-    return copies_total
 
 
 def _level_conflicts(avail: int, need: int) -> list[int]:
@@ -210,12 +200,13 @@ class PackingReport(NamedTuple):
         }
 
 
-def _max_disjoint_packing(P: CobwebPoset, k: int, m: int, cap: int) -> PackingReport:
+def _max_disjoint_packing(F: FSequence, k: int, m: int, cap: int) -> PackingReport:
     """``poset.max_disjoint_packing``.
 
-    Instances whose copy count exceeds ``cap`` are refused outright; the
-    count prod_j C(F_(k+j), F_j) is multiplied up level by level and the
-    refusal comes as soon as it passes the cap, before it grows further.
+    It makes every refusal, in this order: a ``cap`` below 1 (every
+    instance has at least one copy), ``_copy_shape``'s, the copy cap and
+    the node budget.  The count prod_j C(F_(k+j), F_j) is multiplied up
+    level by level and refused as soon as it passes ``cap``.
 
     Copies pick an F_j-subset at each level k+j and share a maximal chain
     iff all their subsets meet.  A level with F_j = 1 picks one vertex, so
@@ -230,13 +221,16 @@ def _max_disjoint_packing(P: CobwebPoset, k: int, m: int, cap: int) -> PackingRe
     copies meet, so it leaves the maximum as it is.  The quotient comes from
     ``fseq.exact_quotient``: an ``int`` where it is integral, else a ``Fraction``.
     A search that passes ``PACKING_NODE_BUDGET`` nodes is refused with
-    ``PackingCapError``.  Every instance has at least one copy, so a ``cap``
-    below 1 raises ``ValueError``.
+    ``PackingCapError``.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    shape = _copy_shape(P.level_sizes, P.L, k, m)
-    copies_total = _copies_total(shape, cap)
+    shape = _copy_shape(F, k, m)
+    copies_total = 1
+    for avail, need in shape:
+        copies_total *= math.comb(avail, need)
+        if copies_total > cap:
+            raise PackingCapError(f"instance has more copies than the cap of {cap}")
     chains_total = math.prod(avail for avail, _ in shape)
     chain_cost = math.prod(need for _, need in shape)
     quotient = exact_quotient(chains_total, chain_cost)
@@ -252,7 +246,7 @@ def _max_disjoint_packing(P: CobwebPoset, k: int, m: int, cap: int) -> PackingRe
                 spread.append((avail, need))
     max_packing = factor * _max_family_through_first(conflict, _level_bound(spread))
     return PackingReport(
-        spec=P.F.spec,
+        spec=F.spec,
         root_level=k,
         m=m,
         n=k + m,
@@ -265,15 +259,11 @@ def _max_disjoint_packing(P: CobwebPoset, k: int, m: int, cap: int) -> PackingRe
 
 
 def _cmd_poset_pack(args: SimpleNamespace) -> tuple[int, dict]:
-    """The packing of levels k..k+m.  One read of the terms checks every
-    level and keeps only levels 1..m and k+1..k+m, on which the copy shape
-    and the copy cap refuse as ``max_disjoint_packing`` would; only an
-    instance the cap admits gets its poset, built by a second read."""
+    """The packing of levels k..k+m; the search makes every refusal but the
+    ``--cap`` check, which names the option and comes before the spec is
+    parsed."""
     if args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
-    k, m = args.root_level, args.m
     F = parse_sequence(args.spec)
-    kept = {s: size for s, size in enumerate(poset.level_sizes(F, k + m)) if s <= m or s > k}
-    _copies_total(_copy_shape(kept, k + m, k, m), args.cap)
-    report = poset.max_disjoint_packing(poset.build_poset(F, k + m), k, m, cap=args.cap)
+    report = poset.max_disjoint_packing(F, args.root_level, args.m, cap=args.cap)
     return (0 if report.tight else 1), report.to_json_dict()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .poset import CobwebPoset, contract_order, labels_json
 
@@ -65,23 +65,22 @@ class IncidenceMatrix:
             running *= 1 + self.w * n
         return row
 
-    def _dense_rows(self, cell: Callable[[int], object]) -> Iterator[list]:
-        """Dense rows built from one ``cell`` per level pair, shared along each block."""
+    def _dense_rows(self) -> Iterator[list[str]]:
+        """Dense rows of decimal strings, one string per level pair, shared
+        along each block."""
         sizes = self.poset.level_sizes
-        zero = cell(0)
         for s, size in enumerate(sizes):
-            row = self.row(s)
-            head = [zero] * sum(sizes[:s])
+            row = list(map(str, self.row(s)))
+            head = ["0"] * sum(sizes[:s])
             tail = []
             for t in range(s + 1, len(sizes)):
-                tail += [cell(row[t])] * sizes[t]
-            diagonal = cell(row[s])
+                tail += [row[t]] * sizes[t]
             for j in range(size):
-                yield head + [zero] * j + [diagonal] + [zero] * (size - j - 1) + tail
+                yield head + ["0"] * j + [row[s]] + ["0"] * (size - j - 1) + tail
 
     def to_csv(self) -> Iterator[str]:
         """The dense matrix as CSV, yielded one row line at a time."""
-        for row in self._dense_rows(str):
+        for row in self._dense_rows():
             yield ",".join(row) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -94,7 +93,7 @@ class IncidenceMatrix:
         yield '{"labels": '
         yield from labels_json(contract_order(self.poset))
         yield ', "rows": ['
-        for i, row in enumerate(self._dense_rows(str)):
+        for i, row in enumerate(self._dense_rows()):
             # entries are integer strings, which JSON quotes without escapes
             yield (', ["' if i else '["') + '", "'.join(row) + '"]'
         yield "]}"

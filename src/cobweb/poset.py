@@ -12,10 +12,10 @@ level sizes, which is also the covering-matrix power over level blocks, or
 by a bounded index-tuple walk; the dense power is an oracle's route.  Work
 that grows with the level sizes is priced from them level by level, as
 running totals, and refused at the first past ``WORK_BOUND`` by ``check_work``.
-The packing search (``_packing``) is an exact branch-and-bound, never a
-heuristic: an instance above the copy cap, or a search past
-``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``, not
-approximated.
+The packing search (``_packing``) takes the sequence, as ``f_nomial``
+does, and is an exact branch-and-bound, never a heuristic: an instance
+above the copy cap, or a search past ``PACKING_NODE_BUDGET`` nodes, is
+refused with ``PackingCapError``, not approximated.
 
 This module holds what every ``cobweb poset`` call runs: the poset, its
 level sizes and the work bound.  The code that only some commands run is
@@ -157,20 +157,19 @@ def count_max_chains_between(
     return _count_chains(P, k, n, mode)
 
 
-def max_disjoint_packing(
-    P: CobwebPoset, k: int, m: int, cap: int = 5000
-) -> PackingReport:
+def max_disjoint_packing(F: FSequence, k: int, m: int, cap: int = 5000) -> PackingReport:
     """Exact maximum family of pairwise chain-disjoint copies of the m-level
-    prime poset on levels k..k+m, with its quotient, the coefficient
-    (n over k)_F: an ``int`` where it is integral, else a ``Fraction``.
+    prime poset on levels k..k+m over F, with its quotient, the
+    coefficient (n over k)_F: an ``int`` where it is integral, else a
+    ``Fraction``.  The layer depends on F alone: F_1..F_(k+m) are read once.
     An instance with more than ``cap`` copies, or whose search passes
     ``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``; a
-    ``cap`` below 1 raises ``ValueError``.  The search is
-    ``_packing._max_disjoint_packing``.
+    ``cap`` below 1, a bad or missing term or a copy that does not fit
+    raises ``ValueError``.  The search is ``_packing._max_disjoint_packing``.
     """
     from ._packing import _max_disjoint_packing
 
-    return _max_disjoint_packing(P, k, m, cap)
+    return _max_disjoint_packing(F, k, m, cap)
 
 
 def contract_order(P: CobwebPoset) -> tuple[range, ...]:

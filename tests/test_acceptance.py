@@ -207,8 +207,7 @@ def test_criterion_07_packing_oracle():
 
         def pack(spec, k, m):
             F = parse_sequence(spec)
-            P = build_poset(F, k + m)
-            report = max_disjoint_packing(P, k, m)
+            report = max_disjoint_packing(F, k, m)
             reports.append((F, report))
             return report
 

@@ -70,7 +70,7 @@ CHAINS = ["poset", "chains", "--spec", "natural", "--levels", "4", "--from-level
           "--to-level", "3", "--mode"]
 CHAIN_COUNTS = POSET | {"cobweb._chains"}
 PACK = ["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"]
-# a pack call checks the copy shape and cap with the search's own helpers
+# a pack call loads the search, which reads the terms and makes its refusals
 PACKING = POSET | {"cobweb._packing"}
 
 # id -> (argv, exit code, cobweb modules loaded, FRACTIONS modules loaded); as
@@ -310,7 +310,8 @@ def test_a_call_compiles_no_more_than_its_budget(argv, ceiling):
 
 # Runs one cli.main call per argv line of argv[2] with the benchmark's tracer
 # installed (perfbench/ is argv[1]), then prints the exit codes, the
-# tracer's counters and the packs that ``inproc.layer_totals`` finds.
+# tracer's counters and the packs, solved packs and refusal time that
+# ``inproc.layer_totals`` finds.
 TRACED = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -323,7 +324,8 @@ for line in sys.argv[2].splitlines():
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(line.split()))
 totals = inproc.layer_totals(tracer)
-print(json.dumps([codes, dict(tracer.counters), totals["packs"]]))
+print(json.dumps([codes, dict(tracer.counters),
+                  [totals[key] for key in ("packs", "packs_solved", "refusal_ns")]]))
 """
 TRACED_CALLS = [
     "seq check --spec fibonacci --upto 12",
@@ -333,6 +335,7 @@ TRACED_CALLS = [
     "poset dot --spec natural --levels 3",
     "poset chains --spec natural --levels 4 --from-level 0 --to-level 4 --mode enumerate",
     "poset pack --spec natural --root-level 1 --m 2",
+    "poset pack --spec even --root-level 1 --m 2 --cap 10",
     "poset zeta --spec fibonacci --levels 4",
     "poset mobius --spec natural --levels 3 --format csv",
     "poset dim2 --spec natural --levels 3",
@@ -358,13 +361,15 @@ def test_the_benchmark_tracer_counts_one_call_of_every_command():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    codes, counters, packs = json.loads(result.stdout)
-    assert codes == [0] * 6 + [1] + [0] * 9  # natural's 2-packing is not tight
+    codes, counters, (packs, packs_solved, refusal_ns) = json.loads(result.stdout)
+    # natural's 2-packing is not tight, and even's copies pass the cap of 10
+    assert codes == [0] * 6 + [1, 2] + [0] * 9
     assert counters == {
         "fseq.pairs_scanned": 169, "fnomial.coefficients": 2, "incidence.entries": 113,
         "poset.chains_walked": 24, "prefab.samples": 40, "series.coefficients": 13,
     }
-    assert packs == 1
+    # the cap refuses inside the search's span, where the tracer times refusals
+    assert (packs, packs_solved) == (2, 1) and refusal_ns > 0
 
 
 def test_the_benchmark_tracer_finds_every_method_it_wraps():

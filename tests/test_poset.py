@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cobweb.cli import main
 from cobweb.fnomial import f_factorial, f_nomial, falling_f
 from cobweb import poset
-from cobweb.fseq import parse_sequence
+from cobweb.fseq import FSequence, parse_sequence
 from cobweb._exports import _levels_json
 from cobweb._packing import _level_bound
 from cobweb.poset import (
@@ -211,7 +212,7 @@ def test_packing_reports_match_brute_force():
     ]
     for F, k, m, expected, quotient, tight in cases:
         P = build_poset(F, k + m)
-        report = max_disjoint_packing(P, k, m)
+        report = max_disjoint_packing(F, k, m)
         assert report.max_packing == expected
         assert report.quotient_bound == quotient
         assert report.tight is tight
@@ -237,14 +238,13 @@ def test_packing_random_instances_match_brute_force():
             continue
         if len(copies) > 40:
             continue
-        report = max_disjoint_packing(P, k, m, cap=10000)
+        report = max_disjoint_packing(F, k, m, cap=10000)
         assert report.max_packing == brute_max_packing(copies)
         checked += 1
 
 
 def test_packing_trivial_cases():
-    P = build_poset(NAT, 2)
-    report = max_disjoint_packing(P, 0, 2)
+    report = max_disjoint_packing(NAT, 0, 2)
     assert report.copies_total == 1
     assert report.max_packing == 1
     assert report.tight
@@ -252,40 +252,74 @@ def test_packing_trivial_cases():
 
 def test_packing_handles_instances_with_many_copies():
     # 1050 candidate copies: C(6,2) * C(8,4); search must not recurse per copy
-    P = build_poset(EVEN, 4)
-    report = max_disjoint_packing(P, 2, 2)
+    report = max_disjoint_packing(EVEN, 2, 2)
     assert report.copies_total == 1050
     assert report.max_packing == 6
     assert report.tight
 
 
 def test_packing_refuses_levels_outside_the_poset():
-    P = build_poset(NAT, 3)
-    for k, m in ((-1, 1), (3, 1), (4, 0)):
-        with pytest.raises(ValueError, match=f"copy levels {k}..{k + m} outside 0..3"):
-            max_disjoint_packing(P, k, m)
+    with pytest.raises(ValueError, match=r"copy levels -1\.\.0 outside 0\.\.0"):
+        max_disjoint_packing(NAT, -1, 1)
+    # a layer past the end of a finite sequence refuses at its first missing term
+    short = parse_sequence("custom:1,2,3")
+    for k, m in ((3, 1), (4, 0)):
+        with pytest.raises(ValueError, match="'custom:1,2,3' defines only 3 terms, index 4"):
+            max_disjoint_packing(short, k, m)
 
 
 def test_packing_cap_refused():
-    P = build_poset(EVEN, 3)
     with pytest.raises(PackingCapError):
-        max_disjoint_packing(P, 1, 2, cap=10)
+        max_disjoint_packing(EVEN, 1, 2, cap=10)
 
 
 def test_packing_cap_refused_before_the_count_is_built():
     # the full copy count has about 1.4 million bits; the refusal must not need it
-    P = build_poset(parse_sequence("gauss:2"), 35)
     with pytest.raises(PackingCapError, match="cap"):
-        max_disjoint_packing(P, 20, 15)
+        max_disjoint_packing(parse_sequence("gauss:2"), 20, 15)
     # a level too small for a copy is still reported as such, cap or not
-    P = build_poset(parse_sequence("custom:1,3,5,1"), 4)
+    F = parse_sequence("custom:1,3,5,1")
     with pytest.raises(ValueError, match="copy needs"):
-        max_disjoint_packing(P, 1, 3, cap=1)
+        max_disjoint_packing(F, 1, 3, cap=1)
     # a cap below 1 is refused before any work, the level check included
     for cap in (0, -1):
         with pytest.raises(ValueError, match="cap must be at least 1"):
-            max_disjoint_packing(P, 1, 3, cap=cap)
+            max_disjoint_packing(F, 1, 3, cap=cap)
 
+
+
+def counting(spec):
+    """The sequence of ``spec`` and a ``Counter`` of the reads of each term."""
+    F, reads = parse_sequence(spec), Counter()
+
+    def term(n):
+        reads[n] += 1
+        return F.term(n)
+
+    return FSequence(spec, term), reads
+
+
+@pytest.mark.parametrize("spec, k, m, cap, outcome", [
+    ("natural", 2, 2, 5000, None),
+    ("even", 1, 2, 10, "more copies than the cap of 10"),
+    ("custom:1,5,2,1", 2, 2, 5000, "level 4 has 1 vertices, copy needs 5"),
+], ids=["solved", "cap", "shape"])
+def test_packing_reads_each_term_once(monkeypatch, capsys, spec, k, m, cap, outcome):
+    # the layer depends on F alone: no poset, and no second read of the terms
+    # (the command read 2(k+m) terms when it checked the shape before the search)
+    F, reads = counting(spec)
+    if outcome is None:
+        assert max_disjoint_packing(F, k, m, cap).tight
+    else:
+        with pytest.raises(ValueError, match=outcome):
+            max_disjoint_packing(F, k, m, cap)
+    assert reads == Counter(range(1, k + m + 1))
+    reads.clear()
+    monkeypatch.setattr("cobweb._packing.parse_sequence", lambda _: F)
+    argv = ["poset", "pack", "--spec", spec, "--root-level", str(k), "--m", str(m)]
+    assert main(argv + ["--cap", str(cap)]) == (0 if outcome is None else 2)
+    assert outcome is None or outcome in capsys.readouterr().err
+    assert reads == Counter(range(1, k + m + 1))
 
 @st.composite
 def packing_instances(draw):
@@ -310,7 +344,7 @@ def test_packing_matches_brute_force_on_random_levels(instance):
     budget = math.prod(avails) // math.prod(needs)
     assume(sum(math.comb(copies_total, i) for i in range(budget + 1)) <= 20000)
     P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), k + m)
-    report = max_disjoint_packing(P, k, m)
+    report = max_disjoint_packing(P.F, k, m)
     assert report.copies_total == copies_total
     assert report.max_packing == brute_max_packing(enumerate_copies(P, Vertex(1, k), m))
 
@@ -337,7 +371,7 @@ def test_level_bound_and_packing_on_layers_without_unit_levels(instance):
     assume(sum(math.comb(copies_total, i) for i in range(budget + 1)) <= 20000)
     P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), k + m)
     best = brute_max_packing(enumerate_copies(P, Vertex(1, k), m))
-    assert max_disjoint_packing(P, k, m).max_packing == best
+    assert max_disjoint_packing(P.F, k, m).max_packing == best
     # the search budget: the level bound over the levels where copies can miss
     spread = [(a, n) for a, n in zip(avails, needs) if 2 * n <= a]
     assert best <= _level_bound(spread) <= max(budget, 1)
@@ -353,15 +387,13 @@ def test_level_bound_values():
 def test_packing_closes_a_layer_without_unit_levels(capsys):
     # 441 copies; the node budget refused it under the chain budget 49 // 4 = 12,
     # and the level bound 10 is reached by the first families the search meets
-    P = build_poset(parse_sequence("custom:2,2,7,7"), 4)
     start = time.perf_counter()
-    report = max_disjoint_packing(P, 2, 2)
+    report = max_disjoint_packing(parse_sequence("custom:2,2,7,7"), 2, 2)
     assert time.perf_counter() - start < 1.0
     assert (report.copies_total, report.max_packing) == (441, 10)
     assert report.quotient_bound == Fraction(49, 4) and not report.tight
     # min(floor(9 * 3 / 2), floor(9 * 4 / 3)) = 12 over levels of 9 for copies of 2, 3
-    P = build_poset(parse_sequence("custom:2,3,9,9"), 4)
-    report = max_disjoint_packing(P, 2, 2)
+    report = max_disjoint_packing(parse_sequence("custom:2,3,9,9"), 2, 2)
     assert (report.copies_total, report.max_packing) == (3024, 12)
     argv = ["poset", "pack", "--spec", "custom:2,2,7,7", "--root-level", "2", "--m", "2"]
     assert main(argv) == 1
@@ -375,34 +407,33 @@ def test_packing_levels_where_every_two_copies_meet_cost_no_bound_steps():
     # const:2 from level 1 up 40 levels: one copy, and no level where two
     # copies could miss each other, so the level bound has 2^0 steps, not 2^40
     start = time.perf_counter()
-    report = max_disjoint_packing(build_poset(parse_sequence("const:2"), 41), 1, 40)
+    report = max_disjoint_packing(parse_sequence("const:2"), 1, 40)
     assert (report.copies_total, report.max_packing, report.tight) == (1, 1, True)
     assert time.perf_counter() - start < 1.0
 
 
 def test_packing_quotient_is_an_int_where_integral():
-    report = max_disjoint_packing(build_poset(NAT, 4), 2, 2)
+    report = max_disjoint_packing(NAT, 2, 2)
     assert type(report.quotient_bound) is int and report.quotient_bound == 6 and report.tight
-    report = max_disjoint_packing(build_poset(parse_sequence("custom:2,3"), 2), 1, 1)
+    report = max_disjoint_packing(parse_sequence("custom:2,3"), 1, 1)
     assert type(report.quotient_bound) is Fraction and report.quotient_bound == Fraction(3, 2)
     assert (report.max_packing, report.tight) == (1, False)
 
 
 def test_packing_exact_values_on_larger_instances():
-    report = max_disjoint_packing(build_poset(NAT, 7), 5, 2)
+    report = max_disjoint_packing(NAT, 5, 2)
     assert (report.copies_total, report.max_packing) == (126, 18)
     assert report.quotient_bound == 21 and not report.tight
-    report = max_disjoint_packing(build_poset(NAT, 9), 7, 2)
+    report = max_disjoint_packing(NAT, 7, 2)
     assert (report.copies_total, report.max_packing) == (288, 32)
-    report = max_disjoint_packing(build_poset(FIB, 7), 4, 3)
+    report = max_disjoint_packing(FIB, 4, 3)
     assert (report.copies_total, report.max_packing) == (3120, 240)
 
 
 @pytest.mark.parametrize("k", range(9))
 def test_packing_with_unit_first_level_closed_form(k):
     # m = 2 with F_1 = 1: one vertex of level k+1, then disjoint F_2-subsets
-    P = build_poset(NAT, k + 2)
-    report = max_disjoint_packing(P, k, 2)
+    report = max_disjoint_packing(NAT, k, 2)
     assert report.max_packing == NAT.term(k + 1) * (NAT.term(k + 2) // NAT.term(2))
 
 

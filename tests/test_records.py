@@ -39,7 +39,7 @@ RECORDS = {
     ),
     "Vertex": (lambda: Vertex(1, 2), ("j", "s")),
     "PackingReport": (
-        lambda: max_disjoint_packing(build_poset(_natural(), 3), 1, 2),
+        lambda: max_disjoint_packing(_natural(), 1, 2),
         ("spec", "root_level", "m", "n", "copies_total", "chains_total", "quotient_bound",
          "max_packing", "tight"),
     ),
