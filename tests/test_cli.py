@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from cobweb import cli, fnomial, fseq, incidence, poset, prefab
 from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, fast_parse, main
-from oracles import expand_order, triangle_text
+from oracles import build_poset, expand_order, triangle_text
 
 
 def run(capsys, *argv):
@@ -288,7 +289,7 @@ def test_poset_dot_matches_library(capsys):
     code, out, _ = run(capsys, "poset", "dot", "--spec", "const:1", "--levels", "1")
     assert code == 0
     expected = "".join(poset.export_dot(
-        poset.build_poset(fseq.parse_sequence("const:1"), 1)
+        build_poset(fseq.parse_sequence("const:1"), 1)
     ))
     assert out == expected
 
@@ -347,6 +348,23 @@ def test_poset_chains_enumerates_deep_posets(capsys):
     assert counts == {"enumerate": "1", "product": "1"}
 
 
+@pytest.mark.parametrize("mode", ["product", "enumerate", "matrix"])
+def test_poset_chains_holds_no_level_above_its_count(capsys, mode):
+    # the count reads levels 0..5 and the check of the rest holds one level;
+    # building levels 0..200000 first peaked at 8.3 MB (10.0 MB to enumerate)
+    argv = ["poset", "chains", "--spec", "natural", "--from-level", "0", "--to-level", "5",
+            "--mode", mode, "--levels"]
+    assert run(capsys, *argv, "5")[0] == 0  # loads the modules the call runs
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "200000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(out)["count"], err) == (0, "120", "")
+    assert peak < 2**17
+
+
 def test_poset_chains_bad_range(capsys):
     code, _, err = run(
         capsys, "poset", "chains", "--spec", "natural", "--levels", "3",
@@ -392,6 +410,13 @@ def test_poset_pack_refuses_a_cap_below_one(capsys, cap):
     )
     assert (code, out) == (2, "")
     assert "--cap" in err
+
+
+def test_the_cli_and_the_library_share_the_copy_cap_default():
+    # cli may not import poset, so its row writes the library's default again
+    options = dict(COMMANDS[("poset", "pack")][2])
+    library = inspect.signature(poset.max_disjoint_packing).parameters["cap"].default
+    assert options["--cap"]["default"] == library == 5000
 
 
 def test_poset_pack_refused_by_node_budget(capsys):
@@ -467,7 +492,7 @@ def test_poset_build_refuses_a_bad_level_before_any_text(capsys, spec, reason):
 
 
 def test_poset_zeta_and_mobius(capsys):
-    P = poset.build_poset(fseq.parse_sequence("const:1"), 2)
+    P = build_poset(fseq.parse_sequence("const:1"), 2)
     Z = incidence.zeta_matrix(P)
     code, out, _ = run(capsys, "poset", "zeta", "--spec", "const:1", "--levels", "2",
                        "--format", "csv")
@@ -490,7 +515,7 @@ def test_poset_dim2(capsys):
 def _dim2_text(spec, levels):
     """The payload as the command printed it before it streamed: one
     ``json.dumps`` of the whole dict."""
-    realizer = poset.dim2_realizer(poset.build_poset(fseq.parse_sequence(spec), levels))
+    realizer = poset.dim2_realizer(build_poset(fseq.parse_sequence(spec), levels))
     return json.dumps({
         "spec": spec,
         "levels": levels,
@@ -597,12 +622,13 @@ def test_each_running_price_refuses_exactly_when_its_whole_total_passes(terms, b
         ("dim2", "labels"): 2 * N,
     }
     with mock.patch.object(poset, "WORK_BOUND", bound):
-        P = poset.build_poset(fseq.parse_sequence(spec), len(terms))
+        P = build_poset(fseq.parse_sequence(spec), len(terms))
         if math.prod(sizes) > bound:
             with pytest.raises(ValueError, match=f"work bound of {bound} chains"):
-                poset.count_max_chains_between(P, 0, P.L, "enumerate")
+                poset.count_max_chains_between(P.level_sizes, 0, P.L, "enumerate")
         else:
-            assert poset.count_max_chains_between(P, 0, P.L, "enumerate") == math.prod(sizes)
+            count = poset.count_max_chains_between(P.level_sizes, 0, P.L, "enumerate")
+            assert count == math.prod(sizes)
         for (command, unit), total in totals.items():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

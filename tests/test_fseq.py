@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,11 @@ from cobweb.fseq import (
     parse_sequence,
 )
 from oracles import gcd_morphic_pairwise
+
+# F_0..F_410, each the sum of the two before it
+FIBONACCI = [0, 1]
+while len(FIBONACCI) <= 410:
+    FIBONACCI.append(FIBONACCI[-1] + FIBONACCI[-2])
 
 
 def test_builtin_terms():
@@ -46,23 +52,27 @@ def test_term_is_deterministic():
     st.integers(min_value=0, max_value=400),
 )
 def test_power_specs_match_their_closed_forms_in_any_read_order(q, jumps, run):
-    # gauss:q and bg:q step a running power of q from one read to the next;
-    # an increasing run, a repeated read and an out-of-order read must all
-    # give (q^n - 1)/(q - 1) and (q^n - 1) q^(n-1)
+    # gauss:q and bg:q step a running power of q, and fibonacci its last
+    # pair of terms, from one read to the next; an increasing run, a repeated
+    # read and an out-of-order read must all give (q^n - 1)/(q - 1),
+    # (q^n - 1) q^(n-1) and F_n
     reads = [n for start in jumps for n in (start, start, start + 1)] + list(range(run))
     reads += reversed(range(run // 2, run + 2))
     for spec, closed in (
         (f"gauss:{q}", lambda n: (q**n - 1) // (q - 1)),
         (f"bg:{q}", lambda n: (q**n - 1) * q ** (n - 1) if n else 0),
+        ("fibonacci", FIBONACCI.__getitem__),
     ):
         F = parse_sequence(spec)
         assert [F.term(n) for n in reads] == [closed(n) for n in reads]
 
 
 def test_power_specs_stay_exact_under_concurrent_reads():
-    # threads interleave reads of one sequence's running powers; each swap of
-    # the (n, q**n) state is one tuple, so a stale state only costs a power
-    specs = {"gauss:3": lambda n: (3**n - 1) // 2, "bg:3": lambda n: (3**n - 1) * 3 ** (n - 1)}
+    # threads interleave reads of one sequence's running state; each swap of
+    # the (n, q**n) or (n, F_n, F_(n+1)) state is one tuple, so a stale state
+    # only costs a power or a restart
+    specs = {"gauss:3": lambda n: (3**n - 1) // 2, "bg:3": lambda n: (3**n - 1) * 3 ** (n - 1),
+             "fibonacci": FIBONACCI.__getitem__}
     sequences = {spec: parse_sequence(spec) for spec in specs}
     wrong = []
     start = threading.Barrier(6, timeout=30)
@@ -86,6 +96,19 @@ def test_power_specs_stay_exact_under_concurrent_reads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def test_fibonacci_holds_only_its_last_pair_of_terms():
+    # a list of every term read held about 1.3 MB after F_1..F_5000
+    F = parse_sequence("fibonacci")
+    tracemalloc.start()
+    try:
+        for n in range(1, 5001):
+            F.term(n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * sys.getsizeof(F.term(5000))
 
 
 def test_spec_roundtrip():

@@ -18,13 +18,13 @@ from cobweb.poset import (
     CobwebPoset,
     PackingCapError,
     Vertex,
-    build_poset,
     count_max_chains_between,
     dim2_realizer,
     export_dot,
     max_disjoint_packing,
 )
 from oracles import (
+    build_poset,
     brute_max_packing,
     check_vertex,
     contains,
@@ -84,29 +84,29 @@ def test_comparability_is_level_based():
 def test_root_chain_counts_match_factorial(F):
     P = build_poset(F, 6)
     for n in range(7):
-        enumerated = count_max_chains_between(P, 0, n, "enumerate")
-        assert enumerated == count_max_chains_between(P, 0, n, "product")
+        enumerated = count_max_chains_between(P.level_sizes, 0, n, "enumerate")
+        assert enumerated == count_max_chains_between(P.level_sizes, 0, n, "product")
         assert enumerated == f_factorial(F, n)
 
 
 def test_root_chain_count_examples():
-    assert count_max_chains_between(build_poset(FIB, 4), 0, 4, "enumerate") == 6
-    assert count_max_chains_between(build_poset(NAT, 4), 0, 4, "enumerate") == 24
-    assert count_max_chains_between(build_poset(NAT, 4), 0, 0, "enumerate") == 1
+    assert count_max_chains_between(build_poset(FIB, 4).level_sizes, 0, 4, "enumerate") == 6
+    assert count_max_chains_between(build_poset(NAT, 4).level_sizes, 0, 4, "enumerate") == 24
+    assert count_max_chains_between(build_poset(NAT, 4).level_sizes, 0, 0, "enumerate") == 1
 
 
 def test_between_chain_counts():
     P = build_poset(FIB, 4)
-    assert count_max_chains_between(P, 2, 4, "enumerate") == 6
-    assert count_max_chains_between(P, 2, 4, "product") == 6
+    assert count_max_chains_between(P.level_sizes, 2, 4, "enumerate") == 6
+    assert count_max_chains_between(P.level_sizes, 2, 4, "product") == 6
     Q = build_poset(NAT, 3)
-    assert count_max_chains_between(Q, 1, 3, "enumerate") == 6
+    assert count_max_chains_between(Q.level_sizes, 1, 3, "enumerate") == 6
     # one step up: the size of the next level
-    assert count_max_chains_between(Q, 2, 3) == 3
+    assert count_max_chains_between(Q.level_sizes, 2, 3) == 3
     for F in BUILTINS:  # F_(k+1) * ... * F_n, a falling F-factorial
         P = build_poset(F, 5)
         assert all(
-            count_max_chains_between(P, k, n, "enumerate") == falling_f(F, n, n - k)
+            count_max_chains_between(P.level_sizes, k, n, "enumerate") == falling_f(F, n, n - k)
             for k in range(6) for n in range(k, 6)
         )
 
@@ -118,7 +118,7 @@ def test_chain_modes_agree_on_random_level_sizes(sizes):
     for k in range(P.L + 1):
         for n in range(k, P.L + 1):
             counts = {
-                mode: count_max_chains_between(P, k, n, mode)
+                mode: count_max_chains_between(P.level_sizes, k, n, mode)
                 for mode in ("product", "enumerate", "matrix")
             }
             assert set(counts.values()) == {math.prod(sizes[k:n])}  # 1 at n = k
@@ -131,18 +131,18 @@ def test_enumerate_builds_only_the_levels_it_walks(monkeypatch):
 
     monkeypatch.setattr(CobwebPoset, "level", no_level)
     P = build_poset(NAT, 8)
-    assert count_max_chains_between(P, 2, 5, "enumerate") == 3 * 4 * 5
-    assert count_max_chains_between(P, 4, 4, "enumerate") == 1
+    assert count_max_chains_between(P.level_sizes, 2, 5, "enumerate") == 3 * 4 * 5
+    assert count_max_chains_between(P.level_sizes, 4, 4, "enumerate") == 1
 
 
 def test_enumerate_refuses_a_walk_past_the_bound(monkeypatch):
     monkeypatch.setattr(poset, "WORK_BOUND", 3 * 4 * 5)
     P = build_poset(NAT, 8)
-    assert count_max_chains_between(P, 2, 5, "enumerate") == 60
+    assert count_max_chains_between(P.level_sizes, 2, 5, "enumerate") == 60
     with pytest.raises(ValueError, match="work bound of 60 chains"):
-        count_max_chains_between(P, 1, 5, "enumerate")
+        count_max_chains_between(P.level_sizes, 1, 5, "enumerate")
     # the other routes count without walking
-    assert count_max_chains_between(P, 1, 5, "product") == 120
+    assert count_max_chains_between(P.level_sizes, 1, 5, "product") == 120
 
 
 def test_check_work_reads_no_total_past_the_first_over_the_bound():
@@ -158,17 +158,17 @@ def test_check_work_reads_no_total_past_the_first_over_the_bound():
 
 def test_between_range_errors():
     P = build_poset(NAT, 3)
-    assert count_max_chains_between(P, 2, 2) == 1
+    assert count_max_chains_between(P.level_sizes, 2, 2) == 1
     with pytest.raises(ValueError):
-        count_max_chains_between(P, 2, 1)
+        count_max_chains_between(P.level_sizes, 2, 1)
     with pytest.raises(ValueError):
-        count_max_chains_between(P, 2, 4)
+        count_max_chains_between(P.level_sizes, 2, 4)
     with pytest.raises(ValueError):
-        count_max_chains_between(P, 0, 4)
-    with pytest.raises(ValueError, match="levels -1..2 outside 0..3"):
-        count_max_chains_between(P, -1, 2)
+        count_max_chains_between(P.level_sizes, 0, 4)
+    with pytest.raises(ValueError, match=r"need 0 <= k <= n <= L, got levels -1\.\.2"):
+        count_max_chains_between(P.level_sizes, -1, 2)
     with pytest.raises(ValueError):
-        count_max_chains_between(P, 0, 2, "nope")
+        count_max_chains_between(P.level_sizes, 0, 2, "nope")
 
 
 def test_enumerate_copies_counts():

@@ -12,9 +12,10 @@ from cobweb.fseq import (
     is_gcd_morphic_prefix,
     parse_sequence,
 )
-from cobweb.poset import Vertex, build_poset, dim2_realizer, max_disjoint_packing
+from cobweb.poset import Vertex, dim2_realizer, max_disjoint_packing
 from cobweb.prefab import Prefabiant, check_algebra_laws
 from cobweb.series import FormalSeries, exp_f_series
+from oracles import build_poset
 
 
 def _natural():

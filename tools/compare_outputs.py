@@ -4,8 +4,11 @@ Run from anywhere in the repository:
 
     python3 tools/compare_outputs.py REV [--seeds 1 2] [--calls FILE] [--repeat N]
 
-REV's files are written by ``git archive`` to a temporary directory,
-removed again at the end.  Each call runs as ``python3 -m cobweb.cli`` in
+REV's files are written by ``git archive``, and a copy of this tree's
+``src``, to two directories whose names have one length under one temporary
+directory, removed again at the end: a child's peak RSS moves by one 128 KB
+step with the length of its tree's path, so the two are run from paths of
+equal length.  Each call runs as ``python3 -m cobweb.cli`` in
 this tree and in REV's, with ``PYTHONPATH`` set to that tree's ``src``, one
 call at a time and for at most ``TIME_LIMIT_S`` seconds, spawned by the
 benchmark's launcher ``perfbench/spawn.py``.  The calls are those
@@ -29,6 +32,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -108,18 +112,20 @@ def main() -> int:
                         help="runs of each call of FILE in each tree (default 1)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
-        other = Path(scratch) / "tree"
+        tree, other = Path(scratch) / "tree_a", Path(scratch) / "tree_b"
         workdir = os.path.join(scratch, "work")
         os.mkdir(workdir)
         os.mkdir(other)
+        shutil.copytree(ROOT / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev],
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
         listed = calls(args.seeds, args.calls, workdir)
-        here_dir, there_dir = os.path.join(scratch, "here"), os.path.join(scratch, "there")
+        here_dir, there_dir = os.path.join(scratch, "out_a"), os.path.join(scratch, "out_b")
         mismatches = 0
         every_pair = []
-        with launcher(ROOT, here_dir, workdir) as here_spawner, \
+        with launcher(tree, here_dir, workdir) as here_spawner, \
                 launcher(other, there_dir, workdir) as there_spawner:
             for label, argv, measured in listed:
                 pairs = []
