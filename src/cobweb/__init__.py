@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "incidence": ("IncidenceMatrix", "mobius_matrix", "zeta_matrix"),
     "poset": (
-        "CobwebPoset", "Dim2Realizer", "PackingCapError", "PackingReport", "Vertex",
+        "CobwebPoset", "PackingCapError", "PackingReport", "Vertex",
         "count_max_chains_between", "dim2_realizer", "export_dot", "max_disjoint_packing",
     ),
     "prefab": (

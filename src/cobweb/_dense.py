@@ -1,7 +1,8 @@
 """What the dense exports share, loaded by ``incidence`` and by the DOT and
 dim2 code when it runs, so that no call but ``cobweb poset
 zeta|mobius|dot|dim2`` compiles it: the price of the call read off its level
-sizes, the contract ordering and the text of a label list.
+sizes, the contract ordering read off them one level at a time as it is
+written, and the text of a label list.
 
 The handlers of ``cobweb poset`` refuse before they return.  A dense export
 is priced by ``poset.check_work`` on running totals of the level sizes as
@@ -40,12 +41,14 @@ def _priced_poset(
     return CobwebPoset(F, kept)
 
 
-def _contract_order(P: CobwebPoset) -> tuple[range, ...]:
-    """The contract vertex ordering, level-major, j ascending: one range of j per level."""
-    return tuple(range(1, size + 1) for size in P.level_sizes)
+def _contract_order(sizes: Iterable[int]) -> Iterator[range]:
+    """The contract vertex ordering, level-major, j ascending: one range of j
+    per level size, made as it is read."""
+    for size in sizes:
+        yield range(1, size + 1)
 
 
-def _labels_chunks(order: tuple[range, ...]) -> Iterator[str]:
+def _labels_chunks(order: Iterable[range]) -> Iterator[str]:
     """The ``json.dumps`` text of an order's labels, ``LABEL_BLOCK`` to a chunk."""
     yield "["
     separator = ""

@@ -1,6 +1,8 @@
-"""The level-size, DOT and dim2 exports and the ``cobweb poset build|dot|dim2``
-handlers, loaded by ``poset.export_dot``, ``poset.dim2_realizer`` and those
-calls when they run, so that no other call compiles them.
+"""The level-size and DOT exports and the ``cobweb poset build|dot|dim2``
+handlers, loaded by ``poset.export_dot`` and those calls when they run, so
+that no other call compiles them.  The DOT text and the dim2 labels are
+read off the level sizes as they are written: an export holds the sizes and
+no more than one level's text.
 
 The handlers call the poset's functions through ``poset``, so they run what
 that module holds at the time of the call: a variant under test, or a
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 from itertools import accumulate, chain, pairwise, starmap
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import poset
 from .fseq import parse_sequence
@@ -22,36 +24,22 @@ if TYPE_CHECKING:
     from types import SimpleNamespace
 
 
-class Dim2Realizer(NamedTuple):
-    """Two linear orders, one range of j per level, intersecting to the strict order."""
-
-    order_a: tuple[range, ...]
-    order_b: tuple[range, ...]
-
-
-def _dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
-    """``poset.dim2_realizer``: vertices on a common level flip between the
-    two orders, so their intersection keeps exactly the cross-level pairs."""
-    from ._dense import _contract_order
-
-    order_a = _contract_order(P)
-    return Dim2Realizer(order_a, tuple(js[::-1] for js in order_a))
-
-
 def _dot_chunks(P: CobwebPoset) -> Iterator[str]:
-    """``poset.export_dot``'s text."""
+    """``poset.export_dot``'s text: the node lines from one read of the
+    contract ordering, the edge lines from a second, a pair of levels at a
+    time."""
     from ._dense import _contract_order
 
     yield "digraph cobweb {\n"
-    order = _contract_order(P)
-    for s, js in enumerate(order):
-        yield from (f'    "{j},{s}" [label="{j},{s}"];\n' for j in js)
-    for s in range(P.L):
+    for s, js in enumerate(_contract_order(P.level_sizes)):
+        for j in js:
+            yield f'    "{j},{s}" [label="{j},{s}"];\n'
+    for s, (sources, targets) in enumerate(pairwise(_contract_order(P.level_sizes))):
         # every edge line from level s ends in one of these target suffixes
-        targets = [f' -> "{b},{s + 1}";\n' for b in order[s + 1]]
-        for a in order[s]:
+        suffixes = [f' -> "{b},{s + 1}";\n' for b in targets]
+        for a in sources:
             source = f'    "{a},{s}"'
-            yield source + source.join(targets)
+            yield source + source.join(suffixes)
     yield "}\n"
 
 
@@ -90,10 +78,10 @@ def _cmd_poset_dim2(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     from ._dense import _labels_chunks, _priced_poset
 
     P = _priced_poset(args, lambda sizes: (2 * N for N in accumulate(sizes)), "labels")
-    realizer = poset.dim2_realizer(P)
+    order_a, order_b = poset.dim2_realizer(P)
     # the realizer is correct by construction; tests/oracles.py checks its N^2 pairs
     head = json.dumps({"spec": args.spec, "levels": P.L, "verified": True})
     return 0, chain(
-        (head[:-1], ', "l1": '), _labels_chunks(realizer.order_a),
-        (', "l2": ',), _labels_chunks(realizer.order_b), ("}\n",),
+        (head[:-1], ', "l1": '), _labels_chunks(order_a),
+        (', "l2": ',), _labels_chunks(order_b), ("}\n",),
     )

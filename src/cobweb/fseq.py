@@ -146,7 +146,7 @@ def exact_quotient(
     an integral a) when it is integral, else a reduced ``Fraction``.
     Integral values divide by one ``divmod``, no gcd, and ``fractions`` is
     imported only on a remainder or for a ``Fraction`` a.  A ``Decimal``
-    needs the exact context of ``fnomial._exact_context``, and is never
+    needs the exact context of ``_triangle._exact_context``, and is never
     divided with ``/``, whose inexact quotient would expand to the context's
     precision."""
     if isinstance(a, number):

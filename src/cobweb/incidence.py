@@ -92,7 +92,7 @@ class IncidenceMatrix:
         """The labels in the contract ordering and the dense rows as JSON
         text, yielded one dense row at a time, so only that row is held."""
         yield '{"labels": '
-        yield from _labels_chunks(_contract_order(self.poset))
+        yield from _labels_chunks(_contract_order(self.poset.level_sizes))
         yield ', "rows": ['
         for i, row in enumerate(self._dense_rows()):
             # entries are integer strings, which JSON quotes without escapes

@@ -21,11 +21,11 @@ This module holds what every ``cobweb poset`` call runs: the poset, its
 level sizes and the work bound.  The code that only some commands run is
 in a private module that only they load: ``_chains`` (the chain counts and
 ``poset chains``), ``_packing`` (the packing search and ``poset pack``),
-``_exports`` (the DOT, dim2 and level-size exports and ``poset
-build|dot|dim2``) and ``_dense`` (the price of a dense export, the contract
-ordering and the label text); ``poset zeta|mobius`` is ``incidence``'s.  The
-public entries here import their module when they run, and ``PackingReport``
-and ``Dim2Realizer`` are read from theirs on first access.
+``_exports`` (the DOT and level-size exports and ``poset build|dot|dim2``)
+and ``_dense`` (the price of a dense export, the contract ordering and the
+label text); ``poset zeta|mobius`` is ``incidence``'s.  The public entries
+here import their module when they run, and ``PackingReport`` is read from
+``_packing`` on first access.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 from .fseq import FSequence
 
 if TYPE_CHECKING:
-    from ._exports import Dim2Realizer
     from ._packing import PackingReport
 
 
@@ -166,14 +165,17 @@ def max_disjoint_packing(F: FSequence, k: int, m: int, cap: int = 5000) -> Packi
     return _max_disjoint_packing(F, k, m, cap)
 
 
-def dim2_realizer(P: CobwebPoset) -> Dim2Realizer:
+def dim2_realizer(P: CobwebPoset) -> tuple[Iterator[range], Iterator[range]]:
     """Realize the poset as the intersection of two linear orders: the
-    contract ordering, and the same with each level reversed.  The check of
-    all N^2 pairs of the expanded orders is the certificate in
-    ``tests/oracles.py``; the realizer is ``_exports._dim2_realizer``."""
-    from ._exports import _dim2_realizer
+    contract ordering, and the same with each level reversed, so vertices
+    on a common level flip between the two and their intersection keeps
+    exactly the cross-level pairs.  Each order is a one-shot iterator of one
+    range of j per level, read off ``P.level_sizes`` as it is consumed.
+    The check of all N^2 pairs of the expanded orders is the certificate in
+    ``tests/oracles.py``."""
+    from ._dense import _contract_order
 
-    return _dim2_realizer(P)
+    return _contract_order(P.level_sizes), (js[::-1] for js in _contract_order(P.level_sizes))
 
 
 def export_dot(P: CobwebPoset) -> Iterator[str]:
@@ -186,14 +188,9 @@ def export_dot(P: CobwebPoset) -> Iterator[str]:
 
 
 def __getattr__(name: str) -> type:
-    """The records of the packing and of the dim2 realizer, defined in the
-    modules that build them."""
+    """The packing's record, defined in the module that builds it."""
     if name == "PackingReport":
         from ._packing import PackingReport
 
         return PackingReport
-    if name == "Dim2Realizer":
-        from ._exports import Dim2Realizer
-
-        return Dim2Realizer
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

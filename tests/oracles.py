@@ -40,7 +40,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from cobweb import prefab
 from cobweb.fnomial import f_nomial
@@ -441,7 +441,7 @@ def dim2_pairwise(
     )
 
 
-def expand_order(order: tuple[range, ...]) -> tuple[Vertex, ...]:
+def expand_order(order: Iterable[Iterable[int]]) -> tuple[Vertex, ...]:
     """The vertex records of an order given as one range of j per level s."""
     return tuple(Vertex(j, s) for s, js in enumerate(order) for j in js)
 

@@ -265,9 +265,8 @@ def test_criterion_11_dim2_and_acyclicity():
             F = parse_sequence(spec)
             for levels in range(1, 9):
                 P = build_poset(F, levels)
-                realizer = dim2_realizer(P)
-                assert dim2_pairwise(
-                    P, expand_order(realizer.order_a), expand_order(realizer.order_b))
+                order_a, order_b = dim2_realizer(P)
+                assert dim2_pairwise(P, expand_order(order_a), expand_order(order_b))
                 assert hasse_is_acyclic(P)
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from cobweb import cli, fnomial, fseq, incidence, poset, prefab
 from cobweb.cli import COMMANDS, DEFAULT_ORDER, build_parser, fast_parse, main
-from oracles import build_poset, expand_order, triangle_text
+from oracles import build_poset, dim2_pairwise, expand_order, triangle_text
 
 
 def run(capsys, *argv):
@@ -481,6 +481,23 @@ def test_poset_build_holds_one_level_at_a_time(monkeypatch):
     assert sink.digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.mark.parametrize("command", ["dot", "dim2"])
+def test_poset_dot_and_dim2_hold_only_their_level_sizes(capsys, monkeypatch, command):
+    # the 200,001 level sizes take 1.6 MB; one range per level, held for the
+    # whole write, took the peak to 12.5 MiB (dot) and 23.2 MiB (dim2)
+    argv = ["poset", command, "--spec", "const:1", "--levels"]
+    assert run(capsys, *argv, "2")[0] == 0  # loads the modules the call runs
+    monkeypatch.setattr(sys, "stdout", DiscardingSink())
+    tracemalloc.start()
+    try:
+        code = main(argv + ["200000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("spec, reason", [
     ("custom:1,2,3", "'custom:1,2,3' defines only 3 terms, index 4 requested"),
     ("custom:1,2,-3,4,5", "'custom:1,2,-3,4,5' gives nonpositive level size -3 at level 3"),
@@ -515,13 +532,13 @@ def test_poset_dim2(capsys):
 def _dim2_text(spec, levels):
     """The payload as the command printed it before it streamed: one
     ``json.dumps`` of the whole dict."""
-    realizer = poset.dim2_realizer(build_poset(fseq.parse_sequence(spec), levels))
+    order_a, order_b = poset.dim2_realizer(build_poset(fseq.parse_sequence(spec), levels))
     return json.dumps({
         "spec": spec,
         "levels": levels,
         "verified": True,
-        "l1": [str(v) for v in expand_order(realizer.order_a)],
-        "l2": [str(v) for v in expand_order(realizer.order_b)],
+        "l1": [str(v) for v in expand_order(order_a)],
+        "l2": [str(v) for v in expand_order(order_b)],
     }) + "\n"
 
 
@@ -542,10 +559,28 @@ def test_dim2_streams_the_json_dumps_text(tmp_path_factory, terms, data, name):
         0, _dim2_text(spec, levels))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5), st.data())
+def test_the_printed_dim2_orders_pass_the_pairwise_certificate(terms, data):
+    # the certificate checks the orders the command prints, read back into
+    # vertex records, not the library's realizer
+    levels = data.draw(st.integers(min_value=0, max_value=len(terms)))
+    spec = "custom:" + ",".join(map(str, terms))
+    code, out = _call(["poset", "dim2", "--spec", spec, "--levels", str(levels)])
+    assert code == 0
+    body = json.loads(out)
+    order_a, order_b = (
+        tuple(poset.Vertex(*map(int, label.split(","))) for label in body[key])
+        for key in ("l1", "l2")
+    )
+    assert dim2_pairwise(build_poset(fseq.parse_sequence(spec), levels), order_a, order_b)
+
+
 def test_dim2_streams_in_the_memory_of_its_realizer(monkeypatch):
-    # N = 200,002 vertices, 2.2 MB of JSON; the realizer is one range per
-    # level, so the call holds one block of labels at a time, where two
-    # tuples of vertex records would hold 400k records
+    # N = 200,002 vertices, 2.2 MB of JSON; the realizer reads one range per
+    # level off the level sizes as the labels are written, so the call holds
+    # one block of labels at a time, where two tuples of vertex records
+    # would hold 400k records
     tracemalloc.start()
     try:
         monkeypatch.setattr(sys, "stdout", HashingSink())

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -207,7 +208,7 @@ def test_unknown_attribute_is_named_in_the_error():
                  "count_invertible_matrices", "gl_order", "enumerator_coeff_by_partitions",
                  "count_chains", "covering_matrix", "admissibility_scan", "copies_count",
                  "verify_c2", "C2Record", "q_stirling", "chain_count_matrix",
-                 "build_poset"):
+                 "build_poset", "Dim2Realizer"):
         assert not hasattr(cobweb, name), name
 
 
@@ -392,6 +393,32 @@ def test_the_benchmark_tracer_finds_every_method_it_wraps():
     assert missing == []
 
 
+def test_every_public_function_of_a_layer_module_is_defined_in_a_layer():
+    # perfbench/tracing.install wraps each public function bound in these
+    # module namespaces under the layer named by the module that defines it;
+    # a function defined in a private module (say ``_dense``) and bound here
+    # under a public name would be booked to a layer that no traced run
+    # reports, however rarely a call enters it
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    misplaced = [
+        f"cobweb.{module}.{name} is defined in {fn.__module__}"
+        for module in tracing.MODULES + ("cli",)
+        for name, fn in vars(importlib.import_module(f"cobweb.{module}")).items()
+        if not name.startswith("_") and isinstance(fn, types.FunctionType)
+        and fn.__module__.startswith("cobweb.")
+        and fn.__module__.split(".", 1)[1] not in tracing.LAYERS
+    ]
+    assert misplaced == [], (
+        f"{misplaced}: the benchmark's tracer would book these calls to a layer that "
+        "perfbench/inproc.layer_totals does not list, and the traced run would fail with "
+        "a KeyError there.  Define the function in its layer module, or bind it under a "
+        "private name")
+
+
 def test_every_private_module_level_name_in_src_is_used():
     # a private helper, class or constant that no code in src/ names again
     # (outside its own definition) is dead: a change that leaves one behind
@@ -440,7 +467,7 @@ UNREACHED = {
     "__init__.__getattr__": "the package's lazy names, read by library callers",
     "__init__.__dir__": "the package's lazy names, read by library callers",
     "fseq.__getattr__": "the scan reports, read from _scans by library callers",
-    "poset.__getattr__": "the packing and dim2 records, read by library callers",
+    "poset.__getattr__": "the packing record, read from _packing by library callers",
     "prefab.__getattr__": "the law checker's records, read from _laws by library callers",
     "series.__getattr__": "the subspace listing, read from _brute by library callers",
     "fseq._Frozen.__init_subclass__": "runs when a record class is defined, at import",

@@ -441,25 +441,24 @@ def test_packing_with_unit_first_level_closed_form(k):
 def test_dim2_realizer_verifies(F):
     for levels in range(1, 7):
         P = build_poset(F, levels)
-        realizer = dim2_realizer(P)
-        assert dim2_pairwise(P, expand_order(realizer.order_a), expand_order(realizer.order_b))
+        order_a, order_b = dim2_realizer(P)
+        assert dim2_pairwise(P, expand_order(order_a), expand_order(order_b))
 
 
 def test_dim2_chain_case():
     P = build_poset(parse_sequence("const:1"), 3)
-    realizer = dim2_realizer(P)
-    assert dim2_pairwise(P, expand_order(realizer.order_a), expand_order(realizer.order_b))
-    assert realizer.order_a == realizer.order_b
+    order_a, order_b = map(tuple, dim2_realizer(P))
+    assert dim2_pairwise(P, expand_order(order_a), expand_order(order_b))
+    assert order_a == order_b
 
 
 def test_dim2_orders_are_per_level_ranges():
     P = build_poset(NAT, 3)
-    realizer = dim2_realizer(P)
-    assert realizer.order_a == (range(1, 2), range(1, 2), range(1, 3), range(1, 4))
-    assert realizer.order_b == (range(1, 0, -1), range(1, 0, -1), range(2, 0, -1),
-                                range(3, 0, -1))
-    assert expand_order(realizer.order_a) == tuple(P.vertices())
-    assert expand_order(realizer.order_b) == tuple(
+    order_a, order_b = map(tuple, dim2_realizer(P))
+    assert order_a == (range(1, 2), range(1, 2), range(1, 3), range(1, 4))
+    assert order_b == (range(1, 0, -1), range(1, 0, -1), range(2, 0, -1), range(3, 0, -1))
+    assert expand_order(order_a) == tuple(P.vertices())
+    assert expand_order(order_b) == tuple(
         v for s in range(P.L + 1) for v in reversed(P.level(s)))
 
 
@@ -468,8 +467,8 @@ def test_dim2_orders_are_per_level_ranges():
 def test_dim2_certificate_agrees_with_the_pairwise_check(terms, data):
     levels = data.draw(st.integers(min_value=0, max_value=len(terms)))
     P = build_poset(parse_sequence("custom:" + ",".join(map(str, terms))), levels)
-    realizer = dim2_realizer(P)
-    assert dim2_pairwise(P, expand_order(realizer.order_a), expand_order(realizer.order_b))
+    order_a, order_b = dim2_realizer(P)
+    assert dim2_pairwise(P, expand_order(order_a), expand_order(order_b))
 
 
 @pytest.mark.parametrize("broken", [
@@ -480,7 +479,7 @@ def test_dim2_certificate_rejects_broken_orders(broken):
     # the pairwise certificate can say no: each order is the realizer's
     # with one defect
     P = build_poset(NAT, 3)  # level sizes 1, 1, 2, 3
-    a, b = list(dim2_realizer(P).order_a), list(dim2_realizer(P).order_b)
+    a, b = map(list, dim2_realizer(P))
     if broken == "same order twice":  # the same range twice on every level
         b = list(a)
     elif broken == "both reversed":  # the levels listed top down
@@ -503,10 +502,10 @@ def test_dim2_certificate_rejects_broken_orders(broken):
 def test_dim2_certificate_answers_a_large_poset_fast():
     P = build_poset(FIB, 22)  # 46,368 vertices; all pairs would be 2.1e9
     start = time.perf_counter()
-    realizer = dim2_realizer(P)
+    order_a, order_b = map(tuple, dim2_realizer(P))
     assert time.perf_counter() - start < 2.0
-    assert [len(js) for js in realizer.order_b] == list(P.level_sizes)
-    assert all(js[::-1] == ks for js, ks in zip(realizer.order_a, realizer.order_b))
+    assert [len(js) for js in order_b] == list(P.level_sizes)
+    assert all(js[::-1] == ks for js, ks in zip(order_a, order_b))
 
 
 def test_dot_export_counts():

@@ -12,10 +12,9 @@ from cobweb.fseq import (
     is_gcd_morphic_prefix,
     parse_sequence,
 )
-from cobweb.poset import Vertex, dim2_realizer, max_disjoint_packing
+from cobweb.poset import Vertex, max_disjoint_packing
 from cobweb.prefab import Prefabiant, check_algebra_laws
 from cobweb.series import FormalSeries, exp_f_series
-from oracles import build_poset
 
 
 def _natural():
@@ -43,10 +42,6 @@ RECORDS = {
         lambda: max_disjoint_packing(_natural(), 1, 2),
         ("spec", "root_level", "m", "n", "copies_total", "chains_total", "quotient_bound",
          "max_packing", "tight"),
-    ),
-    "Dim2Realizer": (
-        lambda: dim2_realizer(build_poset(_natural(), 2)),
-        ("order_a", "order_b"),
     ),
     "Prefabiant": (lambda: Prefabiant(1, 3), ("k", "n")),
     "LawWitness": (lambda: _laws().witnesses[0], ("law", "operands", "lhs", "rhs")),
