@@ -15,7 +15,7 @@ tracing wrapper.
 
 from __future__ import annotations
 
-from itertools import tee
+from itertools import islice, tee
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import poset
@@ -49,11 +49,12 @@ def _contract_order(sizes: Iterable[int]) -> Iterator[range]:
 
 
 def _labels_chunks(order: Iterable[range]) -> Iterator[str]:
-    """The ``json.dumps`` text of an order's labels, ``LABEL_BLOCK`` to a chunk."""
+    """The ``json.dumps`` text of an order's labels, ``LABEL_BLOCK`` to a
+    chunk across level boundaries, so a level of one vertex costs no chunk."""
+    labels = (f'"{j},{s}"' for s, js in enumerate(order) for j in js)
     yield "["
     separator = ""
-    for s, js in enumerate(order):
-        for start in range(0, len(js), LABEL_BLOCK):
-            yield separator + ", ".join([f'"{j},{s}"' for j in js[start:start + LABEL_BLOCK]])
-            separator = ", "
+    while block := ", ".join(islice(labels, LABEL_BLOCK)):
+        yield separator + block
+        separator = ", "
     yield "]"

@@ -32,14 +32,6 @@ class LawWitness(NamedTuple):
     lhs: str
     rhs: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "operands": list(self.operands),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
 
 class LawResult(NamedTuple):
     law: str
@@ -49,14 +41,6 @@ class LawResult(NamedTuple):
     @property
     def holds(self) -> bool:
         return self.violations == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "checked": self.checked,
-            "violations": self.violations,
-            "holds": self.holds,
-        }
 
 
 class LawReport(NamedTuple):
@@ -73,8 +57,8 @@ class LawReport(NamedTuple):
         return {
             "seed": self.seed,
             "samples": self.samples,
-            "laws": [law.to_json_dict() for law in self.laws],
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
+            "laws": [{**law._asdict(), "holds": law.holds} for law in self.laws],
+            "witnesses": [{**w._asdict(), "operands": list(w.operands)} for w in self.witnesses],
         }
 
 

@@ -3,8 +3,8 @@
 Standard output carries valid JSON (or CSV/DOT where a format flag says so)
 and nothing else; diagnostics go to standard error.  Exit codes: 0 success,
 1 a verification or tightness check failed, or standard output could not be
-written (a closed pipe, a full device), 2 usage or input error.  Output is
-deterministic for identical arguments, including the seed.
+written, 2 usage or input error.  Output is deterministic for identical
+arguments, including the seed.
 
 Every handler returns its exit code and either a payload dict, which
 ``main`` writes as one line of JSON (``_json``), or its standard output as an
@@ -16,13 +16,16 @@ chunks of one row (a triangle row's left-half texts, one dense row, one
 level size) and one write batch.  A handler refuses before it returns, so
 exit code 2 always comes with empty standard output.  How each command
 prices or checks its work before it returns is written at its handler.
-A failed write ends the call with one ``error:`` line on standard error,
-not a traceback.
+Every ``error:`` line goes through ``_error``, which drops it if standard
+error cannot take it.  A payload that standard output cannot take (a closed
+pipe, a full device, no standard output at all) ends the call with exit
+code 1 and one ``error: cannot write standard output`` line, not a
+traceback.
 
 A process enters at ``run`` (the ``cobweb`` console script and the
-``__main__`` block): it runs ``main``, flushes the standard streams and ends
-the process with ``os._exit`` and ``main``'s code.  That skips the
-interpreter's teardown (clearing every module, collecting garbage), about
+``__main__`` block): it ends the process with ``os._exit`` and ``main``'s
+code, which comes back with the payload written and flushed.  That skips
+the interpreter's teardown (clearing every module, collecting garbage), about
 10 ms of every call, and with it every ``atexit`` handler and finalizer.
 Help, a usage error (``SystemExit``) and any exception still take the
 normal exit.
@@ -63,6 +66,7 @@ and ``series expf|enumerator`` print ``Fraction`` coefficients.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -246,46 +250,46 @@ def main(argv: list[str] | None = None) -> int:
         try:
             code, output = handler(args)
         except (ValueError, ArithmeticError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _error(exc)
             return 2
         try:
+            if sys.stdout is None:  # descriptor 1 was closed at start
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             _write(_json(output) if isinstance(output, dict) else output)
             sys.stdout.flush()
-        except OSError as exc:  # a closed pipe or a full device
-            return _write_failed(exc)
+        except OSError as exc:  # a closed pipe, a full device
+            _error(f"cannot write standard output: {exc}")
+            return 1
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
     return code
 
 
-def _write_failed(exc: OSError) -> int:
-    """Exit code 1 and one ``error:`` line for a write to standard output
-    that failed."""
-    print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-    # what is still buffered goes nowhere, so a later flush fails no second time
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1
+def _error(message: object) -> None:
+    """One ``error:`` line on standard error, dropped if the stream cannot
+    take it."""
+    try:
+        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # no standard error, or a broken one
+        pass
 
 
 def run() -> None:
-    """The process entry: ``main``'s code, then ``os._exit`` at the last flush.
+    """The process entry: ``os._exit`` with ``main``'s code.
 
     The interpreter's teardown is safe to skip: the package registers no
-    ``atexit`` handler, starts no thread and closes every file it opens, so
-    the standard streams are the only state left, and they are flushed
-    here.  Only a code that ``main`` returns ends this way; ``SystemExit``
-    (help, a usage error), an interrupt and any other exception leave
-    through the normal exit."""
-    code = main()
-    try:
-        if sys.stdout is not None:  # None when descriptor 1 was closed at start
-            sys.stdout.flush()
-    except OSError as exc:
-        code = _write_failed(exc)
-    if sys.stderr is not None:
-        sys.stderr.flush()
-    os._exit(code)
+    ``atexit`` handler, starts no thread and closes every file it opens, and
+    ``main`` flushes what it writes.  A missing standard error (descriptor 2
+    closed at start) becomes ``os.devnull`` first, so neither an ``error:``
+    line nor argparse's usage text falls back to standard output.  Only a
+    code that ``main`` returns ends this way; ``SystemExit`` (help, a usage
+    error), an interrupt and any other exception leave through the normal
+    exit."""
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
+    os._exit(main())
 
 
 def _write(chunks: Iterable[str]) -> None:

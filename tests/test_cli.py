@@ -498,6 +498,16 @@ def test_poset_dot_and_dim2_hold_only_their_level_sizes(capsys, monkeypatch, com
     assert peak < 4 * 2**20
 
 
+def test_a_label_list_comes_in_blocks_across_narrow_levels():
+    # a chunk a level would be 10,003 chunks of about 12 bytes, each a list and a join
+    from cobweb._dense import LABEL_BLOCK, _contract_order, _labels_chunks
+
+    sizes = [1] * 10001
+    chunks = list(_labels_chunks(_contract_order(sizes)))
+    assert len(chunks) <= math.ceil(len(sizes) / LABEL_BLOCK) + 2
+    assert "".join(chunks) == json.dumps([f"1,{s}" for s in range(len(sizes))])
+
+
 @pytest.mark.parametrize("spec, reason", [
     ("custom:1,2,3", "'custom:1,2,3' defines only 3 terms, index 4 requested"),
     ("custom:1,2,-3,4,5", "'custom:1,2,-3,4,5' gives nonpositive level size -3 at level 3"),
@@ -1264,8 +1274,9 @@ def _child_env(buffered):
 def _child(argv, buffered, **streams):
     """One ``python -m cobweb.cli`` process, its standard output buffered or
     not (the unbuffered one fails at a write, the buffered one at the flush)."""
+    streams = {"stderr": subprocess.PIPE, **streams}
     return subprocess.Popen([sys.executable, "-m", "cobweb.cli", *argv], env=_child_env(buffered),
-                            stderr=subprocess.PIPE, text=True, **streams)
+                            text=True, **streams)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1296,11 +1307,49 @@ def test_help_and_usage_errors_keep_the_interpreter_exit(capsys, monkeypatch, ar
 
 
 def test_a_refusal_with_descriptor_1_closed_keeps_its_code():
-    # the interpreter then starts with sys.stdout None, which the last flush skips
+    # the interpreter then starts with sys.stdout None, which a refusal never writes
     child = _child(["poset", "build", "--spec", "natural", "--levels", "-1"], True,
                    stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
     _, err = child.communicate(timeout=60)
     assert (child.returncode, err) == (2, "error: level count must be nonnegative, got -1\n")
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_a_payload_with_descriptor_1_closed_ends_with_one_error_line(buffered):
+    child = _child(["fnomial", "--spec", "natural", "--n", "3", "--k", "1"], buffered,
+                   stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    _assert_one_write_error(child)
+
+
+@pytest.mark.parametrize("argv", [
+    "poset build --spec natural --levels -1",  # a refusal
+    "poset build --spec natural",  # a usage error: --levels is required
+])
+def test_a_diagnostic_with_descriptor_2_closed_stays_off_standard_output(argv):
+    # the interpreter then starts with sys.stderr None, where print and
+    # argparse's usage text would fall back to standard output
+    child = _child(argv.split(), True, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                   preexec_fn=lambda: os.close(2))
+    out, _ = child.communicate(timeout=60)
+    assert (child.returncode, out) == (2, "")
+
+
+class BrokenStream(io.StringIO):
+    """A stream whose every write and flush fails as a closed descriptor does."""
+
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+    def flush(self):
+        raise OSError(9, "Bad file descriptor")
+
+
+def test_a_refusal_with_a_broken_standard_error_returns_its_code(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", BrokenStream())
+    assert main(["poset", "build", "--spec", "natural", "--levels", "-1"]) == 2
+    assert out.getvalue() == ""
 
 
 # Runs the module as ``python -m cobweb.cli`` does, under an atexit handler.

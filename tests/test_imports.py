@@ -463,7 +463,6 @@ def test_every_private_module_level_name_in_src_is_used():
 # ``test_every_function_in_src_is_entered_by_a_command``.
 UNREACHED = {
     "cli.run": "the process entry; the subprocess tests run it",
-    "cli._write_failed": "a write of standard output that fails; the subprocess tests run it",
     "__init__.__getattr__": "the package's lazy names, read by library callers",
     "__init__.__dir__": "the package's lazy names, read by library callers",
     "fseq.__getattr__": "the scan reports, read from _scans by library callers",
