@@ -40,13 +40,13 @@ if TYPE_CHECKING:  # the packing quotient is the only rational value here
 def _copy_shape(F: FSequence, k: int, m: int) -> list[tuple[int, int]]:
     """(vertices available, vertices needed) at each level k+1..k+m of a
     copy, from one read of levels 0..k+m that keeps only levels 1..m and
-    k+1..k+m.  Each term is checked as it is read, then the height, the
-    range and each level's need, in that order."""
-    sizes = {s: size for s, size in enumerate(poset.level_sizes(F, k + m)) if s <= m or s > k}
+    k+1..k+m.  The height and the range are checked before any term is
+    read, then each term as it is read, then each level's need."""
     if m < 0:
         raise ValueError(f"height must be nonnegative, got {m}")
     if k < 0:
         raise ValueError(f"copy levels {k}..{k + m} outside 0..{k + m}")
+    sizes = {s: size for s, size in enumerate(poset.level_sizes(F, k + m)) if s <= m or s > k}
     shape = []
     for j in range(1, m + 1):
         avail, need = sizes[k + j], sizes[j]
@@ -204,9 +204,10 @@ def _max_disjoint_packing(F: FSequence, k: int, m: int, cap: int) -> PackingRepo
     """``poset.max_disjoint_packing``.
 
     It makes every refusal, in this order: a ``cap`` below 1 (every
-    instance has at least one copy), ``_copy_shape``'s, the copy cap and
-    the node budget.  The count prod_j C(F_(k+j), F_j) is multiplied up
-    level by level and refused as soon as it passes ``cap``.
+    instance has at least one copy), ``_copy_shape``'s (the height and the
+    range before any term is read), the copy cap and the node budget.  The
+    count prod_j C(F_(k+j), F_j) is multiplied up level by level and
+    refused as soon as it passes ``cap``.
 
     Copies pick an F_j-subset at each level k+j and share a maximal chain
     iff all their subsets meet.  A level with F_j = 1 picks one vertex, so

@@ -448,11 +448,11 @@ def test_a_pack_refusal_holds_only_the_levels_it_checks(capsys):
 
 @pytest.mark.parametrize("argv, reason", [
     ("--spec bogus --root-level 1 --m 2 --cap 0", "--cap must be at least 1, got 0"),
-    ("--spec natural --root-level -3 --m 1", "level count must be nonnegative, got -2"),
+    # the height and the range are checked before any term is read
+    ("--spec natural --root-level -3 --m 1", "copy levels -3..-2 outside 0..-2"),
     ("--spec custom:1,2,3 --root-level 2 --m 2",
      "'custom:1,2,3' defines only 3 terms, index 4 requested"),
-    # every level is read and checked before the height
-    ("--spec custom:1,-2 --root-level 5 --m -1",
+    ("--spec custom:1,-2 --root-level 1 --m 1",
      "'custom:1,-2' gives nonpositive level size -2 at level 2"),
     ("--spec natural --root-level 1 --m -1", "height must be nonnegative, got -1"),
     ("--spec natural --root-level -1 --m 2", "copy levels -1..1 outside 0..1"),
@@ -461,6 +461,37 @@ def test_a_pack_refusal_holds_only_the_levels_it_checks(capsys):
 ], ids=["cap", "level-count", "finite", "nonpositive", "height", "range", "need", "copies"])
 def test_a_pack_refusal_keeps_its_order_and_message(capsys, argv, reason):
     assert run(capsys, "poset", "pack", *argv.split()) == (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "fnomial --spec fibonacci --n 3 --k 5",
+    "fnomial triangle --spec fibonacci --rows -1",
+    "series expf --spec fibonacci --order -1",
+    "series enumerator --spec fibonacci --order -1",
+    "series bell --spec fibonacci --n -1",
+    "series bell --spec fibonacci --n -1 --oracle",
+    "seq check --spec fibonacci --upto -1",
+    "poset chains --spec fibonacci --levels 1000 --from-level 5 --to-level 2 --mode product",
+    *(f"poset {command} --spec fibonacci --levels -1"
+      for command in ("build", "dot", "dim2", "zeta", "mobius")),
+    "prefab compose --spec fibonacci --op odot --a 3,1 --b 0,1",
+    # the packing read 999 terms before refusing the height
+    "poset pack --spec natural --root-level 1000 --m -1",
+    "poset pack --spec natural --root-level -5 --m 2",
+])
+def test_a_malformed_argument_is_refused_before_any_term_is_read(capsys, monkeypatch, argv):
+    reads = 0
+    term = fseq.FSequence.term
+
+    def counted(self, n):
+        nonlocal reads
+        reads += 1
+        return term(self, n)
+
+    monkeypatch.setattr(fseq.FSequence, "term", counted)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, reads) == (2, "", 0)
+    assert err.startswith("error: ")
 
 
 def test_poset_build_holds_one_level_at_a_time(monkeypatch):

@@ -8,20 +8,23 @@ REV's files are written by ``git archive``, and a copy of this tree's
 ``src``, to two directories whose names have one length under one temporary
 directory, removed again at the end: a child's peak RSS moves by one 128 KB
 step with the length of its tree's path, so the two are run from paths of
-equal length.  Each call runs as ``python3 -m cobweb.cli`` in
-this tree and in REV's, with ``PYTHONPATH`` set to that tree's ``src``, one
-call at a time and for at most ``TIME_LIMIT_S`` seconds, spawned by the
-benchmark's launcher ``perfbench/spawn.py``.  The calls are those
-of the four benchmark workloads of ``perfbench/workloads.generate`` at each
-seed, then one JSON array of arguments per nonblank line of FILE.  The exit
-code, the SHA-256 of standard output and standard error are compared; every
-mismatch is printed, and the script exits 1 if there is any.  Each call of
-FILE is also measured in both trees: its exit code, wall seconds and peak
-RSS (the child's own ``ru_maxrss``, read by ``os.wait4``).  With
-``--repeat N`` it runs N times in each tree, the two trees alternating and
-taking turns to go first, and the script prints each tree's medians and the
-paired medians (this tree's run minus REV's run next to it, and that as a
-share of REV's), then the paired medians over every measured pair.
+equal length.  Each call runs as ``python3 -m cobweb.cli`` in this tree and
+in REV's, with ``PYTHONPATH`` set to that tree's ``src``, one call at a time
+and for at most ``TIME_LIMIT_S`` seconds, through the benchmark's own
+launcher, ``perfbench/procs.Launcher``, one per tree, started from the
+temporary directory (``-m`` puts the working directory first on
+``sys.path``).  The calls are those of the four benchmark workloads of
+``perfbench/workloads.generate`` at each seed, then one JSON array of
+arguments per nonblank line of FILE.  The exit code, the SHA-256 of standard
+output and standard error are compared; the launcher keeps the last 4000
+characters of standard error, more than the at most two lines a listed call
+writes there.  Every mismatch is printed, and the script exits 1 if there is
+any.  Each call of FILE is also measured in both trees: its exit code, wall
+seconds and peak RSS (the child's own ``ru_maxrss``, read by ``os.wait4``).
+With ``--repeat N`` it runs N times in each tree, the two trees alternating
+and taking turns to go first, and the script prints each tree's medians and
+the paired medians (this tree's run minus REV's run next to it, and that as
+a share of REV's), then the paired medians over every measured pair.
 ``tools/startup_calls.jsonl`` holds one cheap call per command and one per
 refusal path, sized so that start-up, not the computation, sets their time.
 """
@@ -29,7 +32,6 @@ refusal path, sized so that start-up, not the computation, sets their time.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -43,40 +45,23 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/ is not a package)
+from procs import Launcher, cli_argv  # noqa: E402
 
 TIME_LIMIT_S = 120
 
 
-def launcher(tree: Path, outdir: str, workdir: str) -> subprocess.Popen:
-    """``perfbench/spawn.py`` for one tree: a bare interpreter that spawns
-    each call, with standard output and error in files of ``outdir``, and
-    reads the child's exit code and own ``ru_maxrss`` with ``os.wait4``.  A
-    child spawned by this script would report this script's peak RSS (about
-    20 MB) as its own floor; the launcher's is a bare interpreter's."""
-    os.mkdir(outdir)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.Popen(
-        [sys.executable, "-I", "-S", str(ROOT / "perfbench" / "spawn.py"), outdir,
-         str(TIME_LIMIT_S)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, cwd=workdir, env=env, text=True,
-    )
+def tree_env(tree: Path) -> dict:
+    """A child's environment: the tree's ``src`` as ``PYTHONPATH``, no bytecode written."""
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
 
 
-def run_call(spawner: subprocess.Popen, outdir: str, argv: list[str]) -> tuple[tuple, float, float]:
+def run_call(launcher: Launcher, argv: list[str]) -> tuple[tuple, float, float]:
     """(exit code, SHA-256 of standard output, standard error) of one call,
     its wall seconds and its peak RSS in MB; the exit code is "timeout" for
     a call past the time limit."""
-    spawner.stdin.write(json.dumps([sys.executable, "-m", "cobweb.cli", *argv]) + "\n")
-    spawner.stdin.flush()
-    report = json.loads(spawner.stdout.readline())
-    digest = hashlib.sha256()
-    with open(os.path.join(outdir, "child.stdout"), "rb") as out:
-        for block in iter(lambda: out.read(1 << 20), b""):
-            digest.update(block)
-    with open(os.path.join(outdir, "child.stderr"), encoding="utf-8", errors="replace") as err:
-        stderr = err.read()
-    code = "timeout" if report["code"] is None else report["code"]
-    return (code, digest.hexdigest(), stderr), report["wall_s"], report["maxrss_kb"] / 1024
+    result = launcher.run(cli_argv(argv))
+    code = "timeout" if result.code is None else result.code
+    return (code, result.stdout_sha256, result.stderr), result.wall_s, result.maxrss_kb / 1024
 
 
 def calls(seeds: list[int], calls_file: str | None, workdir: str) -> list[tuple[str, list[str], bool]]:
@@ -122,21 +107,21 @@ def main() -> int:
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
         listed = calls(args.seeds, args.calls, workdir)
-        here_dir, there_dir = os.path.join(scratch, "out_a"), os.path.join(scratch, "out_b")
+        os.chdir(workdir)  # -m puts the working directory first on a child's sys.path
         mismatches = 0
         every_pair = []
-        with launcher(tree, here_dir, workdir) as here_spawner, \
-                launcher(other, there_dir, workdir) as there_spawner:
+        with Launcher(str(tree), tree_env(tree), TIME_LIMIT_S) as here_launcher, \
+                Launcher(str(other), tree_env(other), TIME_LIMIT_S) as there_launcher:
             for label, argv, measured in listed:
                 pairs = []
                 mismatched = False
                 for turn in range(args.repeat if measured else 1):
                     if turn % 2:
-                        here, here_s, here_mb = run_call(here_spawner, here_dir, argv)
-                        there, there_s, there_mb = run_call(there_spawner, there_dir, argv)
+                        here, here_s, here_mb = run_call(here_launcher, argv)
+                        there, there_s, there_mb = run_call(there_launcher, argv)
                     else:
-                        there, there_s, there_mb = run_call(there_spawner, there_dir, argv)
-                        here, here_s, here_mb = run_call(here_spawner, here_dir, argv)
+                        there, there_s, there_mb = run_call(there_launcher, argv)
+                        here, here_s, here_mb = run_call(here_launcher, argv)
                     pairs.append((here_s, there_s, here_mb, there_mb))
                     if here != there and not mismatched:
                         mismatched = True

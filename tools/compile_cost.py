@@ -13,7 +13,11 @@ tree, or ``--src``) the script prints the source bytes, the AST nodes
 process, and the rise in peak RSS of the module's first ``compile()`` in a
 fresh interpreter (``-I``), read with ``resource.getrusage`` before and
 after (the median over ``--children`` children).  A call's peak RSS is at
-least that of its largest compile.
+least that of its largest compile.  Every child runs through one launcher
+for the whole run, the benchmark's own ``perfbench/procs.Launcher``, started
+from a temporary directory (``-c`` puts the working directory first on
+``sys.path``); it prints its result as the last line of standard error, of
+which the launcher keeps the last 4000 characters.
 
 For a call, given as arguments after ``--`` or as one JSON array of
 arguments per nonblank line of FILE, it runs ``cobweb.cli.main`` in a fresh
@@ -34,13 +38,16 @@ import ast
 import json
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/ is not a package)
+from procs import Launcher  # noqa: E402
 
 # Seconds after which a call is stopped: it has loaded its modules long
 # before, and the packing workload holds searches that do not finish.
@@ -53,14 +60,8 @@ with open(sys.argv[1], encoding="utf-8") as handle:
     source = handle.read()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 compile(source, sys.argv[1], "exec")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, file=sys.stderr)
 """
-
-# A bare interpreter that runs the command in argv[1:] and waits for it.  A
-# child's ``ru_maxrss`` starts at the peak RSS of the process that forked it,
-# which for this script would hide the rise; a bare interpreter's is below
-# the measuring child's own start-up peak.
-LAUNCH = "import os, sys; os.waitpid(os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ), 0)"
 
 # Runs the call given as argv[1] (a JSON array) with standard output
 # discarded, for at most argv[2] seconds, then prints the loaded cobweb
@@ -88,15 +89,10 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "cobweb")),
 """
 
 
-def compile_peak_kb(path: Path, children: int) -> int:
+def compile_peak_kb(launcher: Launcher, path: Path, children: int) -> int:
     """Median peak-RSS rise of a first compile of ``path`` over fresh children."""
-    rises = [
-        int(subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCH,
-                            sys.executable, "-I", "-c", COMPILE_PEAK, str(path)],
-                           check=True, capture_output=True, text=True).stdout)
-        for _ in range(children)
-    ]
-    return int(statistics.median(rises))
+    argv = [sys.executable, "-I", "-c", COMPILE_PEAK, str(path)]
+    return int(statistics.median(int(launcher.run(argv).stderr) for _ in range(children)))
 
 
 def compile_ms(source: str, path: Path, repeat: int) -> float:
@@ -114,11 +110,9 @@ def ast_nodes(source: str) -> int:
     return sum(1 for _ in ast.walk(ast.parse(source)))
 
 
-def loaded_modules(src: Path, argv: list[str]) -> list[str]:
+def loaded_modules(launcher: Launcher, argv: list[str]) -> list[str]:
     """The ``cobweb`` modules that the call loads, in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(src.parent), PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run([sys.executable, "-c", LOADED, json.dumps(argv), str(TIME_LIMIT_S)],
-                            env=env, capture_output=True, text=True, timeout=TIME_LIMIT_S + 60)
+    result = launcher.run([sys.executable, "-c", LOADED, json.dumps(argv), str(TIME_LIMIT_S)])
     return json.loads(result.stderr.splitlines()[-1])
 
 
@@ -127,28 +121,19 @@ def module_file(name: str) -> str:
     return "__init__.py" if name == "cobweb" else name.split(".", 1)[1] + ".py"
 
 
-def workload_calls(name: str, seed: int, workdir: str) -> list[list[str]]:
-    """The argv of each call of one pass of a benchmark workload."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads  # perfbench/ is not a package
-
-    return [call["argv"] for call in workloads.generate(name, seed, workdir)]
-
-
-def call_costs(src: Path, argv: list[str]) -> tuple[list[str], int, int]:
+def call_costs(launcher: Launcher, src: Path, argv: list[str]) -> tuple[list[str], int, int]:
     """The ``cobweb`` modules the call loads, with their source bytes and
     AST nodes in all."""
-    names = loaded_modules(src, argv)
+    names = loaded_modules(launcher, argv)
     sources = [(src / module_file(name)).read_text(encoding="utf-8") for name in names]
     return names, sum(len(text.encode()) for text in sources), sum(map(ast_nodes, sources))
 
 
-def report_workload(src: Path, name: str, seed: int) -> None:
+def report_workload(launcher: Launcher, src: Path, name: str, seed: int, workdir: str) -> None:
     """One line per call of the workload's pass, then the median and the
     maximum of the bytes and AST nodes a call compiles."""
-    with tempfile.TemporaryDirectory() as workdir:
-        costs = [(argv, *call_costs(src, argv))
-                 for argv in workload_calls(name, seed, workdir)]
+    costs = [(call["argv"], *call_costs(launcher, src, call["argv"]))
+             for call in workloads.generate(name, seed, workdir)]
     print(f"{'nodes':>6}{'bytes':>8}  modules beyond cobweb, cobweb.cli; call")
     for argv, names, size, nodes in costs:
         extra = [m.split(".", 1)[1] for m in names if m not in ("cobweb", "cobweb.cli")]
@@ -157,6 +142,24 @@ def report_workload(src: Path, name: str, seed: int) -> None:
         values = [cost[column] for cost in costs]
         print(f"{name} seed {seed}: {label} per call, median {statistics.median(values):g},"
               f" max {max(values)}, over {len(values)} calls")
+
+
+def report_modules(launcher: Launcher, src: Path, call_list: list[list[str]],
+                   repeat: int, children: int) -> None:
+    """One line per module of the package, then what each call loads and compiles."""
+    peaks = {}
+    print(f"{'module':<16}{'bytes':>8}{'nodes':>8}{'compile ms':>12}{'peak KB':>9}")
+    for path in sorted(src.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        peaks[path.name] = compile_peak_kb(launcher, path, children)
+        print(f"{path.name:<16}{len(source.encode()):>8}{ast_nodes(source):>8}"
+              f"{compile_ms(source, path, repeat):>12.2f}{peaks[path.name]:>9}")
+    for argv in call_list:
+        names, size, nodes = call_costs(launcher, src, argv)
+        largest = max(names, key=lambda name: peaks[module_file(name)])
+        print(f"\n{json.dumps(argv)}\n  loads {', '.join(names)}\n"
+              f"  compiles {size} bytes, {nodes} AST nodes\n"
+              f"  largest compile peak {peaks[module_file(largest)]} KB ({largest})")
 
 
 def main() -> int:
@@ -172,9 +175,6 @@ def main() -> int:
     parser.add_argument("argv", nargs=argparse.REMAINDER,
                         help="one call's arguments, after --")
     args = parser.parse_args()
-    if args.workload:
-        report_workload(args.src, args.workload, args.seed)
-        return 0
     call_list = []
     if args.calls:
         call_list += [json.loads(line) for line in
@@ -182,20 +182,15 @@ def main() -> int:
     call = args.argv[1:] if args.argv[:1] == ["--"] else args.argv
     if call:
         call_list.append(call)
-
-    peaks = {}
-    print(f"{'module':<16}{'bytes':>8}{'nodes':>8}{'compile ms':>12}{'peak KB':>9}")
-    for path in sorted(args.src.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        peaks[path.name] = compile_peak_kb(path, args.children)
-        print(f"{path.name:<16}{len(source.encode()):>8}{ast_nodes(source):>8}"
-              f"{compile_ms(source, path, args.repeat):>12.2f}{peaks[path.name]:>9}")
-    for argv in call_list:
-        names, size, nodes = call_costs(args.src, argv)
-        largest = max(names, key=lambda name: peaks[module_file(name)])
-        print(f"\n{json.dumps(argv)}\n  loads {', '.join(names)}\n"
-              f"  compiles {size} bytes, {nodes} AST nodes\n"
-              f"  largest compile peak {peaks[module_file(largest)]} KB ({largest})")
+    src = args.src.resolve()
+    env = dict(os.environ, PYTHONPATH=str(src.parent), PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)  # -c puts the working directory first on a child's sys.path
+        with Launcher(scratch, env, TIME_LIMIT_S + 60) as launcher:
+            if args.workload:
+                report_workload(launcher, src, args.workload, args.seed, scratch)
+            else:
+                report_modules(launcher, src, call_list, args.repeat, args.children)
     return 0
 
 
