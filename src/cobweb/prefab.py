@@ -21,9 +21,11 @@ on primes a, b of widths k, m reads f(a odot b) / (f(a) f(b)) =
 
 The algebra laws are sequence-independent: both compositions act on layer
 bounds alone, so the law checker takes no sequence and is deterministic given
-its sample count and seed.  It checks each law once per distinct operand
-tuple drawn, weighted by how often it was drawn, in one pass whose memory
-does not grow with the sample count.  It needs neither coefficients nor
+its sample count and seed.  It decides each law before it draws: the
+compositions branch only on the empty element, so on each emptiness pattern
+of its operands a law is decided by a few evaluations.  The samples are then
+only counted by the emptiness class of their operands, in one pass whose
+memory does not grow with the sample count.  It needs neither coefficients nor
 rationals, so the sizes and the ``compose`` handler import ``fnomial`` where
 they use it.  The checker, its records, pool, draw and law tables and the
 ``cobweb prefab laws`` handler are in ``_laws``, which only a law check
@@ -147,9 +149,13 @@ def check_algebra_laws(sample_count: int, seed: int) -> LawReport:
     associativity for ``circ``, the grading laws, and the prime splitting of
     layers.  For ``odot`` it emits explicit witnesses of noncommutativity and
     nonassociativity: the canonical ones always, plus the first sampled ones
-    the pool yields.  The verdicts are those of checking every sample, in
-    memory that does not grow with the sample count.  The check is
-    ``_laws._check_laws``.
+    the pool yields.  Each law is decided for every layer before the first
+    draw, then the samples are counted by whether their first operand is
+    empty, prime or another layer and whether their second is empty; a law
+    the decision refutes is evaluated on each sample.  The verdicts are those
+    of checking every sample, in memory that does not grow with the sample
+    count, and a sample count past ``_laws.SAMPLE_BOUND`` is refused with
+    ``ValueError`` before the first draw.  The check is ``_laws._check_laws``.
     """
     from ._laws import _check_laws
 

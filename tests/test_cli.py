@@ -992,6 +992,9 @@ def test_series_qbell_large_field_sizes(capsys):
         # past the end of the sequence too: n is refused before any term is read
         (["series", "bell", "--spec", "custom:1,2", "--n", "50", "--oracle"],
          "oracle is bounded to n <= 40, got 50"),
+        # about 70 minutes of draws: refused before the first
+        (["prefab", "laws", "--spec", "natural", "--samples", "1000000000", "--seed", "1"],
+         "work bound of 10000000 samples"),
     ],
 )
 def test_oracles_refuse_large_inputs_fast(capsys, argv, bound):

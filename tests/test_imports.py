@@ -285,7 +285,7 @@ COMPILE_BUDGET = {
     "poset mobius": ("poset mobius --spec natural --levels 3 --format csv", 4484),
     "poset dim2": ("poset dim2 --spec natural --levels 3", 4426),
     "prefab compose": ("prefab compose --op odot --a 0,2 --b 0,3 --spec fibonacci", 4389),
-    "prefab laws": ("prefab laws --spec natural --samples 50 --seed 1", 5181),
+    "prefab laws": ("prefab laws --spec natural --samples 50 --seed 1", 5332),
     "series qbell": ("series qbell --q 2 --n 3", 4889),
     "series qbell oracle": ("series qbell --q 2 --n 3 --oracle", 5926),
     "series expf": ("series expf --spec natural --order 5", 4889),

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +209,8 @@ def test_law_report_minimal_pool_still_emits_witnesses():
     assert {"odot_noncommutativity", "odot_nonassociativity"} <= kinds
     with pytest.raises(ValueError):
         check_algebra_laws(0, 0)
+    with pytest.raises(ValueError, match="work bound"):
+        check_algebra_laws(_laws.SAMPLE_BOUND + 1, 0)
 
 
 def test_nonassociativity_witnesses_have_the_stacking_shape():
@@ -314,12 +317,22 @@ def circ_dropping_right_lower_bound(a, b):
     return Prefabiant(a.k, a.n + b.n)
 
 
+def circ_doubling(a, b):
+    """A broken circ that commutes but does not associate: it doubles the
+    componentwise sum of two layers."""
+    if a.is_empty or b.is_empty:
+        return b if a.is_empty else a
+    return Prefabiant(2 * (a.k + b.k), 2 * (a.n + b.n))
+
+
 COMPOSITIONS = {
     "real": {},
     "circ-keeps-left": {"circ": circ_keeping_left},
     "odot-ignores-identity": {"odot": odot_ignoring_identity},
     # tells the (a, b) pair counts from their transpose, as the others cannot
     "circ-drops-right-lower-bound": {"circ": circ_dropping_right_lower_bound},
+    # the one variant that breaks the law of three operands
+    "circ-doubles": {"circ": circ_doubling},
 }
 
 
@@ -339,6 +352,7 @@ def test_law_report_equals_the_per_sample_oracle(variant, samples, seed):
         ("circ-keeps-left", {"grading_circ"}),
         ("odot-ignores-identity", {"identity_odot"}),
         ("circ-drops-right-lower-bound", {"grading_circ"}),
+        ("circ-doubles", {"associativity_circ", "grading_circ"}),
     )
 ])
 def test_a_broken_composition_fails_its_laws(monkeypatch, variant, broken):
@@ -347,6 +361,30 @@ def test_a_broken_composition_fails_its_laws(monkeypatch, variant, broken):
     report = check_algebra_laws(500, 11)
     assert {law.law for law in report.laws if not law.holds} >= broken
     assert report == law_report_by_samples(500, 11)
+
+
+def test_the_compositions_are_their_closed_forms_on_the_pool():
+    # the premise of the law decision: each composition branches only on the
+    # empty element, and is affine in the bounds of two layers
+    for a, b in product(_laws._POOL, repeat=2):
+        if a.is_empty or b.is_empty:
+            assert odot(a, b) == circ(a, b) == (b if a.is_empty else a)
+        else:
+            assert odot(a, b) == Prefabiant(a.n, a.n + b.width)
+            assert circ(a, b) == Prefabiant(a.k + b.k, a.n + b.n)
+
+
+@pytest.mark.parametrize("variant", COMPOSITIONS)
+def test_the_law_decision_agrees_with_every_pool_tuple(monkeypatch, variant):
+    for name, composition in COMPOSITIONS[variant].items():
+        monkeypatch.setattr(prefab, name, composition)
+    laws, _ = _laws._law_tables(prefab.odot, prefab.circ)
+    for law, holds in laws.items():
+        arity = holds.__code__.co_argcount
+        if arity <= 2:
+            on_the_pool = all(holds(*operands) is not False
+                              for operands in product(_laws._POOL, repeat=arity))
+            assert _laws._holds_everywhere(holds) == on_the_pool, law
 
 
 @settings(max_examples=60, deadline=None)
