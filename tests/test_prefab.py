@@ -329,7 +329,7 @@ COMPOSITIONS = {
     "real": {},
     "circ-keeps-left": {"circ": circ_keeping_left},
     "odot-ignores-identity": {"odot": odot_ignoring_identity},
-    # tells the (a, b) pair counts from their transpose, as the others cannot
+    # its grading_circ failure is asymmetric: it fails only where b.k > 0
     "circ-drops-right-lower-bound": {"circ": circ_dropping_right_lower_bound},
     # the one variant that breaks the law of three operands
     "circ-doubles": {"circ": circ_doubling},

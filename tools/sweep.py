@@ -2,13 +2,13 @@
 
 Run from anywhere, with the ``src`` directory of the tree to measure:
 
-    python3 tools/sweep.py [--src DIR] [--start N] [--cap SECONDS] [--seed S]
+    python3 tools/sweep.py [--src DIR] [--cap SECONDS]
 
-The kernel is ``prefab.check_algebra_laws``, its size the sample count.  It
-imports ``cobweb`` from ``--src`` (default: this tree's ``src``), so the
-parent's tree, written out by ``git archive``, is measured by pointing the
-sweep at its ``src``.  After one warm-up call (the imports, the sample pool)
-it runs the kernel at ``--start`` samples and doubles the count while the
+The kernel is ``prefab.check_algebra_laws`` at seed ``SEED``, its size the
+sample count.  It imports ``cobweb`` from ``--src`` (default: this tree's
+``src``), so the parent's tree, written out by ``git archive``, is measured
+by pointing the sweep at its ``src``.  After one warm-up call (the imports, the sample pool)
+it runs the kernel at ``START`` samples and doubles the count while the
 next point, at twice the last point's time, stays within ``--cap`` seconds
 (default 2).  Each point's time is the least of ``REPEAT`` untraced runs;
 one more run under ``tracemalloc`` gives its peak traced bytes.  One JSON
@@ -32,6 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # Untraced runs a point is timed over: the least of them is its time, the
 # one least disturbed by other work on the machine.
 REPEAT = 3
+# The first sample count, and the seed every call draws its samples from.
+START = 625
+SEED = 1
 
 
 def point(kernel, size: int) -> tuple[float, int]:
@@ -67,18 +70,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory whose cobweb is measured")
-    parser.add_argument("--start", type=int, default=625, help="the first sample count")
     parser.add_argument("--cap", type=float, default=2.0, help="seconds a point may take")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from cobweb.prefab import check_algebra_laws
 
     def kernel(samples: int) -> None:
-        check_algebra_laws(samples, args.seed)
+        check_algebra_laws(samples, SEED)
 
     kernel(1)
-    points = sweep(kernel, args.start, args.cap)
+    points = sweep(kernel, START, args.cap)
     for size, seconds, peak in points:
         print(json.dumps({"kernel": "check_algebra_laws", "size": size,
                           "seconds": round(seconds, 6), "peak_bytes": peak}))
