@@ -4,6 +4,10 @@ that no other call compiles them.  The DOT text and the dim2 labels are
 read off the level sizes as they are written: an export holds the sizes and
 no more than one level's text.
 
+The spec's text in the level dump and the dim2 head come from
+``fseq._json_text``, so no export imports ``json`` unless the spec needs an
+escape.
+
 The handlers call the poset's functions through ``poset``, so they run what
 that module holds at the time of the call: a variant under test, or a
 tracing wrapper.
@@ -11,13 +15,12 @@ tracing wrapper.
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate, chain, pairwise, starmap
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import poset
-from .fseq import parse_sequence
+from .fseq import _json_text, parse_sequence
 from .poset import CobwebPoset
 
 if TYPE_CHECKING:
@@ -47,7 +50,7 @@ def _levels_json(spec: str, sizes: Iterable[int]) -> Iterator[str]:
     """The ``json.dumps`` text of ``CobwebPoset.to_json_dict`` for a spec and
     its level sizes, read one at a time as the text is yielded, so no more
     than one level's text is held.  Digits need no escaping."""
-    yield f'{{"spec": {json.dumps(spec)}, "levels": ["'
+    yield f'{{"spec": {_json_text(spec)}, "levels": ["'
     for s, size in enumerate(sizes):
         if s:
             yield '", "'
@@ -80,7 +83,7 @@ def _cmd_poset_dim2(args: SimpleNamespace) -> tuple[int, Iterable[str]]:
     P = _priced_poset(args, lambda sizes: (2 * N for N in accumulate(sizes)), "labels")
     order_a, order_b = poset.dim2_realizer(P)
     # the realizer is correct by construction; tests/oracles.py checks its N^2 pairs
-    head = json.dumps({"spec": args.spec, "levels": P.L, "verified": True})
+    head = _json_text({"spec": args.spec, "levels": P.L, "verified": True})
     return 0, chain(
         (head[:-1], ', "l1": '), _labels_chunks(order_a),
         (', "l2": ',), _labels_chunks(order_b), ("}\n",),

@@ -1,11 +1,10 @@
 """The finite sequences of ``custom:`` and ``file:`` specs, loaded by
 ``fseq.parse_sequence`` for such a spec, so that no call on another spec
-compiles them.
+compiles them.  A ``file:`` spec's terms are read by ``json``, imported
+only then, so no other call loads it.
 """
 
 from __future__ import annotations
-
-import json
 
 from .fseq import FSequence, SequenceError, parse_int
 
@@ -33,6 +32,8 @@ def _finite_spec(head: str, tail: str, spec: str) -> FSequence:
     nonempty ``tail`` after the colon of ``spec``."""
     if head == "custom":
         return _finite([parse_int(piece) for piece in tail.split(",")], spec)
+    import json
+
     try:
         with open(tail, "r", encoding="utf-8") as handle:
             data = json.load(handle)

@@ -12,10 +12,15 @@ reads.
 the integer type asked for where it is integral, a reduced ``Fraction``
 otherwise, with ``fractions`` imported only on a remainder.
 
-Every call loads this module, so it holds what every call runs.  The two
-prefix scans, their reports and the ``cobweb seq check`` handler are in
-``_scans``, which only a scan loads: the scans' entries here import it when
-they run, and the report classes are read from it on first access.  The
+Every call loads this module, so it holds what every call runs.  That
+includes ``_json_text``, which writes the text of every payload dict
+(``cli._json``) and of the exports' heads (``_exports``): ``json.dumps``'s
+text, written here where no string needs an escape, so only a payload with
+such a string, or a ``file:`` spec's call, imports ``json``.  ``parse_int``
+reads its grammar with ``str`` methods, so this module imports no ``re``.
+The two prefix scans, their reports and the ``cobweb seq check`` handler are
+in ``_scans``, which only a scan loads: the scans' entries here import it
+when they run, and the report classes are read from it on first access.  The
 finite sequences of ``custom:`` and ``file:`` specs are built in
 ``_finite``, which only such a spec loads.
 """
@@ -23,7 +28,6 @@ finite sequences of ``custom:`` and ``file:`` specs are built in
 from __future__ import annotations
 
 import operator
-import re
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # named only in annotations: fractions load on a remainder
@@ -134,9 +138,44 @@ def _running_power(q: int, start: int = 1) -> Callable[[int], int]:
 def parse_int(text: str) -> int:
     """The one integer grammar of specs, layer bounds and CLI options:
     ``-?[0-9]+``, so no "+", space, "_" or non-ASCII digit."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
         raise SequenceError(f"malformed integer {text!r}")
     return int(text)
+
+
+def _json_text(value: object) -> str:
+    """``json.dumps(value)``: written here for dicts with ``str`` keys, lists,
+    ``str``, ``int``, ``bool`` and ``None`` where every string is ASCII,
+    printable and free of ``"`` and ``\\``, so that it needs no escape; any
+    other value goes whole to ``json.dumps``, imported only then."""
+    try:
+        return _plain_json(value)
+    except TypeError:
+        import json
+
+        return json.dumps(value)
+
+
+def _plain_json(value: object) -> str:
+    """``_json_text``'s own writer; ``TypeError`` where a string needs an
+    escape or a value is of another type."""
+    kind = type(value)
+    if kind is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int:
+        return str(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    elif kind is list:
+        return f"[{', '.join(map(_plain_json, value))}]"
+    elif kind is dict and all(type(key) is str for key in value):
+        items = (f"{_plain_json(key)}: {_plain_json(item)}" for key, item in value.items())
+        return f"{{{', '.join(items)}}}"
+    raise TypeError(kind)
 
 
 def exact_quotient(

@@ -17,12 +17,12 @@ a truncation agree with the untruncated ones entry by entry.
 The level tables, the block convolution, the general unitriangular inverse
 and the vertex readers are the independent route in ``tests/oracles.py``.
 Only ``cobweb poset zeta|mobius`` loads this module, so its handler closes
-the module.
+the module.  The JSON export is written as text; only ``to_json_dict``,
+which no command enters, imports ``json``, to read that text back.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -86,6 +86,8 @@ class IncidenceMatrix:
 
     def to_json_dict(self) -> dict:
         """The ``to_json`` text read back: labels and dense rows as strings."""
+        import json
+
         return json.loads("".join(self.to_json()))
 
     def to_json(self) -> Iterator[str]:

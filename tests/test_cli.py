@@ -1158,6 +1158,32 @@ def test_a_command_parses_alike_under_its_own_parser_and_the_full_one(key):
     assert _argparse_reading(argv) == (vars(fast), [])
 
 
+# One call per command that writes JSON (``poset dot`` writes DOT text), and
+# a file: spec whose path holds characters that JSON escapes, with the first
+# twenty natural numbers as its terms.
+JSON_ROWS = [key for key in ROW_ARGV if key != ("poset", "dot")]
+ESCAPED_NAME = 'q"b\\ del\x7f tab\t \u00e9 \U0001d53d.json'
+
+
+@pytest.mark.parametrize("key, escaped", [
+    *(pytest.param(key, False, id=" ".join(filter(None, key))) for key in JSON_ROWS),
+    *(pytest.param(key, True, id=" ".join(filter(None, key)) + " escaped spec")
+      for key in JSON_ROWS if "--spec" in ROW_ARGV[key]),
+])
+def test_a_json_payload_is_the_text_json_dumps_gives(capsys, tmp_path, key, escaped):
+    # the payload written by fseq._json_text, or streamed with its head, is
+    # byte for byte the json.dumps text of the value it reads back to; a
+    # spec that needs escapes takes json.dumps itself
+    argv = ROW_ARGV[key].replace("--format csv", "--format json").split()
+    if escaped:
+        path = tmp_path / ESCAPED_NAME
+        path.write_text(json.dumps(list(range(1, 21))), encoding="utf-8")
+        argv[argv.index("--spec") + 1] = f"file:{path}"
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def test_a_call_builds_only_the_command_it_names(capsys, monkeypatch):
     # a well-formed call builds no argparse parser, and prints what it
     # prints when argparse reads it

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -13,9 +14,11 @@ from cobweb._triangle import _exact_context
 from cobweb.fseq import (
     FSequence,
     SequenceError,
+    _json_text,
     exact_quotient,
     is_cobweb_admissible_prefix,
     is_gcd_morphic_prefix,
+    parse_int,
     parse_sequence,
 )
 from oracles import gcd_morphic_pairwise
@@ -130,6 +133,73 @@ def test_spec_roundtrip():
 def test_malformed_specs_rejected(spec):
     with pytest.raises(SequenceError):
         parse_sequence(spec)
+
+
+def _reads_as_spec_integer(text):
+    """``parse_int``'s value for ``text``, or None where it refuses it."""
+    try:
+        return parse_int(text)
+    except SequenceError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0663", "\u00b2", "+1", " 1", "1_0", "", "-", "--1", "1\n", "-0", "007", "-12"]
+)
+def test_parse_int_reads_the_grammar_of_its_pattern(text):
+    # a non-ASCII digit (Arabic-Indic three, superscript two) passes
+    # isdigit() but not isascii()
+    expected = int(text) if re.fullmatch(r"-?[0-9]+", text) else None
+    assert _reads_as_spec_integer(text) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | st.from_regex(r"-?[0-9]+", fullmatch=True)
+       | st.text(st.sampled_from("-0123456789+_ \n\u0663\u00b2")))
+def test_parse_int_agrees_with_its_pattern_on_any_text(text):
+    expected = int(text) if re.fullmatch(r"-?[0-9]+", text) else None
+    assert _reads_as_spec_integer(text) == expected
+
+
+# Strings of every kind: printable ASCII, which needs no escape; the same
+# around one character that does (a quote, a backslash, DEL, a control, a
+# non-ASCII, astral or lone surrogate code point); and any code points at all.
+ANY_CHARACTER = st.characters(exclude_categories=())
+PLAIN_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+JSON_TEXTS = PLAIN_TEXT | st.tuples(
+    PLAIN_TEXT,
+    st.sampled_from('"\\\x7f\x00\x1f\u00e9\U0001d53d\ud800') | ANY_CHARACTER,
+    PLAIN_TEXT,
+).map("".join) | st.text(ANY_CHARACTER)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_TEXTS
+    | st.integers() | st.integers(min_value=-10**400, max_value=10**400),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_TEXTS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TEXTS)
+def test_json_text_writes_a_string_as_json_dumps_does(text):
+    assert _json_text(text) == json.dumps(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_the_text_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    "plain ~ text", "del\x7f", 'quote"', "back\\slash", "tab\t", "\u00e9", "\ud800",
+    "\U0001d53d", {"k": [1, True, None, "x"]}, {'"': 1}, {1: "int key"}, {None: 0, True: 1},
+    ("tuple", 1), [1.5], {"a": (1, 2)}, 10**600, -(10**600), [], {},
+], ids=repr)
+def test_json_text_is_the_text_of_json_dumps_on_pinned_values(value):
+    # a string that needs an escape, a key that is not a string and a type
+    # the handlers never build all take json.dumps whole
+    assert _json_text(value) == json.dumps(value)
 
 
 def test_zero_terms_rejected():

@@ -22,9 +22,10 @@ SRC = str(Path(cobweb.__file__).resolve().parents[1])
 # Runs the code given as argv[1], then reports as the last line of standard
 # error the loaded cobweb modules and the standard-library modules that the
 # code itself loaded (measured against the modules present before it ran, so
-# whatever a site hook imports at start-up does not count).
+# whatever a site hook imports at start-up does not count).  The probe
+# imports ``json`` for its report only after taking that measure.
 PROBE = """
-import json, sys
+import sys
 before = set(sys.modules)
 try:
     exec(sys.argv[1])
@@ -34,6 +35,7 @@ finally:
         m for m in set(sys.modules) - before
         if m.split(".")[0] in sys.stdlib_module_names
     )
+    import json
     print(json.dumps([loaded, stdlib]), file=sys.stderr)
 """
 
@@ -51,6 +53,9 @@ NONE: set[str] = set()
 # The argument parser and the translation machinery its messages load: only
 # help and usage errors need them, so a valid call loads none of the three.
 ARGPARSE = {"argparse", "gettext", "locale"}
+# The JSON codec: payload text is written by ``fseq._json_text``, so only a
+# file: spec's terms, or a payload string that needs an escape, load it.
+JSON = {"json"}
 
 BASE = {"cobweb", "cobweb.cli"}
 CORE = {"cobweb", "cobweb.fseq", "cobweb.fnomial"}
@@ -75,8 +80,10 @@ PACK = ["poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2"]
 # a pack call loads the search, which reads the terms and makes its refusals
 PACKING = POSET | {"cobweb._packing"}
 
-# id -> (argv, exit code, cobweb modules loaded, FRACTIONS modules loaded); as
-# valid calls, none of them loads an ARGPARSE module
+# id -> (argv, exit code, cobweb modules loaded, FRACTIONS and JSON modules
+# loaded); as valid calls, none of them loads an ARGPARSE module.  A call
+# runs in a directory that holds TERMS_FILE.
+TERMS_FILE = "terms.json"
 CLI_CALLS = {
     # the scans see integral values only, so neither loads a rational module
     "seq check": (["seq", "check", "--spec", "fibonacci", "--upto", "10"], 0, SCANS, NONE),
@@ -89,6 +96,9 @@ CLI_CALLS = {
                 COEFFICIENTS, NONE),
     "fnomial fractional": (["fnomial", "--spec", "custom:2,3", "--n", "2", "--k", "1"], 0,
                            COEFFICIENTS | FINITE, FRACTIONS),
+    # only reading a file: spec's terms loads json
+    "fnomial file": (["fnomial", "--spec", f"file:{TERMS_FILE}", "--n", "4", "--k", "2"], 0,
+                     COEFFICIENTS | FINITE, JSON),
     "fnomial triangle": (["fnomial", "triangle", "--spec", "fibonacci", "--rows", "5"], 0,
                          COEFFICIENTS | {"cobweb._triangle"}, DECIMAL),
     "poset build": (["poset", "build", "--spec", "fibonacci", "--levels", "4"], 0,
@@ -137,7 +147,7 @@ CLI_CALLS = {
 
 def probe(code: str) -> tuple[int, set[str], set[str]]:
     """Exit code, loaded cobweb modules, and the ``SLOW_IMPORTS``,
-    ``FRACTIONS`` and ``ARGPARSE`` modules the code loaded."""
+    ``FRACTIONS``, ``ARGPARSE`` and ``JSON`` modules the code loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
@@ -145,17 +155,21 @@ def probe(code: str) -> tuple[int, set[str], set[str]]:
         env=env, capture_output=True, text=True, timeout=60,
     )
     loaded, stdlib = json.loads(result.stderr.splitlines()[-1])
-    return result.returncode, set(loaded), (SLOW_IMPORTS | FRACTIONS | ARGPARSE) & set(stdlib)
+    reported = SLOW_IMPORTS | FRACTIONS | ARGPARSE | JSON
+    return result.returncode, set(loaded), reported & set(stdlib)
 
 
 def test_importing_the_cli_loads_no_computing_module():
+    # nor json: a payload's text is written by fseq, which a call loads
     assert probe("import cobweb.cli") == (0, BASE, set())
 
 
-@pytest.mark.parametrize("argv, code, modules, rational", CLI_CALLS.values(), ids=CLI_CALLS)
-def test_cli_call_loads_only_its_modules(argv, code, modules, rational):
+@pytest.mark.parametrize("argv, code, modules, stdlib", CLI_CALLS.values(), ids=CLI_CALLS)
+def test_cli_call_loads_only_its_modules(argv, code, modules, stdlib, tmp_path, monkeypatch):
+    (tmp_path / TERMS_FILE).write_text("[1, 1, 2, 3, 5]", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     call = f"from cobweb.cli import main; sys.exit(main({argv!r}))"
-    assert probe(call) == (code, modules, rational)
+    assert probe(call) == (code, modules, stdlib)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -272,9 +286,9 @@ def test_oracles_load_without_a_module_entry():
 # from source, so these sums price a call's start-up (about 2.5 us a node on
 # a 2-vCPU x86 VM).
 COMPILE_BUDGET = {
-    "seq check": ("seq check --spec fibonacci --upto 10", 4521),
-    "fnomial": ("fnomial --spec fibonacci --n 5 --k 2", 3570),
-    "fnomial triangle": ("fnomial triangle --spec fibonacci --rows 5", 3931),
+    "seq check": ("seq check --spec fibonacci --upto 10", 4788),
+    "fnomial": ("fnomial --spec fibonacci --n 5 --k 2", 3837),
+    "fnomial triangle": ("fnomial triangle --spec fibonacci --rows 5", 4198),
     "poset build": ("poset build --spec natural --levels 4", 4209),
     "poset dot": ("poset dot --spec natural --levels 3", 4426),
     "poset chains": (
@@ -284,11 +298,11 @@ COMPILE_BUDGET = {
     "poset zeta": ("poset zeta --spec natural --levels 3", 4484),
     "poset mobius": ("poset mobius --spec natural --levels 3 --format csv", 4484),
     "poset dim2": ("poset dim2 --spec natural --levels 3", 4426),
-    "prefab compose": ("prefab compose --op odot --a 0,2 --b 0,3 --spec fibonacci", 4389),
+    "prefab compose": ("prefab compose --op odot --a 0,2 --b 0,3 --spec fibonacci", 4656),
     "prefab laws": ("prefab laws --spec natural --samples 50 --seed 1", 5332),
-    "series qbell": ("series qbell --q 2 --n 3", 4889),
+    "series qbell": ("series qbell --q 2 --n 3", 5156),
     "series qbell oracle": ("series qbell --q 2 --n 3 --oracle", 5926),
-    "series expf": ("series expf --spec natural --order 5", 4889),
+    "series expf": ("series expf --spec natural --order 5", 5156),
 }
 
 
