@@ -51,7 +51,7 @@ class _Frozen:
 
     def __init_subclass__(cls) -> None:
         # the field values in one C-level call (a lone field's value alone), not
-        # a Python loop: Prefabiant equality sits in the law checker's inner loop
+        # a Python loop, for each equality test and hash
         cls._values = operator.attrgetter(*cls.__slots__)
 
     def __eq__(self, other: object) -> bool:

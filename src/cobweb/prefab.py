@@ -57,8 +57,8 @@ class Prefabiant(_Frozen):
             raise ValueError("layer needs both bounds, the empty element neither")
         if k is not None and not 0 <= k < n:
             raise ValueError(f"layer needs 0 <= k < n, got ({k}, {n})")
-        _set_k(self, k)
-        _set_n(self, n)
+        Prefabiant.k.__set__(self, k)
+        Prefabiant.n.__set__(self, n)
 
     @classmethod
     def prime(cls, m: int) -> "Prefabiant":
@@ -93,10 +93,6 @@ class Prefabiant(_Frozen):
     def __str__(self) -> str:
         return "i" if self.is_empty else f"{self.k},{self.n}"
 
-
-# The slot descriptors' setters, bound once: ``__init__`` is the one way to set
-# the fields, and these setters go round the ``__setattr__`` that refuses.
-_set_k, _set_n = Prefabiant.k.__set__, Prefabiant.n.__set__
 
 EMPTY = Prefabiant()
 

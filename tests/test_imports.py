@@ -19,6 +19,18 @@ import cobweb
 
 SRC = str(Path(cobweb.__file__).resolve().parents[1])
 
+
+def load_by_path(name: str, relative: str) -> types.ModuleType:
+    """The repository's file at ``relative``, executed as a module named
+    ``name`` that no import can find."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / relative
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # Runs the code given as argv[1], then reports as the last line of standard
 # error the loaded cobweb modules and the standard-library modules that the
 # code itself loaded (measured against the modules present before it ran, so
@@ -270,11 +282,7 @@ def test_src_builds_vertex_records_only_in_cobweb_poset():
 
 def test_oracles_load_without_a_module_entry():
     # the benchmark's checker executes tests/oracles.py this way
-    spec = importlib.util.spec_from_file_location(
-        "standalone_oracles", Path(__file__).with_name("oracles.py")
-    )
-    oracles = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracles)
+    oracles = load_by_path("standalone_oracles", "tests/oracles.py")
     P = oracles.build_poset(cobweb.parse_sequence("natural"), 3)
     copies = oracles.enumerate_copies(P, cobweb.Vertex(1, 1), 2)
     assert (len(copies), oracles.brute_max_packing(copies)) == (6, 2)
@@ -392,11 +400,7 @@ def test_the_benchmark_tracer_counts_one_call_of_every_command():
 def test_the_benchmark_tracer_finds_every_method_it_wraps():
     # perfbench/tracing.py replaces these methods in their class's own dict;
     # a name that left the dict, or moved to a base class, fails its install
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_by_path("bench_tracing", "perfbench/tracing.py")
     missing = [
         f"{module}.{cls}.{method}"
         for table in (tracing.SERIALIZER_METHODS, tracing.LAYER_METHODS)
@@ -413,11 +417,7 @@ def test_every_public_function_of_a_layer_module_is_defined_in_a_layer():
     # a function defined in a private module (say ``_dense``) and bound here
     # under a public name would be booked to a layer that no traced run
     # reports, however rarely a call enters it
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_by_path("bench_tracing", "perfbench/tracing.py")
     misplaced = [
         f"cobweb.{module}.{name} is defined in {fn.__module__}"
         for module in tracing.MODULES + ("cli",)
@@ -522,11 +522,7 @@ def test_every_function_in_src_is_entered_by_a_command(tmp_path):
 
     for path in sorted(Path(SRC, "cobweb").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, f"{path.stem}.")
-    spec = importlib.util.spec_from_file_location(
-        "bench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_by_path("bench_tracing", "perfbench/tracing.py")
     # the methods the benchmark's tracer wraps, named by the module that
     # defines their class, and the two its matrix hook reads
     bound = {

@@ -9,13 +9,14 @@ A process that may not write bytecode (``PYTHONDONTWRITEBYTECODE=1``, or a
 checkout without ``__pycache__``) compiles every module it imports from
 source.  For each ``*.py`` of the package directory (``src/cobweb`` of this
 tree, or ``--src``) the script prints the source bytes, the AST nodes
-(``ast.walk`` over ``ast.parse``), the median time of ``compile()`` in this
-process, and the rise in peak RSS of the module's first ``compile()`` in a
-fresh interpreter (``-I``), read with ``resource.getrusage`` before and
-after (the median over ``--children`` children).  A call's peak RSS is at
-least that of its largest compile.  Every child runs through one launcher
-for the whole run, the benchmark's own ``perfbench/procs.Launcher``, started
-from a temporary directory (``-c`` puts the working directory first on
+(``ast.walk`` over ``ast.parse``), the median time of ``REPEAT`` runs of
+``compile()`` in this process, and the rise in peak RSS of the module's
+first ``compile()`` in a fresh interpreter (``-I``), read with
+``resource.getrusage`` before and after (the median over ``CHILDREN``
+children).  A call's peak RSS is at least that of its largest compile.
+Every child runs through one launcher for the whole run, the benchmark's own
+``perfbench/procs.Launcher`` (environment: ``pairs.src_env``), started from
+a temporary directory (``-c`` puts the working directory first on
 ``sys.path``); it prints its result as the last line of standard error, of
 which the launcher keeps the last 4000 characters.
 
@@ -43,7 +44,8 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from pairs import ROOT, src_env
+
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -52,6 +54,9 @@ from procs import Launcher  # noqa: E402
 # Seconds after which a call is stopped: it has loaded its modules long
 # before, and the packing workload holds searches that do not finish.
 TIME_LIMIT_S = 10.0
+# The compiles timed per module, and the fresh interpreters per compile peak.
+REPEAT = 20
+CHILDREN = 5
 
 # The peak-RSS rise, in KB, of one compile of the file given as argv[1].
 COMPILE_PEAK = """
@@ -89,16 +94,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "cobweb")),
 """
 
 
-def compile_peak_kb(launcher: Launcher, path: Path, children: int) -> int:
+def compile_peak_kb(launcher: Launcher, path: Path) -> int:
     """Median peak-RSS rise of a first compile of ``path`` over fresh children."""
     argv = [sys.executable, "-I", "-c", COMPILE_PEAK, str(path)]
-    return int(statistics.median(int(launcher.run(argv).stderr) for _ in range(children)))
+    return int(statistics.median(int(launcher.run(argv).stderr) for _ in range(CHILDREN)))
 
 
-def compile_ms(source: str, path: Path, repeat: int) -> float:
+def compile_ms(source: str, path: Path) -> float:
     """Median wall milliseconds of ``compile()`` on the source, in process."""
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         compile(source, str(path), "exec")
         times.append(time.perf_counter() - start)
@@ -144,16 +149,15 @@ def report_workload(launcher: Launcher, src: Path, name: str, seed: int, workdir
               f" max {max(values)}, over {len(values)} calls")
 
 
-def report_modules(launcher: Launcher, src: Path, call_list: list[list[str]],
-                   repeat: int, children: int) -> None:
+def report_modules(launcher: Launcher, src: Path, call_list: list[list[str]]) -> None:
     """One line per module of the package, then what each call loads and compiles."""
     peaks = {}
     print(f"{'module':<16}{'bytes':>8}{'nodes':>8}{'compile ms':>12}{'peak KB':>9}")
     for path in sorted(src.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        peaks[path.name] = compile_peak_kb(launcher, path, children)
+        peaks[path.name] = compile_peak_kb(launcher, path)
         print(f"{path.name:<16}{len(source.encode()):>8}{ast_nodes(source):>8}"
-              f"{compile_ms(source, path, repeat):>12.2f}{peaks[path.name]:>9}")
+              f"{compile_ms(source, path):>12.2f}{peaks[path.name]:>9}")
     for argv in call_list:
         names, size, nodes = call_costs(launcher, src, argv)
         largest = max(names, key=lambda name: peaks[module_file(name)])
@@ -166,9 +170,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src" / "cobweb",
                         help="the package directory (default: src/cobweb of this tree)")
-    parser.add_argument("--repeat", type=int, default=20, help="compiles timed per module")
-    parser.add_argument("--children", type=int, default=5,
-                        help="fresh interpreters per compile peak")
     parser.add_argument("--calls", help="file of JSON argv arrays, one call a line")
     parser.add_argument("--workload", help="the calls of one pass of this benchmark workload")
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
@@ -183,14 +184,13 @@ def main() -> int:
     if call:
         call_list.append(call)
     src = args.src.resolve()
-    env = dict(os.environ, PYTHONPATH=str(src.parent), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)  # -c puts the working directory first on a child's sys.path
-        with Launcher(scratch, env, TIME_LIMIT_S + 60) as launcher:
+        with Launcher(scratch, src_env(src.parent), TIME_LIMIT_S + 60) as launcher:
             if args.workload:
                 report_workload(launcher, src, args.workload, args.seed, scratch)
             else:
-                report_modules(launcher, src, call_list, args.repeat, args.children)
+                report_modules(launcher, src, call_list)
     return 0
 
 

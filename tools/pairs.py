@@ -17,23 +17,24 @@ workload (default: all four of ``BENCHMARK.json``), pair i runs
     python3 perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
 once in each tree, from that tree's root, both at seed ``--first-seed + i``:
-REV's tree first in even pairs and this tree's first in odd ones.  The
-children run with ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPATH`` of the
-caller's, so neither tree gains a bytecode cache, and each run reads its
-tree's ``src`` (``perfbench/procs.child_env``).  ``run.py`` stops at
+REV's tree first in even pairs and this tree's first in odd ones.  Each
+``run.py`` and its children run with ``PYTHONDONTWRITEBYTECODE=1`` and only
+their tree's ``src`` on ``PYTHONPATH`` (``src_env``), so neither tree gains a
+bytecode cache and each run reads its own tree's ``src``.  ``run.py`` stops at
 ``--seconds``, so a faster tree may make more passes than the other.
 
 One line is printed per run.  Then, for each workload and each end-to-end
 metric of ``BENCHMARK.json``: the quartiles of each side's runs, the pairs
 on which this tree read lower and higher, the relative change of the
-medians and the metric's bound, with a verdict: "worse past its bound"
-where the change's median is worse than REV's by more than the bound,
+medians (null from a median of 0 to another) and the metric's bound, with
+a verdict: "worse past its bound" where the change's median is worse than
+REV's by more than the bound times REV's median (by anything from 0),
 "unresolved" where either side's quartile spread exceeds the bound, and
 "within bound" otherwise.  ``--claim WORKLOAD:METRIC`` also judges one
 claimed gain: better in at least 9 of 10 pairs, and a median gap larger
 than REV's quartile spread.  ``--out`` writes all of it as one JSON object
 with the fields of the committed ``BENCH_*.json`` files.  The script exits 1
-if any run read ``correct: false`` or failed to run.
+if any run read ``correct: false``, reported a failed call or failed to run.
 """
 
 from __future__ import annotations
@@ -79,14 +80,25 @@ def write_trees(rev: str, scratch: Path) -> dict[str, Path]:
     return trees
 
 
+def src_env(src: Path) -> dict:
+    """A child's environment: ``src`` as its one ``PYTHONPATH`` entry, and no
+    bytecode written."""
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
+def sides(pair: int) -> tuple[str, str]:
+    """The order the two trees run in, in the pair of that index: REV's tree
+    first in even pairs."""
+    return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The last line of one ``run.py --trace 0`` run in ``tree``: correct,
     attempted, failed and the metrics."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("PYTHONPATH", None)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    result = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    result = subprocess.run(argv, cwd=tree, env=src_env(tree / "src"), capture_output=True,
+                            text=True)
     if result.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} in {tree.name}: {result.stderr.strip()[-500:]}")
     return json.loads(result.stdout.splitlines()[-1])
@@ -99,31 +111,38 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def summary(runs: list[list], name: str) -> dict:
-    """One metric over a workload's runs: each side's quartiles, the pairs
-    each side read lower on, the relative change of the medians and the
-    bound."""
-    column = RUN_FIELDS.index(name)
-    values = {side: [run[column] for run in runs if run[1] == side] for side in ("parent", "change")}
-    pairs = list(zip(values["parent"], values["change"]))
-    parent, change = quartiles(values["parent"]), quartiles(values["change"])
-    relative = (change["median"] - parent["median"]) / parent["median"] if parent["median"] else 0.0
+def compared(parent: list[float], change: list[float], unit: str) -> dict:
+    """Each side's quartiles over its runs, and the pairs (``parent[i]``,
+    ``change[i]``) on which the change read lower and higher."""
+    pairs = list(zip(parent, change))
     return {
-        "unit": METRICS[name]["unit"],
-        "parent": parent,
-        "change": change,
+        "unit": unit,
+        "parent": quartiles(parent),
+        "change": quartiles(change),
         "change_lower_in_pairs": sum(c < p for p, c in pairs),
         "change_higher_in_pairs": sum(c > p for p, c in pairs),
-        "relative_change": round(relative, 4),
-        "bound": METRICS[name]["bound"],
     }
+
+
+def summary(runs: list[list], name: str) -> dict:
+    """One metric over a workload's runs: ``compared``, the relative change
+    of the medians (None from a median of 0 to another) and the bound."""
+    column = RUN_FIELDS.index(name)
+    metric = compared(*([run[column] for run in runs if run[1] == side]
+                        for side in ("parent", "change")), METRICS[name]["unit"])
+    parent, change = metric["parent"]["median"], metric["change"]["median"]
+    metric["relative_change"] = (round((change - parent) / parent, 4) if parent
+                                 else 0.0 if change == parent else None)
+    metric["bound"] = METRICS[name]["bound"]
+    return metric
 
 
 def verdict(name: str, metric: dict) -> str:
     """Whether the change is worse than REV past the metric's bound, or
     either side spreads past it."""
     sign = 1 if METRICS[name]["better"] == "lower" else -1
-    if sign * metric["relative_change"] > metric["bound"]:
+    parent, change = metric["parent"]["median"], metric["change"]["median"]
+    if sign * (change - parent) > metric["bound"] * abs(parent):
         return "worse past its bound"
     for side in ("parent", "change"):
         q = metric[side]
@@ -132,24 +151,29 @@ def verdict(name: str, metric: dict) -> str:
     return "within bound"
 
 
-def claim(workload: str, name: str, metric: dict, pairs: int) -> dict:
-    """The claimed gain's rule, whether it is met and the evidence."""
-    lower = METRICS[name]["better"] == "lower"
+def gain(metric: dict, lower: bool, pairs: int) -> dict:
+    """Whether a ``compared`` metric shows a gain for the change: better in
+    at least 9 of 10 pairs, and a median gap larger than REV's quartile
+    spread; with the evidence."""
     wins = metric["change_lower_in_pairs" if lower else "change_higher_in_pairs"]
     parent, change = metric["parent"], metric["change"]
     gap = (parent["median"] - change["median"]) * (1 if lower else -1)
     spread = parent["q3"] - parent["q1"]
-    needed = math.ceil(CLAIM_WINS * pairs)
     return {
-        "workload": workload,
-        "metric": name,
-        "rule": "change better in at least 9 of 10 pairs, and the medians differ by more "
-                "than the parent's IQR",
-        "met": wins >= needed and gap > spread,
+        "met": wins >= math.ceil(CLAIM_WINS * pairs) and gap > spread,
         "evidence": f"better in {wins} of {pairs} pairs; median {parent['median']} -> "
                     f"{change['median']} {metric['unit']}, parent IQR {round(spread, 4)} "
                     f"{metric['unit']}",
     }
+
+
+def described(metric: dict, rev: str, pairs: int) -> str:
+    """A ``compared`` metric in one line."""
+    p, c = metric["parent"], metric["change"]
+    return (f"{rev} {p['median']} [{p['q1']}, {p['q3']}], tree {c['median']} "
+            f"[{c['q1']}, {c['q3']}] {metric['unit']}; tree lower in "
+            f"{metric['change_lower_in_pairs']}, higher in {metric['change_higher_in_pairs']} "
+            f"of {pairs} pairs")
 
 
 def main() -> int:
@@ -189,10 +213,10 @@ def main() -> int:
         for workload in args.workload:
             runs = []
             for i, seed in enumerate(seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                order = sides(i)
                 for side in order:
                     result = bench(trees[side], workload, seed, args.seconds)
-                    ok &= result["correct"] is True
+                    ok &= result["correct"] is True and result["failed"] == 0
                     values = [result["metrics"][name]["value"] for name in METRICS]
                     runs.append([seed, side, side == order[0], result["attempted"],
                                  result["failed"], *(round(v, 4) for v in values)])
@@ -206,23 +230,25 @@ def main() -> int:
                 "metrics": metrics, "runs": runs,
             }
             for name, metric in metrics.items():
-                p, c = metric["parent"], metric["change"]
-                print(f"{workload} {name}: {args.rev} {p['median']} [{p['q1']}, {p['q3']}], "
-                      f"tree {c['median']} [{c['q1']}, {c['q3']}] {metric['unit']}; tree "
-                      f"lower in {metric['change_lower_in_pairs']}, higher in "
-                      f"{metric['change_higher_in_pairs']} of {args.pairs} pairs; "
-                      f"{metric['relative_change']:+.2%} against a bound of "
-                      f"{metric['bound']:.0%}: {verdict(name, metric)}", flush=True)
+                relative = metric["relative_change"]
+                print(f"{workload} {name}: {described(metric, args.rev, args.pairs)}; "
+                      f"{'from 0' if relative is None else f'{relative:+.2%}'} against a bound "
+                      f"of {metric['bound']:.0%}: {verdict(name, metric)}", flush=True)
     if args.claim:
         workload, name = args.claim.split(":")
         metric = report["workloads"][workload]["metrics"][name]
-        report["claimed"] = claim(workload, name, metric, args.pairs)
+        report["claimed"] = {
+            "workload": workload, "metric": name,
+            "rule": "change better in at least 9 of 10 pairs, and the medians differ by more "
+                    "than the parent's IQR",
+            **gain(metric, METRICS[name]["better"] == "lower", args.pairs),
+        }
         print(f"claim {args.claim}: {'met' if report['claimed']['met'] else 'not met'}; "
               f"{report['claimed']['evidence']}")
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     if not ok:
-        print("a run read correct: false")
+        print("a run read correct: false or reported a failed call")
     return 0 if ok else 1
 
 
