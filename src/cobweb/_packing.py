@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import poset
 from .fseq import FSequence, exact_quotient, parse_sequence
-from .poset import PACKING_NODE_BUDGET, PackingCapError
+from .poset import PACKING_COPY_CAP, PACKING_NODE_BUDGET, PackingCapError
 
 if TYPE_CHECKING:  # the packing quotient is the only rational value here
     from fractions import Fraction
@@ -200,14 +200,13 @@ class PackingReport(NamedTuple):
         }
 
 
-def _max_disjoint_packing(F: FSequence, k: int, m: int, cap: int) -> PackingReport:
+def _max_disjoint_packing(F: FSequence, k: int, m: int) -> PackingReport:
     """``poset.max_disjoint_packing``.
 
-    It makes every refusal, in this order: a ``cap`` below 1 (every
-    instance has at least one copy), ``_copy_shape``'s (the height and the
-    range before any term is read), the copy cap and the node budget.  The
-    count prod_j C(F_(k+j), F_j) is multiplied up level by level and
-    refused as soon as it passes ``cap``.
+    It makes every refusal, in this order: ``_copy_shape``'s (the height and
+    the range before any term is read), the copy cap and the node budget.
+    The count prod_j C(F_(k+j), F_j) is multiplied up level by level and
+    refused as soon as it passes ``PACKING_COPY_CAP``.
 
     Copies pick an F_j-subset at each level k+j and share a maximal chain
     iff all their subsets meet.  A level with F_j = 1 picks one vertex, so
@@ -224,14 +223,14 @@ def _max_disjoint_packing(F: FSequence, k: int, m: int, cap: int) -> PackingRepo
     A search that passes ``PACKING_NODE_BUDGET`` nodes is refused with
     ``PackingCapError``.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
     shape = _copy_shape(F, k, m)
     copies_total = 1
     for avail, need in shape:
         copies_total *= math.comb(avail, need)
-        if copies_total > cap:
-            raise PackingCapError(f"instance has more copies than the cap of {cap}")
+        if copies_total > PACKING_COPY_CAP:
+            raise PackingCapError(
+                f"instance has more copies than the cap of {PACKING_COPY_CAP}"
+            )
     chains_total = math.prod(avail for avail, _ in shape)
     chain_cost = math.prod(need for _, need in shape)
     quotient = exact_quotient(chains_total, chain_cost)
@@ -260,11 +259,7 @@ def _max_disjoint_packing(F: FSequence, k: int, m: int, cap: int) -> PackingRepo
 
 
 def _cmd_poset_pack(args: SimpleNamespace) -> tuple[int, dict]:
-    """The packing of levels k..k+m; the search makes every refusal but the
-    ``--cap`` check, which names the option and comes before the spec is
-    parsed."""
-    if args.cap < 1:
-        raise ValueError(f"--cap must be at least 1, got {args.cap}")
+    """The packing of levels k..k+m; the search makes every refusal."""
     F = parse_sequence(args.spec)
-    report = poset.max_disjoint_packing(F, args.root_level, args.m, cap=args.cap)
+    report = poset.max_disjoint_packing(F, args.root_level, args.m)
     return (0 if report.tight else 1), report.to_json_dict()

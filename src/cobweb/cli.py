@@ -138,8 +138,7 @@ COMMANDS: dict[tuple[str, str | None], tuple] = {
          ("--mode", {"choices": ("enumerate", "product", "matrix"), "required": True}))),
     ("poset", "pack"): (
         "exact max-disjoint packing", "_packing:_cmd_poset_pack",
-        (SPEC, ("--root-level", REQUIRED_INT), ("--m", REQUIRED_INT),
-         ("--cap", {"type": integer, "default": 5000}))),
+        (SPEC, ("--root-level", REQUIRED_INT), ("--m", REQUIRED_INT))),
     ("poset", "zeta"): (
         "incidence matrix", "incidence:_cmd_poset_matrix", (SPEC, LEVELS, FORMAT)),
     ("poset", "mobius"): (

@@ -14,8 +14,8 @@ Work that grows with the level sizes is priced from them level by level, as
 running totals, and refused at the first past ``WORK_BOUND`` by ``check_work``.
 The packing search (``_packing``) takes the sequence, as ``f_nomial``
 does, and is an exact branch-and-bound, never a heuristic: an instance
-above the copy cap, or a search past ``PACKING_NODE_BUDGET`` nodes, is
-refused with ``PackingCapError``, not approximated.
+above ``PACKING_COPY_CAP`` copies, or a search past ``PACKING_NODE_BUDGET``
+nodes, is refused with ``PackingCapError``, not approximated.
 
 This module holds what every ``cobweb poset`` call runs: the poset, its
 level sizes and the work bound.  The code that only some commands run is
@@ -39,9 +39,12 @@ if TYPE_CHECKING:
     from ._packing import PackingReport
 
 
+# Copies of P_m past which a packing instance is refused before its
+# conflict graph is built.
+PACKING_COPY_CAP = 5000
 # Branch-and-bound nodes after which a packing search is refused.  Every
 # test and benchmark instance closes within a few dozen nodes; the hard
-# instances under the default cap tried so far reach this budget in
+# instances under the copy cap tried so far reach this budget in
 # 0.9-2.0 s (one core of a 2-vCPU x86 VM).
 PACKING_NODE_BUDGET = 100_000
 
@@ -150,19 +153,19 @@ def count_max_chains_between(
     return _count_chains(sizes, k, n, mode)
 
 
-def max_disjoint_packing(F: FSequence, k: int, m: int, cap: int = 5000) -> PackingReport:
+def max_disjoint_packing(F: FSequence, k: int, m: int) -> PackingReport:
     """Exact maximum family of pairwise chain-disjoint copies of the m-level
     prime poset on levels k..k+m over F, with its quotient, the
     coefficient (n over k)_F: an ``int`` where it is integral, else a
     ``Fraction``.  The layer depends on F alone: F_1..F_(k+m) are read once.
-    An instance with more than ``cap`` copies, or whose search passes
-    ``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``; a
-    ``cap`` below 1, a bad or missing term or a copy that does not fit
-    raises ``ValueError``.  The search is ``_packing._max_disjoint_packing``.
+    An instance with more than ``PACKING_COPY_CAP`` copies, or whose search
+    passes ``PACKING_NODE_BUDGET`` nodes, is refused with ``PackingCapError``;
+    a bad or missing term or a copy that does not fit raises ``ValueError``.
+    The search is ``_packing._max_disjoint_packing``.
     """
     from ._packing import _max_disjoint_packing
 
-    return _max_disjoint_packing(F, k, m, cap)
+    return _max_disjoint_packing(F, k, m)
 
 
 def dim2_realizer(P: CobwebPoset) -> tuple[Iterator[range], Iterator[range]]:

@@ -193,7 +193,7 @@ def _integral(value: int | Fraction, what: str) -> int:
 def q_bell(q: int, n: int) -> int:
     """Number of unordered direct-sum decompositions of the n-dim space over
     the q-element field, via the exponential formula on linear-group orders."""
-    return _integral(_scaled_enumerator(_bg(q, n), n)[n], "decomposition count")
+    return _integral(bell_f(_bg(q, n), n), "decomposition count")
 
 
 def bell_by_partitions(F: FSequence, n: int) -> int | Fraction:

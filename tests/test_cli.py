@@ -2,7 +2,6 @@ import argparse
 import ast
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -393,30 +392,11 @@ def test_poset_pack_exit_codes(capsys):
     assert code == 1
     body = json.loads(out)
     assert body["max_packing"] == "18" and body["quotient_bound"] == "21"
-    code, _, err = run(
-        capsys, "poset", "pack", "--spec", "even", "--root-level", "1", "--m", "2",
-        "--cap", "10",
-    )
-    assert code == 2
-    assert "cap" in err
-
-
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_poset_pack_refuses_a_cap_below_one(capsys, cap):
-    # every instance has at least one copy, so such a cap is malformed input
+    # C(8, 2) * C(10, 4) = 5880 copies
     code, out, err = run(
-        capsys, "poset", "pack", "--spec", "natural", "--root-level", "1", "--m", "2",
-        "--cap", cap,
+        capsys, "poset", "pack", "--spec", "even", "--root-level", "3", "--m", "2",
     )
-    assert (code, out) == (2, "")
-    assert "--cap" in err
-
-
-def test_the_cli_and_the_library_share_the_copy_cap_default():
-    # cli may not import poset, so its row writes the library's default again
-    options = dict(COMMANDS[("poset", "pack")][2])
-    library = inspect.signature(poset.max_disjoint_packing).parameters["cap"].default
-    assert options["--cap"]["default"] == library == 5000
+    assert (code, out, err) == (2, "", "error: instance has more copies than the cap of 5000\n")
 
 
 def test_poset_pack_refused_by_node_budget(capsys):
@@ -447,18 +427,16 @@ def test_a_pack_refusal_holds_only_the_levels_it_checks(capsys):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    ("--spec bogus --root-level 1 --m 2 --cap 0", "--cap must be at least 1, got 0"),
-    # the height and the range are checked before any term is read
-    ("--spec natural --root-level -3 --m 1", "copy levels -3..-2 outside 0..-2"),
     ("--spec custom:1,2,3 --root-level 2 --m 2",
      "'custom:1,2,3' defines only 3 terms, index 4 requested"),
     ("--spec custom:1,-2 --root-level 1 --m 1",
      "'custom:1,-2' gives nonpositive level size -2 at level 2"),
+    # the height and the range are checked before any term is read
     ("--spec natural --root-level 1 --m -1", "height must be nonnegative, got -1"),
     ("--spec natural --root-level -1 --m 2", "copy levels -1..1 outside 0..1"),
     ("--spec custom:1,5,2,1 --root-level 2 --m 2", "level 4 has 1 vertices, copy needs 5"),
-    ("--spec even --root-level 1 --m 2 --cap 10", "instance has more copies than the cap of 10"),
-], ids=["cap", "level-count", "finite", "nonpositive", "height", "range", "need", "copies"])
+    ("--spec even --root-level 3 --m 2", "instance has more copies than the cap of 5000"),
+], ids=["finite", "nonpositive", "height", "range", "need", "copies"])
 def test_a_pack_refusal_keeps_its_order_and_message(capsys, argv, reason):
     assert run(capsys, "poset", "pack", *argv.split()) == (2, "", f"error: {reason}\n")
 
@@ -1113,7 +1091,7 @@ ROW_ARGV = {
     ("poset", "dot"): "poset dot --spec natural --levels 3",
     ("poset", "chains"): "poset chains --spec natural --levels 4 --from-level 1 "
                          "--to-level 3 --mode matrix",
-    ("poset", "pack"): "poset pack --spec natural --root-level 1 --m 2 --cap 9",
+    ("poset", "pack"): "poset pack --spec natural --root-level 1 --m 2",
     ("poset", "zeta"): "poset zeta --spec natural --levels 3",
     ("poset", "mobius"): "poset mobius --spec natural --levels 3 --format csv",
     ("poset", "dim2"): "poset dim2 --spec even --levels 4",

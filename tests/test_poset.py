@@ -1,9 +1,11 @@
+import ast
 import json
 import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -238,7 +240,7 @@ def test_packing_random_instances_match_brute_force():
             continue
         if len(copies) > 40:
             continue
-        report = max_disjoint_packing(F, k, m, cap=10000)
+        report = max_disjoint_packing(F, k, m)
         assert report.max_packing == brute_max_packing(copies)
         checked += 1
 
@@ -269,22 +271,30 @@ def test_packing_refuses_levels_outside_the_poset():
 
 
 def test_packing_cap_refused():
-    with pytest.raises(PackingCapError):
-        max_disjoint_packing(EVEN, 1, 2, cap=10)
+    # C(8, 2) * C(10, 4) = 5880 copies
+    with pytest.raises(PackingCapError, match="more copies than the cap of 5000"):
+        max_disjoint_packing(EVEN, 3, 2)
 
 
-def test_packing_cap_refused_before_the_count_is_built():
+def test_packing_cap_refused_before_the_count_is_built(monkeypatch):
     # the full copy count has about 1.4 million bits; the refusal must not need it
     with pytest.raises(PackingCapError, match="cap"):
         max_disjoint_packing(parse_sequence("gauss:2"), 20, 15)
-    # a level too small for a copy is still reported as such, cap or not
-    F = parse_sequence("custom:1,3,5,1")
+    # a level too small for a copy is still reported as such, whatever the cap
+    monkeypatch.setattr("cobweb._packing.PACKING_COPY_CAP", 1)
     with pytest.raises(ValueError, match="copy needs"):
-        max_disjoint_packing(F, 1, 3, cap=1)
-    # a cap below 1 is refused before any work, the level check included
-    for cap in (0, -1):
-        with pytest.raises(ValueError, match="cap must be at least 1"):
-            max_disjoint_packing(F, 1, 3, cap=cap)
+        max_disjoint_packing(parse_sequence("custom:1,3,5,1"), 1, 3)
+
+
+def test_the_benchmark_refuses_the_packs_the_library_refuses():
+    # perfbench/check.py states the copy cap again, to decide which workload
+    # pack calls must be refused
+    tree = ast.parse(Path(__file__).resolve().parents[1].joinpath(
+        "perfbench", "check.py").read_text(encoding="utf-8"))
+    caps = [ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["PACK_CAP"]]
+    assert caps == [poset.PACKING_COPY_CAP]
 
 
 
@@ -299,25 +309,25 @@ def counting(spec):
     return FSequence(spec, term), reads
 
 
-@pytest.mark.parametrize("spec, k, m, cap, outcome", [
-    ("natural", 2, 2, 5000, None),
-    ("even", 1, 2, 10, "more copies than the cap of 10"),
-    ("custom:1,5,2,1", 2, 2, 5000, "level 4 has 1 vertices, copy needs 5"),
+@pytest.mark.parametrize("spec, k, m, outcome", [
+    ("natural", 2, 2, None),
+    ("even", 3, 2, "more copies than the cap of 5000"),
+    ("custom:1,5,2,1", 2, 2, "level 4 has 1 vertices, copy needs 5"),
 ], ids=["solved", "cap", "shape"])
-def test_packing_reads_each_term_once(monkeypatch, capsys, spec, k, m, cap, outcome):
+def test_packing_reads_each_term_once(monkeypatch, capsys, spec, k, m, outcome):
     # the layer depends on F alone: no poset, and no second read of the terms
     # (the command read 2(k+m) terms when it checked the shape before the search)
     F, reads = counting(spec)
     if outcome is None:
-        assert max_disjoint_packing(F, k, m, cap).tight
+        assert max_disjoint_packing(F, k, m).tight
     else:
         with pytest.raises(ValueError, match=outcome):
-            max_disjoint_packing(F, k, m, cap)
+            max_disjoint_packing(F, k, m)
     assert reads == Counter(range(1, k + m + 1))
     reads.clear()
     monkeypatch.setattr("cobweb._packing.parse_sequence", lambda _: F)
     argv = ["poset", "pack", "--spec", spec, "--root-level", str(k), "--m", str(m)]
-    assert main(argv + ["--cap", str(cap)]) == (0 if outcome is None else 2)
+    assert main(argv) == (0 if outcome is None else 2)
     assert outcome is None or outcome in capsys.readouterr().err
     assert reads == Counter(range(1, k + m + 1))
 

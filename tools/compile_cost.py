@@ -2,8 +2,8 @@
 
 Run from anywhere in the repository:
 
-    python3 tools/compile_cost.py [--src DIR] [--calls FILE] [-- ARGV...]
-    python3 tools/compile_cost.py --workload NAME [--seed N] [--src DIR]
+    python3 tools/compile_cost.py [--src DIR] [-- ARGV...]
+    python3 tools/compile_cost.py --workload NAME [--src DIR]
 
 A process that may not write bytecode (``PYTHONDONTWRITEBYTECODE=1``, or a
 checkout without ``__pycache__``) compiles every module it imports from
@@ -20,15 +20,14 @@ a temporary directory (``-c`` puts the working directory first on
 ``sys.path``); it prints its result as the last line of standard error, of
 which the launcher keeps the last 4000 characters.
 
-For a call, given as arguments after ``--`` or as one JSON array of
-arguments per nonblank line of FILE, it runs ``cobweb.cli.main`` in a fresh
-interpreter on that package (stopped after ``TIME_LIMIT_S`` seconds, by
-which every call has loaded its modules) and prints the ``cobweb`` modules
-the call loaded, their source bytes and AST nodes in all, and the largest
-compile peak among them.  ``--workload`` takes the calls of one pass of a
-benchmark workload at ``--seed`` (``perfbench/workloads.generate``, whose
-``file:`` sequences go to a temporary directory), prints one line per call
-and then the median and the maximum of the bytes and nodes per call; it
+For a call, given as arguments after ``--``, it runs ``cobweb.cli.main`` in
+a fresh interpreter on that package (stopped after ``TIME_LIMIT_S``
+seconds, by which every call has loaded its modules) and prints the
+``cobweb`` modules the call loaded, their source bytes and AST nodes in all,
+and the largest compile peak among them.  ``--workload`` takes the calls of
+one pass of a benchmark workload at ``SEED`` (``perfbench/workloads.generate``,
+whose ``file:`` sequences go to a temporary directory), prints one line per
+call and then the median and the maximum of the bytes and nodes per call; it
 skips the compile peaks, which need many children.  Standard library only.
 """
 
@@ -57,6 +56,8 @@ TIME_LIMIT_S = 10.0
 # The compiles timed per module, and the fresh interpreters per compile peak.
 REPEAT = 20
 CHILDREN = 5
+# The seed of the workload pass that ``--workload`` prices.
+SEED = 1
 
 # The peak-RSS rise, in KB, of one compile of the file given as argv[1].
 COMPILE_PEAK = """
@@ -134,23 +135,24 @@ def call_costs(launcher: Launcher, src: Path, argv: list[str]) -> tuple[list[str
     return names, sum(len(text.encode()) for text in sources), sum(map(ast_nodes, sources))
 
 
-def report_workload(launcher: Launcher, src: Path, name: str, seed: int, workdir: str) -> None:
+def report_workload(launcher: Launcher, src: Path, name: str, workdir: str) -> None:
     """One line per call of the workload's pass, then the median and the
     maximum of the bytes and AST nodes a call compiles."""
     costs = [(call["argv"], *call_costs(launcher, src, call["argv"]))
-             for call in workloads.generate(name, seed, workdir)]
+             for call in workloads.generate(name, SEED, workdir)]
     print(f"{'nodes':>6}{'bytes':>8}  modules beyond cobweb, cobweb.cli; call")
     for argv, names, size, nodes in costs:
         extra = [m.split(".", 1)[1] for m in names if m not in ("cobweb", "cobweb.cli")]
         print(f"{nodes:>6}{size:>8}  {','.join(extra)}; {' '.join(argv)}")
     for label, column in (("nodes", 3), ("bytes", 2)):
         values = [cost[column] for cost in costs]
-        print(f"{name} seed {seed}: {label} per call, median {statistics.median(values):g},"
+        print(f"{name} seed {SEED}: {label} per call, median {statistics.median(values):g},"
               f" max {max(values)}, over {len(values)} calls")
 
 
-def report_modules(launcher: Launcher, src: Path, call_list: list[list[str]]) -> None:
-    """One line per module of the package, then what each call loads and compiles."""
+def report_modules(launcher: Launcher, src: Path, call: list[str]) -> None:
+    """One line per module of the package, then what the call, if any, loads
+    and compiles."""
     peaks = {}
     print(f"{'module':<16}{'bytes':>8}{'nodes':>8}{'compile ms':>12}{'peak KB':>9}")
     for path in sorted(src.glob("*.py")):
@@ -158,10 +160,10 @@ def report_modules(launcher: Launcher, src: Path, call_list: list[list[str]]) ->
         peaks[path.name] = compile_peak_kb(launcher, path)
         print(f"{path.name:<16}{len(source.encode()):>8}{ast_nodes(source):>8}"
               f"{compile_ms(source, path):>12.2f}{peaks[path.name]:>9}")
-    for argv in call_list:
-        names, size, nodes = call_costs(launcher, src, argv)
+    if call:
+        names, size, nodes = call_costs(launcher, src, call)
         largest = max(names, key=lambda name: peaks[module_file(name)])
-        print(f"\n{json.dumps(argv)}\n  loads {', '.join(names)}\n"
+        print(f"\n{json.dumps(call)}\n  loads {', '.join(names)}\n"
               f"  compiles {size} bytes, {nodes} AST nodes\n"
               f"  largest compile peak {peaks[module_file(largest)]} KB ({largest})")
 
@@ -170,27 +172,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src" / "cobweb",
                         help="the package directory (default: src/cobweb of this tree)")
-    parser.add_argument("--calls", help="file of JSON argv arrays, one call a line")
     parser.add_argument("--workload", help="the calls of one pass of this benchmark workload")
-    parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
     parser.add_argument("argv", nargs=argparse.REMAINDER,
                         help="one call's arguments, after --")
     args = parser.parse_args()
-    call_list = []
-    if args.calls:
-        call_list += [json.loads(line) for line in
-                      Path(args.calls).read_text(encoding="utf-8").splitlines() if line.strip()]
     call = args.argv[1:] if args.argv[:1] == ["--"] else args.argv
-    if call:
-        call_list.append(call)
     src = args.src.resolve()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)  # -c puts the working directory first on a child's sys.path
         with Launcher(scratch, src_env(src.parent), TIME_LIMIT_S + 60) as launcher:
             if args.workload:
-                report_workload(launcher, src, args.workload, args.seed, scratch)
+                report_workload(launcher, src, args.workload, scratch)
             else:
-                report_modules(launcher, src, call_list)
+                report_modules(launcher, src, call)
     return 0
 
 
